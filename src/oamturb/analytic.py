@@ -3,43 +3,44 @@
 A fixed-mode projection after a single phase screen, averaged over the
 turbulence ensemble, keeps the weights
 
-    C_dl = (1/2pi) int int p(r) p(r') K_dl(r, r') dr dr',
-    K_dl(r, r') = int_0^{2 pi} cos(dl u) gamma(d(r, r', u)) du,
+    C_dl = int int f(x) conj(f(x')) gamma(|x - x'|) d^2x d^2x'
+         = int A(d) gamma(|d|) d^2d,
 
-where p is the normalized LG_{0,l} radial intensity density, gamma(d) =
-exp(-D(d)/2) is the two-point coherence at transverse distance
-d(r, r', u) = sqrt(r^2 + r'^2 - 2 r r' cos u), and the normalization
-makes C_0 = 1 at zero turbulence.  The success probability of the hybrid
-protocol is P_h = C_0.  This two-point form is the exact expectation of
-the Monte Carlo decode estimator and is what coupling_coefficients and
-success_probability return.
+with f = |LG_{0,l}|^2 for the survival weight c0 (dl = 0) and f =
+conj(LG_{0,-l}) LG_{0,l} for the mirror crosstalk c2l (dl = 2l), gamma(d) =
+exp(-D(d)/2) the two-point coherence and A the direction-averaged
+autocorrelation of f.  This is the exact expectation of the Monte Carlo
+decode estimator; the success probability of the protocol is P_h = c0.
+f is a Gaussian times a polynomial in z = x + iy and conj(z), so the
+moments int y^j conj(y)^k e^{-4|y|^2} d^2y = delta_jk pi j! / 4^{j+1}
+give A in closed form.  With s = |d|^2 in waist units, up to one constant,
 
-A cheaper single-radius reduction evaluates the coherence between points
-of a common ring only, gamma(2 r sin(u/2)), giving
+    A_0(s) = e^{-s} sum_i C(l,i)^2 / C(2l,2i) s^{2i} / (2i)!,
+    A_2l(s) = e^{-s} L_{2l}(s)    (Laguerre polynomial),
 
-    C_dl = int |R(r)|^2 Theta_dl(r) r dr / N,
-    Theta_dl(r) = int int e^{-i dl (t - t')} gamma(r, t - t') dt dt'.
+e.g. e^{-s}(1 + s^2/2) and e^{-s}(1 - 2s + s^2/2) at l = 1, leaving one
+integral over d, normalized by its zero-turbulence value.
 
-That reduction is exact for a detector resolving the azimuthal index
-irrespective of radial profile, and it upper-bounds the fixed-mode c0
-(it ignores decorrelation between different radii).  It is exposed as
-theta_transform / ring_coefficients for reference and diagnostics.
+The single-radius reduction theta_transform / ring_coefficients keeps only
+the coherence gamma(2 r sin(u/2)) between points of a common ring.  It is
+exact for a detector resolving the azimuthal index irrespective of radial
+profile and upper-bounds c0.
 
-Quadrature design: the angular integrands have a 5/3-power cusp where
-the coherence argument vanishes, so the angle is mapped through a cubic
-substitution (u = pi t^3 and mirrored variants) whose Jacobian flattens
-the cusp; Gauss-Legendre then converges well past the default tolerance
-at the default node counts, and at zero turbulence the normalization
-makes C_0(0) = 1 exact.
+The coherence has a 5/3-power cusp at zero separation; cubic maps of the
+separation (d = d_max t^3) and ring angle (u = pi t^3, mirrored variants)
+flatten it for Gauss-Legendre.  QuadratureConfig.radial_nodes sets the
+separation and ring-radius rules, angular_nodes the ring-angle rule.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.special import gammaln
 
 from .errors import DomainError, RangeError, ToleranceError
 from .turbulence import STRUCTURE_COEFF, TurbulenceParams
@@ -51,6 +52,8 @@ DEFAULT_STRENGTHS = (
 )
 
 _RADIAL_CUTOFF = 6.0  # integrand carries e^{-2 r^2}; the tail is ~1e-31
+# times sqrt(l): A's bulk sits near s = d^2 = 2l, its tail past 36 l is < 1e-12
+_SEPARATION_CUTOFF = 6.0
 _COHERENCE_SCALE = STRUCTURE_COEFF * 2 ** (2 / 3)
 
 
@@ -76,31 +79,29 @@ class CouplingCoefficients:
     c2l: float
     l: int
     w_over_r0: float
+    residual: float = 0.0  # node-doubling change; 0.0 when not validated
+
+
+def _cubic_rule(n_nodes: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, scale] through x = scale t^3,
+    whose Jacobian flattens a 5/3-power cusp at x = 0."""
+    x, w = leggauss(n_nodes)
+    t = 0.5 * (x + 1)
+    return scale * t**3, 3 * scale * t**2 * (0.5 * w)
 
 
 @functools.lru_cache(maxsize=32)
 def _angular_rule(n_nodes: int, full_angle: bool):
-    """Cubically mapped Gauss-Legendre rule for the angular integral.
-
-    Returns (u, weight, sin_pow) with sum(weight * g(u)) approximating
-    int_0^pi g(u) du for integrands smooth except for the |sin|^{5/3}
-    cusps, and sin_pow the cusp factor |sin(u/2)|^{5/3} (half-angle) or
-    |sin(u)|^{5/3} (full-angle) at the nodes.
-    """
-    x, w = leggauss(n_nodes)
-    t = 0.5 * (x + 1)
-    wt = 0.5 * w
+    """(u, weight, sin_pow) with sum(weight * g(u)) approximating
+    int_0^pi g(u) du, and sin_pow the cusp factor |sin(u/2)|^{5/3}
+    (half-angle) or |sin(u)|^{5/3} (full-angle) at the nodes."""
     if not full_angle:
-        # single cusp at u = 0: u = pi t^3
-        u = np.pi * t**3
-        weight = 3 * np.pi * t**2 * wt
+        u, weight = _cubic_rule(n_nodes, np.pi)  # single cusp at u = 0
         sin_pow = np.abs(np.sin(u / 2)) ** (5 / 3)
     else:
         # cusps at u = 0 and u = pi: map half the nodes to each end
-        u_lo = (np.pi / 2) * t**3
-        w_lo = (3 * np.pi / 2) * t**2 * wt
-        u_hi = np.pi - (np.pi / 2) * t**3
-        u = np.concatenate([u_lo, u_hi])
+        u_lo, w_lo = _cubic_rule(n_nodes, np.pi / 2)
+        u = np.concatenate([u_lo, np.pi - u_lo])
         weight = np.concatenate([w_lo, w_lo])
         sin_pow = np.abs(np.sin(u)) ** (5 / 3)
     return u, weight, sin_pow
@@ -148,40 +149,46 @@ def theta_transform(
     return value
 
 
-def _radial_density(l: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre radii on [0, cutoff] with normalized LG_{0,l}
-    intensity weights; normalizing numerically makes c0(0) = 1 exact."""
-    x, w = leggauss(n_nodes)
-    r = 0.5 * _RADIAL_CUTOFF * (x + 1)
-    wr = 0.5 * _RADIAL_CUTOFF * w
-    dens = wr * r ** (2 * l + 1) * np.exp(-2 * r**2)
-    return r, dens / dens.sum()
+@functools.lru_cache(maxsize=32)
+def _separation_rule(l: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Separation nodes d and weights (k0, k2) with sum(k * g(d))
+    approximating int A(d) g(d) d dd / int A_0(d) d dd for A = A_0, A_2l
+    (module docstring), normalized by the same rule."""
+    d, weight = _cubic_rule(n_nodes, _SEPARATION_CUTOFF * math.sqrt(l))
+    s = d * d
+    jac = weight * d  # polar measure d dd
+    i = np.arange(l + 1)
+    moments = [math.comb(l, k) ** 2 / math.comb(2 * l, 2 * k) for k in range(l + 1)]
+    # Poisson terms s^{2i} e^{-s} / (2i)! in log form: no overflow at large l
+    poisson = np.exp(2 * i[:, None] * np.log(s) - s - gammaln(2 * i + 1)[:, None])
+    k0 = jac * (moments @ poisson)
+    # e^{-s/2} L_k(s) stays within [-1, 1], so its recurrence cannot overflow
+    half = np.exp(-s / 2)
+    prev, laguerre = np.zeros_like(s), half
+    for k in range(2 * l):
+        prev, laguerre = laguerre, ((2 * k + 1 - s) * laguerre - k * prev) / (k + 1)
+    k2 = jac * laguerre * half
+    norm = k0.sum()
+    return d, k0 / norm, k2 / norm
 
 
-def _pair_coefficients(l: int, w_over_r0: float, radial_nodes: int,
-                       angular_nodes: int) -> tuple[float, float]:
-    """Two-point quadrature for (c0, c2l) at one strength."""
-    if w_over_r0 == 0:
-        return 1.0, 0.0
-    r, dens = _radial_density(l, radial_nodes)
-    u, weight, _ = _angular_rule(angular_nodes, False)
-    sum_sq = r[:, None] ** 2 + r[None, :] ** 2
-    cross = 2.0 * np.outer(r, r)
-    scale = 0.5 * STRUCTURE_COEFF * float(w_over_r0) ** (5 / 3)
-    w_cos = np.cos(2 * l * u) * weight
-    acc0 = np.zeros_like(sum_sq)
-    acc2 = np.zeros_like(sum_sq)
-    # chunk the angular axis so the (chunk, nr, nr) workspace stays ~32 MB
-    step = max(1, (1 << 22) // (radial_nodes * radial_nodes))
-    for k in range(0, u.size, step):
-        cos_u = np.cos(u[k:k + step])[:, None, None]
-        dist_sq = np.maximum(sum_sq[None, :, :] - cross[None, :, :] * cos_u, 0.0)
-        gam = np.exp(-scale * dist_sq ** (5 / 6))
-        acc0 += np.einsum("k,kij->ij", weight[k:k + step], gam)
-        acc2 += np.einsum("k,kij->ij", w_cos[k:k + step], gam)
-    c0 = float(dens @ acc0 @ dens) / np.pi
-    c2l = float(dens @ acc2 @ dens) / np.pi
-    return c0, c2l
+def _validated(l, params, quad, validate, once) -> CouplingCoefficients:
+    """(c0, c2l) from once(l, radial_nodes, angular_nodes); validate=True
+    re-runs at doubled node counts, raises ToleranceError if the change
+    exceeds the tolerance and reports it as the residual."""
+    if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 1:
+        raise RangeError(f"l must be a positive integer, got {l!r}")
+    l = int(l)
+    c0, c2l = once(l, quad.radial_nodes, quad.angular_nodes)
+    residual = 0.0
+    if validate:
+        r0, r2l = once(l, 2 * quad.radial_nodes, 2 * quad.angular_nodes)
+        residual = max(abs(r0 - c0), abs(r2l - c2l))
+        if residual > quad.tolerance:
+            raise ToleranceError(
+                f"quadrature not converged at {quad}: ({c0}, {c2l}) vs ({r0}, {r2l})"
+            )
+    return CouplingCoefficients(c0, max(c2l, 0.0), l, params.w_over_r0, residual)
 
 
 def coupling_coefficients(
@@ -195,23 +202,21 @@ def coupling_coefficients(
     of the fixed-mode LG_{0,l} projections, normalized so c0 = 1 at zero
     turbulence.
 
-    Uses the two-point quadrature, so the values equal the expectation of
-    the Monte Carlo decode estimator.  validate=True recomputes at doubled
-    node counts and raises ToleranceError if not converged.
+    Uses the two-point form, so the values equal the expectation of the
+    Monte Carlo decode estimator.  validate=True recomputes at doubled
+    node count, raises ToleranceError if not converged, and reports the
+    change as the residual.
     """
-    if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 1:
-        raise RangeError(f"l must be a positive integer, got {l!r}")
     w0 = params.w_over_r0
-    c0, c2l = _pair_coefficients(l, w0, quad.radial_nodes, quad.angular_nodes)
-    if validate:
-        r0, r2l = _pair_coefficients(l, w0, 2 * quad.radial_nodes,
-                                     2 * quad.angular_nodes)
-        if max(abs(r0 - c0), abs(r2l - c2l)) > quad.tolerance:
-            raise ToleranceError(
-                f"quadrature not converged at ({quad.radial_nodes}, "
-                f"{quad.angular_nodes}) nodes: ({c0}, {c2l}) vs ({r0}, {r2l})"
-            )
-    return CouplingCoefficients(c0, max(c2l, 0.0), int(l), w0)
+
+    def once(l: int, radial_nodes: int, _) -> tuple[float, float]:
+        if w0 == 0:
+            return 1.0, 0.0
+        d, k0, k2 = _separation_rule(l, radial_nodes)
+        gam = np.exp(-0.5 * STRUCTURE_COEFF * (w0 * d) ** (5 / 3))
+        return float(k0 @ gam), float(k2 @ gam)
+
+    return _validated(l, params, quad, validate, once)
 
 
 def ring_coefficients(
@@ -228,28 +233,22 @@ def ring_coefficients(
     upper-bounds the fixed-mode c0 of coupling_coefficients.  full_angle
     swaps the ring kernel |sin(u/2)|^{5/3} for the |sin u|^{5/3} variant;
     both are reported by the CLI for comparison against the returned
-    two-point values.
+    two-point values.  Validation and residual as in coupling_coefficients.
     """
-    if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 1:
-        raise RangeError(f"l must be a positive integer, got {l!r}")
     w0 = params.w_over_r0
 
-    def once(radial_nodes: int, angular_nodes: int) -> tuple[float, float]:
-        r, dens = _radial_density(l, radial_nodes)
+    def once(l: int, radial_nodes: int, angular_nodes: int) -> tuple[float, float]:
+        # LG_{0,l} intensity weights on [0, cutoff], normalized numerically
+        x, w = leggauss(radial_nodes)
+        r = 0.5 * _RADIAL_CUTOFF * (x + 1)
+        dens = 0.5 * _RADIAL_CUTOFF * w * r ** (2 * l + 1) * np.exp(-2 * r**2)
+        dens /= dens.sum()
         t0 = _theta_values(0, r, w0, angular_nodes, full_angle)
         t2 = _theta_values(2 * l, r, w0, angular_nodes, full_angle)
         norm = (2 * np.pi) ** 2
         return float(dens @ t0) / norm, float(dens @ t2) / norm
 
-    c0, c2l = once(quad.radial_nodes, quad.angular_nodes)
-    if validate:
-        r0, r2l = once(2 * quad.radial_nodes, 2 * quad.angular_nodes)
-        if max(abs(r0 - c0), abs(r2l - c2l)) > quad.tolerance:
-            raise ToleranceError(
-                f"quadrature not converged at ({quad.radial_nodes}, "
-                f"{quad.angular_nodes}) nodes: ({c0}, {c2l}) vs ({r0}, {r2l})"
-            )
-    return CouplingCoefficients(c0, max(c2l, 0.0), int(l), w0)
+    return _validated(l, params, quad, validate, once)
 
 
 def success_probability(

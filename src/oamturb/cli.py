@@ -22,13 +22,8 @@ import sys
 import numpy as np
 from scipy.stats import spearmanr
 
-from . import __version__
-from .analytic import (
-    DEFAULT_STRENGTHS,
-    QuadratureConfig,
-    ring_coefficients,
-    success_probability,
-)
+from . import __version__, analytic
+from .analytic import DEFAULT_STRENGTHS, QuadratureConfig, ring_coefficients
 from .elements import MUB_LABELS, HybridQubit, mub_states
 from .errors import (
     AliasingError,
@@ -139,8 +134,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="analytic vs Monte Carlo success probability curve")
     p.add_argument("--strengths", type=_float_list, default=None)
     p.add_argument("--l", type=int, default=None)
-    p.add_argument("--radial-nodes", type=int, default=None)
-    p.add_argument("--angular-nodes", type=int, default=None)
+    p.add_argument("--radial-nodes", type=int, default=None,
+                   help="nodes of the separation and ring-radius rules")
+    p.add_argument("--angular-nodes", type=int, default=None,
+                   help="nodes of the ring-angle rule")
     p.add_argument("--tolerance", type=float, default=None)
 
     p = sub.add_parser("fidelity-scan", parents=[common],
@@ -179,6 +176,29 @@ class _UsageError(Exception):
     pass
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_config_value(key: str, value, default) -> None:
+    """Raise _UsageError unless a loaded config value has its default's type:
+    a list takes numbers, an int an int (not a bool), a float a number, an
+    unset (None) default a number or null, a string a string."""
+    if isinstance(default, list):
+        ok, kind = (isinstance(value, list) and all(_is_number(v) for v in value),
+                    "a list of numbers")
+    elif isinstance(default, int):
+        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif isinstance(default, float):
+        ok, kind = _is_number(value), "a number"
+    elif default is None:
+        ok, kind = value is None or _is_number(value), "a number or null"
+    else:
+        ok, kind = isinstance(value, str), "a string"
+    if not ok:
+        raise _UsageError(f"config key {key!r} must be {kind}, got {value!r}")
+
+
 def _resolve_config(command: str, args: argparse.Namespace) -> dict:
     cfg = dict(_COMMAND_DEFAULTS[command])
     cfg["out_dir"] = os.path.join("runs", command.replace("-", "_"))
@@ -199,6 +219,8 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
         unknown = sorted(set(loaded) - set(cfg))
         if unknown:
             raise _UsageError(f"unknown config keys for {command}: {', '.join(unknown)}")
+        for key, value in loaded.items():
+            _check_config_value(key, value, cfg[key])
         cfg.update(loaded)
     for key in cfg:
         value = getattr(args, key, None)
@@ -257,12 +279,15 @@ def cmd_ph_curve(cfg: dict) -> int:
     )
     mc_rows = run_fidelity_scan(mc_config, n_workers=cfg["workers"])
     rows = []
+    residuals = []
     ring_half = []
     ring_full = []
     for strength, mc in zip(strengths, mc_rows):
         params = TurbulenceParams(w_over_r0=strength)
-        ph = success_probability(params, l, quad)
-        rows.append([strength, ph, mc.success_prob.mean, mc.success_prob.stderr])
+        # looked up on the module, so wrappers installed there see the call
+        cc = analytic.coupling_coefficients(l, params, quad)
+        residuals.append(cc.residual)
+        rows.append([strength, cc.c0, mc.success_prob.mean, mc.success_prob.stderr])
         # single-radius reduction in both printed kernel variants, for reference
         ring_half.append(ring_coefficients(l, params, quad).c0)
         ring_full.append(ring_coefficients(l, params, quad, full_angle=True).c0)
@@ -277,6 +302,7 @@ def cmd_ph_curve(cfg: dict) -> int:
         "ph_ring_half_angle_variant": ring_half,
         "ph_ring_full_angle_variant": ring_full,
         "max_relative_gap_mc_vs_analytic": max(gaps),
+        "max_quadrature_residual": max(residuals),
         "monotone_nonincreasing": all(
             rows[i][1] >= rows[i + 1][1] - 1e-12 for i in range(len(rows) - 1)
         ),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
@@ -439,28 +439,43 @@ def beam_broadening_mc(
     return w_t, stderr
 
 
+def _header_value(value) -> str:
+    return "None" if value is None else repr(float(value))
+
+
 def save_screen(screen: PhaseScreen, path) -> None:
-    """Write a screen as CSV: one comment header line, then n rows of n
-    phase values (radians), full float64 round-trip precision."""
+    """Write a screen as CSV: one comment header line carrying the grid, the
+    seed and every TurbulenceParams field, then n rows of n phase values
+    (radians), full float64 round-trip precision."""
+    params = " ".join(
+        f"{f.name}={_header_value(getattr(screen.params, f.name))}"
+        for f in fields(TurbulenceParams)
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(
-            f"# n={screen.grid.n} extent={screen.grid.extent!r} "
-            f"w_over_r0={screen.params.w_over_r0!r} seed={screen.seed}\n"
-        )
+        fh.write(f"# n={screen.grid.n} extent={screen.grid.extent!r} "
+                 f"seed={screen.seed} {params}\n")
         for row in screen.phase:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def load_screen(path) -> PhaseScreen:
-    """Read a screen written by save_screen."""
+    """Read a screen written by save_screen; a TurbulenceParams field the
+    header lacks is None.  A malformed file raises DomainError."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("# "):
             raise DomainError(f"{path}: missing screen header line")
-        meta = dict(item.split("=", 1) for item in header[2:].split())
-        rows = [
-            [float(v) for v in line.split(",")] for line in fh if line.strip()
-        ]
-    grid = GridSpec(int(meta["n"]), float(meta["extent"]))
-    params = TurbulenceParams(w_over_r0=float(meta["w_over_r0"]))
-    return PhaseScreen(grid, np.array(rows), int(meta["seed"]), params)
+        try:
+            meta = dict(item.split("=", 1) for item in header[2:].split())
+            grid = GridSpec(int(meta["n"]), float(meta["extent"]))
+            seed = int(meta["seed"])
+            params = TurbulenceParams(**{
+                f.name: None if meta.get(f.name, "None") == "None" else float(meta[f.name])
+                for f in fields(TurbulenceParams)
+            })
+            rows = [
+                [float(v) for v in line.split(",")] for line in fh if line.strip()
+            ]
+        except (KeyError, ValueError) as exc:
+            raise DomainError(f"{path}: malformed screen file: {exc!r}") from exc
+    return PhaseScreen(grid, np.array(rows), seed, params)

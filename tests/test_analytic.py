@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from oamturb import (
     DomainError,
@@ -26,6 +27,33 @@ P10 = TurbulenceParams(w_over_r0=1.0)
 P14 = TurbulenceParams(w_over_r0=1.4)
 
 COARSE = QuadratureConfig(8, 8, 1e-10)
+
+
+def literal_two_point_sum(l, strengths, radial_nodes=400, angular_nodes=1024):
+    """(c0, c2l) per strength from the chunked (angle, r, r') sum over two
+    radii and their angle, C_dl = (1/pi) sum p(r) p(r') cos(dl u) gamma(chord),
+    which the separation integral replaced; kept as its reference."""
+    x, w = leggauss(radial_nodes)
+    r = 3.0 * (x + 1)  # radii on [0, 6]
+    dens = 3.0 * w * r ** (2 * l + 1) * np.exp(-2 * r**2)
+    dens /= dens.sum()
+    x, w = leggauss(angular_nodes)
+    t = 0.5 * (x + 1)
+    u = np.pi * t**3  # flattens the chord cusp at u = 0
+    weight = 1.5 * np.pi * t**2 * w
+    w_cos = np.cos(2 * l * u) * weight
+    sum_sq = r[:, None] ** 2 + r[None, :] ** 2
+    cross = 2.0 * np.outer(r, r)
+    acc = np.zeros((len(strengths), 2, radial_nodes, radial_nodes))
+    step = max(1, (1 << 20) // radial_nodes**2)
+    for k in range(0, u.size, step):
+        cos_u = np.cos(u[k:k + step])[:, None, None]
+        chord = np.maximum(sum_sq - cross * cos_u, 0.0) ** (5 / 6)
+        for i, strength in enumerate(strengths):
+            gam = np.exp(-3.44 * strength ** (5 / 3) * chord)
+            acc[i, 0] += np.einsum("k,kij->ij", weight[k:k + step], gam)
+            acc[i, 1] += np.einsum("k,kij->ij", w_cos[k:k + step], gam)
+    return [(dens @ a0 @ dens / np.pi, dens @ a2 @ dens / np.pi) for a0, a2 in acc]
 
 
 class TestQuadratureConfig:
@@ -80,9 +108,29 @@ class TestCouplingCoefficients:
         assert cc.c2l == 0.0
 
     def test_frozen_reference_point(self):
+        # converged values, from a 50-digit adaptive integration of the
+        # separation integral
         cc = coupling_coefficients(1, P06)
-        assert cc.c0 == pytest.approx(0.2298790730629461, abs=1e-9)
-        assert cc.c2l == pytest.approx(0.0640688086803178, abs=1e-9)
+        assert cc.c0 == pytest.approx(0.22987906077165518, abs=1e-9)
+        assert cc.c2l == pytest.approx(0.06406879639207758, abs=1e-9)
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_matches_literal_two_point_sum(self, l):
+        strengths = (0.6, 1.4)
+        for w, (c0, c2l) in zip(strengths, literal_two_point_sum(l, strengths)):
+            cc = coupling_coefficients(l, TurbulenceParams(w_over_r0=w))
+            assert cc.c0 == pytest.approx(c0, abs=1e-8), (l, w)
+            assert cc.c2l == pytest.approx(c2l, abs=1e-8), (l, w)
+
+    def test_residual_reported(self):
+        assert coupling_coefficients(1, P14, validate=False).residual == 0.0
+        residual = coupling_coefficients(1, P14).residual
+        assert 0.0 <= residual <= QuadratureConfig().tolerance
+
+    def test_high_index_stays_finite_and_converged(self):
+        for l in (8, 100):
+            cc = coupling_coefficients(l, P06)
+            assert 0.0 <= cc.c2l < cc.c0 < 1.0, l
 
     def test_node_doubling_converged(self):
         quad = QuadratureConfig()

@@ -53,6 +53,32 @@ class TestParsing:
         cfg.write_text("[1, 2, 3]")
         assert run(["ph-curve", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("command, loaded", [
+        ("ph-curve", {"realizations": "5"}),
+        ("ph-curve", {"realizations": 4.0}),
+        ("ph-curve", {"seed": True}),
+        ("fidelity-scan", {"strengths": "0.2"}),
+        ("fidelity-scan", {"strengths": [0.2, "0.6"]}),
+        ("ph-curve", {"tolerance": "1e-6"}),
+        ("calibrate", {"cn2": "1e-14"}),
+        ("rotation-scan", {"out_dir": 3}),
+    ])
+    def test_mistyped_config_value_fails(self, tmp_path, capsys, command, loaded):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(loaded))
+        assert run([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"config key {next(iter(loaded))!r} must be" in err
+
+    def test_number_accepted_for_unset_default(self, tmp_path, capsys):
+        # a None default takes a number; the run then stops at the
+        # incomplete physical quartet, past the type check
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda_nm": 795, "grid_extent": 16}))
+        assert run(["calibrate", "--config", str(cfg)]) == 1
+        assert "physical units need all of" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def first_run(tmp_path_factory):
@@ -85,6 +111,10 @@ class TestPhCurve:
         # single-radius reduction sits above the two-point value
         rows = (first_run / "ph_curve.csv").read_text().splitlines()[2].split(",")
         assert half[1] > float(rows[1])
+
+    def test_summary_reports_quadrature_residual(self, first_run):
+        summary = json.loads((first_run / "summary.json").read_text())
+        assert 0.0 <= summary["max_quadrature_residual"] <= 1e-6
 
     def test_manifest_replay_is_bitwise(self, first_run, tmp_path):
         replay = tmp_path / "replay"

@@ -266,6 +266,31 @@ class TestScreenIo:
         with pytest.raises(DomainError):
             load_screen(path)
 
+    @pytest.mark.parametrize("params", [
+        TurbulenceParams(w_over_r0=0.6, outer_scale=5.0),
+        TurbulenceParams(wavelength_m=795e-9, cn2=1e-14, path_m=1000.0,
+                         waist_m=0.0353, outer_scale=5.0),
+    ])
+    def test_round_trip_keeps_every_parameter(self, tmp_path, params):
+        s = generate_screen(params, GridSpec(64, 6.0), 3)
+        path = tmp_path / "screen.csv"
+        save_screen(s, path)
+        back = load_screen(path)
+        assert back.params == s.params
+        assert np.array_equal(back.phase, s.phase)
+
+    @pytest.mark.parametrize("header", [
+        "# n=64 extent=6.0 seed=1 w_over_r0=abc\n",
+        "# n=64 extent=6.0 w_over_r0=0.6\n",
+        "# n=64 extent=6.0 seed=1 w_over_r0=0.6 stray\n",
+        "# n=64 extent=6.0 seed=1 w_over_r0=-1.0\n",
+    ])
+    def test_malformed_header_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.csv"
+        path.write_text(header + "0.0,0.0\n")
+        with pytest.raises(DomainError):
+            load_screen(path)
+
 
 class TestBroadeningInverter:
     def test_exact_anchor(self):
