@@ -51,8 +51,11 @@ DEFAULT_STRENGTHS = (
     0.0, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4,
 )
 
-_RADIAL_CUTOFF = 6.0  # integrand carries e^{-2 r^2}; the tail is ~1e-31
-# times sqrt(l): A's bulk sits near s = d^2 = 2l, its tail past 36 l is < 1e-12
+# Both cutoffs scale with sqrt(l).  Ring radii: the LG_{0,l} intensity
+# r^{2l} e^{-2 r^2} peaks at r^2 = l/2 and is negligible past 36 l (~1e-31
+# at l = 1).  Separations: A's bulk sits near s = d^2 = 2l, its tail past
+# 36 l is < 1e-12.
+_RADIAL_CUTOFF = 6.0
 _SEPARATION_CUTOFF = 6.0
 _COHERENCE_SCALE = STRUCTURE_COEFF * 2 ** (2 / 3)
 
@@ -240,8 +243,10 @@ def ring_coefficients(
     def once(l: int, radial_nodes: int, angular_nodes: int) -> tuple[float, float]:
         # LG_{0,l} intensity weights on [0, cutoff], normalized numerically
         x, w = leggauss(radial_nodes)
-        r = 0.5 * _RADIAL_CUTOFF * (x + 1)
-        dens = 0.5 * _RADIAL_CUTOFF * w * r ** (2 * l + 1) * np.exp(-2 * r**2)
+        r = 0.5 * _RADIAL_CUTOFF * math.sqrt(l) * (x + 1)
+        # r^{2l+1} e^{-2 r^2} in log form, scaled to peak 1: no overflow at large l
+        log_dens = (2 * l + 1) * np.log(r) - 2 * r**2
+        dens = w * np.exp(log_dens - log_dens.max())
         dens /= dens.sum()
         t0 = _theta_values(0, r, w0, angular_nodes, full_angle)
         t2 = _theta_values(2 * l, r, w0, angular_nodes, full_angle)

@@ -340,6 +340,7 @@ def cmd_fidelity_scan(cfg: dict) -> int:
         "overall_fidelity_dispersion": float(np.std(means)),
         "min_cell_mean": float(np.min(means)),
         "total_losses": int(sum(r.n_loss for r in result)),
+        "max_fidelity_overshoot": max(r.fidelity_overshoot for r in result),
     })
     _write_manifest(out, "fidelity-scan", cfg)
     return 0
@@ -379,6 +380,7 @@ def cmd_rotation_scan(cfg: dict) -> int:
         "fidelity_std_over_all_points": float(np.std(all_means)),
         "max_variation_per_state": variation,
         "max_variation": max(variation.values()),
+        "max_fidelity_overshoot": max(r.fidelity_overshoot for r in result),
     })
     _write_manifest(out, "rotation-scan", cfg)
     return 0

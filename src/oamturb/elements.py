@@ -81,8 +81,9 @@ class DecodeResult:
 _WAVEPLATE_RETARDANCE = {"hwp": np.pi, "qwp": np.pi / 2}
 
 
-def waveplate(kind: str, angle: float, f: VectorField) -> VectorField:
-    """Apply an ideal waveplate ('hwp' or 'qwp') at fast-axis angle."""
+def _jones(kind: str, angle: float) -> np.ndarray:
+    """Jones matrix of an ideal waveplate in the circular basis (module
+    docstring)."""
     try:
         delta = _WAVEPLATE_RETARDANCE[kind.lower()]
     except (KeyError, AttributeError):
@@ -90,10 +91,22 @@ def waveplate(kind: str, angle: float, f: VectorField) -> VectorField:
     c = np.cos(delta / 2)
     s = 1j * np.sin(delta / 2)
     off = np.exp(-2j * angle)
+    return np.array([[c, s * off], [s * np.conj(off), c]])
+
+
+def waveplate(kind: str, angle: float, f: VectorField) -> VectorField:
+    """Apply an ideal waveplate ('hwp' or 'qwp') at fast-axis angle."""
+    j = _jones(kind, angle)
     r, l = f.right.samples, f.left.samples
-    out_r = c * r + s * off * l
-    out_l = s * np.conj(off) * r + c * l
+    out_r = j[0, 0] * r + j[0, 1] * l
+    out_l = j[1, 0] * r + j[1, 1] * l
     return VectorField(ScalarField(f.grid, out_r), ScalarField(f.grid, out_l))
+
+
+# decode's q-plate swap of the components followed by HWP(0), acting on
+# the (right, left) projections of decode_factors
+DECODE_MIX = _jones("hwp", 0.0)[:, ::-1]
+DECODE_MIX.flags.writeable = False
 
 
 _QPLATE_CACHE: dict[tuple[GridSpec, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -179,6 +192,23 @@ def decode(f: VectorField, l: int, coupling: float = 1.0) -> DecodeResult:
     recovered = np.array([amp_r * root, amp_l * root])
     success = float(recovered.real.dot(recovered.real) + recovered.imag.dot(recovered.imag))
     return DecodeResult(recovered, success)
+
+
+def decode_factors(l: int, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """decode as two projections and the fixed 2x2 matrix DECODE_MIX.
+
+    Returns (proj_right, proj_left) such that, for coupling = 1,
+    decode(f, l).recovered equals pitch^2 * DECODE_MIX @ (<proj_right,
+    f.right>, <proj_left, f.left>) up to rounding, where <a, b> =
+    vdot(a, b).  Each projection folds the q-plate phase into
+    reference_mode(l).  Callers that decode many fields sharing one
+    structure use this to replace each full-grid decode by two overlaps.
+    """
+    if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 1:
+        raise RangeError(f"l must be a positive integer, got {l!r}")
+    plus, minus = _qplate_phases(grid, int(l))
+    ref = reference_mode(int(l), grid).samples
+    return ref * plus, ref * minus
 
 
 def rotate_frame(f: VectorField, theta: float) -> VectorField:

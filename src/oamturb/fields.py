@@ -273,6 +273,16 @@ def boundary_energy_fraction(f: ScalarField, width: int = 2) -> float:
     return (total - inner) / total
 
 
+@functools.lru_cache(maxsize=4)
+def _transfer_function(grid: GridSpec, distance: float, wavelength: float) -> np.ndarray:
+    """Read-only Fresnel transfer function exp(-i pi lambda z f^2), cached
+    because an ensemble propagates every screened field by one distance."""
+    fx, fy = np.meshgrid(grid.freqs, grid.freqs)
+    tf = np.exp(-1j * np.pi * wavelength * distance * (fx**2 + fy**2))
+    tf.flags.writeable = False
+    return tf
+
+
 def propagate(f: ScalarField, distance: float, wavelength: float) -> ScalarField:
     """Fresnel-propagate by `distance` using the FFT transfer function.
 
@@ -288,9 +298,7 @@ def propagate(f: ScalarField, distance: float, wavelength: float) -> ScalarField
         raise AliasingError("input field reaches the grid boundary")
     if distance == 0.0:
         return f
-    fr = f.grid.freqs
-    fx, fy = np.meshgrid(fr, fr)
-    tf = np.exp(-1j * np.pi * wavelength * distance * (fx**2 + fy**2))
+    tf = _transfer_function(f.grid, distance, wavelength)
     out = ScalarField(f.grid, np.fft.ifft2(np.fft.fft2(f.samples) * tf))
     if boundary_energy_fraction(out) >= BOUNDARY_ENERGY_LIMIT:
         raise AliasingError("propagated field reaches the grid boundary")

@@ -4,10 +4,13 @@ Every screen is keyed by (master_seed, strength index, realization index)
 through a counter-based generator, so results are a pure function of the
 configuration: the engine may split realizations across threads in any
 way without changing a single bit of the output.  Within a cell the same
-screens are shared by all states (paired comparison): each realization
-computes the two screened basis profiles LG_{+l} e^{i phi} and
-LG_{-l} e^{i phi} once and assembles every state's field from them by
-scalar combination before the literal decode step.
+screens are shared by all states (paired comparison).  decode is linear
+and a screen multiplies both polarization components by one phase, so a
+realization needs two overlaps per l of e^{i phi} with precomputed
+weights; every state's amplitudes then follow by 2x2 algebra
+(elements.decode_factors, DECODE_MIX), in place of a full-grid decode per
+state.  The rotation scan rotates the weights once per angle, not the
+screened fields.
 """
 
 from __future__ import annotations
@@ -19,13 +22,16 @@ import math
 import numpy as np
 
 from .analytic import DEFAULT_STRENGTHS
-from .elements import MUB_LABELS, HybridQubit, decode, fidelity, mub_states
+from .elements import DECODE_MIX, MUB_LABELS, decode_factors, mub_states
 from .errors import DomainError, RangeError, StatisticsError
-from .fields import GridSpec, ScalarField, VectorField, make_lg_mode, rotate_modal
+from .fields import GridSpec, ScalarField, make_lg_mode, rotate_modal
 from .turbulence import TurbulenceParams, generate_screen
 
 # success_prob below this is a total-loss event, excluded from fidelity
 LOSS_THRESHOLD = 1e-12
+# screens the rotation scan holds at once (1 MB each at 256^2); each
+# block rebuilds every angle's weights
+_SCREEN_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -94,6 +100,7 @@ class FidelityScanRow:
     fidelity: EnsembleStats
     success_prob: EnsembleStats
     n_loss: int
+    fidelity_overshoot: float  # largest kept fidelity above 1 before clipping
 
 
 @dataclass(frozen=True)
@@ -102,6 +109,7 @@ class RotationScanRow:
     state_label: str
     fidelity: EnsembleStats
     success_prob: EnsembleStats
+    fidelity_overshoot: float
 
 
 @dataclass(frozen=True)
@@ -149,15 +157,72 @@ def _parallel_fill(n_items: int, worker, n_workers: int) -> None:
             f.result()
 
 
-def _assemble(state: HybridQubit, base_r: np.ndarray, base_l: np.ndarray,
-              grid: GridSpec, phase: complex | None = None) -> VectorField:
-    a, b = state.alpha, state.beta
-    if phase is not None:
-        a = a * phase
-        b = b * np.conj(phase)
-    return VectorField(
-        ScalarField(grid, a * base_r), ScalarField(grid, b * base_l)
+def _weights(ls: list[int], grid: GridSpec, theta: float = 0.0) -> np.ndarray:
+    """Rows W_{+l}, W_{-l} per l in ls: for a screen phase factor u,
+    X = W_{+l} . u and Y = W_{-l} . u are the decode_factors overlaps of
+    rotate_frame(., theta) applied to LG_{+l} u and LG_{-l} u.
+
+    <P, R_theta f> = <R_{-theta} P, f> for rotate_modal R (exactly without
+    a quarter turn, to rounding for well-sampled fields with one), so the
+    rotation acts once on each projection, not on every screened field.
+    """
+    frame = np.exp(1j * theta)
+    rows = []
+    for l in ls:
+        proj_r, proj_l = decode_factors(l, grid)
+        for proj, mode, phase in ((proj_r, l, np.conj(frame)), (proj_l, -l, frame)):
+            if theta != 0.0:
+                proj = rotate_modal(ScalarField(grid, proj), -theta).samples * phase
+            rows.append((np.conj(proj) * make_lg_mode(mode, grid).samples).ravel())
+    return np.array(rows)
+
+
+def _score(xy: np.ndarray, config: ExperimentConfig):
+    """(success, fidelity, unclipped fidelity) of every state from the
+    overlaps xy[..., row] of _weights, each of shape xy.shape[:-1] +
+    (n_states,).  Fidelity is clipped at 1 as elements.fidelity does, and
+    is NaN for a total loss (success below LOSS_THRESHOLD)."""
+    ls = sorted({s.l for s in config.states})
+    row = np.array([2 * ls.index(s.l) for s in config.states])
+    alpha = np.array([s.alpha for s in config.states])
+    beta = np.array([s.beta for s in config.states])
+    ax, by = alpha * xy[..., row], beta * xy[..., row + 1]
+    pitch_sq = config.grid.pitch**2
+    amp_r = pitch_sq * (DECODE_MIX[0, 0] * ax + DECODE_MIX[0, 1] * by)
+    amp_l = pitch_sq * (DECODE_MIX[1, 0] * ax + DECODE_MIX[1, 1] * by)
+    success = amp_r.real**2 + amp_r.imag**2 + amp_l.real**2 + amp_l.imag**2
+    lost = success < LOSS_THRESHOLD
+    inner = np.conj(alpha) * amp_r + np.conj(beta) * amp_l
+    raw = (inner.real**2 + inner.imag**2) / np.where(lost, 1.0, success)
+    raw[lost] = np.nan
+    return success, np.minimum(raw, 1.0), raw
+
+
+def _cell_stats(suc: np.ndarray, fid: np.ndarray, raw: np.ndarray) -> dict:
+    """Row statistics of one cell; total losses count in success only."""
+    kept = ~np.isnan(fid)
+    return dict(
+        fidelity=EnsembleStats.from_samples(fid[kept]),
+        success_prob=EnsembleStats.from_samples(suc),
+        fidelity_overshoot=float(np.max(raw[kept], initial=1.0)) - 1.0,
     )
+
+
+def _fidelity_samples(config: ExperimentConfig, n_workers: int = 1):
+    """_score of every (strength, realization, state)."""
+    grid = config.grid
+    weights = _weights(sorted({s.l for s in config.states}), grid)
+    xy = np.empty((len(config.strengths), config.n_realizations, len(weights)), complex)
+    for si, strength in enumerate(config.strengths):
+        params = TurbulenceParams(w_over_r0=strength)
+
+        def worker(start: int, stop: int) -> None:
+            for i in range(start, stop):
+                screen = _cell_screen(config.master_seed, si, i, params, grid)
+                xy[si, i] = weights @ screen.phase_factor.ravel()
+
+        _parallel_fill(config.n_realizations, worker, n_workers)
+    return _score(xy, config)
 
 
 def run_fidelity_scan(config: ExperimentConfig, n_workers: int = 1) -> list[FidelityScanRow]:
@@ -167,41 +232,43 @@ def run_fidelity_scan(config: ExperimentConfig, n_workers: int = 1) -> list[Fide
     from the fidelity statistics and counted in n_loss; success statistics
     include every realization.
     """
+    suc, fid, raw = _fidelity_samples(config, n_workers)
+    return [
+        FidelityScanRow(w_over_r0=strength, state_label=label,
+                        n_loss=int(np.isnan(fid[si, :, k]).sum()),
+                        **_cell_stats(suc[si, :, k], fid[si, :, k], raw[si, :, k]))
+        for si, strength in enumerate(config.strengths)
+        for k, label in enumerate(config.state_labels)
+    ]
+
+
+def _rotation_samples(config: ExperimentConfig, n_workers: int = 1):
+    """_score of every (angle, realization, state).  Screens are held a
+    block of _SCREEN_BLOCK realizations at a time while every angle's
+    weights are built, so memory is bounded whatever the realizations."""
+    if len(config.strengths) != 1:
+        raise DomainError("rotation scan runs at a single turbulence strength")
+    if not config.angles:
+        raise DomainError("rotation scan requires at least one angle")
     grid = config.grid
-    n_states = len(config.states)
-    n_real = config.n_realizations
+    params = TurbulenceParams(w_over_r0=config.strengths[0])
     ls = sorted({s.l for s in config.states})
-    modes = {l: (make_lg_mode(l, grid).samples, make_lg_mode(-l, grid).samples)
-             for l in ls}
-    rows: list[FidelityScanRow] = []
-    for si, strength in enumerate(config.strengths):
-        params = TurbulenceParams(w_over_r0=strength)
-        fid = np.full((n_states, n_real), np.nan)
-        suc = np.empty((n_states, n_real))
+    xy = np.empty((len(config.angles), config.n_realizations, 2 * len(ls)), complex)
+    for first in range(0, config.n_realizations, _SCREEN_BLOCK):
+        block = range(first, min(first + _SCREEN_BLOCK, config.n_realizations))
+        screens = [None] * len(block)
 
         def worker(start: int, stop: int) -> None:
-            for i in range(start, stop):
-                screen = _cell_screen(config.master_seed, si, i, params, grid)
-                u = screen.phase_factor
-                bases = {l: (lp * u, lm * u) for l, (lp, lm) in modes.items()}
-                for k, state in enumerate(config.states):
-                    base_r, base_l = bases[state.l]
-                    res = decode(_assemble(state, base_r, base_l, grid), state.l)
-                    suc[k, i] = res.success_prob
-                    if res.success_prob >= LOSS_THRESHOLD:
-                        fid[k, i] = fidelity(res, state)
+            for b in range(start, stop):
+                screen = _cell_screen(config.master_seed, 0, block[b], params, grid)
+                screens[b] = screen.phase_factor.ravel()
 
-        _parallel_fill(n_real, worker, n_workers)
-        for k, label in enumerate(config.state_labels):
-            kept = fid[k][~np.isnan(fid[k])]
-            rows.append(FidelityScanRow(
-                w_over_r0=strength,
-                state_label=label,
-                fidelity=EnsembleStats.from_samples(kept),
-                success_prob=EnsembleStats.from_samples(suc[k]),
-                n_loss=n_real - kept.size,
-            ))
-    return rows
+        _parallel_fill(len(block), worker, n_workers)
+        for j, theta in enumerate(config.angles):
+            weights = _weights(ls, grid, theta)
+            for i, u in zip(block, screens):
+                xy[j, i] = weights @ u
+    return _score(xy, config)
 
 
 def run_rotation_scan(config: ExperimentConfig, n_workers: int = 1) -> list[RotationScanRow]:
@@ -211,58 +278,13 @@ def run_rotation_scan(config: ExperimentConfig, n_workers: int = 1) -> list[Rota
     The theta = 0 column follows the identical arithmetic path as
     run_fidelity_scan, so those rows match it bitwise for the same seed.
     """
-    if len(config.strengths) != 1:
-        raise DomainError("rotation scan runs at a single turbulence strength")
-    if not config.angles:
-        raise DomainError("rotation scan requires at least one angle")
-    grid = config.grid
-    params = TurbulenceParams(w_over_r0=config.strengths[0])
-    n_states = len(config.states)
-    n_real = config.n_realizations
-    angles = config.angles
-    ls = sorted({s.l for s in config.states})
-    modes = {l: (make_lg_mode(l, grid).samples, make_lg_mode(-l, grid).samples)
-             for l in ls}
-    fid = np.full((len(angles), n_states, n_real), np.nan)
-    suc = np.empty((len(angles), n_states, n_real))
-
-    def worker(start: int, stop: int) -> None:
-        for i in range(start, stop):
-            screen = _cell_screen(config.master_seed, 0, i, params, grid)
-            u = screen.phase_factor
-            bases = {l: (lp * u, lm * u) for l, (lp, lm) in modes.items()}
-            for j, theta in enumerate(angles):
-                if theta == 0.0:
-                    rot = bases
-                    phase = None
-                else:
-                    rot = {
-                        l: (rotate_modal(ScalarField(grid, br), theta).samples,
-                            rotate_modal(ScalarField(grid, bl), theta).samples)
-                        for l, (br, bl) in bases.items()
-                    }
-                    phase = complex(np.exp(1j * theta))
-                for k, state in enumerate(config.states):
-                    base_r, base_l = rot[state.l]
-                    res = decode(
-                        _assemble(state, base_r, base_l, grid, phase), state.l
-                    )
-                    suc[j, k, i] = res.success_prob
-                    if res.success_prob >= LOSS_THRESHOLD:
-                        fid[j, k, i] = fidelity(res, state)
-
-    _parallel_fill(n_real, worker, n_workers)
-    rows: list[RotationScanRow] = []
-    for j, theta in enumerate(angles):
-        for k, label in enumerate(config.state_labels):
-            kept = fid[j, k][~np.isnan(fid[j, k])]
-            rows.append(RotationScanRow(
-                theta=theta,
-                state_label=label,
-                fidelity=EnsembleStats.from_samples(kept),
-                success_prob=EnsembleStats.from_samples(suc[j, k]),
-            ))
-    return rows
+    suc, fid, raw = _rotation_samples(config, n_workers)
+    return [
+        RotationScanRow(theta=theta, state_label=label,
+                        **_cell_stats(suc[j, :, k], fid[j, :, k], raw[j, :, k]))
+        for j, theta in enumerate(config.angles)
+        for k, label in enumerate(config.state_labels)
+    ]
 
 
 def rotation_preset(strength: float = 0.6, n_realizations: int = 30,

@@ -207,6 +207,24 @@ class TestRingCoefficients:
         with pytest.raises(ToleranceError):
             ring_coefficients(1, P14, COARSE)
 
+    @pytest.mark.parametrize("l", [1, 100])
+    def test_matches_widened_cutoff(self, l):
+        # the LG_{0,100} ring sits near r = 7, past a fixed 6-waist cutoff
+        x, w = leggauss(800)
+        r = 16.0 * (x + 1)  # radii on [0, 32]
+        log_dens = (2 * l + 1) * np.log(r) - 2 * r**2
+        dens = w * np.exp(log_dens - log_dens.max())
+        dens /= dens.sum()
+        quad = QuadratureConfig(angular_nodes=1024)
+        ref = [
+            dens @ [theta_transform(dl, rad, P06, quad, validate=False) for rad in r]
+            / (2 * np.pi) ** 2
+            for dl in (0, 2 * l)
+        ]
+        rc = ring_coefficients(l, P06)
+        assert rc.c0 == pytest.approx(ref[0], abs=1e-12)
+        assert rc.c2l == pytest.approx(ref[1], abs=1e-12)
+
 
 class TestPhCurve:
     def test_success_probability_is_survival_weight(self):

@@ -166,6 +166,7 @@ class TestFidelityScan:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["overall_fidelity_mean"] == pytest.approx(1.0, abs=1e-9)
         assert summary["total_losses"] == 0
+        assert 0.0 <= summary["max_fidelity_overshoot"] < 1e-12
 
 
 class TestRotationScan:
@@ -180,6 +181,7 @@ class TestRotationScan:
         assert len(lines) == 1 + 24
         summary = json.loads((out / "summary.json").read_text())
         assert summary["max_variation"] < 1e-9
+        assert 0.0 <= summary["max_fidelity_overshoot"] < 1e-12
 
     def test_zero_angles_rejected(self, capsys):
         assert run(["rotation-scan", "--n-angles", "0"]) == 1

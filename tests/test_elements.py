@@ -32,6 +32,7 @@ from oamturb import (
     rotate_frame,
     waveplate,
 )
+from oamturb.elements import DECODE_MIX, decode_factors
 
 GRID = GridSpec()
 SMALL = GridSpec(32, 2.0)
@@ -178,6 +179,21 @@ class TestEncodeDecode:
             res = decode(apply_screen(encode(q, GRID), screen), 1)
             assert res.success_prob < 1.0
             assert fidelity(res, q) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_factored_decode_matches_literal(self, l):
+        g = GridSpec(64, 6.0)
+        rng = np.random.default_rng(l)
+        parts = rng.normal(size=(4, 64, 64))
+        f = VectorField(ScalarField(g, parts[0] + 1j * parts[1]),
+                        ScalarField(g, parts[2] + 1j * parts[3]))
+        proj_r, proj_l = decode_factors(l, g)
+        overlaps = [np.vdot(proj_r, f.right.samples), np.vdot(proj_l, f.left.samples)]
+        recovered = g.pitch**2 * DECODE_MIX @ overlaps
+        literal = decode(f, l).recovered
+        assert np.max(np.abs(recovered - literal)) <= 1e-12 * np.max(np.abs(literal))
+        with pytest.raises(RangeError):
+            decode_factors(0, g)
 
     def test_pure_left_state_leaves_right_port_empty(self):
         res = decode(encode(HybridQubit(0, 1, 1), GRID), 1)

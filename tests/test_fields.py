@@ -22,6 +22,7 @@ from oamturb import (
     propagate,
     rotate_modal,
 )
+from oamturb.fields import _transfer_function
 
 GRID = GridSpec()
 
@@ -233,6 +234,16 @@ class TestPropagate:
         g = GridSpec(512, 24.0)
         out = propagate(make_lg_mode(1, g), 3.0, 0.5)
         assert out.power() == pytest.approx(1.0, abs=1e-12)
+
+    def test_cached_transfer_function_is_bitwise_literal(self):
+        g = GridSpec(64, 6.0)
+        f = make_lg_mode(0, g)
+        fx, fy = np.meshgrid(g.freqs, g.freqs)
+        tf = np.exp(-1j * np.pi * 0.5 * 1.5 * (fx**2 + fy**2))
+        expected = np.fft.ifft2(np.fft.fft2(f.samples) * tf)
+        for _ in range(2):  # first call fills the cache, the second reads it
+            assert np.array_equal(propagate(f, 1.5, 0.5).samples, expected)
+        assert not _transfer_function(g, 1.5, 0.5).flags.writeable
 
     def test_zero_distance_returns_input(self):
         f = make_lg_mode(0, GRID)

@@ -21,6 +21,15 @@ from oamturb import (
     run_fidelity_scan,
     run_rotation_scan,
 )
+from oamturb import montecarlo
+from oamturb.elements import decode, fidelity, mub_states, rotate_frame
+from oamturb.fields import ScalarField, VectorField, make_lg_mode
+from oamturb.montecarlo import (
+    LOSS_THRESHOLD,
+    _cell_screen,
+    _fidelity_samples,
+    _rotation_samples,
+)
 
 P06 = TurbulenceParams(w_over_r0=0.6)
 SMALL = GridSpec(64, 6.0)
@@ -83,6 +92,33 @@ class TestExperimentConfig:
             ExperimentConfig(n_realizations=0)
 
 
+def literal_samples(config, theta=0.0):
+    """Per-realization (success, fidelity) of the literal chain, shaped
+    (n_strengths, n_realizations, n_states): each state's screened field
+    is assembled from the two screened basis profiles, rotated with
+    rotate_frame unless theta is 0, and decoded on the full grid."""
+    grid = config.grid
+    shape = (len(config.strengths), config.n_realizations, len(config.states))
+    suc = np.empty(shape)
+    fid = np.full(shape, np.nan)
+    for si, strength in enumerate(config.strengths):
+        params = TurbulenceParams(w_over_r0=strength)
+        for i in range(config.n_realizations):
+            u = _cell_screen(config.master_seed, si, i, params, grid).phase_factor
+            for k, state in enumerate(config.states):
+                base_r = make_lg_mode(state.l, grid).samples * u
+                base_l = make_lg_mode(-state.l, grid).samples * u
+                f = VectorField(ScalarField(grid, state.alpha * base_r),
+                                ScalarField(grid, state.beta * base_l))
+                if theta != 0.0:
+                    f = rotate_frame(f, theta)
+                res = decode(f, state.l)
+                suc[si, i, k] = res.success_prob
+                if res.success_prob >= LOSS_THRESHOLD:
+                    fid[si, i, k] = fidelity(res, state)
+    return suc, fid
+
+
 @pytest.fixture(scope="module")
 def tiny_config():
     return ExperimentConfig(
@@ -134,8 +170,41 @@ class TestFidelityScan:
         for r in run_fidelity_scan(cfg):
             assert r.fidelity.mean == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_matches_literal_decode_per_realization(self, l):
+        cfg = ExperimentConfig(
+            strengths=(0.0, 0.6, 1.4), states=tuple(mub_states(l)),
+            n_realizations=3, master_seed=5, grid=SMALL,
+        )
+        suc, fid, _ = _fidelity_samples(cfg)
+        ref_suc, ref_fid = literal_samples(cfg)
+        np.testing.assert_allclose(suc, ref_suc, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fid, ref_fid, rtol=0, atol=1e-12)
+
+    def test_overshoot_is_reported_unclipped(self, tiny_config):
+        _, fid, raw = _fidelity_samples(tiny_config)
+        assert np.nanmax(fid) <= 1.0
+        over = max(r.fidelity_overshoot for r in run_fidelity_scan(tiny_config))
+        assert over == max(np.nanmax(raw) - 1.0, 0.0)
+        assert over < 1e-12
+
 
 class TestRotationScan:
+    @pytest.mark.parametrize("theta", [0.35, 2.0, 3 * np.pi / 2])
+    def test_matches_literal_rotate_frame_per_realization(self, theta):
+        # Without a quarter turn (0.35, 3 pi / 2) rotate_modal(-theta) is the
+        # exact adjoint.  At 2.0 it applies its quarter turn on the other
+        # side of the shears, which commute with it only for well-sampled
+        # fields: below 1e-11 here, 9e-9 on the 64 / 6.0 grid.  The l = 2
+        # superpositions pick up a relative phase, so their fidelity drops.
+        base = dict(strengths=(0.6,), n_realizations=2, master_seed=3,
+                    grid=GridSpec(128, 8.0),
+                    states=tuple(mub_states(1) + mub_states(2)))
+        suc, fid, _ = _rotation_samples(ExperimentConfig(angles=(theta,), **base))
+        ref_suc, ref_fid = literal_samples(ExperimentConfig(**base), theta)
+        np.testing.assert_allclose(suc, ref_suc, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(fid, ref_fid, rtol=0, atol=1e-10)
+
     def test_quarter_turn_grid_is_angle_independent(self):
         cfg = ExperimentConfig(
             strengths=(0.6,), n_realizations=4, master_seed=2, grid=SMALL,
@@ -155,6 +224,16 @@ class TestRotationScan:
         assert [r.success_prob.mean for r in zero_rows] == [
             r.success_prob.mean for r in flat
         ]
+
+    def test_screen_blocks_do_not_change_results(self, monkeypatch):
+        cfg = ExperimentConfig(
+            strengths=(0.6,), n_realizations=3, master_seed=2, grid=SMALL,
+            angles=(0.0, 0.35),
+        )
+        whole = _rotation_samples(cfg)
+        monkeypatch.setattr(montecarlo, "_SCREEN_BLOCK", 2)
+        for a, b in zip(whole, _rotation_samples(cfg)):
+            assert np.array_equal(a, b, equal_nan=True)
 
     def test_generic_angle_keeps_fidelity(self):
         cfg = ExperimentConfig(
