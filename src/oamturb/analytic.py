@@ -27,9 +27,9 @@ exact for a detector resolving the azimuthal index irrespective of radial
 profile and upper-bounds c0.
 
 The coherence has a 5/3-power cusp at zero separation; cubic maps of the
-separation (d = d_max t^3) and ring angle (u = pi t^3, mirrored variants)
-flatten it for Gauss-Legendre.  QuadratureConfig.radial_nodes sets the
-separation and ring-radius rules, angular_nodes the ring-angle rule.
+separation (d = d_max t^3) and ring angle (u = pi t^3) flatten it for
+Gauss-Legendre.  QuadratureConfig.radial_nodes sets the separation and
+ring-radius rules, angular_nodes the ring-angle rule.
 """
 
 from __future__ import annotations
@@ -94,26 +94,18 @@ def _cubic_rule(n_nodes: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=32)
-def _angular_rule(n_nodes: int, full_angle: bool):
+def _angular_rule(n_nodes: int):
     """(u, weight, sin_pow) with sum(weight * g(u)) approximating
-    int_0^pi g(u) du, and sin_pow the cusp factor |sin(u/2)|^{5/3}
-    (half-angle) or |sin(u)|^{5/3} (full-angle) at the nodes."""
-    if not full_angle:
-        u, weight = _cubic_rule(n_nodes, np.pi)  # single cusp at u = 0
-        sin_pow = np.abs(np.sin(u / 2)) ** (5 / 3)
-    else:
-        # cusps at u = 0 and u = pi: map half the nodes to each end
-        u_lo, w_lo = _cubic_rule(n_nodes, np.pi / 2)
-        u = np.concatenate([u_lo, np.pi - u_lo])
-        weight = np.concatenate([w_lo, w_lo])
-        sin_pow = np.abs(np.sin(u)) ** (5 / 3)
-    return u, weight, sin_pow
+    int_0^pi g(u) du, and sin_pow the cusp factor |sin(u/2)|^{5/3} at the
+    nodes."""
+    u, weight = _cubic_rule(n_nodes, np.pi)  # single cusp at u = 0
+    return u, weight, np.abs(np.sin(u / 2)) ** (5 / 3)
 
 
-def _theta_values(delta_l: int, r: np.ndarray, w_over_r0: float, n_nodes: int,
-                  full_angle: bool) -> np.ndarray:
+def _theta_values(delta_l: int, r: np.ndarray, w_over_r0: float,
+                  n_nodes: int) -> np.ndarray:
     """Theta_dl at each radius: 2 pi * 2 * int_0^pi cos(dl u) gamma du."""
-    u, weight, sin_pow = _angular_rule(n_nodes, full_angle)
+    u, weight, sin_pow = _angular_rule(n_nodes)
     strength = (r * w_over_r0) ** (5 / 3)
     gam = np.exp(-_COHERENCE_SCALE * np.outer(strength, sin_pow))
     return 4 * np.pi * (gam @ (np.cos(delta_l * u) * weight))
@@ -125,7 +117,6 @@ def theta_transform(
     params: TurbulenceParams,
     quad: QuadratureConfig = DEFAULT_QUAD,
     *,
-    full_angle: bool = False,
     validate: bool = True,
 ) -> float:
     """Circular-harmonic transform of the ring coherence at radius r.
@@ -139,11 +130,10 @@ def theta_transform(
     if r < 0:
         raise DomainError(f"radius must be nonnegative, got {r}")
     rr = np.array([float(r)])
-    value = float(_theta_values(delta_l, rr, params.w_over_r0, quad.angular_nodes,
-                                full_angle)[0])
+    value = float(_theta_values(delta_l, rr, params.w_over_r0, quad.angular_nodes)[0])
     if validate:
         refined = float(_theta_values(delta_l, rr, params.w_over_r0,
-                                      2 * quad.angular_nodes, full_angle)[0])
+                                      2 * quad.angular_nodes)[0])
         if abs(refined - value) > quad.tolerance * max(1.0, abs(value)):
             raise ToleranceError(
                 f"angular quadrature not converged: {value} vs {refined} "
@@ -227,16 +217,14 @@ def ring_coefficients(
     params: TurbulenceParams,
     quad: QuadratureConfig = DEFAULT_QUAD,
     *,
-    full_angle: bool = False,
     validate: bool = True,
 ) -> CouplingCoefficients:
     """Single-radius reduction C_dl = int |R|^2 Theta_dl(r) r dr (normalized).
 
     Exact for an azimuthal-index sorter insensitive to radial profile;
-    upper-bounds the fixed-mode c0 of coupling_coefficients.  full_angle
-    swaps the ring kernel |sin(u/2)|^{5/3} for the |sin u|^{5/3} variant;
-    both are reported by the CLI for comparison against the returned
-    two-point values.  Validation and residual as in coupling_coefficients.
+    upper-bounds the fixed-mode c0 of coupling_coefficients; the CLI
+    reports it for comparison against the two-point values.  Validation
+    and residual as in coupling_coefficients.
     """
     w0 = params.w_over_r0
 
@@ -248,8 +236,8 @@ def ring_coefficients(
         log_dens = (2 * l + 1) * np.log(r) - 2 * r**2
         dens = w * np.exp(log_dens - log_dens.max())
         dens /= dens.sum()
-        t0 = _theta_values(0, r, w0, angular_nodes, full_angle)
-        t2 = _theta_values(2 * l, r, w0, angular_nodes, full_angle)
+        t0 = _theta_values(0, r, w0, angular_nodes)
+        t2 = _theta_values(2 * l, r, w0, angular_nodes)
         norm = (2 * np.pi) ** 2
         return float(dens @ t0) / norm, float(dens @ t2) / norm
 
@@ -267,7 +255,7 @@ def success_probability(
 
     Returned from the two-point quadrature, the form consistent with the
     chord-distance coherence and with the Monte Carlo decode pipeline;
-    ring_coefficients exposes the single-radius variants for comparison.
+    ring_coefficients exposes the single-radius reduction for comparison.
     """
     return coupling_coefficients(l, params, quad, validate=validate).c0
 

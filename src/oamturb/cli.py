@@ -3,12 +3,14 @@
 Subcommands: ph-curve, fidelity-scan, rotation-scan, screen-validate,
 calibrate.  Configuration comes from per-command defaults, optionally a
 JSON config file (--config; a manifest.json from a previous run is also
-accepted), with explicit flags winning.  Every run writes its data files
-(CSV/JSON summary) plus a manifest.json recording the resolved config;
-re-running with --config manifest.json reproduces the data files bytewise.
+accepted), with explicit flags winning.  Each command computes its tables
+and summary fields; main hands them to one writer, which puts the CSVs,
+summary.json and a manifest.json recording the resolved config into
+--out-dir.  Re-running with --config manifest.json reproduces the data
+files bytewise.
 
-Exit codes: 0 success, 1 usage/configuration error, 2 numerical or
-statistical failure.
+Exit codes: 0 success, 1 usage/configuration error or unwritable output,
+2 numerical or statistical failure.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import datetime
 import json
 import os.path
 import sys
+from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import spearmanr
@@ -28,7 +31,6 @@ from .elements import MUB_LABELS, HybridQubit, mub_states
 from .errors import (
     AliasingError,
     OamTurbError,
-    RangeError,
     StatisticsError,
     ToleranceError,
 )
@@ -237,34 +239,46 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+class _Record(NamedTuple):
+    """What one command computed: its CSV tables by file name, each a
+    header and rows; its summary fields, to which the writer adds
+    "config"; and a message that ends the run with exit code 2 once the
+    files are written."""
+
+    tables: dict[str, tuple[list[str], list[list]]]
+    summary: dict
+    failure: str | None = None
 
 
-def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_manifest(out_dir: str, command: str, cfg: dict) -> None:
-    _write_json(os.path.join(out_dir, "manifest.json"), {
+def _write_record(command: str, cfg: dict, record: _Record) -> None:
+    """Write a run's CSV tables, summary.json and manifest.json into
+    cfg["out_dir"], creating it if needed."""
+    out = cfg["out_dir"]
+    os.makedirs(out, exist_ok=True)
+    for name, (header, rows) in record.tables.items():
+        with open(os.path.join(out, name), "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+    manifest = {
         "subcommand": command,
         "config": cfg,
         "master_seed": cfg["seed"],
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    })
+    }
+    for name, obj in (("summary.json", {"config": cfg, **record.summary}),
+                      ("manifest.json", manifest)):
+        with open(os.path.join(out, name), "w", encoding="utf-8", newline="") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def _grid(cfg: dict) -> GridSpec:
     return GridSpec(cfg["grid_n"], cfg["grid_extent"])
 
 
-def cmd_ph_curve(cfg: dict) -> int:
+def cmd_ph_curve(cfg: dict) -> _Record:
     grid = _grid(cfg)
     quad = QuadratureConfig(cfg["radial_nodes"], cfg["angular_nodes"], cfg["tolerance"])
     l = int(cfg["l"])
@@ -280,38 +294,32 @@ def cmd_ph_curve(cfg: dict) -> int:
     mc_rows = run_fidelity_scan(mc_config, n_workers=cfg["workers"])
     rows = []
     residuals = []
-    ring_half = []
-    ring_full = []
+    ring = []
     for strength, mc in zip(strengths, mc_rows):
         params = TurbulenceParams(w_over_r0=strength)
         # looked up on the module, so wrappers installed there see the call
         cc = analytic.coupling_coefficients(l, params, quad)
         residuals.append(cc.residual)
         rows.append([strength, cc.c0, mc.success_prob.mean, mc.success_prob.stderr])
-        # single-radius reduction in both printed kernel variants, for reference
-        ring_half.append(ring_coefficients(l, params, quad).c0)
-        ring_full.append(ring_coefficients(l, params, quad, full_angle=True).c0)
-    out = cfg["out_dir"]
-    os.makedirs(out, exist_ok=True)
-    _write_csv(os.path.join(out, "ph_curve.csv"),
-               ["w_over_r0", "ph_analytic", "ph_mc_mean", "ph_mc_stderr"], rows)
+        # single-radius reduction, for reference
+        ring.append(ring_coefficients(l, params, quad).c0)
     gaps = [abs(r[1] - r[2]) / r[1] for r in rows if r[1] > 0]
-    _write_json(os.path.join(out, "summary.json"), {
-        "config": cfg,
-        "n_strengths": len(rows),
-        "ph_ring_half_angle_variant": ring_half,
-        "ph_ring_full_angle_variant": ring_full,
-        "max_relative_gap_mc_vs_analytic": max(gaps),
-        "max_quadrature_residual": max(residuals),
-        "monotone_nonincreasing": all(
-            rows[i][1] >= rows[i + 1][1] - 1e-12 for i in range(len(rows) - 1)
-        ),
-    })
-    _write_manifest(out, "ph-curve", cfg)
-    return 0
+    return _Record(
+        {"ph_curve.csv": (["w_over_r0", "ph_analytic", "ph_mc_mean", "ph_mc_stderr"],
+                          rows)},
+        {
+            "n_strengths": len(rows),
+            "ph_ring_half_angle_variant": ring,
+            "max_relative_gap_mc_vs_analytic": max(gaps),
+            "max_quadrature_residual": max(residuals),
+            "monotone_nonincreasing": all(
+                rows[i][1] >= rows[i + 1][1] - 1e-12 for i in range(len(rows) - 1)
+            ),
+        },
+    )
 
 
-def cmd_fidelity_scan(cfg: dict) -> int:
+def cmd_fidelity_scan(cfg: dict) -> _Record:
     grid = _grid(cfg)
     l = int(cfg["l"])
     config = ExperimentConfig(
@@ -328,25 +336,21 @@ def cmd_fidelity_scan(cfg: dict) -> int:
          r.n_loss / config.n_realizations]
         for r in result
     ]
-    out = cfg["out_dir"]
-    os.makedirs(out, exist_ok=True)
-    _write_csv(os.path.join(out, "fidelity_scan.csv"),
-               ["w_over_r0", "state_label", "fidelity_mean", "fidelity_stderr",
-                "loss_rate"], rows)
     means = [r.fidelity.mean for r in result]
-    _write_json(os.path.join(out, "summary.json"), {
-        "config": cfg,
-        "overall_fidelity_mean": float(np.mean(means)),
-        "overall_fidelity_dispersion": float(np.std(means)),
-        "min_cell_mean": float(np.min(means)),
-        "total_losses": int(sum(r.n_loss for r in result)),
-        "max_fidelity_overshoot": max(r.fidelity_overshoot for r in result),
-    })
-    _write_manifest(out, "fidelity-scan", cfg)
-    return 0
+    return _Record(
+        {"fidelity_scan.csv": (["w_over_r0", "state_label", "fidelity_mean",
+                                "fidelity_stderr", "loss_rate"], rows)},
+        {
+            "overall_fidelity_mean": float(np.mean(means)),
+            "overall_fidelity_dispersion": float(np.std(means)),
+            "min_cell_mean": float(np.min(means)),
+            "total_losses": int(sum(r.n_loss for r in result)),
+            "max_fidelity_overshoot": max(r.fidelity_overshoot for r in result),
+        },
+    )
 
 
-def cmd_rotation_scan(cfg: dict) -> int:
+def cmd_rotation_scan(cfg: dict) -> _Record:
     grid = _grid(cfg)
     l = int(cfg["l"])
     n_angles = int(cfg["n_angles"])
@@ -365,34 +369,40 @@ def cmd_rotation_scan(cfg: dict) -> int:
     result = run_rotation_scan(config, n_workers=cfg["workers"])
     rows = [[r.theta, r.state_label, r.fidelity.mean, r.fidelity.stderr]
             for r in result]
-    out = cfg["out_dir"]
-    os.makedirs(out, exist_ok=True)
-    _write_csv(os.path.join(out, "rotation_scan.csv"),
-               ["theta", "state_label", "fidelity_mean", "fidelity_stderr"], rows)
     variation = {}
     for label in config.state_labels:
         means = [r.fidelity.mean for r in result if r.state_label == label]
         variation[label] = float(max(means) - min(means))
     all_means = [r.fidelity.mean for r in result]
-    _write_json(os.path.join(out, "summary.json"), {
-        "config": cfg,
-        "fidelity_mean_over_all_points": float(np.mean(all_means)),
-        "fidelity_std_over_all_points": float(np.std(all_means)),
-        "max_variation_per_state": variation,
-        "max_variation": max(variation.values()),
-        "max_fidelity_overshoot": max(r.fidelity_overshoot for r in result),
-    })
-    _write_manifest(out, "rotation-scan", cfg)
-    return 0
+    return _Record(
+        {"rotation_scan.csv": (["theta", "state_label", "fidelity_mean",
+                                "fidelity_stderr"], rows)},
+        {
+            "fidelity_mean_over_all_points": float(np.mean(all_means)),
+            "fidelity_std_over_all_points": float(np.std(all_means)),
+            "max_variation_per_state": variation,
+            "max_variation": max(variation.values()),
+            "max_fidelity_overshoot": max(r.fidelity_overshoot for r in result),
+        },
+    )
 
 
-def cmd_screen_validate(cfg: dict) -> int:
+_STRUCTURE_HEADER = ["separation", "d_empirical", "d_stderr", "d_theory"]
+_COHERENCE_HEADER = ["separation", "coherence_empirical", "coherence_stderr",
+                     "coherence_theory", "within_3_stderr"]
+
+
+def cmd_screen_validate(cfg: dict) -> _Record:
     grid = _grid(cfg)
     strength = float(cfg["strength"])
     n_screens = int(cfg["realizations"])
     params = TurbulenceParams(w_over_r0=strength)
-    out = cfg["out_dir"]
-    os.makedirs(out, exist_ok=True)
+    pitch = grid.pitch
+    if strength > 0.0 and int(round(1.0 / strength / pitch)) > grid.n - 1:
+        raise _UsageError(
+            f"Fried length r0 = {1.0 / strength:g} waists exceeds the grid span "
+            f"{(grid.n - 1) * pitch:g} waists; raise --grid-extent or --strength"
+        )
     screens = [
         generate_screen(params, grid,
                         np.random.SeedSequence(entropy=[int(cfg["seed"]), i]))
@@ -400,26 +410,20 @@ def cmd_screen_validate(cfg: dict) -> int:
     ]
     n_export = int(cfg["export_screens"])
     if n_export > 0:
-        os.makedirs(os.path.join(out, "screens"), exist_ok=True)
+        screen_dir = os.path.join(cfg["out_dir"], "screens")
+        os.makedirs(screen_dir, exist_ok=True)
         for i, s in enumerate(screens[:n_export]):
-            save_screen(s, os.path.join(out, "screens", f"screen_{i:04d}.csv"))
+            save_screen(s, os.path.join(screen_dir, f"screen_{i:04d}.csv"))
 
     if strength == 0.0:
         peak = max(float(np.max(np.abs(s.phase))) for s in screens)
-        _write_csv(os.path.join(out, "structure_function.csv"),
-                   ["separation", "d_empirical", "d_stderr", "d_theory"], [])
-        _write_csv(os.path.join(out, "coherence.csv"),
-                   ["separation", "coherence_empirical", "coherence_stderr",
-                    "coherence_theory", "within_3_stderr"], [])
-        _write_json(os.path.join(out, "summary.json"), {
-            "config": cfg, "passed": True, "zero_turbulence": True,
-            "max_abs_phase": peak,
-        })
-        _write_manifest(out, "screen-validate", cfg)
-        return 0
+        return _Record(
+            {"structure_function.csv": (_STRUCTURE_HEADER, []),
+             "coherence.csv": (_COHERENCE_HEADER, [])},
+            {"passed": True, "zero_turbulence": True, "max_abs_phase": peak},
+        )
 
     r0 = 1.0 / strength  # Fried length in waist units
-    pitch = grid.pitch
     lags = sorted({
         max(1, int(round(x / pitch)))
         for x in np.geomspace(0.2 * r0, 2.0 * r0, 10)
@@ -430,8 +434,6 @@ def cmd_screen_validate(cfg: dict) -> int:
     for sep in seps:
         mean, err = d_emp[sep]
         d_rows.append([sep, mean, err, structure_function(sep, params)])
-    _write_csv(os.path.join(out, "structure_function.csv"),
-               ["separation", "d_empirical", "d_stderr", "d_theory"], d_rows)
 
     sep_r0 = int(round(r0 / pitch)) * pitch
     d_at_r0 = d_emp[sep_r0][0]
@@ -450,33 +452,30 @@ def cmd_screen_validate(cfg: dict) -> int:
         ok = abs(mean - theory) <= 3 * err
         coh_ok = coh_ok and ok
         coh_rows.append([sep, mean, err, theory, ok])
-    _write_csv(os.path.join(out, "coherence.csv"),
-               ["separation", "coherence_empirical", "coherence_stderr",
-                "coherence_theory", "within_3_stderr"], coh_rows)
 
     d_ok = abs(ratio - 1.0) <= 0.10
     slope_ok = abs(slope - 5 / 3) <= 0.10
     passed = d_ok and slope_ok and coh_ok
-    _write_json(os.path.join(out, "summary.json"), {
-        "config": cfg,
-        "d_at_r0": d_at_r0,
-        "d_at_r0_ratio_to_theory": ratio,
-        "d_ratio_ok": d_ok,
-        "loglog_slope": slope,
-        "slope_ok": slope_ok,
-        "coherence_ok": coh_ok,
-        "passed": passed,
-    })
-    _write_manifest(out, "screen-validate", cfg)
-    if not passed:
-        print("screen-validate: statistics outside tolerance bands "
-              f"(D ratio {ratio:.4f}, slope {slope:.4f}, coherence ok={coh_ok})",
-              file=sys.stderr)
-        return 2
-    return 0
+    return _Record(
+        {"structure_function.csv": (_STRUCTURE_HEADER, d_rows),
+         "coherence.csv": (_COHERENCE_HEADER, coh_rows)},
+        {
+            "d_at_r0": d_at_r0,
+            "d_at_r0_ratio_to_theory": ratio,
+            "d_ratio_ok": d_ok,
+            "loglog_slope": slope,
+            "slope_ok": slope_ok,
+            "coherence_ok": coh_ok,
+            "passed": passed,
+        },
+        None if passed else (
+            "statistics outside tolerance bands "
+            f"(D ratio {ratio:.4f}, slope {slope:.4f}, coherence ok={coh_ok})"
+        ),
+    )
 
 
-def cmd_calibrate(cfg: dict) -> int:
+def cmd_calibrate(cfg: dict) -> _Record:
     grid = _grid(cfg)
     physical = {k: cfg[k] for k in ("lambda_nm", "cn2", "path_m", "waist_mm")}
     given = [k for k, v in physical.items() if v is not None]
@@ -512,11 +511,6 @@ def cmd_calibrate(cfg: dict) -> int:
             continue
         inferred = fried_from_broadening(max(w_t, reference), reference)
         rows.append([s, w_t, err, inferred])
-    out = cfg["out_dir"]
-    os.makedirs(out, exist_ok=True)
-    _write_csv(os.path.join(out, "calibration.csv"),
-               ["w_over_r0_true", "w_t_over_w", "w_t_stderr", "w_over_r0_inferred"],
-               rows)
     true_vals = [r[0] for r in rows]
     inferred_vals = [r[3] for r in rows]
     if len(rows) >= 3:
@@ -526,7 +520,6 @@ def cmd_calibrate(cfg: dict) -> int:
     monotone = all(inferred_vals[i] <= inferred_vals[i + 1] + 1e-12
                    for i in range(len(inferred_vals) - 1))
     summary = {
-        "config": cfg,
         "reference_width_over_w": reference,
         "spearman_rho": rho,
         "monotone_nondecreasing": monotone,
@@ -535,13 +528,12 @@ def cmd_calibrate(cfg: dict) -> int:
     }
     if physical_echo is not None:
         summary["physical_conversion"] = physical_echo
-    _write_json(os.path.join(out, "summary.json"), summary)
-    _write_manifest(out, "calibrate", cfg)
-    if failures:
-        print(f"calibrate: {len(failures)} cell(s) hit the propagation guard",
-              file=sys.stderr)
-        return 2
-    return 0
+    return _Record(
+        {"calibration.csv": (["w_over_r0_true", "w_t_over_w", "w_t_stderr",
+                              "w_over_r0_inferred"], rows)},
+        summary,
+        f"{len(failures)} cell(s) hit the propagation guard" if failures else None,
+    )
 
 
 _COMMANDS = {
@@ -561,20 +553,18 @@ def main(argv=None) -> int:
         return 0 if not exc.code else 1
     try:
         cfg = _resolve_config(args.command, args)
-    except (_UsageError, RangeError) as exc:
-        print(f"oamturb {args.command}: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return _COMMANDS[args.command](cfg)
-    except _UsageError as exc:
-        print(f"oamturb {args.command}: {exc}", file=sys.stderr)
-        return 1
+        record = _COMMANDS[args.command](cfg)
+        _write_record(args.command, cfg, record)
+        message, code = record.failure, 2 if record.failure else 0
     except (ToleranceError, StatisticsError, AliasingError) as exc:
-        print(f"oamturb {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except OamTurbError as exc:
-        print(f"oamturb {args.command}: {exc}", file=sys.stderr)
-        return 1
+        message, code = exc, 2
+    except OSError as exc:
+        message, code = f"cannot write output: {exc}", 1
+    except (_UsageError, OamTurbError) as exc:
+        message, code = exc, 1
+    if code:
+        print(f"oamturb {args.command}: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

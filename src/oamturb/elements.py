@@ -14,6 +14,7 @@ convention is frozen by a unit test.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,21 +110,13 @@ DECODE_MIX = _jones("hwp", 0.0)[:, ::-1]
 DECODE_MIX.flags.writeable = False
 
 
-_QPLATE_CACHE: dict[tuple[GridSpec, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _qplate_phases(grid: GridSpec, two_q: int) -> tuple[np.ndarray, np.ndarray]:
-    key = (grid, two_q)
-    cached = _QPLATE_CACHE.get(key)
-    if cached is None:
-        theta = grid.polar[1]
-        plus = np.exp(1j * two_q * theta)
-        minus = np.conj(plus)
-        plus.flags.writeable = False
-        minus.flags.writeable = False
-        cached = (plus, minus)
-        _QPLATE_CACHE[key] = cached
-    return cached
+    plus = np.exp(1j * two_q * grid.polar[1])
+    minus = np.conj(plus)
+    plus.flags.writeable = False
+    minus.flags.writeable = False
+    return plus, minus
 
 
 def qplate(q: float, f: VectorField) -> VectorField:
@@ -156,19 +149,12 @@ def encode(qubit: HybridQubit, grid: GridSpec) -> VectorField:
     )
 
 
-_REFERENCE_CACHE: dict[tuple[int, GridSpec], ScalarField] = {}
-
-
+@functools.lru_cache(maxsize=16)
 def reference_mode(l: int, grid: GridSpec) -> ScalarField:
     """Azimuthally uniform post-selection mode with the LG_{0,l} radial
     modulus, unit norm.  Projecting on it makes the decoder lossless at
     zero turbulence."""
-    key = (l, grid)
-    cached = _REFERENCE_CACHE.get(key)
-    if cached is None:
-        cached = ScalarField(grid, np.abs(make_lg_mode(l, grid).samples))
-        _REFERENCE_CACHE[key] = cached
-    return cached
+    return ScalarField(grid, np.abs(make_lg_mode(l, grid).samples))
 
 
 def decode(f: VectorField, l: int, coupling: float = 1.0) -> DecodeResult:

@@ -146,31 +146,27 @@ class OamModeSpec:
         object.__setattr__(self, "l", int(self.l))
 
 
-_LG_CACHE: dict[tuple[int, float, GridSpec], ScalarField] = {}
-
-
 def make_lg_mode(mode: OamModeSpec | int, grid: GridSpec) -> ScalarField:
     """Sample the Laguerre-Gauss mode LG_{0,l} at its waist.
 
     The profile is (sqrt(2) r / w)^|l| exp(-r^2/w^2) exp(i l theta),
     renormalized numerically so the grid sum of |f|^2 * pitch^2 is exactly 1.
-    Modes are cached per (l, waist, grid); the returned field is immutable
-    and may be shared between callers.
+    The 16 most recently used modes are cached per (l, waist, grid); the
+    returned field is immutable and may be shared between callers.
     """
     if isinstance(mode, (int, np.integer)) and not isinstance(mode, bool):
         mode = OamModeSpec(l=int(mode))
-    key = (mode.l, mode.waist, grid)
-    cached = _LG_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _lg_mode(mode.l, mode.waist, grid)
+
+
+@functools.lru_cache(maxsize=16)
+def _lg_mode(l: int, waist: float, grid: GridSpec) -> ScalarField:
     r, theta = grid.polar
-    u = r / mode.waist
-    rho = (np.sqrt(2.0) * u) ** abs(mode.l) * np.exp(-(u**2))
-    f = rho * np.exp(1j * mode.l * theta)
+    u = r / waist
+    rho = (np.sqrt(2.0) * u) ** abs(l) * np.exp(-(u**2))
+    f = rho * np.exp(1j * l * theta)
     f /= np.sqrt(np.sum(f.real**2 + f.imag**2) * grid.pitch**2)
-    out = ScalarField(grid, f)
-    _LG_CACHE[key] = out
-    return out
+    return ScalarField(grid, f)
 
 
 def overlap(a: ScalarField, b: ScalarField) -> complex:

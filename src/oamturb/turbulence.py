@@ -244,16 +244,9 @@ class _SynthesisTables:
         self.ex_nodes = np.exp(2j * np.pi * np.outer(self.sh_fx, self.nodes))
 
 
-_TABLES: dict[tuple[GridSpec, float | None], _SynthesisTables] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _tables(grid: GridSpec, outer_scale: float | None) -> _SynthesisTables:
-    key = (grid, outer_scale)
-    tab = _TABLES.get(key)
-    if tab is None:
-        tab = _SynthesisTables(grid, outer_scale)
-        _TABLES[key] = tab
-    return tab
+    return _SynthesisTables(grid, outer_scale)
 
 
 def generate_screen(

@@ -196,13 +196,6 @@ class TestRingCoefficients:
                 > coupling_coefficients(1, params).c0
             )
 
-    def test_kernel_variants_agree_on_survival_only(self):
-        # |sin(u/2)| and |sin u| kernels integrate identically at dl = 0
-        half = ring_coefficients(1, P06)
-        full = ring_coefficients(1, P06, full_angle=True)
-        assert half.c0 == pytest.approx(full.c0, abs=1e-10)
-        assert half.c2l < full.c2l
-
     def test_coarse_quadrature_fails_validation(self):
         with pytest.raises(ToleranceError):
             ring_coefficients(1, P14, COARSE)

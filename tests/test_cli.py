@@ -106,8 +106,6 @@ class TestPhCurve:
         assert summary["n_strengths"] == 2
         assert summary["monotone_nonincreasing"] is True
         half = summary["ph_ring_half_angle_variant"]
-        full = summary["ph_ring_full_angle_variant"]
-        assert half[1] == pytest.approx(full[1], abs=1e-9)
         # single-radius reduction sits above the two-point value
         rows = (first_run / "ph_curve.csv").read_text().splitlines()[2].split(",")
         assert half[1] > float(rows[1])
@@ -150,6 +148,58 @@ class TestPhCurve:
         rc = run(["fidelity-scan", "--config", str(first_run / "manifest.json")])
         assert rc == 1
         assert "manifest is for" in capsys.readouterr().err
+
+
+# tiny arguments, expected exit code and data files for each subcommand
+RECORD_CASES = {
+    "ph-curve": (TINY_PH[1:], 0, ["ph_curve.csv"]),
+    "fidelity-scan": (["--strengths", "0.0,0.4", "--realizations", "2",
+                       "--grid-n", "64", "--grid-extent", "6.0"],
+                      0, ["fidelity_scan.csv"]),
+    "rotation-scan": (["--strength", "0.4", "--n-angles", "2", "--realizations", "2",
+                       "--grid-n", "64", "--grid-extent", "6.0"],
+                      0, ["rotation_scan.csv"]),
+    # 100 screens on 32^2 miss the coherence band: files first, then exit 2
+    "screen-validate": (["--realizations", "100", "--grid-n", "32",
+                         "--grid-extent", "6.0"],
+                        2, ["coherence.csv", "structure_function.csv"]),
+    "calibrate": (["--strengths", "0.0,0.6,1.2", "--realizations", "100",
+                   "--grid-n", "64", "--grid-extent", "16.0"],
+                  0, ["calibration.csv"]),
+}
+
+
+class TestRunRecord:
+    @pytest.mark.parametrize("command", list(RECORD_CASES))
+    def test_files_config_and_replay(self, tmp_path, command):
+        args, code, data_files = RECORD_CASES[command]
+        out = tmp_path / "run"
+        assert run([command, *args, "--out-dir", str(out)]) == code
+        names = sorted(os.listdir(out))
+        assert names == sorted(data_files + ["manifest.json", "summary.json"])
+        summary = json.loads((out / "summary.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert summary["config"] == manifest["config"]
+        first = {name: (out / name).read_bytes() for name in data_files + ["summary.json"]}
+        for name in first:
+            (out / name).unlink()
+        # the manifest names the same out_dir, so the replay writes there again
+        assert run([command, "--config", str(out / "manifest.json")]) == code
+        assert sorted(os.listdir(out)) == names
+        for name, data in first.items():
+            assert (out / name).read_bytes() == data, name
+        replayed = json.loads((out / "manifest.json").read_text())
+        del manifest["timestamp"], replayed["timestamp"]
+        assert replayed == manifest
+
+    def test_unwritable_out_dir_exits_one(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        args, _, _ = RECORD_CASES["fidelity-scan"]
+        assert run(["fidelity-scan", *args, "--out-dir", str(blocker / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "cannot write output" in err
 
 
 class TestFidelityScan:
@@ -195,6 +245,17 @@ class TestScreenValidate:
                   "--out-dir", str(out)])
         assert rc == 2
         assert "need >= 100 screens" in capsys.readouterr().err
+
+    def test_r0_beyond_grid_span_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "weak"
+        rc = run(["screen-validate", "--grid-n", "32", "--grid-extent", "6",
+                  "--realizations", "100", "--strength", "0.01",
+                  "--export-screens", "1", "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "r0 = 100 waists exceeds the grid span 5.8125 waists" in err
+        assert not out.exists()  # stopped before drawing or exporting a screen
 
     def test_zero_strength_run(self, tmp_path):
         out = tmp_path / "sv0"
