@@ -31,10 +31,12 @@ from .fields import (
     rotate_modal,
 )
 from .turbulence import (
+    Broadening,
     PhaseScreen,
     TurbulenceParams,
     apply_screen,
     beam_broadening_mc,
+    beam_broadening_sweep,
     coherence,
     coherence_estimate,
     fried_from_broadening,
@@ -94,7 +96,8 @@ __all__ = [
     "TurbulenceParams", "PhaseScreen", "fried_parameter", "coherence",
     "structure_function", "generate_screen", "apply_screen",
     "structure_function_estimate", "coherence_estimate",
-    "fried_from_broadening", "beam_broadening_mc", "save_screen", "load_screen",
+    "fried_from_broadening", "beam_broadening_mc", "beam_broadening_sweep",
+    "Broadening", "save_screen", "load_screen",
     # elements
     "HybridQubit", "DecodeResult", "MUB_LABELS", "waveplate", "qplate",
     "encode", "decode", "rotate_frame", "fidelity", "mub_states",

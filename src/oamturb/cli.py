@@ -34,7 +34,7 @@ from .errors import (
     StatisticsError,
     ToleranceError,
 )
-from .fields import GridSpec
+from .fields import BOUNDARY_ENERGY_LIMIT, GridSpec
 from .montecarlo import (
     ExperimentConfig,
     run_fidelity_scan,
@@ -43,7 +43,9 @@ from .montecarlo import (
 from .turbulence import (
     TurbulenceParams,
     beam_broadening_mc,
+    beam_broadening_sweep,
     coherence_estimate,
+    ensemble_lags,
     fried_from_broadening,
     fried_parameter,
     generate_screen,
@@ -295,6 +297,7 @@ def cmd_ph_curve(cfg: dict) -> _Record:
     rows = []
     residuals = []
     ring = []
+    ring_residuals = []
     for strength, mc in zip(strengths, mc_rows):
         params = TurbulenceParams(w_over_r0=strength)
         # looked up on the module, so wrappers installed there see the call
@@ -302,7 +305,9 @@ def cmd_ph_curve(cfg: dict) -> _Record:
         residuals.append(cc.residual)
         rows.append([strength, cc.c0, mc.success_prob.mean, mc.success_prob.stderr])
         # single-radius reduction, for reference
-        ring.append(ring_coefficients(l, params, quad).c0)
+        rc = ring_coefficients(l, params, quad)
+        ring.append(rc.c0)
+        ring_residuals.append(rc.residual)
     gaps = [abs(r[1] - r[2]) / r[1] for r in rows if r[1] > 0]
     return _Record(
         {"ph_curve.csv": (["w_over_r0", "ph_analytic", "ph_mc_mean", "ph_mc_stderr"],
@@ -312,6 +317,7 @@ def cmd_ph_curve(cfg: dict) -> _Record:
             "ph_ring_half_angle_variant": ring,
             "max_relative_gap_mc_vs_analytic": max(gaps),
             "max_quadrature_residual": max(residuals),
+            "max_ring_quadrature_residual": max(ring_residuals),
             "monotone_nonincreasing": all(
                 rows[i][1] >= rows[i + 1][1] - 1e-12 for i in range(len(rows) - 1)
             ),
@@ -346,6 +352,7 @@ def cmd_fidelity_scan(cfg: dict) -> _Record:
             "min_cell_mean": float(np.min(means)),
             "total_losses": int(sum(r.n_loss for r in result)),
             "max_fidelity_overshoot": max(r.fidelity_overshoot for r in result),
+            "min_success_prob": min(r.success_prob.min for r in result),
         },
     )
 
@@ -396,16 +403,27 @@ def cmd_screen_validate(cfg: dict) -> _Record:
     grid = _grid(cfg)
     strength = float(cfg["strength"])
     n_screens = int(cfg["realizations"])
+    seed = int(cfg["seed"])
+    if seed < 0:
+        raise _UsageError(f"seed must be nonnegative, got {seed}")
     params = TurbulenceParams(w_over_r0=strength)
     pitch = grid.pitch
-    if strength > 0.0 and int(round(1.0 / strength / pitch)) > grid.n - 1:
-        raise _UsageError(
-            f"Fried length r0 = {1.0 / strength:g} waists exceeds the grid span "
-            f"{(grid.n - 1) * pitch:g} waists; raise --grid-extent or --strength"
-        )
+    if strength > 0.0:
+        r0 = 1.0 / strength  # Fried length in waist units
+        if int(round(r0 / pitch)) > grid.n - 1:
+            raise _UsageError(
+                f"Fried length r0 = {r0:g} waists exceeds the grid span "
+                f"{(grid.n - 1) * pitch:g} waists; raise --grid-extent or --strength"
+            )
+        lags = sorted({
+            max(1, int(round(x / pitch)))
+            for x in np.geomspace(0.2 * r0, 2.0 * r0, 10)
+        } | {int(round(r0 / pitch))})
+        seps = [lag * pitch for lag in lags if lag <= grid.n - 1]
+        # the estimators' own checks, before any screen is drawn
+        ensemble_lags(n_screens, seps, grid)
     screens = [
-        generate_screen(params, grid,
-                        np.random.SeedSequence(entropy=[int(cfg["seed"]), i]))
+        generate_screen(params, grid, np.random.SeedSequence(entropy=[seed, i]))
         for i in range(n_screens)
     ]
     n_export = int(cfg["export_screens"])
@@ -423,12 +441,6 @@ def cmd_screen_validate(cfg: dict) -> _Record:
             {"passed": True, "zero_turbulence": True, "max_abs_phase": peak},
         )
 
-    r0 = 1.0 / strength  # Fried length in waist units
-    lags = sorted({
-        max(1, int(round(x / pitch)))
-        for x in np.geomspace(0.2 * r0, 2.0 * r0, 10)
-    } | {int(round(r0 / pitch))})
-    seps = [lag * pitch for lag in lags if lag <= grid.n - 1]
     d_emp = structure_function_estimate(screens, seps)
     d_rows = []
     for sep in seps:
@@ -496,21 +508,25 @@ def cmd_calibrate(cfg: dict) -> _Record:
     n_real = int(cfg["realizations"])
     seed = int(cfg["seed"])
 
+    # the reference alone first: if it aliases, no strength is drawn
     reference, _ = beam_broadening_mc(
         TurbulenceParams(w_over_r0=0.0), n_real, distance, wavelength, seed, grid
     )
+    strengths = sorted(strengths)
+    results = beam_broadening_sweep(
+        [TurbulenceParams(w_over_r0=s) for s in strengths],
+        n_real, distance, wavelength, seed, grid,
+    )
     rows = []
     failures = []
-    for s in sorted(strengths):
-        try:
-            w_t, err = beam_broadening_mc(
-                TurbulenceParams(w_over_r0=s), n_real, distance, wavelength, seed, grid
-            )
-        except AliasingError as exc:
-            failures.append({"w_over_r0": s, "error": str(exc)})
+    margins = []
+    for s, res in zip(strengths, results):
+        if isinstance(res, AliasingError):
+            failures.append({"w_over_r0": s, "error": str(res)})
             continue
-        inferred = fried_from_broadening(max(w_t, reference), reference)
-        rows.append([s, w_t, err, inferred])
+        inferred = fried_from_broadening(max(res.w_t, reference), reference)
+        rows.append([s, res.w_t, res.stderr, inferred])
+        margins.append({"w_over_r0": s, "fraction": res.max_boundary_energy_fraction})
     true_vals = [r[0] for r in rows]
     inferred_vals = [r[3] for r in rows]
     if len(rows) >= 3:
@@ -525,6 +541,8 @@ def cmd_calibrate(cfg: dict) -> _Record:
         "monotone_nondecreasing": monotone,
         "operating_range_w_over_r0": "0-1.4",
         "guard_failures": failures,
+        "boundary_energy_limit": BOUNDARY_ENERGY_LIMIT,
+        "max_boundary_energy_fraction": margins,
     }
     if physical_echo is not None:
         summary["physical_conversion"] = physical_echo

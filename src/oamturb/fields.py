@@ -261,7 +261,11 @@ def rotate_modal(f: ScalarField, theta: float) -> ScalarField:
 
 def boundary_energy_fraction(f: ScalarField, width: int = 2) -> float:
     """Fraction of total power in the outermost `width`-pixel frame."""
-    inten = f.samples.real**2 + f.samples.imag**2
+    return intensity_frame_fraction(f.samples.real**2 + f.samples.imag**2, width)
+
+
+def intensity_frame_fraction(inten: np.ndarray, width: int = 2) -> float:
+    """boundary_energy_fraction of a field given its intensity |u|^2."""
     total = float(inten.sum())
     if total == 0.0:
         return 0.0

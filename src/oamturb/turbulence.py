@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
@@ -22,12 +23,20 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import gamma
 
 from .errors import (
+    AliasingError,
     DomainError,
     RangeError,
     ShapeMismatchError,
     StatisticsError,
 )
-from .fields import GridSpec, ScalarField, VectorField, make_lg_mode, propagate
+from .fields import (
+    GridSpec,
+    ScalarField,
+    VectorField,
+    intensity_frame_fraction,
+    make_lg_mode,
+    propagate,
+)
 
 # phase structure function D(d) = STRUCTURE_COEFF * (d/r0)^(5/3)
 STRUCTURE_COEFF = 6.88
@@ -249,37 +258,24 @@ def _tables(grid: GridSpec, outer_scale: float | None) -> _SynthesisTables:
     return _SynthesisTables(grid, outer_scale)
 
 
-def generate_screen(
-    params: TurbulenceParams,
-    grid: GridSpec,
-    seed: int | np.random.SeedSequence,
-) -> PhaseScreen:
-    """Draw one phase screen; a pure function of (seed, params, grid).
-
-    The generator is counter-based (Philox), so screens for distinct seeds
-    can be produced in any order or thread with identical results.  seed
-    may be a nonnegative integer or a numpy SeedSequence (the engine uses
-    SeedSequence(entropy=[master_seed, cell indices...]) to key cells);
-    the stored PhaseScreen.seed is the integer itself, or a 64-bit digest
-    of the SeedSequence for identification in exports.
-    """
-    w0 = params.w_over_r0
+def _check_strength(w0: float) -> None:
     if w0 > MAX_W_OVER_R0:
         raise RangeError(
             f"w_over_r0 = {w0} outside the validated range [0, {MAX_W_OVER_R0}]"
         )
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-        seed_id = int(ss.generate_state(1, np.uint64)[0])
-    else:
-        if seed < 0:
-            raise RangeError(f"seed must be nonnegative, got {seed}")
-        ss = np.random.SeedSequence(int(seed))
-        seed_id = int(seed)
+
+
+def _seed_id(ss: np.random.SeedSequence) -> int:
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+def _unit_screen(
+    grid: GridSpec, outer_scale: float | None, ss: np.random.SeedSequence
+) -> np.ndarray:
+    """The screen of key ss at w_over_r0 = 1, piston not yet removed; a
+    fresh array the caller may scale in place."""
     n = grid.n
-    if w0 == 0.0:
-        return PhaseScreen(grid, np.zeros((n, n)), seed_id, params)
-    tab = _tables(grid, params.outer_scale)
+    tab = _tables(grid, outer_scale)
     rng = np.random.Generator(np.random.Philox(ss))
     zr = rng.standard_normal((n, n))
     zi = rng.standard_normal((n, n))
@@ -292,9 +288,47 @@ def generate_screen(
         ztilt[0] * tab.nodes[None, :] + ztilt[1] * tab.nodes[:, None]
     )
     scr += tab.upsample @ coarse @ tab.upsample.T
-    scr *= w0 ** (5 / 6)
+    return scr
+
+
+def _scale(unit: np.ndarray, w0: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Phase at strength w0 > 0 from a unit screen: times w0^(5/6), piston
+    removed.  out=unit scales in place."""
+    scr = np.multiply(unit, w0 ** (5 / 6), out=out)
     scr -= scr.mean()
-    return PhaseScreen(grid, scr, seed_id, params)
+    return scr
+
+
+def generate_screen(
+    params: TurbulenceParams,
+    grid: GridSpec,
+    seed: int | np.random.SeedSequence,
+) -> PhaseScreen:
+    """Draw one phase screen; a pure function of (seed, params, grid).
+
+    The generator is counter-based (Philox), so screens for distinct seeds
+    can be produced in any order or thread with identical results.  seed
+    may be a nonnegative integer or a numpy SeedSequence (the engine uses
+    SeedSequence(entropy=[master_seed, cell indices...]) to key cells);
+    the stored PhaseScreen.seed is the integer itself, or a 64-bit digest
+    of the SeedSequence for identification in exports.  One key gives
+    the same screen at every strength up to the factor w_over_r0^(5/6)
+    (before the piston is removed).
+    """
+    w0 = params.w_over_r0
+    _check_strength(w0)
+    if isinstance(seed, np.random.SeedSequence):
+        ss = seed
+        seed_id = _seed_id(ss)
+    else:
+        if seed < 0:
+            raise RangeError(f"seed must be nonnegative, got {seed}")
+        ss = np.random.SeedSequence(int(seed))
+        seed_id = int(seed)
+    if w0 == 0.0:
+        return PhaseScreen(grid, np.zeros((grid.n, grid.n)), seed_id, params)
+    unit = _unit_screen(grid, params.outer_scale, ss)
+    return PhaseScreen(grid, _scale(unit, w0, out=unit), seed_id, params)
 
 
 def apply_screen(f, s: PhaseScreen):
@@ -315,17 +349,6 @@ def apply_screen(f, s: PhaseScreen):
     raise TypeError(f"expected ScalarField or VectorField, got {type(f)!r}")
 
 
-def _check_ensemble(screens) -> GridSpec:
-    if len(screens) < 100:
-        raise StatisticsError(f"need >= 100 screens, got {len(screens)}")
-    grid = screens[0].grid
-    params = screens[0].params
-    for s in screens[1:]:
-        if s.grid != grid or s.params != params:
-            raise ShapeMismatchError("screens mix different grids or parameters")
-    return grid
-
-
 def _pixel_lag(separation: float, grid: GridSpec) -> int:
     lag = int(round(separation / grid.pitch))
     if lag < 1 or lag > grid.n - 1:
@@ -333,6 +356,24 @@ def _pixel_lag(separation: float, grid: GridSpec) -> int:
             f"separation {separation} maps to pixel lag {lag}, outside [1, {grid.n - 1}]"
         )
     return lag
+
+
+def ensemble_lags(n_screens: int, separations, grid: GridSpec) -> dict[float, int]:
+    """Pixel lag per separation, after the checks the estimators make before
+    reading a screen: at least 100 screens and every lag inside [1, n - 1].
+    Callers can run it before drawing the screens."""
+    if n_screens < 100:
+        raise StatisticsError(f"need >= 100 screens, got {n_screens}")
+    return {sep: _pixel_lag(sep, grid) for sep in separations}
+
+
+def _check_ensemble(screens, separations) -> dict[float, int]:
+    grid = screens[0].grid if screens else None  # an empty list fails the count
+    lags = ensemble_lags(len(screens), separations, grid)
+    for s in screens[1:]:
+        if s.grid != grid or s.params != screens[0].params:
+            raise ShapeMismatchError("screens mix different grids or parameters")
+    return lags
 
 
 def structure_function_estimate(
@@ -344,8 +385,7 @@ def structure_function_estimate(
     axes are pooled.  Returns {separation: (mean, stderr)} with the
     standard error taken across screens (per-screen means are iid).
     """
-    grid = _check_ensemble(screens)
-    lags = {sep: _pixel_lag(sep, grid) for sep in separations}
+    lags = _check_ensemble(screens, separations)
     out: dict[float, tuple[float, float]] = {}
     for sep, lag in lags.items():
         vals = np.empty(len(screens))
@@ -365,8 +405,7 @@ def coherence_estimate(screens, separations) -> dict[float, tuple[float, float]]
     coherence(r, dtheta, params) at the chord 2 r sin(dtheta/2) equal to
     the separation.  Returns {separation: (mean, stderr)}.
     """
-    grid = _check_ensemble(screens)
-    lags = {sep: _pixel_lag(sep, grid) for sep in separations}
+    lags = _check_ensemble(screens, separations)
     out: dict[float, tuple[float, float]] = {}
     for sep, lag in lags.items():
         vals = np.empty(len(screens))
@@ -392,6 +431,86 @@ def fried_from_broadening(w_t: float, w: float) -> float:
     return (1 / 3) * math.sqrt((w_t / w) ** 2 - 1)
 
 
+class Broadening(NamedTuple):
+    """One strength's ensemble spot size, from beam_broadening_sweep."""
+
+    w_t: float  # width of the summed intensity, in input waists
+    stderr: float  # standard error of w_t across realizations
+    max_boundary_energy_fraction: float  # over the propagated fields
+
+
+def beam_broadening_sweep(
+    params_list,
+    n_realizations: int,
+    propagation_distance: float,
+    wavelength: float,
+    seed: int,
+    grid: GridSpec | None = None,
+) -> list[Broadening | AliasingError]:
+    """beam_broadening_mc for several strengths in one pass over realizations.
+
+    Realization i of every strength is keyed SeedSequence(entropy=[seed,
+    i]), so its screen is drawn once at unit strength and scaled for each
+    entry, bitwise as generate_screen would draw it.  A zero-strength
+    entry sees the same field in every realization and is propagated
+    once.  An entry whose field reaches the grid boundary gets the
+    AliasingError in place of its result and is skipped from then on; the
+    other entries continue.  All entries must share one outer_scale.
+    """
+    if n_realizations < 100:
+        raise StatisticsError(f"need >= 100 realizations, got {n_realizations}")
+    for params in params_list:
+        _check_strength(params.w_over_r0)
+    if seed < 0:
+        raise RangeError(f"seed must be nonnegative, got {seed}")
+    if len({params.outer_scale for params in params_list}) > 1:
+        raise DomainError("a broadening sweep needs one outer_scale for all entries")
+    if grid is None:
+        grid = GridSpec(512, 16.0)
+    gauss = make_lg_mode(0, grid)
+    x, y = grid.xy
+    r2 = x**2 + y**2
+    moments = np.empty((len(params_list), n_realizations))
+    frame = [0.0] * len(params_list)
+    failed: dict[int, AliasingError] = {}
+    for i in range(n_realizations):
+        ss = np.random.SeedSequence(entropy=[seed, i])
+        seed_id = _seed_id(ss)
+        unit = None  # drawn on first use; at most one unit screen is held
+        for j, params in enumerate(params_list):
+            w0 = params.w_over_r0
+            if j in failed or (w0 == 0.0 and i > 0):
+                continue
+            if w0 == 0.0:
+                phase = np.zeros((grid.n, grid.n))
+            else:
+                if unit is None:
+                    unit = _unit_screen(grid, params.outer_scale, ss)
+                phase = _scale(unit, w0)
+            screen = PhaseScreen(grid, phase, seed_id, params)
+            try:
+                out = propagate(apply_screen(gauss, screen), propagation_distance,
+                                wavelength)
+            except AliasingError as exc:
+                failed[j] = exc
+                continue
+            inten = out.samples.real**2 + out.samples.imag**2
+            moments[j, i] = float(np.sum(inten * r2) / np.sum(inten))
+            frame[j] = max(frame[j], intensity_frame_fraction(inten))
+    results: list[Broadening | AliasingError] = []
+    for j, params in enumerate(params_list):
+        if j in failed:
+            results.append(failed[j])
+            continue
+        m = moments[j]
+        if params.w_over_r0 == 0.0:
+            m[1:] = m[0]  # one field in every realization, propagated once
+        w_t = math.sqrt(2 * m.mean())
+        stderr = float(m.std(ddof=1) / np.sqrt(n_realizations)) / w_t
+        results.append(Broadening(w_t, stderr, frame[j]))
+    return results
+
+
 def beam_broadening_mc(
     params: TurbulenceParams,
     n_realizations: int,
@@ -406,30 +525,15 @@ def beam_broadening_mc(
     at the waist plane and propagates it; the width of the summed
     intensity (axis-referenced second moment, w = sqrt(2 <r^2>), which
     includes beam wander) is returned as w_t relative to the input waist,
-    with a standard error across realizations.
+    with a standard error across realizations.  Raises AliasingError when
+    a propagated field reaches the grid boundary.
     """
-    if n_realizations < 100:
-        raise StatisticsError(f"need >= 100 realizations, got {n_realizations}")
-    if grid is None:
-        grid = GridSpec(512, 16.0)
-    gauss = make_lg_mode(0, grid)
-    x, y = grid.xy
-    r2 = x**2 + y**2
-    moments = np.empty(n_realizations)
-    for i in range(n_realizations):
-        scr = generate_screen(
-            params, grid, np.random.SeedSequence(entropy=[seed, i])
-        )
-        out = propagate(apply_screen(gauss, scr), propagation_distance, wavelength)
-        inten = out.samples.real**2 + out.samples.imag**2
-        moments[i] = float(np.sum(inten * r2) / np.sum(inten))
-    mean_m2 = moments.mean()
-    w_t = math.sqrt(2 * mean_m2)
-    if n_realizations > 1:
-        stderr = float(moments.std(ddof=1) / np.sqrt(n_realizations)) / w_t
-    else:
-        stderr = 0.0
-    return w_t, stderr
+    (result,) = beam_broadening_sweep(
+        [params], n_realizations, propagation_distance, wavelength, seed, grid
+    )
+    if isinstance(result, AliasingError):
+        raise result
+    return result.w_t, result.stderr
 
 
 def _header_value(value) -> str:

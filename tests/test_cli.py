@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+import oamturb.cli
 from oamturb import load_screen
 from oamturb.cli import main
 
@@ -114,6 +115,10 @@ class TestPhCurve:
         summary = json.loads((first_run / "summary.json").read_text())
         assert 0.0 <= summary["max_quadrature_residual"] <= 1e-6
 
+    def test_summary_reports_ring_quadrature_residual(self, first_run):
+        summary = json.loads((first_run / "summary.json").read_text())
+        assert 0.0 <= summary["max_ring_quadrature_residual"] <= 1e-6
+
     def test_manifest_replay_is_bitwise(self, first_run, tmp_path):
         replay = tmp_path / "replay"
         rc = run(["ph-curve", "--config", str(first_run / "manifest.json"),
@@ -218,6 +223,17 @@ class TestFidelityScan:
         assert summary["total_losses"] == 0
         assert 0.0 <= summary["max_fidelity_overshoot"] < 1e-12
 
+    def test_summary_reports_min_success_prob(self, tmp_path):
+        out = tmp_path / "fid"
+        rc = run(["fidelity-scan", "--strengths", "0.0,0.8",
+                  "--realizations", "3", "--grid-n", "64",
+                  "--grid-extent", "6.0", "--out-dir", str(out)])
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text())
+        # no losses, so every success probability clears the loss threshold
+        assert summary["total_losses"] == 0
+        assert 1e-12 <= summary["min_success_prob"] < 1.0
+
 
 class TestRotationScan:
     def test_small_run(self, tmp_path):
@@ -256,6 +272,42 @@ class TestScreenValidate:
         assert err.count("\n") == 1
         assert "r0 = 100 waists exceeds the grid span 5.8125 waists" in err
         assert not out.exists()  # stopped before drawing or exporting a screen
+
+    @pytest.fixture
+    def no_screens(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a screen was drawn")
+
+        monkeypatch.setattr(oamturb.cli, "generate_screen", refuse)
+
+    def test_too_few_screens_fail_before_drawing(self, tmp_path, capsys, no_screens):
+        out = tmp_path / "few"
+        rc = run(["screen-validate", "--realizations", "50", "--export-screens", "1",
+                  "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "oamturb screen-validate: need >= 100 screens, got 50\n"
+        assert not out.exists()
+
+    def test_r0_below_half_pixel_fails_before_drawing(self, tmp_path, capsys, no_screens):
+        out = tmp_path / "lag0"
+        rc = run(["screen-validate", "--grid-n", "32", "--grid-extent", "100",
+                  "--strength", "2.0", "--realizations", "100",
+                  "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == ("oamturb screen-validate: separation 0.0 maps to pixel lag 0, "
+                       "outside [1, 31]\n")
+        assert not out.exists()
+
+    def test_negative_seed_exits_one(self, tmp_path, capsys, no_screens):
+        out = tmp_path / "neg"
+        rc = run(["screen-validate", "--grid-n", "32", "--grid-extent", "6",
+                  "--realizations", "100", "--seed", "-1", "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "oamturb screen-validate: seed must be nonnegative, got -1\n")
+        assert not out.exists()
 
     def test_zero_strength_run(self, tmp_path):
         out = tmp_path / "sv0"
@@ -298,3 +350,27 @@ class TestCalibrate:
         assert summary["monotone_nondecreasing"] is True
         assert summary["guard_failures"] == []
         assert summary["spearman_rho"] == pytest.approx(1.0)
+
+    def test_guard_margin_reported_per_cell(self, tmp_path, capsys):
+        out = tmp_path / "guard"
+        # w/r0 = 2.0 spreads past the 8-waist grid within 60 waists
+        rc = run(["calibrate", "--strengths", "0.2,1.0,2.0",
+                  "--realizations", "100", "--grid-n", "64",
+                  "--grid-extent", "8.0", "--distance", "60",
+                  "--out-dir", str(out)])
+        assert rc == 2
+        assert "1 cell(s) hit the propagation guard" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert [f["w_over_r0"] for f in summary["guard_failures"]] == [2.0]
+        limit = summary["boundary_energy_limit"]
+        assert limit == 1e-4
+        margins = summary["max_boundary_energy_fraction"]
+        assert [m["w_over_r0"] for m in margins] == [0.2, 1.0]
+        assert 0.0 < margins[0]["fraction"] < margins[1]["fraction"] < limit
+
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        rc = run(["calibrate", "--strengths", "0.3", "--realizations", "100",
+                  "--grid-n", "32", "--seed", "-1", "--out-dir", str(tmp_path / "neg")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "oamturb calibrate: seed must be nonnegative, got -1\n")

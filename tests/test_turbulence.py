@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oamturb import (
+    AliasingError,
     DomainError,
     GridSpec,
     RangeError,
@@ -15,6 +16,8 @@ from oamturb import (
     TurbulenceParams,
     apply_screen,
     beam_broadening_mc,
+    beam_broadening_sweep,
+    boundary_energy_fraction,
     coherence,
     coherence_estimate,
     fried_from_broadening,
@@ -23,11 +26,13 @@ from oamturb import (
     load_screen,
     make_lg_mode,
     overlap,
+    propagate,
     save_screen,
     structure_function,
     structure_function_estimate,
 )
 from oamturb import VectorField
+from oamturb import turbulence
 
 GRID = GridSpec()
 P06 = TurbulenceParams(w_over_r0=0.6)
@@ -163,6 +168,19 @@ class TestGenerateScreen:
             generate_screen(TurbulenceParams(w_over_r0=2.5), GRID, 1)
         with pytest.raises(RangeError):
             generate_screen(P06, GRID, -1)
+
+    def test_screen_is_scaled_unit_screen(self):
+        key = [4, 1]
+        for outer_scale in (None, 5.0):
+            unit = turbulence._unit_screen(
+                GRID, outer_scale, np.random.SeedSequence(entropy=key)
+            )
+            for w in (0.05, 0.3, 1.0, 1.7, 2.0):
+                params = TurbulenceParams(w_over_r0=w, outer_scale=outer_scale)
+                screen = generate_screen(params, GRID, np.random.SeedSequence(entropy=key))
+                expected = unit * w ** (5 / 6)
+                expected -= expected.mean()
+                assert np.array_equal(screen.phase, expected)
 
     def test_phase_read_only(self):
         s = generate_screen(P06, GRID, 1)
@@ -314,3 +332,90 @@ class TestBroadeningInverter:
     def test_monte_carlo_needs_enough_realizations(self):
         with pytest.raises(StatisticsError):
             beam_broadening_mc(P06, 10, 30.0, 0.01, 1)
+
+
+SMALL = GridSpec(64, 16.0)
+
+
+def literal_broadening(params, n, distance, wavelength, seed, grid):
+    """The per-strength loop beam_broadening_sweep replaces: a fresh screen,
+    apply, propagate and moment for every realization.  Returns (w_t,
+    stderr, largest boundary_energy_fraction) or raises AliasingError."""
+    gauss = make_lg_mode(0, grid)
+    x, y = grid.xy
+    r2 = x**2 + y**2
+    moments = np.empty(n)
+    frame = 0.0
+    for i in range(n):
+        scr = generate_screen(params, grid, np.random.SeedSequence(entropy=[seed, i]))
+        out = propagate(apply_screen(gauss, scr), distance, wavelength)
+        inten = out.samples.real**2 + out.samples.imag**2
+        moments[i] = float(np.sum(inten * r2) / np.sum(inten))
+        frame = max(frame, boundary_energy_fraction(out))
+    w_t = math.sqrt(2 * moments.mean())
+    return w_t, float(moments.std(ddof=1) / np.sqrt(n)) / w_t, frame
+
+
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    """Counts of unit-screen draws and propagations inside the sweep."""
+    calls = {"unit": 0, "propagate": 0}
+    for name, key in (("_unit_screen", "unit"), ("propagate", "propagate")):
+        def counted(*args, _fn=getattr(turbulence, name), _key=key):
+            calls[_key] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(turbulence, name, counted)
+    return calls
+
+
+class TestBroadeningSweep:
+    def test_matches_literal_loop_bitwise(self):
+        strengths = (0.0, 0.3, 1.0)
+        swept = beam_broadening_sweep(
+            [TurbulenceParams(w_over_r0=w) for w in strengths], 100, 30.0, 0.01, 9, SMALL
+        )
+        for w, got in zip(strengths, swept):
+            params = TurbulenceParams(w_over_r0=w)
+            expected = literal_broadening(params, 100, 30.0, 0.01, 9, SMALL)
+            assert tuple(got) == expected
+            assert beam_broadening_mc(params, 100, 30.0, 0.01, 9, SMALL) == expected[:2]
+
+    def test_aliasing_strength_recorded_others_unchanged(self, sweep_calls):
+        grid = GridSpec(64, 8.0)
+        strengths = (0.2, 2.0, 1.0)
+        swept = beam_broadening_sweep(
+            [TurbulenceParams(w_over_r0=w) for w in strengths], 100, 60.0, 0.01, 2, grid
+        )
+        # w/r0 = 2.0 aliases in realization 0 and is not propagated again
+        assert sweep_calls["propagate"] == 1 + 2 * 100
+        with pytest.raises(AliasingError) as literal_error:
+            literal_broadening(TurbulenceParams(w_over_r0=2.0), 100, 60.0, 0.01, 2, grid)
+        assert isinstance(swept[1], AliasingError)
+        assert str(swept[1]) == str(literal_error.value)
+        for k in (0, 2):
+            params = TurbulenceParams(w_over_r0=strengths[k])
+            assert tuple(swept[k]) == literal_broadening(params, 100, 60.0, 0.01, 2, grid)
+        with pytest.raises(AliasingError, match=str(literal_error.value)):
+            beam_broadening_mc(TurbulenceParams(w_over_r0=2.0), 100, 60.0, 0.01, 2, grid)
+
+    def test_one_unit_screen_per_realization(self, sweep_calls):
+        params = [TurbulenceParams(w_over_r0=w) for w in (0.0, 0.3, 0.6, 1.0)]
+        beam_broadening_sweep(params, 100, 30.0, 0.01, 1, SMALL)
+        assert sweep_calls == {"unit": 100, "propagate": 1 + 3 * 100}
+        sweep_calls.update(unit=0, propagate=0)
+        beam_broadening_sweep(params[:1], 100, 30.0, 0.01, 1, SMALL)
+        assert sweep_calls == {"unit": 0, "propagate": 1}
+
+    def test_argument_checks(self):
+        with pytest.raises(StatisticsError):
+            beam_broadening_sweep([P06], 99, 30.0, 0.01, 1, SMALL)
+        with pytest.raises(RangeError):
+            beam_broadening_sweep([P06, TurbulenceParams(w_over_r0=2.5)], 100, 30.0,
+                                  0.01, 1, SMALL)
+        with pytest.raises(RangeError):
+            beam_broadening_sweep([P06], 100, 30.0, 0.01, -1, SMALL)
+        with pytest.raises(DomainError):
+            beam_broadening_sweep([P06, TurbulenceParams(w_over_r0=0.6, outer_scale=5.0)],
+                                  100, 30.0, 0.01, 1, SMALL)
+        assert beam_broadening_sweep([], 100, 30.0, 0.01, 1, SMALL) == []
