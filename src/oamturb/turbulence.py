@@ -33,6 +33,7 @@ from .fields import (
     GridSpec,
     ScalarField,
     VectorField,
+    expi,
     intensity_frame_fraction,
     make_lg_mode,
     propagate,
@@ -159,7 +160,7 @@ class PhaseScreen:
     @functools.cached_property
     def phase_factor(self) -> np.ndarray:
         """exp(i phase), cached; read-only."""
-        u = np.exp(1j * self.phase)
+        u = expi(self.phase)
         u.flags.writeable = False
         return u
 

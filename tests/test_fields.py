@@ -22,7 +22,8 @@ from oamturb import (
     propagate,
     rotate_modal,
 )
-from oamturb.fields import _transfer_function
+from oamturb.elements import decode_factors
+from oamturb.fields import _shear_phase, _transfer_function, expi
 
 GRID = GridSpec()
 
@@ -183,7 +184,94 @@ class TestOamPowerSpectrum:
             oam_power_spectrum(f, -300, 300)
 
 
+def _shear_x(f, a, cy, pitch):
+    fx = np.fft.fftfreq(f.shape[1], d=pitch)
+    ph = np.exp(-2j * np.pi * np.outer(cy * a, fx))
+    return np.fft.ifft(np.fft.fft(f, axis=1) * ph, axis=1)
+
+
+def _shear_y(f, b, cx, pitch):
+    fy = np.fft.fftfreq(f.shape[0], d=pitch)
+    ph = np.exp(-2j * np.pi * np.outer(fy, cx * b))
+    return np.fft.ifft(np.fft.fft(f, axis=0) * ph, axis=0)
+
+
+def literal_rotate_modal(f, theta):
+    """rotate_modal as three full-array shears with np.exp phases built per
+    shear: the reference the cached, row-trimmed version must match."""
+    n = f.grid.n
+    pitch = f.grid.pitch
+    th = float(theta) % (2 * np.pi)
+    if th == 0.0:
+        return f
+    k = int(np.round(th / (np.pi / 2)))
+    resid = th - k * (np.pi / 2)
+    k %= 4
+    g = np.rot90(f.samples, -k) if k else f.samples
+    if resid != 0.0:
+        m = 2 * n
+        s = (m - n) // 2
+        big = np.zeros((m, m), dtype=np.complex128)
+        big[s : s + n, s : s + n] = g
+        cb = (np.arange(m) - m / 2 + 0.5) * pitch
+        a = -np.tan(resid / 2)
+        b = np.sin(resid)
+        big = _shear_x(_shear_y(_shear_x(big, a, cb, pitch), b, cb, pitch), a, cb, pitch)
+        g = big[s : s + n, s : s + n]
+    else:
+        g = g.copy()
+    return ScalarField(f.grid, g)
+
+
+PIN_ANGLES = tuple(2 * np.pi * k / 16 for k in range(16)) + (
+    0.35, 2.0, 3 * np.pi / 2, -0.7, 1e-9, np.pi / 4, np.pi / 4 + 1e-12,
+)
+
+
+class TestExpi:
+    def test_equals_complex_exponential(self):
+        x = np.concatenate([
+            [0.0, -0.0, np.pi, -np.pi, 2 * np.pi, np.pi / 2, 1e22, -1e22, 5e15],
+            np.random.default_rng(3).uniform(-1e6, 1e6, 10_000),
+            np.linspace(-50.0, 50.0, 10_001),
+        ])
+        u = expi(x)
+        assert u.dtype == np.complex128
+        assert np.array_equal(u, np.exp(1j * x))
+
+
 class TestRotateModal:
+    @pytest.mark.parametrize("n", [32, 64, 128, 256])
+    def test_matches_literal_three_shears_bitwise(self, n):
+        g = GridSpec(n, 8.0)
+        rng = np.random.default_rng(n)
+        kinds = {
+            "lg": make_lg_mode(1, g).samples,
+            "decode": decode_factors(1, g)[1],
+            "random": rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+        }
+        for kind, samples in kinds.items():
+            f = ScalarField(g, samples)
+            for theta in PIN_ANGLES:
+                got = rotate_modal(f, theta).samples
+                want = literal_rotate_modal(f, theta).samples
+                assert np.array_equal(got, want), (kind, theta)
+
+    def test_shear_phases_cached_and_read_only(self):
+        assert _shear_phase.cache_info().maxsize == 2
+        g = GridSpec(64, 8.0)
+        proj_r, proj_l = decode_factors(1, g)
+        _shear_phase.cache_clear()
+        rotate_modal(ScalarField(g, proj_r), 0.3)
+        assert _shear_phase.cache_info().misses == 2
+        # a second field at the same angle builds no phase
+        rotate_modal(ScalarField(g, proj_l), 0.3)
+        assert _shear_phase.cache_info().misses == 2
+        ph = _shear_phase(2 * g.n, g.pitch, np.sin(0.3))
+        assert not ph.flags.writeable
+        with pytest.raises(ValueError):
+            ph[0, 0] = 0.0
+
     def test_zero_angle_is_identity_object(self):
         f = make_lg_mode(1, GRID)
         assert rotate_modal(f, 0.0) is f

@@ -1,15 +1,19 @@
 """Kolmogorov statistics, screen synthesis, and the broadening inverter."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oamturb import (
     AliasingError,
     DomainError,
     GridSpec,
+    PhaseScreen,
     RangeError,
     ShapeMismatchError,
     StatisticsError,
@@ -187,6 +191,19 @@ class TestGenerateScreen:
         with pytest.raises(ValueError):
             s.phase[0, 0] = 1.0
 
+    def test_phase_factor_is_complex_exponential(self):
+        # 2 spectra x 3 strengths x 17 keys = 102 screens
+        grid = GridSpec(128, 8.0)
+        for outer_scale in (None, 5.0):
+            for w in (0.3, 1.4, 1.99):
+                params = TurbulenceParams(w_over_r0=w, outer_scale=outer_scale)
+                for i in range(17):
+                    s = generate_screen(params, grid, np.random.SeedSequence(entropy=[6, i]))
+                    u = s.phase_factor
+                    assert np.array_equal(u, np.exp(1j * s.phase)), (outer_scale, w, i)
+                    assert u is s.phase_factor
+                    assert not u.flags.writeable
+
 
 @pytest.fixture(scope="module")
 def screens_200():
@@ -296,6 +313,37 @@ class TestScreenIo:
         back = load_screen(path)
         assert back.params == s.params
         assert np.array_equal(back.phase, s.phase)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        phase=arrays(np.float64, (32, 32),
+                     elements=st.floats(allow_nan=False, allow_infinity=False)),
+        extent=st.floats(0.1, 100.0),
+        seed=st.integers(min_value=0),
+        w_over_r0=st.floats(0.0, 1e6),
+        physical=st.none() | st.tuples(
+            st.floats(1e-7, 1e-5), st.floats(1e-18, 1e-12),
+            st.floats(1.0, 1e5), st.floats(1e-3, 1.0),
+        ),
+        outer_scale=st.none() | st.floats(1e-3, 1e3),
+    )
+    def test_round_trip_property(self, phase, extent, seed, w_over_r0, physical,
+                                 outer_scale):
+        if physical is None:
+            params = TurbulenceParams(w_over_r0=w_over_r0, outer_scale=outer_scale)
+        else:
+            wavelength_m, cn2, path_m, waist_m = physical
+            params = TurbulenceParams(wavelength_m=wavelength_m, cn2=cn2, path_m=path_m,
+                                      waist_m=waist_m, outer_scale=outer_scale)
+        s = PhaseScreen(GridSpec(32, extent), phase, seed, params)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "screen.csv"
+            save_screen(s, path)
+            back = load_screen(path)
+        assert np.array_equal(back.phase, s.phase)
+        assert back.grid == s.grid
+        assert back.seed == seed
+        assert back.params == params
 
     @pytest.mark.parametrize("header", [
         "# n=64 extent=6.0 seed=1 w_over_r0=abc\n",
