@@ -19,10 +19,12 @@ import argparse
 import datetime
 import json
 import os.path
+import platform
 import sys
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 from scipy.stats import spearmanr
 
 from . import __version__, analytic
@@ -262,12 +264,20 @@ def _write_record(command: str, cfg: dict, record: _Record) -> None:
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
     manifest = {
         "subcommand": command,
         "config": cfg,
         "master_seed": cfg["seed"],
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        # what produced the run; outside "config", so a replay ignores it
+        "environment": {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "blas_name": blas.get("name"),
+            "blas_version": blas.get("version"), "cpu_count": os.cpu_count(),
+            **{var: os.environ.get(var) for var in
+               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}},
     }
     for name, obj in (("summary.json", {"config": cfg, **record.summary}),
                       ("manifest.json", manifest)):

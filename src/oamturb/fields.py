@@ -235,12 +235,19 @@ def _shear_phase(m: int, pitch: float, coeff: float) -> np.ndarray:
     return ph
 
 
+def _quarter_turns(theta: float) -> tuple[int, float]:
+    """theta mod 2 pi as k quarter turns, 0 <= k < 4, and a residual r."""
+    th = float(theta) % (2 * np.pi)
+    k = int(np.round(th / (np.pi / 2)))
+    return k % 4, th - k * (np.pi / 2)
+
+
 def rotate_modal(f: ScalarField, theta: float) -> ScalarField:
     """Rotate the transverse profile by theta about the beam axis.
 
     A pure mode c_l(r) e^{i l theta_az} maps to e^{-i l theta} times itself.
     Quadrant parts of the angle are exact array rotations; the residual in
-    (-pi/4, pi/4] is applied as three FFT shears (x, y, x) on a 2x
+    [-pi/4, pi/4] is applied as three FFT shears (x, y, x) on a 2x
     zero-padded copy, which is exact for fields that are band-limited and
     negligible at the grid edge.  The x shears act row by row, so they skip
     the padding rows: zero on the way in, cropped on the way out.
@@ -248,12 +255,9 @@ def rotate_modal(f: ScalarField, theta: float) -> ScalarField:
     """
     n = f.grid.n
     pitch = f.grid.pitch
-    th = float(theta) % (2 * np.pi)
-    if th == 0.0:
+    k, resid = _quarter_turns(theta)
+    if k == 0 and resid == 0.0:
         return f
-    k = int(np.round(th / (np.pi / 2)))
-    resid = th - k * (np.pi / 2)
-    k %= 4
     g = np.rot90(f.samples, -k) if k else f.samples
     if resid != 0.0:
         m = 2 * n

@@ -9,8 +9,8 @@ and a screen multiplies both polarization components by one phase, so a
 realization needs two overlaps per l of e^{i phi} with precomputed
 weights; every state's amplitudes then follow by 2x2 algebra
 (elements.decode_factors, DECODE_MIX), in place of a full-grid decode per
-state.  The rotation scan rotates the weights once per angle, not the
-screened fields.
+state.  The rotation scan rotates the weights, not the screened fields,
+and shears them once for all angles that share a residual shear.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from .analytic import DEFAULT_STRENGTHS
 from .elements import DECODE_MIX, MUB_LABELS, decode_factors, mub_states
 from .errors import DomainError, RangeError, StatisticsError
-from .fields import GridSpec, ScalarField, make_lg_mode, rotate_modal
+from .fields import GridSpec, ScalarField, _quarter_turns, make_lg_mode, rotate_modal
 from .turbulence import TurbulenceParams, generate_screen
 
 # success_prob below this is a total-loss event, excluded from fidelity
@@ -32,6 +32,8 @@ LOSS_THRESHOLD = 1e-12
 # screens the rotation scan holds at once (1 MB each at 256^2); each
 # block rebuilds every angle's weights
 _SCREEN_BLOCK = 32
+# residual shears this close are one shear (2 pi k / 16 gives ulp-apart pairs)
+_SHEAR_GROUP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -157,22 +159,23 @@ def _parallel_fill(n_items: int, worker, n_workers: int) -> None:
             f.result()
 
 
-def _weights(ls: list[int], grid: GridSpec, theta: float = 0.0) -> np.ndarray:
+def _weights(ls: list[int], grid: GridSpec, theta: float = 0.0,
+             projections: list | None = None) -> np.ndarray:
     """Rows W_{+l}, W_{-l} per l in ls: for a screen phase factor u,
     X = W_{+l} . u and Y = W_{-l} . u are the decode_factors overlaps of
     rotate_frame(., theta) applied to LG_{+l} u and LG_{-l} u.
 
-    <P, R_theta f> = <R_{-theta} P, f> for rotate_modal R (exactly without
-    a quarter turn, to rounding for well-sampled fields with one), so the
-    rotation acts once on each projection, not on every screened field.
+    rotate_modal is R_theta = S_r Q^k (fields._quarter_turns); its exact
+    adjoint Q^{-k} S_{-r} acts on each projection, not on each screened field.
+    projections: per l, the decode_factors pair sheared by -r (default r = 0).
     """
+    k = _quarter_turns(theta)[0]
     frame = np.exp(1j * theta)
     rows = []
-    for l in ls:
-        proj_r, proj_l = decode_factors(l, grid)
-        for proj, mode, phase in ((proj_r, l, np.conj(frame)), (proj_l, -l, frame)):
+    for l, pair in zip(ls, projections or [decode_factors(l, grid) for l in ls]):
+        for proj, mode, phase in zip(pair, (l, -l), (np.conj(frame), frame)):
             if theta != 0.0:
-                proj = rotate_modal(ScalarField(grid, proj), -theta).samples * phase
+                proj = np.rot90(proj, k) * phase
             rows.append((np.conj(proj) * make_lg_mode(mode, grid).samples).ravel())
     return np.array(rows)
 
@@ -254,6 +257,10 @@ def _rotation_samples(config: ExperimentConfig, n_workers: int = 1):
     params = TurbulenceParams(w_over_r0=config.strengths[0])
     ls = sorted({s.l for s in config.states})
     xy = np.empty((len(config.angles), config.n_realizations, 2 * len(ls)), complex)
+    groups: dict[float, list[int]] = {}  # first residual shear -> angles
+    for j, resid in enumerate(_quarter_turns(t)[1] for t in config.angles):
+        key = next((r for r in groups if abs(r - resid) < _SHEAR_GROUP_TOL), resid)
+        groups.setdefault(key, []).append(j)
     for first in range(0, config.n_realizations, _SCREEN_BLOCK):
         block = range(first, min(first + _SCREEN_BLOCK, config.n_realizations))
         screens = [None] * len(block)
@@ -264,10 +271,14 @@ def _rotation_samples(config: ExperimentConfig, n_workers: int = 1):
                 screens[b] = screen.phase_factor.ravel()
 
         _parallel_fill(len(block), worker, n_workers)
-        for j, theta in enumerate(config.angles):
-            weights = _weights(ls, grid, theta)
-            for i, u in zip(block, screens):
-                xy[j, i] = weights @ u
+        for resid, members in groups.items():
+            sheared = [[rotate_modal(ScalarField(grid, p), -resid).samples if resid else p
+                        for p in decode_factors(l, grid)] for l in ls]
+            for j in members:
+                weights = _weights(ls, grid, config.angles[j], sheared)
+                for i, u in zip(block, screens):
+                    xy[j, i] = weights @ u
+            del sheared  # not held while the next group is sheared
     return _score(xy, config)
 
 

@@ -407,16 +407,16 @@ def coherence_estimate(screens, separations) -> dict[float, tuple[float, float]]
     the separation.  Returns {separation: (mean, stderr)}.
     """
     lags = _check_ensemble(screens, separations)
-    out: dict[float, tuple[float, float]] = {}
-    for sep, lag in lags.items():
-        vals = np.empty(len(screens))
-        for i, s in enumerate(screens):
-            ph = s.phase
-            dx = ph[:, lag:] - ph[:, :-lag]
-            dy = ph[lag:, :] - ph[:-lag, :]
-            vals[i] = 0.5 * (np.mean(np.cos(dx)) + np.mean(np.cos(dy)))
-        out[sep] = (float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals))))
-    return out
+    vals = np.empty((len(lags), len(screens)))
+    for i, s in enumerate(screens):
+        # cos(phi' - phi) = c'c + s's: one cos and one sin per screen
+        c, sn = np.cos(s.phase), np.sin(s.phase)
+        for j, lag in enumerate(lags.values()):
+            dx = c[:, lag:] * c[:, :-lag] + sn[:, lag:] * sn[:, :-lag]
+            dy = c[lag:, :] * c[:-lag, :] + sn[lag:, :] * sn[:-lag, :]
+            vals[j, i] = 0.5 * (np.mean(dx) + np.mean(dy))
+    return {sep: (float(v.mean()), float(v.std(ddof=1) / np.sqrt(len(v))))
+            for sep, v in zip(lags, vals)}
 
 
 def fried_from_broadening(w_t: float, w: float) -> float:

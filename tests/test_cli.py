@@ -2,8 +2,11 @@
 
 import json
 import os
+import platform
 
+import numpy as np
 import pytest
+import scipy
 
 import oamturb.cli
 from oamturb import load_screen
@@ -127,6 +130,23 @@ class TestPhCurve:
         assert (replay / "ph_curve.csv").read_bytes() == (
             first_run / "ph_curve.csv"
         ).read_bytes()
+
+    def test_manifest_records_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "env"
+        assert run(TINY_PH + ["--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        env = manifest["environment"]
+        assert sorted(env) == sorted([
+            "python", "numpy", "scipy", "blas_name", "blas_version", "cpu_count",
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"])
+        assert env["python"] == platform.python_version()
+        assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
+        assert env["cpu_count"] == os.cpu_count()
+        assert (env["OMP_NUM_THREADS"], env["MKL_NUM_THREADS"]) == ("3", None)
+        assert "environment" not in manifest["config"]
+        assert "environment" not in json.loads((out / "summary.json").read_text())
 
     def test_worker_count_independent(self, first_run, tmp_path):
         out = tmp_path / "workers"

@@ -22,13 +22,14 @@ from oamturb import (
     run_rotation_scan,
 )
 from oamturb import montecarlo
-from oamturb.elements import decode, fidelity, mub_states, rotate_frame
-from oamturb.fields import ScalarField, VectorField, make_lg_mode
+from oamturb.elements import decode, decode_factors, fidelity, mub_states, rotate_frame
+from oamturb.fields import ScalarField, VectorField, make_lg_mode, rotate_modal
 from oamturb.montecarlo import (
     LOSS_THRESHOLD,
     _cell_screen,
     _fidelity_samples,
     _rotation_samples,
+    _score,
 )
 
 P06 = TurbulenceParams(w_over_r0=0.6)
@@ -119,6 +120,34 @@ def literal_samples(config, theta=0.0):
     return suc, fid
 
 
+def literal_weights(ls, grid, theta):
+    """The rotation scan's weight rows built angle by angle: each decode
+    projection rotated by rotate_modal(., -theta), then the frame phase."""
+    frame = np.exp(1j * theta)
+    rows = []
+    for l in ls:
+        proj_r, proj_l = decode_factors(l, grid)
+        for proj, mode, phase in ((proj_r, l, np.conj(frame)), (proj_l, -l, frame)):
+            if theta != 0.0:
+                proj = rotate_modal(ScalarField(grid, proj), -theta).samples * phase
+            rows.append((np.conj(proj) * make_lg_mode(mode, grid).samples).ravel())
+    return np.array(rows)
+
+
+def per_angle_samples(config):
+    """_rotation_samples with literal_weights for every angle."""
+    ls = sorted({s.l for s in config.states})
+    params = TurbulenceParams(w_over_r0=config.strengths[0])
+    screens = [_cell_screen(config.master_seed, 0, i, params, config.grid)
+               .phase_factor.ravel() for i in range(config.n_realizations)]
+    xy = np.empty((len(config.angles), config.n_realizations, 2 * len(ls)), complex)
+    for j, theta in enumerate(config.angles):
+        weights = literal_weights(ls, config.grid, theta)
+        for i, u in enumerate(screens):
+            xy[j, i] = weights @ u
+    return _score(xy, config)
+
+
 @pytest.fixture(scope="module")
 def tiny_config():
     return ExperimentConfig(
@@ -192,11 +221,11 @@ class TestFidelityScan:
 class TestRotationScan:
     @pytest.mark.parametrize("theta", [0.35, 2.0, 3 * np.pi / 2])
     def test_matches_literal_rotate_frame_per_realization(self, theta):
-        # Without a quarter turn (0.35, 3 pi / 2) rotate_modal(-theta) is the
-        # exact adjoint.  At 2.0 it applies its quarter turn on the other
-        # side of the shears, which commute with it only for well-sampled
-        # fields: below 1e-11 here, 9e-9 on the 64 / 6.0 grid.  The l = 2
-        # superpositions pick up a relative phase, so their fidelity drops.
+        # The weights are rotated by the exact adjoint of rotate_frame at
+        # every angle (the shear first, then the quarter turn), so this
+        # holds to rounding; test_exact_adjoint_on_coarse_grid pins it at
+        # 1e-14 on the 64 / 6.0 grid.  The l = 2 superpositions pick up a
+        # relative phase, so their fidelity drops.
         base = dict(strengths=(0.6,), n_realizations=2, master_seed=3,
                     grid=GridSpec(128, 8.0),
                     states=tuple(mub_states(1) + mub_states(2)))
@@ -204,6 +233,42 @@ class TestRotationScan:
         ref_suc, ref_fid = literal_samples(ExperimentConfig(**base), theta)
         np.testing.assert_allclose(suc, ref_suc, rtol=0, atol=1e-10)
         np.testing.assert_allclose(fid, ref_fid, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("theta", [2.0, 5 * np.pi / 8, 3 * np.pi / 2])
+    def test_exact_adjoint_on_coarse_grid(self, theta):
+        # rotate_modal(., -theta) alone puts the quarter turn on the wrong
+        # side of the shears (literal_weights): 1.4e-8 here.
+        base = dict(strengths=(0.6,), n_realizations=2, master_seed=3, grid=SMALL,
+                    states=tuple(mub_states(1) + mub_states(2)))
+        suc, fid, _ = _rotation_samples(ExperimentConfig(angles=(theta,), **base))
+        ref_suc, ref_fid = literal_samples(ExperimentConfig(**base), theta)
+        np.testing.assert_allclose(suc, ref_suc, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(fid, ref_fid, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n_angles", [16, 12, 5])
+    def test_grouped_shears_match_per_angle_weights(self, n_angles):
+        # Measured: at most 1.5e-12 in success and 7e-16 in fidelity.
+        cfg = ExperimentConfig(
+            strengths=(0.6,), n_realizations=4, master_seed=2,
+            angles=tuple(2 * np.pi * k / n_angles for k in range(n_angles)),
+        )
+        for a, b in zip(_rotation_samples(cfg)[:2], per_angle_samples(cfg)[:2]):
+            np.testing.assert_allclose(a, b, rtol=0, atol=5e-12)
+
+    @pytest.mark.parametrize("angles", [
+        tuple(2 * np.pi * k / 16 for k in range(16)), rotation_preset().angles,
+    ])
+    def test_one_shear_per_residual_and_projection(self, monkeypatch, angles):
+        calls = []
+
+        def counting(f, theta):
+            calls.append(theta)
+            return rotate_modal(f, theta)
+
+        monkeypatch.setattr(montecarlo, "rotate_modal", counting)
+        _rotation_samples(ExperimentConfig(
+            strengths=(0.6,), n_realizations=2, grid=SMALL, angles=angles))
+        assert len(calls) == 8
 
     def test_quarter_turn_grid_is_angle_independent(self):
         cfg = ExperimentConfig(

@@ -205,6 +205,19 @@ class TestGenerateScreen:
                     assert not u.flags.writeable
 
 
+def literal_coherence(screens, sep):
+    """coherence_estimate's (mean, stderr) at one separation, from one cos
+    of the two phase-difference arrays per screen."""
+    lag = round(sep / screens[0].grid.pitch)
+    vals = np.empty(len(screens))
+    for i, s in enumerate(screens):
+        ph = s.phase
+        dx = ph[:, lag:] - ph[:, :-lag]
+        dy = ph[lag:, :] - ph[:-lag, :]
+        vals[i] = 0.5 * (np.mean(np.cos(dx)) + np.mean(np.cos(dy)))
+    return vals.mean(), vals.std(ddof=1) / np.sqrt(len(vals))
+
+
 @pytest.fixture(scope="module")
 def screens_200():
     return [
@@ -234,6 +247,13 @@ class TestEnsembleStatistics:
         mean, stderr = coherence_estimate(screens_200, [sep])[sep]
         theory = math.exp(-structure_function(sep, P10) / 2)
         assert abs(mean - theory) <= 4 * stderr
+
+    def test_coherence_matches_literal_cosine_loop(self, screens_200):
+        seps = [lag * GRID.pitch for lag in (1, 8, 32, 100)]
+        est = coherence_estimate(screens_200, seps)
+        for sep in seps:
+            ref = literal_coherence(screens_200, sep)
+            np.testing.assert_allclose(est[sep], ref, rtol=0, atol=1e-12)
 
     def test_too_few_screens_rejected(self, screens_200):
         with pytest.raises(StatisticsError):
