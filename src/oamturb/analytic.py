@@ -40,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaln
 
 from .errors import DomainError, RangeError, ToleranceError
 from .turbulence import STRUCTURE_COEFF, TurbulenceParams
@@ -152,8 +151,10 @@ def _separation_rule(l: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.n
     jac = weight * d  # polar measure d dd
     i = np.arange(l + 1)
     moments = [math.comb(l, k) ** 2 / math.comb(2 * l, 2 * k) for k in range(l + 1)]
-    # Poisson terms s^{2i} e^{-s} / (2i)! in log form: no overflow at large l
-    poisson = np.exp(2 * i[:, None] * np.log(s) - s - gammaln(2 * i + 1)[:, None])
+    # Poisson terms s^{2i} e^{-s} / (2i)! in log form: no overflow at large l;
+    # log (2i)! is correctly rounded (== gammaln(2i + 1) up to i = 6)
+    log_fact = np.array([math.log(math.factorial(2 * k)) for k in range(l + 1)])
+    poisson = np.exp(2 * i[:, None] * np.log(s) - s - log_fact[:, None])
     k0 = jac * (moments @ poisson)
     # e^{-s/2} L_k(s) stays within [-1, 1], so its recurrence cannot overflow
     half = np.exp(-s / 2)

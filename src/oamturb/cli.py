@@ -21,11 +21,11 @@ import json
 import os.path
 import platform
 import sys
+import time
 from typing import NamedTuple
 
 import numpy as np
 import scipy
-from scipy.stats import spearmanr
 
 from . import __version__, analytic
 from .analytic import DEFAULT_STRENGTHS, QuadratureConfig, ring_coefficients
@@ -254,9 +254,12 @@ class _Record(NamedTuple):
     failure: str | None = None
 
 
-def _write_record(command: str, cfg: dict, record: _Record) -> None:
+def _write_record(command: str, cfg: dict, record: _Record, compute_s: float) -> None:
     """Write a run's CSV tables, summary.json and manifest.json into
-    cfg["out_dir"], creating it if needed."""
+    cfg["out_dir"], creating it if needed.  The manifest's timings give
+    compute_s, the command's wall time, and write_s, the time spent writing
+    the tables and summary.json."""
+    start = time.perf_counter()
     out = cfg["out_dir"]
     os.makedirs(out, exist_ok=True)
     for name, (header, rows) in record.tables.items():
@@ -264,6 +267,7 @@ def _write_record(command: str, cfg: dict, record: _Record) -> None:
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_json(os.path.join(out, "summary.json"), {"config": cfg, **record.summary})
     blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
     manifest = {
         "subcommand": command,
@@ -278,12 +282,16 @@ def _write_record(command: str, cfg: dict, record: _Record) -> None:
             "blas_version": blas.get("version"), "cpu_count": os.cpu_count(),
             **{var: os.environ.get(var) for var in
                ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}},
+        # wall times in seconds; like "environment", never replayed
+        "timings": {"compute_s": compute_s, "write_s": time.perf_counter() - start},
     }
-    for name, obj in (("summary.json", {"config": cfg, **record.summary}),
-                      ("manifest.json", manifest)):
-        with open(os.path.join(out, name), "w", encoding="utf-8", newline="") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write_json(os.path.join(out, "manifest.json"), manifest)
+
+
+def _write_json(path: str, obj: dict) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _grid(cfg: dict) -> GridSpec:
@@ -497,6 +505,24 @@ def cmd_screen_validate(cfg: dict) -> _Record:
     )
 
 
+def _ranks(x) -> np.ndarray:
+    """1-based ranks of x, tied values sharing their average rank: the
+    count of smaller values plus (count of equal values + 1) / 2."""
+    x = np.asarray(x, dtype=float)
+    return (x[:, None] > x).sum(axis=1) + ((x[:, None] == x).sum(axis=1) + 1) / 2
+
+
+def _spearman(a, b) -> float:
+    """Spearman rank correlation sum(da db) / sqrt(sum(da^2) sum(db^2)) of
+    the centred ranks: exactly 1.0 when the two rankings agree (a single
+    square root of a square), NaN when either input is constant."""
+    da, db = _ranks(a), _ranks(b)
+    da -= da.mean()
+    db -= db.mean()
+    with np.errstate(invalid="ignore"):
+        return float(np.sum(da * db) / np.sqrt(np.sum(da * da) * np.sum(db * db)))
+
+
 def cmd_calibrate(cfg: dict) -> _Record:
     grid = _grid(cfg)
     physical = {k: cfg[k] for k in ("lambda_nm", "cn2", "path_m", "waist_mm")}
@@ -539,10 +565,7 @@ def cmd_calibrate(cfg: dict) -> _Record:
         margins.append({"w_over_r0": s, "fraction": res.max_boundary_energy_fraction})
     true_vals = [r[0] for r in rows]
     inferred_vals = [r[3] for r in rows]
-    if len(rows) >= 3:
-        rho = float(spearmanr(true_vals, inferred_vals).statistic)
-    else:
-        rho = float("nan")
+    rho = _spearman(true_vals, inferred_vals) if len(rows) >= 3 else float("nan")
     monotone = all(inferred_vals[i] <= inferred_vals[i + 1] + 1e-12
                    for i in range(len(inferred_vals) - 1))
     summary = {
@@ -581,8 +604,9 @@ def main(argv=None) -> int:
         return 0 if not exc.code else 1
     try:
         cfg = _resolve_config(args.command, args)
+        start = time.perf_counter()
         record = _COMMANDS[args.command](cfg)
-        _write_record(args.command, cfg, record)
+        _write_record(args.command, cfg, record, time.perf_counter() - start)
         message, code = record.failure, 2 if record.failure else 0
     except (ToleranceError, StatisticsError, AliasingError) as exc:
         message, code = exc, 2

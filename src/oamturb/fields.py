@@ -12,8 +12,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.ndimage import map_coordinates
 
 from .errors import AliasingError, DomainError, RangeError, ShapeMismatchError
 
@@ -187,6 +185,10 @@ def oam_power_spectrum(
     not counted, so the values sum to slightly less than the total power
     for beams that reach the grid corners.
     """
+    # imported here: no command needs them, and they are slow to import
+    from scipy.integrate import simpson
+    from scipy.ndimage import map_coordinates
+
     if l_min > l_max:
         raise RangeError(f"l_min={l_min} exceeds l_max={l_max}")
     grid = f.grid

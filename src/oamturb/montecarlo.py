@@ -30,7 +30,8 @@ from .turbulence import TurbulenceParams, generate_screen
 # success_prob below this is a total-loss event, excluded from fidelity
 LOSS_THRESHOLD = 1e-12
 # screens the rotation scan holds at once (1 MB each at 256^2); each
-# block rebuilds every angle's weights
+# block rebuilds every angle's weights, shearing one residual group's
+# projections at a time, so memory does not grow with the number of angles
 _SCREEN_BLOCK = 32
 # residual shears this close are one shear (2 pi k / 16 gives ulp-apart pairs)
 _SHEAR_GROUP_TOL = 1e-12

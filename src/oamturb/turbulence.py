@@ -20,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gamma
 
 from .errors import (
     AliasingError,
@@ -46,7 +45,10 @@ STRUCTURE_COEFF = 6.88
 # r0^(-5/3) * f^(-11/3), fixed by the standard isotropic identity
 #   D(d) = 4 pi int_0^inf Phi(f) (1 - J0(2 pi f d)) f df
 # with int_0^inf u^(-8/3) (1 - J0(u)) du = 2^(-8/3) (6/5) G(1/6)/G(11/6).
-_BESSEL_MOMENT = 2 ** (-8 / 3) * (6 / 5) * gamma(1 / 6) / gamma(11 / 6)
+# G(1/6) and G(11/6) are literals of scipy.special.gamma's values, so the
+# package never imports scipy.special; math.gamma(11/6) differs from it by
+# 2 ulp, which would change every screen.
+_BESSEL_MOMENT = 2 ** (-8 / 3) * (6 / 5) * 5.566316001780236 / 0.9406558582567717
 PSD_COEFF = STRUCTURE_COEFF / (4 * np.pi * (2 * np.pi) ** (5 / 3) * _BESSEL_MOMENT)
 
 MAX_W_OVER_R0 = 2.0

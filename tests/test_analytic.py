@@ -19,7 +19,12 @@ from oamturb import (
     success_probability,
     theta_transform,
 )
-from oamturb.analytic import DEFAULT_STRENGTHS
+from oamturb.analytic import (
+    _SEPARATION_CUTOFF,
+    DEFAULT_STRENGTHS,
+    _cubic_rule,
+    _separation_rule,
+)
 
 P0 = TurbulenceParams(w_over_r0=0.0)
 P06 = TurbulenceParams(w_over_r0=0.6)
@@ -54,6 +59,26 @@ def literal_two_point_sum(l, strengths, radial_nodes=400, angular_nodes=1024):
             acc[i, 0] += np.einsum("k,kij->ij", weight[k:k + step], gam)
             acc[i, 1] += np.einsum("k,kij->ij", w_cos[k:k + step], gam)
     return [(dens @ a0 @ dens / np.pi, dens @ a2 @ dens / np.pi) for a0, a2 in acc]
+
+
+def gammaln_separation_rule(l, n_nodes):
+    """analytic._separation_rule with the log factorials of its Poisson
+    terms taken from scipy.special.gammaln."""
+    from scipy.special import gammaln
+
+    d, weight = _cubic_rule(n_nodes, _SEPARATION_CUTOFF * math.sqrt(l))
+    s = d * d
+    jac = weight * d
+    i = np.arange(l + 1)
+    moments = [math.comb(l, k) ** 2 / math.comb(2 * l, 2 * k) for k in range(l + 1)]
+    poisson = np.exp(2 * i[:, None] * np.log(s) - s - gammaln(2 * i + 1)[:, None])
+    k0 = jac * (moments @ poisson)
+    half = np.exp(-s / 2)
+    prev, laguerre = np.zeros_like(s), half
+    for k in range(2 * l):
+        prev, laguerre = laguerre, ((2 * k + 1 - s) * laguerre - k * prev) / (k + 1)
+    k2 = jac * laguerre * half
+    return d, k0 / k0.sum(), k2 / k0.sum()
 
 
 class TestQuadratureConfig:
@@ -181,6 +206,20 @@ class TestCouplingCoefficients:
         cc = coupling_coefficients(1, P06)
         assert abs(coef_2000.c0.mean - cc.c0) <= 3 * coef_2000.c0.stderr
         assert abs(coef_2000.c2l.mean - cc.c2l) <= 3 * coef_2000.c2l.stderr
+
+    @pytest.mark.parametrize("l", range(1, 41))
+    def test_separation_rule_matches_gammaln_form(self, l):
+        # The rule takes log (2k)! as math.log(math.factorial(2k)), correctly
+        # rounded; it equals gammaln(2k + 1) bit for bit up to k = 6.  Above
+        # that the two logs can differ by 1 ulp (5.7e-14 at 80!), which moves
+        # a Poisson term by as much relative to itself, so the weights are
+        # compared relative to the largest one (measured: 1.4e-14).
+        got, ref = _separation_rule(l, 200), gammaln_separation_rule(l, 200)
+        np.testing.assert_array_equal(got[0], ref[0])
+        for a, b in zip(got[1:], ref[1:]):
+            if l <= 6:
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_allclose(a, b, rtol=0, atol=5e-14 * np.abs(b).max())
 
 
 class TestRingCoefficients:

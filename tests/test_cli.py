@@ -1,16 +1,21 @@
 """Command-line interface: arguments, configs, manifests, and exit codes."""
 
 import json
+import math
 import os
 import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy
+import scipy.stats
 
+import oamturb
 import oamturb.cli
 from oamturb import load_screen
-from oamturb.cli import main
+from oamturb.cli import _spearman, main
 
 
 def run(args):
@@ -148,6 +153,16 @@ class TestPhCurve:
         assert "environment" not in manifest["config"]
         assert "environment" not in json.loads((out / "summary.json").read_text())
 
+    def test_manifest_records_timings(self, tmp_path):
+        out = tmp_path / "timed"
+        assert run(TINY_PH + ["--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        timings = manifest["timings"]
+        assert sorted(timings) == ["compute_s", "write_s"]
+        assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+        assert "timings" not in manifest["config"]
+        assert "timings" not in json.loads((out / "summary.json").read_text())
+
     def test_worker_count_independent(self, first_run, tmp_path):
         out = tmp_path / "workers"
         assert run(TINY_PH + ["--workers", "3", "--out-dir", str(out)]) == 0
@@ -214,7 +229,9 @@ class TestRunRecord:
         for name, data in first.items():
             assert (out / name).read_bytes() == data, name
         replayed = json.loads((out / "manifest.json").read_text())
-        del manifest["timestamp"], replayed["timestamp"]
+        # the wall-clock fields differ from run to run; the rest must not
+        for key in ("timestamp", "timings"):
+            del manifest[key], replayed[key]
         assert replayed == manifest
 
     def test_unwritable_out_dir_exits_one(self, tmp_path, capsys):
@@ -387,6 +404,8 @@ class TestCalibrate:
         margins = summary["max_boundary_energy_fraction"]
         assert [m["w_over_r0"] for m in margins] == [0.2, 1.0]
         assert 0.0 < margins[0]["fraction"] < margins[1]["fraction"] < limit
+        # two rows left: too few for a rank correlation
+        assert math.isnan(summary["spearman_rho"])
 
     def test_negative_seed_exits_one(self, tmp_path, capsys):
         rc = run(["calibrate", "--strengths", "0.3", "--realizations", "100",
@@ -394,3 +413,59 @@ class TestCalibrate:
         assert rc == 1
         assert capsys.readouterr().err == (
             "oamturb calibrate: seed must be nonnegative, got -1\n")
+
+
+class TestSpearman:
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_agreeing_rankings_give_exactly_one(self, n):
+        # scipy.stats.spearmanr reports 0.9999999999999999 at n = 5 and 10
+        true = np.linspace(0.0, 1.4, n)
+        assert _spearman(true, true**2 + 0.1) == 1.0
+        assert _spearman(true, -np.exp(-true)) == 1.0
+        assert _spearman(true, -true) == -1.0
+
+    def test_matches_scipy_with_ties(self):
+        rng = np.random.default_rng(8)
+        for _ in range(1000):
+            n = int(rng.integers(3, 30))
+            a = rng.integers(0, 6, size=n)
+            b = rng.integers(0, 6, size=n)
+            if np.all(a == a[0]) or np.all(b == b[0]):
+                continue  # constant input: both give NaN
+            expected = scipy.stats.spearmanr(a, b).statistic
+            assert abs(_spearman(a, b) - expected) <= 1e-12
+
+    def test_constant_input_is_nan(self):
+        assert math.isnan(_spearman([1.0, 1.0, 1.0], [0.0, 1.0, 2.0]))
+
+
+# heavy scipy subpackages that no command needs
+HEAVY_MODULES = ("scipy.stats", "scipy.integrate", "scipy.ndimage",
+                 "scipy.special", "scipy.optimize")
+
+_IMPORT_PROBE = """
+import json, sys
+heavy = {heavy!r}
+loaded = lambda: sorted(m for m in heavy if m in sys.modules)
+from oamturb.cli import main
+after_import = loaded()
+codes = {{cmd: main(argv) for cmd, argv in {cases!r}}}
+print(json.dumps({{"import": after_import, "run": loaded(), "codes": codes}}))
+"""
+
+
+class TestImports:
+    def test_cli_loads_no_heavy_scipy_subpackage(self, tmp_path):
+        # A fresh interpreter: this test session has imported them already.
+        cases = [(cmd, [cmd, *args, "--out-dir", str(tmp_path / cmd)])
+                 for cmd, (args, _, _) in RECORD_CASES.items()]
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(oamturb.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE.format(heavy=HEAVY_MODULES, cases=cases)],
+            env=env, cwd=tmp_path, capture_output=True, text=True, check=True)
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["codes"] == {cmd: code for cmd, (_, code, _) in RECORD_CASES.items()}
+        assert report["import"] == []
+        assert report["run"] == []

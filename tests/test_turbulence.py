@@ -126,6 +126,16 @@ class TestTheory:
         with pytest.raises(DomainError):
             structure_function(-1.0, P10)
 
+    def test_bessel_moment_matches_scipy_gamma_bitwise(self):
+        # the module writes the two gamma values as literals; every screen
+        # scales with PSD_COEFF, so this must hold bit for bit
+        from scipy.special import gamma
+
+        expected = 2 ** (-8 / 3) * (6 / 5) * gamma(1 / 6) / gamma(11 / 6)
+        assert turbulence._BESSEL_MOMENT == expected
+        assert turbulence.PSD_COEFF == turbulence.STRUCTURE_COEFF / (
+            4 * np.pi * (2 * np.pi) ** (5 / 3) * expected)
+
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(
         st.floats(0.0, 2.0), st.floats(0.0, 10.0), st.floats(0.05, 2.0)
