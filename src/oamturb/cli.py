@@ -46,14 +46,12 @@ from .turbulence import (
     TurbulenceParams,
     beam_broadening_mc,
     beam_broadening_sweep,
-    coherence_estimate,
-    ensemble_lags,
     fried_from_broadening,
     fried_parameter,
     generate_screen,
     save_screen,
+    screen_statistics,
     structure_function,
-    structure_function_estimate,
 )
 
 _COMMON_DEFAULTS = {
@@ -421,67 +419,63 @@ def cmd_screen_validate(cfg: dict) -> _Record:
     grid = _grid(cfg)
     strength = float(cfg["strength"])
     n_screens = int(cfg["realizations"])
+    n_export = int(cfg["export_screens"])
     seed = int(cfg["seed"])
     if seed < 0:
         raise _UsageError(f"seed must be nonnegative, got {seed}")
+    if n_screens < 1:
+        raise _UsageError("--realizations must be at least 1")
+    if n_export < 0:
+        raise _UsageError("--export-screens must be nonnegative")
     params = TurbulenceParams(w_over_r0=strength)
     pitch = grid.pitch
-    if strength > 0.0:
-        r0 = 1.0 / strength  # Fried length in waist units
-        if int(round(r0 / pitch)) > grid.n - 1:
-            raise _UsageError(
-                f"Fried length r0 = {r0:g} waists exceeds the grid span "
-                f"{(grid.n - 1) * pitch:g} waists; raise --grid-extent or --strength"
-            )
-        lags = sorted({
-            max(1, int(round(x / pitch)))
-            for x in np.geomspace(0.2 * r0, 2.0 * r0, 10)
-        } | {int(round(r0 / pitch))})
-        seps = [lag * pitch for lag in lags if lag <= grid.n - 1]
-        # the estimators' own checks, before any screen is drawn
-        ensemble_lags(n_screens, seps, grid)
-    screens = [
-        generate_screen(params, grid, np.random.SeedSequence(entropy=[seed, i]))
-        for i in range(n_screens)
-    ]
-    n_export = int(cfg["export_screens"])
-    if n_export > 0:
+
+    def draw():  # one screen at a time; the first n_export are written as they come
         screen_dir = os.path.join(cfg["out_dir"], "screens")
-        os.makedirs(screen_dir, exist_ok=True)
-        for i, s in enumerate(screens[:n_export]):
-            save_screen(s, os.path.join(screen_dir, f"screen_{i:04d}.csv"))
+        for i in range(n_screens):
+            screen = generate_screen(params, grid, np.random.SeedSequence(entropy=[seed, i]))
+            if i < n_export:
+                os.makedirs(screen_dir, exist_ok=True)
+                save_screen(screen, os.path.join(screen_dir, f"screen_{i:04d}.csv"))
+            yield screen
 
     if strength == 0.0:
-        peak = max(float(np.max(np.abs(s.phase))) for s in screens)
+        peak = max(float(np.max(np.abs(s.phase))) for s in draw())
         return _Record(
             {"structure_function.csv": (_STRUCTURE_HEADER, []),
              "coherence.csv": (_COHERENCE_HEADER, [])},
             {"passed": True, "zero_turbulence": True, "max_abs_phase": peak},
         )
 
-    d_emp = structure_function_estimate(screens, seps)
-    d_rows = []
-    for sep in seps:
-        mean, err = d_emp[sep]
-        d_rows.append([sep, mean, err, structure_function(sep, params)])
+    r0 = 1.0 / strength  # Fried length in waist units
+    r0_lag = int(round(r0 / pitch))
+    if r0_lag > grid.n - 1:
+        raise _UsageError(
+            f"Fried length r0 = {r0:g} waists exceeds the grid span "
+            f"{(grid.n - 1) * pitch:g} waists; raise --grid-extent or --strength"
+        )
+    lags = sorted({
+        max(1, int(round(x / pitch)))
+        for x in np.geomspace(0.2 * r0, 2.0 * r0, 10)
+    } | {r0_lag})
+    seps = [lag * pitch for lag in lags if lag <= grid.n - 1]
+    coh_seps = seps[:: max(1, len(seps) // 5)]
+    # every argument check runs before the first screen is drawn
+    d_emp, coh_emp = screen_statistics(draw(), n_screens, grid, seps, coh_seps)
+    d_rows = [[sep, *d_emp[sep], structure_function(sep, params)] for sep in seps]
 
-    sep_r0 = int(round(r0 / pitch)) * pitch
+    sep_r0 = r0_lag * pitch
     d_at_r0 = d_emp[sep_r0][0]
     ratio = d_at_r0 / structure_function(sep_r0, params)
-    logs = np.log([row[0] for row in d_rows])
-    logd = np.log([row[1] for row in d_rows])
+    logs, logd = np.log([row[:2] for row in d_rows]).T
     slope = float(np.polyfit(logs, logd, 1)[0])
 
-    coh_seps = seps[:: max(1, len(seps) // 5)]
-    coh_emp = coherence_estimate(screens, coh_seps)
     coh_rows = []
-    coh_ok = True
     for sep in coh_seps:
         mean, err = coh_emp[sep]
         theory = float(np.exp(-structure_function(sep, params) / 2))
-        ok = abs(mean - theory) <= 3 * err
-        coh_ok = coh_ok and ok
-        coh_rows.append([sep, mean, err, theory, ok])
+        coh_rows.append([sep, mean, err, theory, abs(mean - theory) <= 3 * err])
+    coh_ok = all(row[4] for row in coh_rows)
 
     d_ok = abs(ratio - 1.0) <= 0.10
     slope_ok = abs(slope - 5 / 3) <= 0.10

@@ -323,39 +323,33 @@ def run_coefficient_estimate(
 
     Per screen: c0 sample |<l|psi_l>|^2, c2l sample |<-l|psi_l>|^2, and
     the reverse cross term |<l|psi_{-l}>|^2; psi_m is LG_m times the
-    screen phase.  Screens are keyed by (master_seed, realization index).
+    screen phase u, so each overlap <a|psi_b> is one weight row
+    conj(LG_a) LG_b dotted with u.  The two keep rows (a = b) are built
+    separately, so mirror_dev compares two independent overlaps.  Screens
+    are keyed by (master_seed, realization index).
     """
     if n < 100:
         raise StatisticsError(f"need >= 100 realizations, got {n}")
     if grid is None:
         grid = GridSpec()
-    lg_p = make_lg_mode(l, grid).samples
-    lg_m = make_lg_mode(-l, grid).samples
-    pitch_sq = grid.pitch**2
-    c0_s = np.empty(n)
-    c2l_s = np.empty(n)
-    rev_s = np.empty(n)
-    dev_s = np.empty(n)
+    lg_p, lg_m = (make_lg_mode(m, grid).samples for m in (l, -l))
+    # rows <l|psi_l>, <-l|psi_l>, <l|psi_{-l}>, <-l|psi_{-l}>
+    weights = np.array([(np.conj(a) * b).ravel()
+                        for a, b in ((lg_p, lg_p), (lg_m, lg_p), (lg_p, lg_m), (lg_m, lg_m))])
+    ov = np.empty((n, 4), complex)
 
     def worker(start: int, stop: int) -> None:
         for i in range(start, stop):
             ss = np.random.SeedSequence(entropy=[int(master_seed), int(i)])
-            screen = generate_screen(params, grid, ss)
-            u = screen.phase_factor
-            psi_p = lg_p * u
-            psi_m = lg_m * u
-            keep_p = np.vdot(lg_p, psi_p) * pitch_sq
-            keep_m = np.vdot(lg_m, psi_m) * pitch_sq
-            c0_s[i] = abs(keep_p) ** 2
-            c2l_s[i] = abs(np.vdot(lg_m, psi_p) * pitch_sq) ** 2
-            rev_s[i] = abs(np.vdot(lg_p, psi_m) * pitch_sq) ** 2
-            dev_s[i] = abs(keep_p - keep_m)
+            ov[i] = weights @ generate_screen(params, grid, ss).phase_factor.ravel()
 
     _parallel_fill(n, worker, n_workers)
+    ov *= grid.pitch**2
+    power = ov.real**2 + ov.imag**2
     return CoefficientEstimate(
-        c0=EnsembleStats.from_samples(c0_s),
-        c2l=EnsembleStats.from_samples(c2l_s),
-        c2l_reverse=EnsembleStats.from_samples(rev_s),
-        mirror_dev=float(dev_s.max()),
+        c0=EnsembleStats.from_samples(power[:, 0]),
+        c2l=EnsembleStats.from_samples(power[:, 1]),
+        c2l_reverse=EnsembleStats.from_samples(power[:, 2]),
+        mirror_dev=float(np.abs(ov[:, 0] - ov[:, 3]).max()),
         n=int(n),
     )

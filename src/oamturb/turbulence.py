@@ -361,22 +361,50 @@ def _pixel_lag(separation: float, grid: GridSpec) -> int:
     return lag
 
 
-def ensemble_lags(n_screens: int, separations, grid: GridSpec) -> dict[float, int]:
-    """Pixel lag per separation, after the checks the estimators make before
-    reading a screen: at least 100 screens and every lag inside [1, n - 1].
-    Callers can run it before drawing the screens."""
+def screen_statistics(
+    screens, n_screens: int, grid: GridSpec, separations, coherence_separations
+) -> tuple[dict[float, tuple[float, float]], dict[float, tuple[float, float]]]:
+    """structure_function_estimate at separations and coherence_estimate at
+    coherence_separations, in one pass over screens.
+
+    Every check runs before the first screen is pulled: at least 100
+    screens, and every separation a whole pixel lag inside [1, n - 1].
+    screens may be any iterable of exactly n_screens screens on grid that
+    share one set of params; it is read one screen at a time, so a
+    generator need never hold more than one.
+    """
     if n_screens < 100:
         raise StatisticsError(f"need >= 100 screens, got {n_screens}")
-    return {sep: _pixel_lag(sep, grid) for sep in separations}
-
-
-def _check_ensemble(screens, separations) -> dict[float, int]:
-    grid = screens[0].grid if screens else None  # an empty list fails the count
-    lags = ensemble_lags(len(screens), separations, grid)
-    for s in screens[1:]:
-        if s.grid != grid or s.params != screens[0].params:
+    d_lags = {sep: _pixel_lag(sep, grid) for sep in separations}
+    c_lags = {sep: _pixel_lag(sep, grid) for sep in coherence_separations}
+    d_vals = np.empty((len(d_lags), n_screens))
+    c_vals = np.empty((len(c_lags), n_screens))
+    i, params = -1, None
+    for i, s in enumerate(screens):
+        params = params or s.params  # the first screen's
+        if i == n_screens:
+            raise ShapeMismatchError(f"more than the {n_screens} screens announced")
+        if s.grid != grid or s.params != params:
             raise ShapeMismatchError("screens mix different grids or parameters")
-    return lags
+        ph = s.phase
+        for j, lag in enumerate(d_lags.values()):
+            dx = ph[:, lag:] - ph[:, :-lag]
+            dy = ph[lag:, :] - ph[:-lag, :]
+            d_vals[j, i] = 0.5 * (np.mean(dx**2) + np.mean(dy**2))
+        if c_lags:
+            # cos(phi' - phi) = c'c + s's: one cos and one sin per screen
+            c, sn = np.cos(ph), np.sin(ph)
+            for j, lag in enumerate(c_lags.values()):
+                dx = c[:, lag:] * c[:, :-lag] + sn[:, lag:] * sn[:, :-lag]
+                dy = c[lag:, :] * c[:-lag, :] + sn[lag:, :] * sn[:-lag, :]
+                c_vals[j, i] = 0.5 * (np.mean(dx) + np.mean(dy))
+    if i + 1 < n_screens:
+        raise ShapeMismatchError(f"got {i + 1} of the {n_screens} screens announced")
+    return tuple(
+        {sep: (float(v.mean()), float(v.std(ddof=1) / np.sqrt(n_screens)))
+         for sep, v in zip(lags, vals)}
+        for lags, vals in ((d_lags, d_vals), (c_lags, c_vals))
+    )
 
 
 def structure_function_estimate(
@@ -388,17 +416,8 @@ def structure_function_estimate(
     axes are pooled.  Returns {separation: (mean, stderr)} with the
     standard error taken across screens (per-screen means are iid).
     """
-    lags = _check_ensemble(screens, separations)
-    out: dict[float, tuple[float, float]] = {}
-    for sep, lag in lags.items():
-        vals = np.empty(len(screens))
-        for i, s in enumerate(screens):
-            ph = s.phase
-            dx = ph[:, lag:] - ph[:, :-lag]
-            dy = ph[lag:, :] - ph[:-lag, :]
-            vals[i] = 0.5 * (np.mean(dx**2) + np.mean(dy**2))
-        out[sep] = (float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals))))
-    return out
+    grid = screens[0].grid if screens else None  # an empty list fails the count
+    return screen_statistics(screens, len(screens), grid, separations, ())[0]
 
 
 def coherence_estimate(screens, separations) -> dict[float, tuple[float, float]]:
@@ -408,17 +427,8 @@ def coherence_estimate(screens, separations) -> dict[float, tuple[float, float]]
     coherence(r, dtheta, params) at the chord 2 r sin(dtheta/2) equal to
     the separation.  Returns {separation: (mean, stderr)}.
     """
-    lags = _check_ensemble(screens, separations)
-    vals = np.empty((len(lags), len(screens)))
-    for i, s in enumerate(screens):
-        # cos(phi' - phi) = c'c + s's: one cos and one sin per screen
-        c, sn = np.cos(s.phase), np.sin(s.phase)
-        for j, lag in enumerate(lags.values()):
-            dx = c[:, lag:] * c[:, :-lag] + sn[:, lag:] * sn[:, :-lag]
-            dy = c[lag:, :] * c[:-lag, :] + sn[lag:, :] * sn[:-lag, :]
-            vals[j, i] = 0.5 * (np.mean(dx) + np.mean(dy))
-    return {sep: (float(v.mean()), float(v.std(ddof=1) / np.sqrt(len(v))))
-            for sep, v in zip(lags, vals)}
+    grid = screens[0].grid if screens else None
+    return screen_statistics(screens, len(screens), grid, (), separations)[1]
 
 
 def fried_from_broadening(w_t: float, w: float) -> float:

@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -345,6 +346,43 @@ class TestScreenValidate:
         assert capsys.readouterr().err == (
             "oamturb screen-validate: seed must be nonnegative, got -1\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--strength", "0", "--realizations", "0"], "--realizations must be at least 1"),
+        (["--strength", "0", "--realizations", "-3"], "--realizations must be at least 1"),
+        (["--realizations", "0"], "--realizations must be at least 1"),
+        (["--realizations", "100", "--export-screens", "-1"],
+         "--export-screens must be nonnegative"),
+    ])
+    def test_bad_counts_exit_one(self, tmp_path, capsys, no_screens, args, message):
+        out = tmp_path / "bad"
+        rc = run(["screen-validate", "--grid-n", "32", "--grid-extent", "6", *args,
+                  "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"oamturb screen-validate: {message}\n"
+        assert not out.exists()
+
+    def test_screens_are_drawn_and_dropped_one_at_a_time(self, tmp_path, monkeypatch):
+        # keyed by draw index: PhaseScreen hashes its phase array, so a
+        # WeakSet cannot hold it
+        alive = weakref.WeakValueDictionary()
+        counts = []
+        draw = oamturb.cli.generate_screen
+
+        def recording(*args):
+            screen = draw(*args)
+            alive[len(counts)] = screen
+            counts.append(len(alive))
+            return screen
+
+        monkeypatch.setattr(oamturb.cli, "generate_screen", recording)
+        out = tmp_path / "stream"
+        rc = run(["screen-validate", "--realizations", "100", "--grid-n", "32",
+                  "--grid-extent", "6.0", "--export-screens", "2", "--out-dir", str(out)])
+        assert rc == 2  # 100 screens on 32^2 miss the coherence band
+        assert len(counts) == 100
+        assert max(counts) <= 2
+        assert sorted(os.listdir(out / "screens")) == ["screen_0000.csv", "screen_0001.csv"]
 
     def test_zero_strength_run(self, tmp_path):
         out = tmp_path / "sv0"

@@ -325,7 +325,43 @@ class TestRotationScan:
         assert cfg.master_seed == 2
 
 
+def literal_coefficient_samples(l, params, n, master_seed, grid):
+    """run_coefficient_estimate's per-realization (c0, c2l, reverse,
+    mirror deviation) from two screened profiles and four vdots."""
+    lg_p = make_lg_mode(l, grid).samples
+    lg_m = make_lg_mode(-l, grid).samples
+    pitch_sq = grid.pitch**2
+    out = np.empty((4, n))
+    for i in range(n):
+        u = montecarlo.generate_screen(
+            params, grid, np.random.SeedSequence(entropy=[master_seed, i])).phase_factor
+        psi_p = lg_p * u
+        psi_m = lg_m * u
+        keep_p = np.vdot(lg_p, psi_p) * pitch_sq
+        keep_m = np.vdot(lg_m, psi_m) * pitch_sq
+        out[:, i] = (abs(keep_p) ** 2, abs(np.vdot(lg_m, psi_p) * pitch_sq) ** 2,
+                     abs(np.vdot(lg_p, psi_m) * pitch_sq) ** 2, abs(keep_p - keep_m))
+    return out
+
+
 class TestCoefficientEstimate:
+    @pytest.mark.parametrize("l, w", [(1, 0.6), (1, 1.4), (2, 0.6)])
+    def test_matches_literal_vdot_loop(self, l, w):
+        params = TurbulenceParams(w_over_r0=w)
+        est = run_coefficient_estimate(l, params, 100, 3, SMALL)
+        c0, c2l, rev, dev = literal_coefficient_samples(l, params, 100, 3, SMALL)
+        for got, ref in ((est.c0, c0), (est.c2l, c2l), (est.c2l_reverse, rev)):
+            expected = EnsembleStats.from_samples(ref)
+            for name in ("mean", "stderr", "min", "max"):
+                assert getattr(got, name) == pytest.approx(
+                    getattr(expected, name), rel=1e-13, abs=0), name
+        assert est.mirror_dev < 1e-14 and dev.max() < 1e-14
+
+    def test_worker_count_does_not_change_results(self):
+        a = run_coefficient_estimate(1, P06, 100, 3, SMALL, n_workers=1)
+        b = run_coefficient_estimate(1, P06, 100, 3, SMALL, n_workers=3)
+        assert a == b
+
     def test_zero_turbulence(self):
         est = run_coefficient_estimate(1, TurbulenceParams(w_over_r0=0.0), 100, 1)
         assert est.c0.mean == pytest.approx(1.0, abs=1e-12)

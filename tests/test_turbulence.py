@@ -2,6 +2,7 @@
 
 import math
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from oamturb import (
 )
 from oamturb import VectorField
 from oamturb import turbulence
+from oamturb.turbulence import screen_statistics
 
 GRID = GridSpec()
 P06 = TurbulenceParams(w_over_r0=0.6)
@@ -228,6 +230,42 @@ def literal_coherence(screens, sep):
     return vals.mean(), vals.std(ddof=1) / np.sqrt(len(vals))
 
 
+def literal_structure_function(screens, separations):
+    """structure_function_estimate as a loop over screens per separation."""
+    out = {}
+    for sep in separations:
+        lag = round(sep / screens[0].grid.pitch)
+        vals = np.empty(len(screens))
+        for i, s in enumerate(screens):
+            ph = s.phase
+            dx = ph[:, lag:] - ph[:, :-lag]
+            dy = ph[lag:, :] - ph[:-lag, :]
+            vals[i] = 0.5 * (np.mean(dx**2) + np.mean(dy**2))
+        out[sep] = (float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals))))
+    return out
+
+
+def literal_product_coherence(screens, separations):
+    """coherence_estimate as its own loop over screens, one cos and one sin
+    per screen and cos(phi' - phi) = c'c + s's."""
+    lags = [round(sep / screens[0].grid.pitch) for sep in separations]
+    vals = np.empty((len(lags), len(screens)))
+    for i, s in enumerate(screens):
+        c, sn = np.cos(s.phase), np.sin(s.phase)
+        for j, lag in enumerate(lags):
+            dx = c[:, lag:] * c[:, :-lag] + sn[:, lag:] * sn[:, :-lag]
+            dy = c[lag:, :] * c[:-lag, :] + sn[lag:, :] * sn[:-lag, :]
+            vals[j, i] = 0.5 * (np.mean(dx) + np.mean(dy))
+    return {sep: (float(v.mean()), float(v.std(ddof=1) / np.sqrt(len(v))))
+            for sep, v in zip(separations, vals)}
+
+
+def unpullable():
+    """A screen stream that fails if a screen is ever pulled from it."""
+    raise AssertionError("a screen was pulled")
+    yield
+
+
 @pytest.fixture(scope="module")
 def screens_200():
     return [
@@ -268,6 +306,70 @@ class TestEnsembleStatistics:
     def test_too_few_screens_rejected(self, screens_200):
         with pytest.raises(StatisticsError):
             structure_function_estimate(screens_200[:50], [0.5])
+
+    def test_estimators_equal_literal_loops(self, screens_200):
+        seps = [lag * GRID.pitch for lag in (1, 5, 8, 32, 100, 255)]
+        assert structure_function_estimate(screens_200, seps) == (
+            literal_structure_function(screens_200, seps))
+        assert coherence_estimate(screens_200, seps) == (
+            literal_product_coherence(screens_200, seps))
+
+    def test_one_pass_gives_both_estimators(self, screens_200):
+        d_seps = [lag * GRID.pitch for lag in (2, 16, 64)]
+        c_seps = [lag * GRID.pitch for lag in (4, 16)]
+        d, c = screen_statistics(iter(screens_200), 200, GRID, d_seps, c_seps)
+        assert d == literal_structure_function(screens_200, d_seps)
+        assert c == literal_product_coherence(screens_200, c_seps)
+
+    @pytest.mark.parametrize("n_screens, separations, coherence_separations, error", [
+        (99, [0.5], [], StatisticsError),
+        (0, [], [0.5], StatisticsError),
+        (100, [0.5, 0.0], [], DomainError),
+        (100, [0.5], [GRID.extent], DomainError),
+    ])
+    def test_checks_run_before_a_screen_is_pulled(
+        self, n_screens, separations, coherence_separations, error
+    ):
+        with pytest.raises(error):
+            screen_statistics(unpullable(), n_screens, GRID, separations,
+                              coherence_separations)
+
+    @pytest.mark.parametrize("odd", [
+        PhaseScreen(GridSpec(128, 8.0), np.zeros((128, 128)), 0, P10),
+        PhaseScreen(GRID, np.zeros((GRID.n, GRID.n)), 0, P06),
+    ], ids=["grid", "params"])
+    def test_mixed_ensemble_rejected(self, screens_200, odd):
+        mixed = screens_200[:150] + [odd] + screens_200[151:]
+        sep = 8 * GRID.pitch
+        with pytest.raises(ShapeMismatchError):
+            structure_function_estimate(mixed, [sep])
+        with pytest.raises(ShapeMismatchError):
+            coherence_estimate(mixed, [sep])
+        with pytest.raises(ShapeMismatchError):
+            screen_statistics(iter(mixed), 200, GRID, [sep], [sep])
+
+    @pytest.mark.parametrize("n_screens", [199, 201])
+    def test_stream_length_must_match_count(self, screens_200, n_screens):
+        with pytest.raises(ShapeMismatchError):
+            screen_statistics(iter(screens_200[:200]), n_screens, GRID, [0.5], [0.5])
+
+    def test_stream_holds_at_most_two_screens(self):
+        grid = GridSpec(32, 6.0)
+        # keyed by draw index: PhaseScreen hashes its phase array, so a
+        # WeakSet cannot hold it
+        alive = weakref.WeakValueDictionary()
+        counts = []
+
+        def stream():
+            for i in range(100):
+                screen = generate_screen(P10, grid, np.random.SeedSequence(entropy=[3, i]))
+                alive[i] = screen
+                counts.append(len(alive))
+                yield screen
+
+        screen_statistics(stream(), 100, grid, [0.5, 1.0], [0.5])
+        assert len(counts) == 100
+        assert max(counts) <= 2
 
 
 class TestApplyScreen:
