@@ -44,7 +44,7 @@ from .montecarlo import (
 )
 from .turbulence import (
     TurbulenceParams,
-    beam_broadening_mc,
+    beam_broadening_mc,  # noqa: F401  unused here; perfbench/tracer.py wraps this name
     beam_broadening_sweep,
     fried_from_broadening,
     fried_parameter,
@@ -244,19 +244,22 @@ def _fmt(value) -> str:
 class _Record(NamedTuple):
     """What one command computed: its CSV tables by file name, each a
     header and rows; its summary fields, to which the writer adds
-    "config"; and a message that ends the run with exit code 2 once the
-    files are written."""
+    "config"; its Monte Carlo work, as realizations times strengths; and a
+    message that ends the run with exit code 2 once the files are
+    written."""
 
     tables: dict[str, tuple[list[str], list[list]]]
     summary: dict
+    realizations: int
     failure: str | None = None
 
 
 def _write_record(command: str, cfg: dict, record: _Record, compute_s: float) -> None:
     """Write a run's CSV tables, summary.json and manifest.json into
     cfg["out_dir"], creating it if needed.  The manifest's timings give
-    compute_s, the command's wall time, and write_s, the time spent writing
-    the tables and summary.json."""
+    compute_s, the command's wall time, realizations_per_s, the record's
+    realizations over compute_s, and write_s, the time spent writing the
+    tables and summary.json."""
     start = time.perf_counter()
     out = cfg["out_dir"]
     os.makedirs(out, exist_ok=True)
@@ -281,7 +284,9 @@ def _write_record(command: str, cfg: dict, record: _Record, compute_s: float) ->
             **{var: os.environ.get(var) for var in
                ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}},
         # wall times in seconds; like "environment", never replayed
-        "timings": {"compute_s": compute_s, "write_s": time.perf_counter() - start},
+        "timings": {"compute_s": compute_s,
+                    "realizations_per_s": record.realizations / compute_s,
+                    "write_s": time.perf_counter() - start},
     }
     _write_json(os.path.join(out, "manifest.json"), manifest)
 
@@ -338,6 +343,7 @@ def cmd_ph_curve(cfg: dict) -> _Record:
                 rows[i][1] >= rows[i + 1][1] - 1e-12 for i in range(len(rows) - 1)
             ),
         },
+        mc_config.n_realizations * len(strengths),
     )
 
 
@@ -370,6 +376,7 @@ def cmd_fidelity_scan(cfg: dict) -> _Record:
             "max_fidelity_overshoot": max(r.fidelity_overshoot for r in result),
             "min_success_prob": min(r.success_prob.min for r in result),
         },
+        config.n_realizations * len(config.strengths),
     )
 
 
@@ -407,6 +414,7 @@ def cmd_rotation_scan(cfg: dict) -> _Record:
             "max_variation": max(variation.values()),
             "max_fidelity_overshoot": max(r.fidelity_overshoot for r in result),
         },
+        config.n_realizations,
     )
 
 
@@ -445,6 +453,7 @@ def cmd_screen_validate(cfg: dict) -> _Record:
             {"structure_function.csv": (_STRUCTURE_HEADER, []),
              "coherence.csv": (_COHERENCE_HEADER, [])},
             {"passed": True, "zero_turbulence": True, "max_abs_phase": peak},
+            n_screens,
         )
 
     r0 = 1.0 / strength  # Fried length in waist units
@@ -492,6 +501,7 @@ def cmd_screen_validate(cfg: dict) -> _Record:
             "coherence_ok": coh_ok,
             "passed": passed,
         },
+        n_screens,
         None if passed else (
             "statistics outside tolerance bands "
             f"(D ratio {ratio:.4f}, slope {slope:.4f}, coherence ok={coh_ok})"
@@ -539,14 +549,19 @@ def cmd_calibrate(cfg: dict) -> _Record:
     seed = int(cfg["seed"])
 
     # the reference alone first: if it aliases, no strength is drawn
-    reference, _ = beam_broadening_mc(
-        TurbulenceParams(w_over_r0=0.0), n_real, distance, wavelength, seed, grid
+    (zero,) = beam_broadening_sweep(
+        [TurbulenceParams(w_over_r0=0.0)], n_real, distance, wavelength, seed, grid
     )
+    if isinstance(zero, AliasingError):
+        raise zero
+    reference = zero.w_t
     strengths = sorted(strengths)
-    results = beam_broadening_sweep(
-        [TurbulenceParams(w_over_r0=s) for s in strengths],
+    # a 0.0 row is the reference's own result, not a second propagation
+    swept = iter(beam_broadening_sweep(
+        [TurbulenceParams(w_over_r0=s) for s in strengths if s != 0.0],
         n_real, distance, wavelength, seed, grid,
-    )
+    ))
+    results = [zero if s == 0.0 else next(swept) for s in strengths]
     rows = []
     failures = []
     margins = []
@@ -577,6 +592,7 @@ def cmd_calibrate(cfg: dict) -> _Record:
         {"calibration.csv": (["w_over_r0_true", "w_t_over_w", "w_t_stderr",
                               "w_over_r0_inferred"], rows)},
         summary,
+        n_real * len(strengths),
         f"{len(failures)} cell(s) hit the propagation guard" if failures else None,
     )
 

@@ -216,10 +216,11 @@ def oam_power_spectrum(
     return out
 
 
-def expi(x) -> np.ndarray:
+def expi(x, out: np.ndarray | None = None) -> np.ndarray:
     """exp(1j * x) for real x: cos and sin written straight into one complex
-    array, == np.exp(1j * x) element for element at about half the cost."""
-    u = np.empty(np.shape(x), dtype=np.complex128)
+    array (out, if given), == np.exp(1j * x) element for element at about
+    half the cost."""
+    u = np.empty(np.shape(x), dtype=np.complex128) if out is None else out
     np.cos(x, out=u.real)
     np.sin(x, out=u.imag)
     return u
@@ -252,7 +253,8 @@ def rotate_modal(f: ScalarField, theta: float) -> ScalarField:
     [-pi/4, pi/4] is applied as three FFT shears (x, y, x) on a 2x
     zero-padded copy, which is exact for fields that are band-limited and
     negligible at the grid edge.  The x shears act row by row, so they skip
-    the padding rows: zero on the way in, cropped on the way out.
+    the padding rows: zero on the way in, cropped on the way out.  All three
+    run in place in one padded array.
     theta = 0 (mod 2 pi) returns the input unchanged.
     """
     n = f.grid.n
@@ -268,12 +270,15 @@ def rotate_modal(f: ScalarField, theta: float) -> ScalarField:
         ph_y = _shear_phase(m, pitch, np.sin(resid)).T
         big = np.zeros((m, m), dtype=np.complex128)
         big[rows, rows] = g
-        big[rows] = np.fft.ifft(np.fft.fft(big[rows], axis=1) * ph_x, axis=1)
-        big = np.fft.ifft(np.fft.fft(big, axis=0) * ph_y, axis=0)
-        g = np.fft.ifft(np.fft.fft(big[rows], axis=1) * ph_x, axis=1)[:, rows]
-    else:
-        g = g.copy()
-    return ScalarField(f.grid, g)
+        band = big[rows]  # a view: the x shears write through it
+        # every step in place: the 1-D fft and ifft honour out=, even on a
+        # view (numpy's ifft2, 2.4.6, silently ignores it and allocates)
+        for part, ph, axis in ((band, ph_x, 1), (big, ph_y, 0), (band, ph_x, 1)):
+            np.fft.fft(part, axis=axis, out=part)
+            part *= ph
+            np.fft.ifft(part, axis=axis, out=part)
+        g = band[:, rows]
+    return ScalarField(f.grid, g.copy())
 
 
 def boundary_energy_fraction(f: ScalarField, width: int = 2) -> float:
@@ -300,6 +305,45 @@ def _transfer_function(grid: GridSpec, distance: float, wavelength: float) -> np
     return tf
 
 
+def _fresnel(
+    u: np.ndarray,
+    grid: GridSpec,
+    distance: float,
+    wavelength: float,
+    inten: np.ndarray,
+    scratch: np.ndarray,
+) -> float:
+    """propagate() on the complex samples u, overwriting them: the same
+    checks, messages and arithmetic, bitwise, with nothing grid-sized
+    allocated.  inten and scratch are real work arrays of u's shape; inten
+    is left holding |u|^2 of the result, and the result's
+    boundary_energy_fraction is returned."""
+    if not wavelength > 0:
+        raise DomainError(f"wavelength must be positive, got {wavelength}")
+    fraction = _frame_fraction(u, inten, scratch)
+    if fraction >= BOUNDARY_ENERGY_LIMIT:
+        raise AliasingError("input field reaches the grid boundary")
+    if distance == 0.0:
+        return fraction
+    np.fft.fft2(u, out=u)
+    u *= _transfer_function(grid, distance, wavelength)
+    # ifftn, not ifft2: numpy's ifft2 (2.4.6) silently ignores out= and
+    # returns a fresh array, so u would keep the spectrum
+    np.fft.ifftn(u, axes=(-2, -1), out=u)
+    fraction = _frame_fraction(u, inten, scratch)
+    if fraction >= BOUNDARY_ENERGY_LIMIT:
+        raise AliasingError("propagated field reaches the grid boundary")
+    return fraction
+
+
+def _frame_fraction(u: np.ndarray, inten: np.ndarray, scratch: np.ndarray) -> float:
+    """intensity_frame_fraction of |u|^2, built in inten (== u.real**2 +
+    u.imag**2 bitwise) with scratch as the second operand."""
+    np.square(u.real, out=inten)
+    inten += np.square(u.imag, out=scratch)
+    return intensity_frame_fraction(inten)
+
+
 def propagate(f: ScalarField, distance: float, wavelength: float) -> ScalarField:
     """Fresnel-propagate by `distance` using the FFT transfer function.
 
@@ -309,14 +353,6 @@ def propagate(f: ScalarField, distance: float, wavelength: float) -> ScalarField
     of the power sits in the outer 2-pixel frame before or after the step,
     since wrap-around then contaminates the result.
     """
-    if not wavelength > 0:
-        raise DomainError(f"wavelength must be positive, got {wavelength}")
-    if boundary_energy_fraction(f) >= BOUNDARY_ENERGY_LIMIT:
-        raise AliasingError("input field reaches the grid boundary")
-    if distance == 0.0:
-        return f
-    tf = _transfer_function(f.grid, distance, wavelength)
-    out = ScalarField(f.grid, np.fft.ifft2(np.fft.fft2(f.samples) * tf))
-    if boundary_energy_fraction(out) >= BOUNDARY_ENERGY_LIMIT:
-        raise AliasingError("propagated field reaches the grid boundary")
-    return out
+    u = f.samples.copy()
+    _fresnel(u, f.grid, distance, wavelength, np.empty(u.shape), np.empty(u.shape))
+    return f if distance == 0.0 else ScalarField(f.grid, u)

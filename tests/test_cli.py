@@ -159,7 +159,7 @@ class TestPhCurve:
         assert run(TINY_PH + ["--out-dir", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         timings = manifest["timings"]
-        assert sorted(timings) == ["compute_s", "write_s"]
+        assert sorted(timings) == ["compute_s", "realizations_per_s", "write_s"]
         assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
         assert "timings" not in manifest["config"]
         assert "timings" not in json.loads((out / "summary.json").read_text())
@@ -234,6 +234,18 @@ class TestRunRecord:
         for key in ("timestamp", "timings"):
             del manifest[key], replayed[key]
         assert replayed == manifest
+
+    @pytest.mark.parametrize("command,cells", [
+        ("ph-curve", 4 * 2), ("fidelity-scan", 2 * 2), ("rotation-scan", 2),
+        ("screen-validate", 100), ("calibrate", 100 * 3),
+    ])
+    def test_manifest_reports_realizations_per_second(self, tmp_path, command, cells):
+        # cells: realizations times strengths of RECORD_CASES[command]
+        args, code, _ = RECORD_CASES[command]
+        out = tmp_path / "run"
+        assert run([command, *args, "--out-dir", str(out)]) == code
+        timings = json.loads((out / "manifest.json").read_text())["timings"]
+        assert timings["realizations_per_s"] == cells / timings["compute_s"]
 
     def test_unwritable_out_dir_exits_one(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -441,9 +453,33 @@ class TestCalibrate:
         assert limit == 1e-4
         margins = summary["max_boundary_energy_fraction"]
         assert [m["w_over_r0"] for m in margins] == [0.2, 1.0]
-        assert 0.0 < margins[0]["fraction"] < margins[1]["fraction"] < limit
+        assert 0.0 <= margins[0]["fraction"] <= margins[1]["fraction"] < limit
         # two rows left: too few for a rank correlation
         assert math.isnan(summary["spearman_rho"])
+
+    def test_zero_row_is_the_reference_propagated_once(self, tmp_path, monkeypatch):
+        steps = []
+        step = oamturb.turbulence._fresnel
+
+        def counted(*args):
+            steps.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(oamturb.turbulence, "_fresnel", counted)
+        out = tmp_path / "zero"
+        assert run(["calibrate", "--strengths", "0.0,0.6", "--realizations", "100",
+                    "--grid-n", "64", "--grid-extent", "16.0",
+                    "--out-dir", str(out)]) == 0
+        # the reference once, then 0.6 in each realization; 0.0 is not redone
+        assert len(steps) == 1 + 100
+        summary = json.loads((out / "summary.json").read_text())
+        zero_row = (out / "calibration.csv").read_text().splitlines()[1].split(",")
+        assert float(zero_row[0]) == 0.0
+        assert float(zero_row[1]) == summary["reference_width_over_w"]
+        assert float(zero_row[3]) == 0.0
+        margins = summary["max_boundary_energy_fraction"]
+        assert [m["w_over_r0"] for m in margins] == [0.0, 0.6]
+        assert 0.0 <= margins[0]["fraction"] <= margins[1]["fraction"]
 
     def test_negative_seed_exits_one(self, tmp_path, capsys):
         rc = run(["calibrate", "--strengths", "0.3", "--realizations", "100",

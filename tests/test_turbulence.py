@@ -147,6 +147,26 @@ class TestTheory:
         assert 0.0 < val <= 1.0
 
 
+def literal_unit_screen(grid, outer_scale, ss):
+    """_unit_screen with two fresh normal arrays, a complex sum and an
+    allocating ifft2: the reference the in-place synthesis must match."""
+    n = grid.n
+    tab = turbulence._tables(grid, outer_scale)
+    rng = np.random.Generator(np.random.Philox(ss))
+    zr = rng.standard_normal((n, n))
+    zi = rng.standard_normal((n, n))
+    zsh = rng.standard_normal((2, tab.amp_sh.size))
+    ztilt = rng.standard_normal(2)
+    scr = np.fft.ifft2((zr + 1j * zi) * tab.amp_fft).real * (n * n)
+    ck = (zsh[0] + 1j * zsh[1]) * tab.amp_sh
+    coarse = ((tab.ey_nodes * ck) @ tab.ex_nodes).real
+    coarse += tab.tilt_sigma * (
+        ztilt[0] * tab.nodes[None, :] + ztilt[1] * tab.nodes[:, None]
+    )
+    scr += tab.upsample @ coarse @ tab.upsample.T
+    return scr
+
+
 class TestGenerateScreen:
     def test_integer_seed_is_reproducible(self):
         a = generate_screen(P06, GRID, 7)
@@ -197,6 +217,20 @@ class TestGenerateScreen:
                 expected = unit * w ** (5 / 6)
                 expected -= expected.mean()
                 assert np.array_equal(screen.phase, expected)
+
+    @pytest.mark.parametrize("outer_scale", [None, 5.0])
+    @pytest.mark.parametrize("grid,keys", [
+        (GridSpec(32, 6.0), 4), (GridSpec(64, 8.0), 4), (GRID, 4),
+        (GridSpec(512, 16.0), 2),
+    ])
+    def test_unit_screen_matches_literal_synthesis(self, grid, keys, outer_scale):
+        for i in range(keys):
+            key = [11, grid.n, i]
+            got = turbulence._unit_screen(
+                grid, outer_scale, np.random.SeedSequence(entropy=key))
+            want = literal_unit_screen(
+                grid, outer_scale, np.random.SeedSequence(entropy=key))
+            assert np.array_equal(got, want), i
 
     def test_phase_read_only(self):
         s = generate_screen(P06, GRID, 1)
@@ -538,9 +572,10 @@ def literal_broadening(params, n, distance, wavelength, seed, grid):
 
 @pytest.fixture
 def sweep_calls(monkeypatch):
-    """Counts of unit-screen draws and propagations inside the sweep."""
+    """Counts of unit-screen draws and propagations inside the sweep; the
+    sweep propagates through the in-place step fields._fresnel."""
     calls = {"unit": 0, "propagate": 0}
-    for name, key in (("_unit_screen", "unit"), ("propagate", "propagate")):
+    for name, key in (("_unit_screen", "unit"), ("_fresnel", "propagate")):
         def counted(*args, _fn=getattr(turbulence, name), _key=key):
             calls[_key] += 1
             return _fn(*args)
@@ -560,6 +595,28 @@ class TestBroadeningSweep:
             expected = literal_broadening(params, 100, 30.0, 0.01, 9, SMALL)
             assert tuple(got) == expected
             assert beam_broadening_mc(params, 100, 30.0, 0.01, 9, SMALL) == expected[:2]
+
+    def test_matches_literal_loop_bitwise_at_128(self):
+        grid = GridSpec(128, 16.0)
+        strengths = (0.0, 0.2, 0.6, 1.0)
+        swept = beam_broadening_sweep(
+            [TurbulenceParams(w_over_r0=w) for w in strengths], 100, 30.0, 0.01, 4, grid
+        )
+        for w, got in zip(strengths, swept):
+            params = TurbulenceParams(w_over_r0=w)
+            assert tuple(got) == literal_broadening(params, 100, 30.0, 0.01, 4, grid), w
+
+    def test_input_reaching_the_frame_fails_every_entry(self, sweep_calls):
+        # a unit waist on a 3-waist grid: the input guard trips before any step
+        grid = GridSpec(32, 3.0)
+        with pytest.raises(AliasingError) as literal_error:
+            propagate(make_lg_mode(0, grid), 30.0, 0.01)
+        assert str(literal_error.value) == "input field reaches the grid boundary"
+        swept = beam_broadening_sweep(
+            [TurbulenceParams(w_over_r0=w) for w in (0.0, 0.5)], 100, 30.0, 0.01, 1, grid
+        )
+        assert [str(r) for r in swept] == [str(literal_error.value)] * 2
+        assert sweep_calls == {"unit": 1, "propagate": 2}
 
     def test_aliasing_strength_recorded_others_unchanged(self, sweep_calls):
         grid = GridSpec(64, 8.0)
