@@ -44,7 +44,6 @@ from .montecarlo import (
 )
 from .turbulence import (
     TurbulenceParams,
-    beam_broadening_mc,  # noqa: F401  unused here; perfbench/tracer.py wraps this name
     beam_broadening_sweep,
     fried_from_broadening,
     fried_parameter,
@@ -244,9 +243,10 @@ def _fmt(value) -> str:
 class _Record(NamedTuple):
     """What one command computed: its CSV tables by file name, each a
     header and rows; its summary fields, to which the writer adds
-    "config"; its Monte Carlo work, as realizations times strengths; and a
-    message that ends the run with exit code 2 once the files are
-    written."""
+    "config"; its Monte Carlo work, the realizations it ran summed over
+    strengths (a zero-turbulence field is one field, not an ensemble, so
+    calibrate and screen-validate count none for it); and a message that
+    ends the run with exit code 2 once the files are written."""
 
     tables: dict[str, tuple[list[str], list[list]]]
     summary: dict
@@ -453,7 +453,7 @@ def cmd_screen_validate(cfg: dict) -> _Record:
             {"structure_function.csv": (_STRUCTURE_HEADER, []),
              "coherence.csv": (_COHERENCE_HEADER, [])},
             {"passed": True, "zero_turbulence": True, "max_abs_phase": peak},
-            n_screens,
+            0,  # generate_screen draws nothing at zero strength
         )
 
     r0 = 1.0 / strength  # Fried length in waist units
@@ -548,7 +548,8 @@ def cmd_calibrate(cfg: dict) -> _Record:
     n_real = int(cfg["realizations"])
     seed = int(cfg["seed"])
 
-    # the reference alone first: if it aliases, no strength is drawn
+    # the reference alone first: if it aliases, no strength is drawn.  A
+    # one-entry sweep, not beam_broadening_mc, keeps its guard margin
     (zero,) = beam_broadening_sweep(
         [TurbulenceParams(w_over_r0=0.0)], n_real, distance, wavelength, seed, grid
     )
@@ -592,7 +593,7 @@ def cmd_calibrate(cfg: dict) -> _Record:
         {"calibration.csv": (["w_over_r0_true", "w_t_over_w", "w_t_stderr",
                               "w_over_r0_inferred"], rows)},
         summary,
-        n_real * len(strengths),
+        n_real * sum(s != 0.0 for s in strengths),
         f"{len(failures)} cell(s) hit the propagation guard" if failures else None,
     )
 

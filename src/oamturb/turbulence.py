@@ -35,7 +35,6 @@ from .fields import (
     _fresnel,
     expi,
     make_lg_mode,
-    propagate,  # noqa: F401  unused here; perfbench/tracer.py wraps this name
 )
 
 # phase structure function D(d) = STRUCTURE_COEFF * (d/r0)^(5/3)
@@ -550,7 +549,9 @@ def beam_broadening_mc(
     intensity (axis-referenced second moment, w = sqrt(2 <r^2>), which
     includes beam wander) is returned as w_t relative to the input waist,
     with a standard error across realizations.  Raises AliasingError when
-    a propagated field reaches the grid boundary.
+    a propagated field reaches the grid boundary.  The public one-strength
+    form of beam_broadening_sweep, which calibrate calls directly because
+    it also reports each cell's guard margin.
     """
     (result,) = beam_broadening_sweep(
         [params], n_realizations, propagation_distance, wavelength, seed, grid
