@@ -65,8 +65,6 @@ from .analytic import (
     CouplingCoefficients,
     QuadratureConfig,
     coupling_coefficients,
-    default_params_list,
-    ph_curve,
     ring_coefficients,
     success_probability,
     theta_transform,
@@ -77,37 +75,7 @@ from .montecarlo import (
     ExperimentConfig,
     FidelityScanRow,
     RotationScanRow,
-    rotation_preset,
     run_coefficient_estimate,
     run_fidelity_scan,
     run_rotation_scan,
 )
-
-__all__ = [
-    "__version__",
-    # errors
-    "OamTurbError", "RangeError", "DomainError", "ShapeMismatchError",
-    "AliasingError", "StatisticsError", "ToleranceError", "TotalLossError",
-    # fields
-    "GridSpec", "ScalarField", "VectorField", "OamModeSpec", "make_lg_mode",
-    "overlap", "oam_power_spectrum", "rotate_modal", "propagate",
-    "boundary_energy_fraction",
-    # turbulence
-    "TurbulenceParams", "PhaseScreen", "fried_parameter", "coherence",
-    "structure_function", "generate_screen", "apply_screen",
-    "structure_function_estimate", "coherence_estimate",
-    "fried_from_broadening", "beam_broadening_mc", "beam_broadening_sweep",
-    "Broadening", "save_screen", "load_screen",
-    # elements
-    "HybridQubit", "DecodeResult", "MUB_LABELS", "waveplate", "qplate",
-    "encode", "decode", "rotate_frame", "fidelity", "mub_states",
-    "reference_mode",
-    # analytic
-    "QuadratureConfig", "CouplingCoefficients", "DEFAULT_STRENGTHS",
-    "theta_transform", "coupling_coefficients", "ring_coefficients",
-    "success_probability", "ph_curve", "default_params_list",
-    # montecarlo
-    "ExperimentConfig", "EnsembleStats", "FidelityScanRow", "RotationScanRow",
-    "CoefficientEstimate", "run_fidelity_scan", "run_rotation_scan",
-    "run_coefficient_estimate", "rotation_preset",
-]

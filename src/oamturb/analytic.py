@@ -259,27 +259,3 @@ def success_probability(
     ring_coefficients exposes the single-radius reduction for comparison.
     """
     return coupling_coefficients(l, params, quad, validate=validate).c0
-
-
-def ph_curve(
-    params_list,
-    l: int = 1,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-    *,
-    validate: bool = True,
-) -> list[tuple[float, float]]:
-    """Success probability tabulated over turbulence strengths, sorted."""
-    params_list = list(params_list)
-    if not params_list:
-        raise DomainError("params_list must be nonempty")
-    rows = [
-        (p.w_over_r0, success_probability(p, l, quad, validate=validate))
-        for p in params_list
-    ]
-    rows.sort(key=lambda row: row[0])
-    return rows
-
-
-def default_params_list() -> list[TurbulenceParams]:
-    """TurbulenceParams for the 14 preset strengths."""
-    return [TurbulenceParams(w_over_r0=w) for w in DEFAULT_STRENGTHS]

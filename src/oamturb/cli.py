@@ -42,6 +42,7 @@ from .montecarlo import (
     run_fidelity_scan,
     run_rotation_scan,
 )
+from .parallel import blas_threads, resolve_workers
 from .turbulence import (
     TurbulenceParams,
     beam_broadening_sweep,
@@ -57,7 +58,7 @@ _COMMON_DEFAULTS = {
     "seed": 2,
     "grid_n": 256,
     "grid_extent": 8.0,
-    "workers": 1,
+    "workers": 0,  # every usable core
 }
 
 _COMMAND_DEFAULTS: dict[str, dict] = {
@@ -130,7 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None,
                         help="JSON config or a previous run's manifest.json")
     common.add_argument("--workers", type=int, default=None,
-                        help="engine worker threads (results are worker-count independent)")
+                        help="engine worker threads, 0 (the default) for every usable "
+                        "core; results are worker-count independent")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ph-curve", parents=[common],
@@ -229,6 +231,7 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
+    resolve_workers(cfg["workers"])  # a negative count fails before any work
     return cfg
 
 
@@ -281,6 +284,10 @@ def _write_record(command: str, cfg: dict, record: _Record, compute_s: float) ->
             "python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "blas_name": blas.get("name"),
             "blas_version": blas.get("version"), "cpu_count": os.cpu_count(),
+            # threads the engines ran on (screen-validate draws serially) and
+            # OpenBLAS's own count, which a pool of more workers holds at 1
+            "workers": 1 if command == "screen-validate" else resolve_workers(cfg["workers"]),
+            "blas_threads": blas_threads(),
             **{var: os.environ.get(var) for var in
                ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}},
         # wall times in seconds; like "environment", never replayed
@@ -551,7 +558,8 @@ def cmd_calibrate(cfg: dict) -> _Record:
     # the reference alone first: if it aliases, no strength is drawn.  A
     # one-entry sweep, not beam_broadening_mc, keeps its guard margin
     (zero,) = beam_broadening_sweep(
-        [TurbulenceParams(w_over_r0=0.0)], n_real, distance, wavelength, seed, grid
+        [TurbulenceParams(w_over_r0=0.0)], n_real, distance, wavelength, seed, grid,
+        cfg["workers"],
     )
     if isinstance(zero, AliasingError):
         raise zero
@@ -560,7 +568,7 @@ def cmd_calibrate(cfg: dict) -> _Record:
     # a 0.0 row is the reference's own result, not a second propagation
     swept = iter(beam_broadening_sweep(
         [TurbulenceParams(w_over_r0=s) for s in strengths if s != 0.0],
-        n_real, distance, wavelength, seed, grid,
+        n_real, distance, wavelength, seed, grid, cfg["workers"],
     ))
     results = [zero if s == 0.0 else next(swept) for s in strengths]
     rows = []

@@ -3,19 +3,21 @@
 Every screen is keyed by (master_seed, strength index, realization index)
 through a counter-based generator, so results are a pure function of the
 configuration: the engine may split realizations across threads in any
-way without changing a single bit of the output.  Within a cell the same
-screens are shared by all states (paired comparison).  decode is linear
-and a screen multiplies both polarization components by one phase, so a
-realization needs two overlaps per l of e^{i phi} with precomputed
-weights; every state's amplitudes then follow by 2x2 algebra
-(elements.decode_factors, DECODE_MIX), in place of a full-grid decode per
-state.  The rotation scan rotates the weights, not the screened fields,
-and shears them once for all angles that share a residual shear.
+way without changing a single bit of the output; n_workers is the thread
+count, 0 (the default) every usable core (parallel.parallel_fill).  Each
+worker draws into its own arrays (_draw_arrays), allocating nothing
+grid-sized per realization.  Within a cell the same screens are shared by
+all states (paired comparison).  decode is linear and a screen multiplies
+both polarization components by one phase, so a realization needs two
+overlaps per l of e^{i phi} with precomputed weights; every state's
+amplitudes then follow by 2x2 algebra (elements.decode_factors,
+DECODE_MIX), in place of a full-grid decode per state.  The rotation scan
+rotates the weights, not the screened fields, and shears them once for
+all angles that share a residual shear.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import math
 
@@ -25,7 +27,8 @@ from .analytic import DEFAULT_STRENGTHS
 from .elements import DECODE_MIX, MUB_LABELS, decode_factors, mub_states
 from .errors import DomainError, RangeError, StatisticsError
 from .fields import GridSpec, ScalarField, _quarter_turns, make_lg_mode, rotate_modal
-from .turbulence import TurbulenceParams, generate_screen
+from .parallel import parallel_fill
+from .turbulence import TurbulenceParams, _draw_phase_factor
 
 # success_prob below this is a total-loss event, excluded from fidelity
 LOSS_THRESHOLD = 1e-12
@@ -135,29 +138,17 @@ class CoefficientEstimate:
         return iter((self.c0, self.c2l))
 
 
-def _cell_screen(master_seed: int, strength_idx: int, realization: int,
-                 params: TurbulenceParams, grid: GridSpec):
-    ss = np.random.SeedSequence(
+def _cell_key(master_seed: int, strength_idx: int, realization: int):
+    return np.random.SeedSequence(
         entropy=[int(master_seed), int(strength_idx), int(realization)]
     )
-    return generate_screen(params, grid, ss)
 
 
-def _parallel_fill(n_items: int, worker, n_workers: int) -> None:
-    """Run worker(start, stop) over a fixed chunking of range(n_items).
-
-    Chunk boundaries depend only on n_items, and workers write to
-    preallocated per-index slots, so the result is identical for any
-    worker count.
-    """
-    if n_workers <= 1:
-        worker(0, n_items)
-        return
-    chunk = max(1, math.ceil(n_items / (4 * n_workers)))
-    spans = [(s, min(s + chunk, n_items)) for s in range(0, n_items, chunk)]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        for f in [pool.submit(worker, a, b) for a, b in spans]:
-            f.result()
+def _draw_arrays(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One worker's phase factor (complex) and its two real work arrays,
+    for turbulence._draw_phase_factor."""
+    shape = (grid.n, grid.n)
+    return np.empty(shape, dtype=np.complex128), np.empty(shape), np.empty(shape)
 
 
 def _weights(ls: list[int], grid: GridSpec, theta: float = 0.0,
@@ -212,24 +203,26 @@ def _cell_stats(suc: np.ndarray, fid: np.ndarray, raw: np.ndarray) -> dict:
     )
 
 
-def _fidelity_samples(config: ExperimentConfig, n_workers: int = 1):
+def _fidelity_samples(config: ExperimentConfig, n_workers: int = 0):
     """_score of every (strength, realization, state)."""
     grid = config.grid
     weights = _weights(sorted({s.l for s in config.states}), grid)
-    xy = np.empty((len(config.strengths), config.n_realizations, len(weights)), complex)
-    for si, strength in enumerate(config.strengths):
-        params = TurbulenceParams(w_over_r0=strength)
+    n_real = config.n_realizations
+    params = [TurbulenceParams(w_over_r0=strength) for strength in config.strengths]
+    xy = np.empty((len(params), n_real, len(weights)), complex)
 
-        def worker(start: int, stop: int) -> None:
-            for i in range(start, stop):
-                screen = _cell_screen(config.master_seed, si, i, params, grid)
-                xy[si, i] = weights @ screen.phase_factor.ravel()
+    def worker(start: int, stop: int, arrays) -> None:
+        for cell in range(start, stop):
+            si, i = divmod(cell, n_real)
+            u = _draw_phase_factor(params[si], grid, _cell_key(config.master_seed, si, i),
+                                   *arrays)
+            xy[si, i] = weights @ u.ravel()
 
-        _parallel_fill(config.n_realizations, worker, n_workers)
+    parallel_fill(len(params) * n_real, worker, n_workers, lambda: _draw_arrays(grid))
     return _score(xy, config)
 
 
-def run_fidelity_scan(config: ExperimentConfig, n_workers: int = 1) -> list[FidelityScanRow]:
+def run_fidelity_scan(config: ExperimentConfig, n_workers: int = 0) -> list[FidelityScanRow]:
     """Fidelity and success probability per (strength, state) cell.
 
     Total-loss realizations (success below LOSS_THRESHOLD) are excluded
@@ -246,7 +239,7 @@ def run_fidelity_scan(config: ExperimentConfig, n_workers: int = 1) -> list[Fide
     ]
 
 
-def _rotation_samples(config: ExperimentConfig, n_workers: int = 1):
+def _rotation_samples(config: ExperimentConfig, n_workers: int = 0):
     """_score of every (angle, realization, state).  Screens are held a
     block of _SCREEN_BLOCK realizations at a time while every angle's
     weights are built, so memory is bounded whatever the realizations."""
@@ -262,16 +255,20 @@ def _rotation_samples(config: ExperimentConfig, n_workers: int = 1):
     for j, resid in enumerate(_quarter_turns(t)[1] for t in config.angles):
         key = next((r for r in groups if abs(r - resid) < _SHEAR_GROUP_TOL), resid)
         groups.setdefault(key, []).append(j)
+    # one block of phase factors, refilled for every block of realizations
+    screens = np.empty((min(_SCREEN_BLOCK, config.n_realizations), grid.n * grid.n),
+                       dtype=np.complex128)
     for first in range(0, config.n_realizations, _SCREEN_BLOCK):
         block = range(first, min(first + _SCREEN_BLOCK, config.n_realizations))
-        screens = [None] * len(block)
 
-        def worker(start: int, stop: int) -> None:
+        def worker(start: int, stop: int, arrays) -> None:
             for b in range(start, stop):
-                screen = _cell_screen(config.master_seed, 0, block[b], params, grid)
-                screens[b] = screen.phase_factor.ravel()
+                key = _cell_key(config.master_seed, 0, block[b])
+                _draw_phase_factor(params, grid, key, screens[b].reshape(grid.n, grid.n),
+                                   *arrays)
 
-        _parallel_fill(len(block), worker, n_workers)
+        parallel_fill(len(block), worker, n_workers,
+                      lambda: (np.empty((grid.n, grid.n)), np.empty((grid.n, grid.n))))
         for resid, members in groups.items():
             sheared = [[rotate_modal(ScalarField(grid, p), -resid).samples if resid else p
                         for p in decode_factors(l, grid)] for l in ls]
@@ -283,7 +280,7 @@ def _rotation_samples(config: ExperimentConfig, n_workers: int = 1):
     return _score(xy, config)
 
 
-def run_rotation_scan(config: ExperimentConfig, n_workers: int = 1) -> list[RotationScanRow]:
+def run_rotation_scan(config: ExperimentConfig, n_workers: int = 0) -> list[RotationScanRow]:
     """Fidelity per (angle, state) with rotate_frame inserted between
     screen and decode, at a single turbulence strength.
 
@@ -299,25 +296,13 @@ def run_rotation_scan(config: ExperimentConfig, n_workers: int = 1) -> list[Rota
     ]
 
 
-def rotation_preset(strength: float = 0.6, n_realizations: int = 30,
-                    master_seed: int = 2) -> ExperimentConfig:
-    """Six states x five angles = 30 points, the desk-scale mirror of the
-    rotated-frame experiment, locked at strength 0.6 by default."""
-    return ExperimentConfig(
-        strengths=(strength,),
-        n_realizations=n_realizations,
-        master_seed=master_seed,
-        angles=tuple(2 * np.pi * k / 5 for k in range(5)),
-    )
-
-
 def run_coefficient_estimate(
     l: int,
     params: TurbulenceParams,
     n: int,
     master_seed: int,
     grid: GridSpec | None = None,
-    n_workers: int = 1,
+    n_workers: int = 0,
 ) -> CoefficientEstimate:
     """Monte Carlo estimate of the coupling weights from raw overlaps.
 
@@ -338,12 +323,12 @@ def run_coefficient_estimate(
                         for a, b in ((lg_p, lg_p), (lg_m, lg_p), (lg_p, lg_m), (lg_m, lg_m))])
     ov = np.empty((n, 4), complex)
 
-    def worker(start: int, stop: int) -> None:
+    def worker(start: int, stop: int, arrays) -> None:
         for i in range(start, stop):
             ss = np.random.SeedSequence(entropy=[int(master_seed), int(i)])
-            ov[i] = weights @ generate_screen(params, grid, ss).phase_factor.ravel()
+            ov[i] = weights @ _draw_phase_factor(params, grid, ss, *arrays).ravel()
 
-    _parallel_fill(n, worker, n_workers)
+    parallel_fill(n, worker, n_workers, lambda: _draw_arrays(grid))
     ov *= grid.pitch**2
     power = ov.real**2 + ov.imag**2
     return CoefficientEstimate(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -36,6 +37,7 @@ from .fields import (
     expi,
     make_lg_mode,
 )
+from .parallel import parallel_fill
 
 # phase structure function D(d) = STRUCTURE_COEFF * (d/r0)^(5/3)
 STRUCTURE_COEFF = 6.88
@@ -272,17 +274,25 @@ def _seed_id(ss: np.random.SeedSequence) -> int:
 
 
 def _unit_screen(
-    grid: GridSpec, outer_scale: float | None, ss: np.random.SeedSequence
+    grid: GridSpec,
+    outer_scale: float | None,
+    ss: np.random.SeedSequence,
+    out: np.ndarray | None = None,
+    spec: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The screen of key ss at w_over_r0 = 1, piston not yet removed; a
-    fresh array the caller may scale in place."""
+    """The screen of key ss at w_over_r0 = 1, piston not yet removed,
+    written to out (default a fresh array) for the caller to scale in
+    place.  spec (complex) and work (real) are optional work arrays of the
+    grid's shape; with all three given, nothing grid-sized is allocated."""
     n = grid.n
     tab = _tables(grid, outer_scale)
     rng = np.random.Generator(np.random.Philox(ss))
     # the spectrum (zr + 1j * zi) * amp_fft, written part by part into one
     # complex array; zi is drawn into zr's buffer, in the same draw order
-    scr = rng.standard_normal((n, n))
-    spec = np.empty((n, n), dtype=np.complex128)
+    scr = rng.standard_normal((n, n), out=out)
+    if spec is None:
+        spec = np.empty((n, n), dtype=np.complex128)
     np.multiply(scr, tab.amp_fft, out=spec.real)
     np.multiply(rng.standard_normal(out=scr), tab.amp_fft, out=spec.imag)
     zsh = rng.standard_normal((2, tab.amp_sh.size))
@@ -296,7 +306,7 @@ def _unit_screen(
     coarse += tab.tilt_sigma * (
         ztilt[0] * tab.nodes[None, :] + ztilt[1] * tab.nodes[:, None]
     )
-    scr += tab.upsample @ coarse @ tab.upsample.T
+    scr += np.matmul(tab.upsample @ coarse, tab.upsample.T, out=work)
     return scr
 
 
@@ -306,6 +316,26 @@ def _scale(unit: np.ndarray, w0: float, out: np.ndarray | None = None) -> np.nda
     scr = np.multiply(unit, w0 ** (5 / 6), out=out)
     scr -= scr.mean()
     return scr
+
+
+def _draw_phase_factor(
+    params: TurbulenceParams,
+    grid: GridSpec,
+    ss: np.random.SeedSequence,
+    out: np.ndarray,
+    unit: np.ndarray,
+    work: np.ndarray,
+) -> np.ndarray:
+    """generate_screen(params, grid, ss).phase_factor, bitwise, written to
+    out (complex); unit and work are real work arrays of the grid's shape,
+    so nothing grid-sized is allocated."""
+    w0 = params.w_over_r0
+    _check_strength(w0)
+    if w0 == 0.0:
+        unit.fill(0.0)
+    else:
+        _scale(_unit_screen(grid, params.outer_scale, ss, unit, out, work), w0, out=unit)
+    return expi(unit, out=out)
 
 
 def generate_screen(
@@ -465,6 +495,7 @@ def beam_broadening_sweep(
     wavelength: float,
     seed: int,
     grid: GridSpec | None = None,
+    n_workers: int = 0,
 ) -> list[Broadening | AliasingError]:
     """beam_broadening_mc for several strengths in one pass over realizations.
 
@@ -473,8 +504,11 @@ def beam_broadening_sweep(
     entry, bitwise as generate_screen would draw it.  A zero-strength
     entry sees the same field in every realization and is propagated
     once.  An entry whose field reaches the grid boundary gets the
-    AliasingError in place of its result and is skipped from then on; the
-    other entries continue.  All entries must share one outer_scale.
+    AliasingError of its lowest failing realization in place of its
+    result and is skipped in every later realization; the other entries
+    continue.  All entries must share one outer_scale.  Realizations are
+    split over n_workers threads (0: every usable core); each realization
+    fills its own slots, so the result is the same for any worker count.
     """
     if n_realizations < 100:
         raise StatisticsError(f"need >= 100 realizations, got {n_realizations}")
@@ -486,51 +520,67 @@ def beam_broadening_sweep(
         raise DomainError("a broadening sweep needs one outer_scale for all entries")
     if grid is None:
         grid = GridSpec(512, 16.0)
+    shape = (grid.n, grid.n)
     gauss = make_lg_mode(0, grid).samples
-    x, y = grid.xy
-    r2 = x**2 + y**2
-    # work arrays shared by every (realization, strength): the loop below
-    # allocates nothing grid-sized beyond each realization's unit screen
-    phase, inten, scratch = (np.empty((grid.n, grid.n)) for _ in range(3))
-    u = np.empty((grid.n, grid.n), dtype=np.complex128)
+    c2 = grid.coords**2
+    r2 = c2[:, None] + c2[None, :]  # == x**2 + y**2 of grid.xy, with no meshgrid
     moments = np.empty((len(params_list), n_realizations))
-    frame = [0.0] * len(params_list)
+    frames = np.empty((len(params_list), n_realizations))
+    first_failure = [n_realizations] * len(params_list)  # realization index
     failed: dict[int, AliasingError] = {}
-    for i in range(n_realizations):
-        ss = np.random.SeedSequence(entropy=[seed, i])
-        unit = None  # drawn on first use; at most one unit screen is held
-        for j, params in enumerate(params_list):
-            w0 = params.w_over_r0
-            if j in failed or (w0 == 0.0 and i > 0):
-                continue
-            if w0 == 0.0:
-                phase.fill(0.0)
-            else:
-                if unit is None:
-                    unit = _unit_screen(grid, params.outer_scale, ss)
-                _scale(unit, w0, out=phase)
-            # apply_screen and propagate, in place: gauss * exp(i phase)
-            np.multiply(gauss, expi(phase, out=u), out=u)
-            try:
-                fraction = _fresnel(u, grid, propagation_distance, wavelength,
-                                    inten, scratch)
-            except AliasingError as exc:
-                failed[j] = exc
-                continue
-            moments[j, i] = float(np.sum(np.multiply(inten, r2, out=scratch))
-                                  / np.sum(inten))
-            frame[j] = max(frame[j], fraction)
+    lock = threading.Lock()
+
+    def work_arrays():
+        return (np.empty(shape), np.empty(shape, dtype=np.complex128),
+                np.empty(shape), np.empty(shape))
+
+    def span(start: int, stop: int, arrays) -> None:
+        unit, u, inten, scratch = arrays
+        for i in range(start, stop):
+            drawn = False  # the unit screen is drawn on first use
+            for j, params in enumerate(params_list):
+                w0 = params.w_over_r0
+                # first_failure is read without the lock: a stale value
+                # costs a wasted step, never a different result
+                if first_failure[j] < i or (w0 == 0.0 and i > 0):
+                    continue
+                if not drawn and w0 != 0.0:
+                    ss = np.random.SeedSequence(entropy=[seed, i])
+                    _unit_screen(grid, params.outer_scale, ss, unit, u, scratch)
+                    drawn = True
+                # apply_screen and propagate, in place: gauss * exp(i phase),
+                # the phase held in inten until _fresnel overwrites it
+                if w0 == 0.0:
+                    inten.fill(0.0)
+                else:
+                    _scale(unit, w0, out=inten)
+                np.multiply(gauss, expi(inten, out=u), out=u)
+                try:
+                    frames[j, i] = _fresnel(u, grid, propagation_distance, wavelength,
+                                            inten, scratch)
+                except AliasingError as exc:
+                    with lock:
+                        if i < first_failure[j]:
+                            first_failure[j], failed[j] = i, exc
+                    continue
+                moments[j, i] = float(np.sum(np.multiply(inten, r2, out=scratch))
+                                      / np.sum(inten))
+
+    # an all-zero sweep propagates realization 0 only
+    active = any(params.w_over_r0 != 0.0 for params in params_list)
+    parallel_fill(n_realizations if active else 1, span, n_workers, work_arrays)
     results: list[Broadening | AliasingError] = []
     for j, params in enumerate(params_list):
         if j in failed:
             results.append(failed[j])
             continue
-        m = moments[j]
+        m, f = moments[j], frames[j]
         if params.w_over_r0 == 0.0:
-            m[1:] = m[0]  # one field in every realization, propagated once
+            m[1:], f[1:] = m[0], f[0]  # one field in every realization, propagated once
         w_t = math.sqrt(2 * m.mean())
         stderr = float(m.std(ddof=1) / np.sqrt(n_realizations)) / w_t
-        results.append(Broadening(w_t, stderr, frame[j]))
+        # max from 0.0, as a running max over the realizations would start
+        results.append(Broadening(w_t, stderr, max(0.0, float(f.max()))))
     return results
 
 

@@ -13,15 +13,12 @@ from oamturb import (
     ToleranceError,
     TurbulenceParams,
     coupling_coefficients,
-    default_params_list,
-    ph_curve,
     ring_coefficients,
     success_probability,
     theta_transform,
 )
 from oamturb.analytic import (
     _SEPARATION_CUTOFF,
-    DEFAULT_STRENGTHS,
     _cubic_rule,
     _separation_rule,
 )
@@ -261,21 +258,3 @@ class TestRingCoefficients:
 class TestPhCurve:
     def test_success_probability_is_survival_weight(self):
         assert success_probability(P06) == coupling_coefficients(1, P06).c0
-
-    def test_curve_is_sorted_and_monotone(self):
-        params = [TurbulenceParams(w_over_r0=w) for w in (1.0, 0.2, 0.6)]
-        rows = ph_curve(params, validate=False)
-        assert [w for w, _ in rows] == [0.2, 0.6, 1.0]
-        values = [p for _, p in rows]
-        assert all(a > b for a, b in zip(values, values[1:]))
-        assert all(0.0 < p <= 1.0 for p in values)
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(DomainError):
-            ph_curve([])
-
-    def test_default_presets(self):
-        params = default_params_list()
-        assert tuple(p.w_over_r0 for p in params) == DEFAULT_STRENGTHS
-        assert len(params) == 14
-        assert params[0].w_over_r0 == 0.0

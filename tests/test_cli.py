@@ -17,6 +17,7 @@ import oamturb
 import oamturb.cli
 from oamturb import load_screen
 from oamturb.cli import _spearman, main
+from oamturb.parallel import blas_threads
 
 
 def run(args):
@@ -51,6 +52,17 @@ class TestParsing:
     def test_missing_config_file_fails(self, tmp_path, capsys):
         assert run(["ph-curve", "--config", str(tmp_path / "nope.json")]) == 1
         assert "cannot read config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_workers_fails(self, tmp_path, capsys, where):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": -1}))
+        args = ["--workers", "-1"] if where == "flag" else ["--config", str(cfg)]
+        assert run(["screen-validate", *args, "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "oamturb screen-validate: worker count must be >= 0 (0: every usable core), "
+            "got -1\n")
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key_fails(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -146,10 +158,15 @@ class TestPhCurve:
         env = manifest["environment"]
         assert sorted(env) == sorted([
             "python", "numpy", "scipy", "blas_name", "blas_version", "cpu_count",
+            "workers", "blas_threads",
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"])
         assert env["python"] == platform.python_version()
         assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
         assert env["cpu_count"] == os.cpu_count()
+        # the config keeps the literal default; the manifest what it meant here
+        assert manifest["config"]["workers"] == 0
+        assert env["workers"] == len(os.sched_getaffinity(0))
+        assert env["blas_threads"] == blas_threads()
         assert (env["OMP_NUM_THREADS"], env["MKL_NUM_THREADS"]) == ("3", None)
         assert "environment" not in manifest["config"]
         assert "environment" not in json.loads((out / "summary.json").read_text())
@@ -486,6 +503,25 @@ class TestCalibrate:
         # the Gaussian's frame power is below the rounding of its total
         assert margins[0]["fraction"] == 0.0 < margins[1]["fraction"]
 
+    @pytest.mark.parametrize("args,code,err", [
+        (["--strengths", "0.0,0.6,1.2", "--grid-extent", "16.0"], 0, ""),
+        # w/r0 = 2.0 hits the guard, as in test_guard_margin_reported_per_cell
+        (["--strengths", "0.2,1.0,2.0", "--grid-extent", "8.0", "--distance", "60"], 2,
+         "oamturb calibrate: 1 cell(s) hit the propagation guard\n"),
+    ], ids=["clean", "guard"])
+    def test_worker_count_independent(self, tmp_path, capsys, args, code, err):
+        outputs = []
+        for workers in ("1", "2", "3"):
+            out = tmp_path / workers
+            assert run(["calibrate", *args, "--realizations", "100", "--grid-n", "64",
+                        "--workers", workers, "--out-dir", str(out)]) == code
+            assert capsys.readouterr().err == err
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary.pop("config")["workers"] == int(workers)
+            outputs.append(((out / "calibration.csv").read_bytes(),
+                            json.dumps(summary, sort_keys=True)))  # NaN-safe
+        assert outputs[1:] == [outputs[0]] * 2
+
     def test_negative_seed_exits_one(self, tmp_path, capsys):
         rc = run(["calibrate", "--strengths", "0.3", "--realizations", "100",
                   "--grid-n", "32", "--seed", "-1", "--out-dir", str(tmp_path / "neg")])
@@ -548,3 +584,55 @@ class TestImports:
         assert report["codes"] == {cmd: code for cmd, (_, code, _) in RECORD_CASES.items()}
         assert report["import"] == []
         assert report["run"] == []
+
+
+# every command that draws screens, at sizes where BLAS may use its threads
+WORKER_CASES = {
+    "ph-curve": TINY_PH[1:],
+    "fidelity-scan": ["--strengths", "0.4,1.0", "--realizations", "3"],
+    "rotation-scan": RECORD_CASES["rotation-scan"][0],
+    "calibrate": ["--strengths", "0.0,0.6,1.2", "--realizations", "100",
+                  "--grid-n", "128", "--grid-extent", "16.0"],
+}
+
+_WORKERS_PROBE = """
+import sys
+from oamturb.cli import main
+for cmd, argv in {cases!r}:
+    for workers in ("1", "2", "3"):
+        out = f"{{sys.argv[1]}}/{{cmd}}/{{workers}}"
+        assert main([cmd, *argv, "--workers", workers, "--out-dir", out]) == 0
+"""
+
+
+class TestWorkers:
+    def test_outputs_bitwise_at_any_worker_and_blas_thread_count(self, tmp_path):
+        # fresh interpreters: OpenBLAS reads OPENBLAS_NUM_THREADS once, at load
+        probe = _WORKERS_PROBE.format(cases=list(WORKER_CASES.items()))
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(oamturb.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        for blas in ("pinned", "unpinned"):
+            if blas == "pinned":
+                env["OPENBLAS_NUM_THREADS"] = "1"
+            else:
+                env.pop("OPENBLAS_NUM_THREADS", None)
+            subprocess.run([sys.executable, "-c", probe, str(tmp_path / blas)],
+                           env=env, cwd=tmp_path, capture_output=True, text=True,
+                           check=True)
+        for cmd in WORKER_CASES:
+            outputs = {}
+            for run_dir in sorted((tmp_path / blas / cmd / w)
+                                  for blas in ("pinned", "unpinned") for w in "123"):
+                files = {name: (run_dir / name).read_bytes()
+                         for name in os.listdir(run_dir)
+                         if name not in ("summary.json", "manifest.json")}
+                summary = json.loads((run_dir / "summary.json").read_text())
+                del summary["config"]  # it holds the worker count
+                manifest = json.loads((run_dir / "manifest.json").read_text())
+                assert manifest["environment"]["workers"] == int(run_dir.name)
+                outputs[run_dir] = (files, json.dumps(summary, sort_keys=True))
+            first, *rest = outputs.values()
+            assert rest == [first] * 5, cmd
+            pinned = json.loads((tmp_path / "pinned" / cmd / "1" / "manifest.json").read_text())
+            assert pinned["environment"]["blas_threads"] in (1, None)

@@ -16,7 +16,7 @@ from oamturb import (
     StatisticsError,
     TurbulenceParams,
     coupling_coefficients,
-    rotation_preset,
+    generate_screen,
     run_coefficient_estimate,
     run_fidelity_scan,
     run_rotation_scan,
@@ -26,7 +26,6 @@ from oamturb.elements import decode, decode_factors, fidelity, mub_states, rotat
 from oamturb.fields import ScalarField, VectorField, make_lg_mode, rotate_modal
 from oamturb.montecarlo import (
     LOSS_THRESHOLD,
-    _cell_screen,
     _fidelity_samples,
     _rotation_samples,
     _score,
@@ -105,7 +104,8 @@ def literal_samples(config, theta=0.0):
     for si, strength in enumerate(config.strengths):
         params = TurbulenceParams(w_over_r0=strength)
         for i in range(config.n_realizations):
-            u = _cell_screen(config.master_seed, si, i, params, grid).phase_factor
+            key = np.random.SeedSequence(entropy=[config.master_seed, si, i])
+            u = generate_screen(params, grid, key).phase_factor
             for k, state in enumerate(config.states):
                 base_r = make_lg_mode(state.l, grid).samples * u
                 base_l = make_lg_mode(-state.l, grid).samples * u
@@ -138,7 +138,8 @@ def per_angle_samples(config):
     """_rotation_samples with literal_weights for every angle."""
     ls = sorted({s.l for s in config.states})
     params = TurbulenceParams(w_over_r0=config.strengths[0])
-    screens = [_cell_screen(config.master_seed, 0, i, params, config.grid)
+    screens = [generate_screen(params, config.grid,
+                               np.random.SeedSequence(entropy=[config.master_seed, 0, i]))
                .phase_factor.ravel() for i in range(config.n_realizations)]
     xy = np.empty((len(config.angles), config.n_realizations, 2 * len(ls)), complex)
     for j, theta in enumerate(config.angles):
@@ -256,7 +257,8 @@ class TestRotationScan:
             np.testing.assert_allclose(a, b, rtol=0, atol=5e-12)
 
     @pytest.mark.parametrize("angles", [
-        tuple(2 * np.pi * k / 16 for k in range(16)), rotation_preset().angles,
+        tuple(2 * np.pi * k / 16 for k in range(16)),
+        tuple(2 * np.pi * k / 5 for k in range(5)),
     ])
     def test_one_shear_per_residual_and_projection(self, monkeypatch, angles):
         calls = []
@@ -316,14 +318,6 @@ class TestRotationScan:
         with pytest.raises(DomainError):
             run_rotation_scan(ExperimentConfig(strengths=(0.6,), n_realizations=2))
 
-    def test_preset_shape(self):
-        cfg = rotation_preset()
-        assert cfg.strengths == (0.6,)
-        assert len(cfg.angles) == 5
-        assert cfg.angles[0] == 0.0
-        assert cfg.n_realizations == 30
-        assert cfg.master_seed == 2
-
 
 def literal_coefficient_samples(l, params, n, master_seed, grid):
     """run_coefficient_estimate's per-realization (c0, c2l, reverse,
@@ -333,7 +327,7 @@ def literal_coefficient_samples(l, params, n, master_seed, grid):
     pitch_sq = grid.pitch**2
     out = np.empty((4, n))
     for i in range(n):
-        u = montecarlo.generate_screen(
+        u = generate_screen(
             params, grid, np.random.SeedSequence(entropy=[master_seed, i])).phase_factor
         psi_p = lg_p * u
         psi_m = lg_m * u

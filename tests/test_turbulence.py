@@ -1,6 +1,7 @@
 """Kolmogorov statistics, screen synthesis, and the broadening inverter."""
 
 import math
+import sys
 import tempfile
 import weakref
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from oamturb import (
     AliasingError,
+    Broadening,
     DomainError,
     GridSpec,
     PhaseScreen,
@@ -231,6 +233,12 @@ class TestGenerateScreen:
             want = literal_unit_screen(
                 grid, outer_scale, np.random.SeedSequence(entropy=key))
             assert np.array_equal(got, want), i
+            # the same screen through caller-owned work arrays
+            out, work = np.empty((2, grid.n, grid.n))
+            into = turbulence._unit_screen(
+                grid, outer_scale, np.random.SeedSequence(entropy=key), out=out,
+                spec=np.empty((grid.n, grid.n), complex), work=work)
+            assert into is out and np.array_equal(into, want), i
 
     def test_phase_read_only(self):
         s = generate_screen(P06, GRID, 1)
@@ -621,6 +629,14 @@ class TestBroadeningSweep:
             params = TurbulenceParams(w_over_r0=w)
             assert tuple(got) == literal_broadening(params, 100, 30.0, 0.01, 4, grid), w
 
+    def test_margin_is_a_max_from_zero(self):
+        # the Gaussian's frame fraction on 32^2/12 after 30 waists is -1.2e-16
+        grid = GridSpec(32, 12.0)
+        params = TurbulenceParams(w_over_r0=0.0)
+        (got,) = beam_broadening_sweep([params], 100, 30.0, 0.01, 1, grid)
+        assert tuple(got) == literal_broadening(params, 100, 30.0, 0.01, 1, grid)
+        assert got.max_boundary_energy_fraction == 0.0
+
     def test_input_reaching_the_frame_fails_every_entry(self, sweep_calls):
         # a unit waist on a 3-waist grid: the input guard trips before any step
         grid = GridSpec(32, 3.0)
@@ -628,7 +644,8 @@ class TestBroadeningSweep:
             literal_propagate(make_lg_mode(0, grid), 30.0, 0.01)
         assert str(literal_error.value) == "input field reaches the grid boundary"
         swept = beam_broadening_sweep(
-            [TurbulenceParams(w_over_r0=w) for w in (0.0, 0.5)], 100, 30.0, 0.01, 1, grid
+            [TurbulenceParams(w_over_r0=w) for w in (0.0, 0.5)], 100, 30.0, 0.01, 1, grid,
+            n_workers=1,  # the counts below are a serial run's
         )
         assert [str(r) for r in swept] == [str(literal_error.value)] * 2
         assert sweep_calls == {"unit": 1, "propagate": 2}
@@ -637,7 +654,8 @@ class TestBroadeningSweep:
         grid = GridSpec(64, 8.0)
         strengths = (0.2, 2.0, 1.0)
         swept = beam_broadening_sweep(
-            [TurbulenceParams(w_over_r0=w) for w in strengths], 100, 60.0, 0.01, 2, grid
+            [TurbulenceParams(w_over_r0=w) for w in strengths], 100, 60.0, 0.01, 2, grid,
+            n_workers=1,
         )
         # w/r0 = 2.0 aliases in realization 0 and is not propagated again
         assert sweep_calls["propagate"] == 1 + 2 * 100
@@ -653,11 +671,27 @@ class TestBroadeningSweep:
 
     def test_one_unit_screen_per_realization(self, sweep_calls):
         params = [TurbulenceParams(w_over_r0=w) for w in (0.0, 0.3, 0.6, 1.0)]
-        beam_broadening_sweep(params, 100, 30.0, 0.01, 1, SMALL)
+        beam_broadening_sweep(params, 100, 30.0, 0.01, 1, SMALL, n_workers=1)
         assert sweep_calls == {"unit": 100, "propagate": 1 + 3 * 100}
         sweep_calls.update(unit=0, propagate=0)
-        beam_broadening_sweep(params[:1], 100, 30.0, 0.01, 1, SMALL)
+        beam_broadening_sweep(params[:1], 100, 30.0, 0.01, 1, SMALL, n_workers=1)
         assert sweep_calls == {"unit": 0, "propagate": 1}
+
+    def test_worker_count_independent(self):
+        # realizations share the failure record: switch threads as often as
+        # possible, with more workers than cores
+        grid = GridSpec(64, 8.0)
+        params = [TurbulenceParams(w_over_r0=w) for w in (0.0, 0.2, 2.0, 1.0)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [[r if isinstance(r, Broadening) else str(r) for r in
+                     beam_broadening_sweep(params, 100, 60.0, 0.01, 2, grid, n_workers)]
+                    for n_workers in (1, 2, 3, 8)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0][2] == "propagated field reaches the grid boundary"
+        assert runs[1:] == [runs[0]] * 3
 
     def test_argument_checks(self):
         with pytest.raises(StatisticsError):
