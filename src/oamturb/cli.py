@@ -54,55 +54,55 @@ from .turbulence import (
     structure_function,
 )
 
-_COMMON_DEFAULTS = {
-    "seed": 2,
-    "grid_n": 256,
-    "grid_extent": 8.0,
-    "workers": 0,  # every usable core
-}
-
+# every key is also a flag of its command (grid_n: --grid-n), typed by
+# its default (_kind); a config file's values must have the same types
 _COMMAND_DEFAULTS: dict[str, dict] = {
-    "ph-curve": {
-        **_COMMON_DEFAULTS,
-        "strengths": list(DEFAULT_STRENGTHS),
-        "l": 1,
-        "realizations": 500,
-        "radial_nodes": 200,
-        "angular_nodes": 512,
-        "tolerance": 1e-6,
-    },
-    "fidelity-scan": {
-        **_COMMON_DEFAULTS,
-        "strengths": list(DEFAULT_STRENGTHS),
-        "l": 1,
-        "realizations": 500,
-    },
-    "rotation-scan": {
-        **_COMMON_DEFAULTS,
-        "strength": 0.6,
-        "n_angles": 16,
-        "l": 1,
-        "realizations": 30,
-    },
-    "screen-validate": {
-        **_COMMON_DEFAULTS,
-        "strength": 1.0,
-        "realizations": 2000,
-        "export_screens": 0,
-    },
-    "calibrate": {
-        **_COMMON_DEFAULTS,
-        "grid_n": 512,
-        "grid_extent": 16.0,
-        "strengths": [0.0, 0.2, 0.6, 1.0, 1.4],
-        "realizations": 100,
-        "distance": 30.0,
-        "wavelength": 0.01,
-        "lambda_nm": None,
-        "cn2": None,
-        "path_m": None,
-        "waist_mm": None,
-    },
+    command: {
+        "seed": 2,
+        "grid_n": 256,
+        "grid_extent": 8.0,
+        "workers": 0,  # every usable core
+        "out_dir": os.path.join("runs", command.replace("-", "_")),
+        **specific,
+    }
+    for command, specific in {
+        "ph-curve": {
+            "strengths": list(DEFAULT_STRENGTHS),
+            "l": 1,
+            "realizations": 500,
+            "radial_nodes": 200,
+            "angular_nodes": 512,
+            "tolerance": 1e-6,
+        },
+        "fidelity-scan": {
+            "strengths": list(DEFAULT_STRENGTHS),
+            "l": 1,
+            "realizations": 500,
+        },
+        "rotation-scan": {
+            "strength": 0.6,
+            "n_angles": 16,
+            "l": 1,
+            "realizations": 30,
+        },
+        "screen-validate": {
+            "strength": 1.0,
+            "realizations": 2000,
+            "export_screens": 0,
+        },
+        "calibrate": {
+            "grid_n": 512,
+            "grid_extent": 16.0,
+            "strengths": [0.0, 0.2, 0.6, 1.0, 1.4],
+            "realizations": 100,
+            "distance": 30.0,
+            "wavelength": 0.01,
+            "lambda_nm": None,
+            "cn2": None,
+            "path_m": None,
+            "waist_mm": None,
+        },
+    }.items()
 }
 
 
@@ -113,6 +113,55 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
+_COMMAND_HELP = {
+    "ph-curve": "analytic vs Monte Carlo success probability curve",
+    "fidelity-scan": "MUB-state fidelity vs turbulence strength",
+    "rotation-scan": "fidelity vs receiver frame angle at one strength",
+    "screen-validate": "phase screen statistics vs theory",
+    "calibrate": "infer w/r0 from Gaussian beam broadening",
+}
+
+# help text by config key; a key not listed has a flag without help
+_HELP = {
+    "seed": "master seed",
+    "grid_n": "grid samples per axis",
+    "grid_extent": "grid side length in waist units",
+    "realizations": "Monte Carlo realizations (or screens) per cell",
+    "out_dir": "output directory",
+    "workers": "engine worker threads, 0 (the default) for every usable core; "
+               "results are worker-count independent",
+    "radial_nodes": "nodes of the separation and ring-radius rules",
+    "angular_nodes": "nodes of the ring-angle rule",
+    "export_screens": "also write the first K screens as CSV",
+    "distance": "propagation distance in waist units",
+    "wavelength": "wavelength in waist units",
+    "lambda_nm": "physical wavelength (nm); use with --cn2/--path-m/--waist-mm",
+    "cn2": "Cn^2 in m^(-2/3)",
+    "path_m": "path length (m)",
+    "waist_mm": "beam waist (mm)",
+}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _kind(default):
+    """The flag parser, the config-value test and the phrase an error uses
+    for a key with this default.  None takes a number or null; a bool is
+    not an integer."""
+    if isinstance(default, list):
+        return (_float_list, lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                "a list of numbers")
+    if isinstance(default, int):
+        return int, lambda v: _is_number(v) and isinstance(v, int), "an integer"
+    if isinstance(default, float):
+        return float, _is_number, "a number"
+    if default is None:
+        return float, lambda v: v is None or _is_number(v), "a number or null"
+    return str, lambda v: isinstance(v, str), "a string"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oamturb",
@@ -120,60 +169,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "presets, validation and calibration runs.",
     )
     parser.add_argument("--version", action="version", version=f"oamturb {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="master seed")
-    common.add_argument("--grid-n", type=int, default=None, help="grid samples per axis")
-    common.add_argument("--grid-extent", type=float, default=None,
-                        help="grid side length in waist units")
-    common.add_argument("--realizations", type=int, default=None,
-                        help="Monte Carlo realizations (or screens) per cell")
-    common.add_argument("--out-dir", default=None, help="output directory")
-    common.add_argument("--config", default=None,
-                        help="JSON config or a previous run's manifest.json")
-    common.add_argument("--workers", type=int, default=None,
-                        help="engine worker threads, 0 (the default) for every usable "
-                        "core; results are worker-count independent")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ph-curve", parents=[common],
-                       help="analytic vs Monte Carlo success probability curve")
-    p.add_argument("--strengths", type=_float_list, default=None)
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--radial-nodes", type=int, default=None,
-                   help="nodes of the separation and ring-radius rules")
-    p.add_argument("--angular-nodes", type=int, default=None,
-                   help="nodes of the ring-angle rule")
-    p.add_argument("--tolerance", type=float, default=None)
-
-    p = sub.add_parser("fidelity-scan", parents=[common],
-                       help="MUB-state fidelity vs turbulence strength")
-    p.add_argument("--strengths", type=_float_list, default=None)
-    p.add_argument("--l", type=int, default=None)
-
-    p = sub.add_parser("rotation-scan", parents=[common],
-                       help="fidelity vs receiver frame angle at one strength")
-    p.add_argument("--strength", type=float, default=None)
-    p.add_argument("--n-angles", type=int, default=None)
-    p.add_argument("--l", type=int, default=None)
-
-    p = sub.add_parser("screen-validate", parents=[common],
-                       help="phase screen statistics vs theory")
-    p.add_argument("--strength", type=float, default=None)
-    p.add_argument("--export-screens", type=int, default=None,
-                   help="also write the first K screens as CSV")
-
-    p = sub.add_parser("calibrate", parents=[common],
-                       help="infer w/r0 from Gaussian beam broadening")
-    p.add_argument("--strengths", type=_float_list, default=None)
-    p.add_argument("--distance", type=float, default=None,
-                   help="propagation distance in waist units")
-    p.add_argument("--wavelength", type=float, default=None,
-                   help="wavelength in waist units")
-    p.add_argument("--lambda-nm", type=float, default=None, dest="lambda_nm",
-                   help="physical wavelength (nm); use with --cn2/--path-m/--waist-mm")
-    p.add_argument("--cn2", type=float, default=None, help="Cn^2 in m^(-2/3)")
-    p.add_argument("--path-m", type=float, default=None, help="path length (m)")
-    p.add_argument("--waist-mm", type=float, default=None, help="beam waist (mm)")
+    for command, defaults in _COMMAND_DEFAULTS.items():
+        p = sub.add_parser(command, help=_COMMAND_HELP[command])
+        for key, default in defaults.items():
+            p.add_argument("--" + key.replace("_", "-"), type=_kind(default)[0],
+                           help=_HELP.get(key))
+        p.add_argument("--config", help="JSON config or a previous run's manifest.json")
     return parser
 
 
@@ -181,32 +183,8 @@ class _UsageError(Exception):
     pass
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_config_value(key: str, value, default) -> None:
-    """Raise _UsageError unless a loaded config value has its default's type:
-    a list takes numbers, an int an int (not a bool), a float a number, an
-    unset (None) default a number or null, a string a string."""
-    if isinstance(default, list):
-        ok, kind = (isinstance(value, list) and all(_is_number(v) for v in value),
-                    "a list of numbers")
-    elif isinstance(default, int):
-        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
-    elif isinstance(default, float):
-        ok, kind = _is_number(value), "a number"
-    elif default is None:
-        ok, kind = value is None or _is_number(value), "a number or null"
-    else:
-        ok, kind = isinstance(value, str), "a string"
-    if not ok:
-        raise _UsageError(f"config key {key!r} must be {kind}, got {value!r}")
-
-
 def _resolve_config(command: str, args: argparse.Namespace) -> dict:
     cfg = dict(_COMMAND_DEFAULTS[command])
-    cfg["out_dir"] = os.path.join("runs", command.replace("-", "_"))
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -225,10 +203,12 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
         if unknown:
             raise _UsageError(f"unknown config keys for {command}: {', '.join(unknown)}")
         for key, value in loaded.items():
-            _check_config_value(key, value, cfg[key])
+            _, ok, kind = _kind(cfg[key])
+            if not ok(value):
+                raise _UsageError(f"config key {key!r} must be {kind}, got {value!r}")
         cfg.update(loaded)
     for key in cfg:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             cfg[key] = value
     resolve_workers(cfg["workers"])  # a negative count fails before any work
@@ -550,6 +530,8 @@ def cmd_calibrate(cfg: dict) -> _Record:
         w_over_r0 = (physical["waist_mm"] * 1e-3) / r0_m
         physical_echo = {"r0_m": r0_m, "w_over_r0": w_over_r0}
         strengths = sorted(set(strengths) | {w_over_r0})
+    if not strengths:
+        raise _UsageError("at least one turbulence strength is required")
     distance = float(cfg["distance"])
     wavelength = float(cfg["wavelength"])
     n_real = int(cfg["realizations"])

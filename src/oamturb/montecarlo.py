@@ -1,19 +1,21 @@
 """Seeded Monte Carlo ensemble engine for the hybrid-qubit pipeline.
 
-Every screen is keyed by (master_seed, strength index, realization index)
-through a counter-based generator, so results are a pure function of the
-configuration: the engine may split realizations across threads in any
-way without changing a single bit of the output; n_workers is the thread
-count, 0 (the default) every usable core (parallel.parallel_fill).  Each
-worker draws into its own arrays (_draw_arrays), allocating nothing
-grid-sized per realization.  Within a cell the same screens are shared by
-all states (paired comparison).  decode is linear and a screen multiplies
-both polarization components by one phase, so a realization needs two
-overlaps per l of e^{i phi} with precomputed weights; every state's
-amplitudes then follow by 2x2 algebra (elements.decode_factors,
-DECODE_MIX), in place of a full-grid decode per state.  The rotation scan
-rotates the weights, not the screened fields, and shears them once for
-all angles that share a residual shear.
+Every screen is keyed through a counter-based generator: by
+(master_seed, strength index, realization index) in the fidelity and
+rotation scans (the rotation scan's one strength is index 0), by
+(master_seed, realization index) in run_coefficient_estimate.  Results
+are then a pure function of the configuration: an engine may split
+realizations across threads in any way without changing a single bit of
+the output; n_workers is the thread count, 0 (the default) every usable
+core (parallel.parallel_fill).  Each worker draws into its own arrays
+(_draw_arrays), allocating nothing grid-sized per realization.  Within a
+cell the same screens are shared by all states (paired comparison).
+decode is linear and a screen multiplies both polarization components by
+one phase, so a realization needs two overlaps per l of e^{i phi} with
+precomputed weights; every state's amplitudes then follow by 2x2 algebra
+(elements.decode_factors, DECODE_MIX), in place of a full-grid decode
+per state.  The rotation scan rotates the weights, not the screened
+fields, and shears them once for all angles that share a residual shear.
 """
 
 from __future__ import annotations

@@ -85,8 +85,9 @@ def parallel_fill(n_items: int, worker, n_workers: int, work) -> None:
     threads than spans.  A single span or worker runs on the calling thread.
 
     arrays is one result of work(), made on the calling thread before any
-    span runs, one per thread; each span has its own to itself.  So a worker that allocates nothing grid-sized leaves nothing in
-    its thread's allocator arena, which would hold on to freed memory.
+    span runs, one per thread; each span has its own to itself.  So a
+    worker that allocates nothing grid-sized leaves nothing in its thread's
+    allocator arena, which would hold on to freed memory.
 
     Workers must write only to preallocated per-index slots; the result is
     then identical for any worker count.

@@ -1,5 +1,6 @@
 """Command-line interface: arguments, configs, manifests, and exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import scipy.stats
 import oamturb
 import oamturb.cli
 from oamturb import load_screen
-from oamturb.cli import _spearman, main
+from oamturb.cli import _COMMAND_DEFAULTS, _build_parser, _resolve_config, _spearman, main
 from oamturb.parallel import blas_threads
 
 
@@ -86,12 +87,15 @@ class TestParsing:
         ("rotation-scan", {"out_dir": 3}),
     ])
     def test_mistyped_config_value_fails(self, tmp_path, capsys, command, loaded):
+        kinds = {"realizations": "an integer", "seed": "an integer",
+                 "strengths": "a list of numbers", "tolerance": "a number",
+                 "cn2": "a number or null", "out_dir": "a string"}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(loaded))
         assert run([command, "--config", str(cfg)]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert f"config key {next(iter(loaded))!r} must be" in err
+        ((key, value),) = loaded.items()
+        assert capsys.readouterr().err == (
+            f"oamturb {command}: config key {key!r} must be {kinds[key]}, got {value!r}\n")
 
     def test_number_accepted_for_unset_default(self, tmp_path, capsys):
         # a None default takes a number; the run then stops at the
@@ -100,6 +104,73 @@ class TestParsing:
         cfg.write_text(json.dumps({"lambda_nm": 795, "grid_extent": 16}))
         assert run(["calibrate", "--config", str(cfg)]) == 1
         assert "physical units need all of" in capsys.readouterr().err
+
+
+# each subcommand's options besides -h/--help, as --help lists them
+OPTIONS = {
+    "ph-curve": ["--seed", "--grid-n", "--grid-extent", "--realizations", "--out-dir",
+                 "--config", "--workers", "--strengths", "--l", "--radial-nodes",
+                 "--angular-nodes", "--tolerance"],
+    "fidelity-scan": ["--seed", "--grid-n", "--grid-extent", "--realizations",
+                      "--out-dir", "--config", "--workers", "--strengths", "--l"],
+    "rotation-scan": ["--seed", "--grid-n", "--grid-extent", "--realizations",
+                      "--out-dir", "--config", "--workers", "--strength", "--n-angles",
+                      "--l"],
+    "screen-validate": ["--seed", "--grid-n", "--grid-extent", "--realizations",
+                        "--out-dir", "--config", "--workers", "--strength",
+                        "--export-screens"],
+    "calibrate": ["--seed", "--grid-n", "--grid-extent", "--realizations", "--out-dir",
+                  "--config", "--workers", "--strengths", "--distance", "--wavelength",
+                  "--lambda-nm", "--cn2", "--path-m", "--waist-mm"],
+}
+
+# a value of each default's type, as flag text and as it resolves
+SAMPLES = {list: ("0.25,0.5", [0.25, 0.5]), int: ("7", 7), float: ("0.375", 0.375),
+           type(None): ("1.5", 1.5), str: ("elsewhere", "elsewhere")}
+
+
+def subparsers() -> dict:
+    (sub,) = [action for action in _build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    return sub.choices
+
+
+class TestOptionTable:
+    def test_commands_are_the_config_table(self):
+        assert list(subparsers()) == list(_COMMAND_DEFAULTS) == list(OPTIONS)
+
+    @pytest.mark.parametrize("command", list(OPTIONS))
+    def test_help_lists_the_options(self, capsys, command):
+        assert run([command, "--help"]) == 0
+        listed = [flag.split()[0]
+                  for line in capsys.readouterr().out.splitlines() if line.startswith("  -")
+                  for flag in line[2:].split("  ")[0].split(", ")]
+        assert sorted(listed) == sorted(["-h", "--help", *OPTIONS[command]])
+
+    @pytest.mark.parametrize("command", list(OPTIONS))
+    def test_every_key_is_a_flag_and_every_flag_a_key(self, command):
+        flags = {action.dest: action.option_strings
+                 for action in subparsers()[command]._actions}
+        assert flags.pop("help") == ["-h", "--help"]
+        assert flags.pop("config") == ["--config"]
+        assert sorted(flags) == sorted(_COMMAND_DEFAULTS[command])
+        assert all(strings == ["--" + key.replace("_", "-")]
+                   for key, strings in flags.items())
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, defaults in _COMMAND_DEFAULTS.items()
+        for key in defaults])
+    def test_flag_and_config_file_resolve_alike(self, tmp_path, command, key):
+        text, value = SAMPLES[type(_COMMAND_DEFAULTS[command][key])]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        parser = _build_parser()
+        by_flag = _resolve_config(
+            command, parser.parse_args([command, "--" + key.replace("_", "-"), text]))
+        by_file = _resolve_config(command, parser.parse_args([command, "--config", str(cfg)]))
+        assert by_flag == by_file == {**_COMMAND_DEFAULTS[command], key: value}
+        assert [type(v) for v in by_flag.values()] == [type(v) for v in by_file.values()]
+        assert type(by_flag[key]) is type(value)
 
 
 @pytest.fixture(scope="module")
@@ -438,6 +509,33 @@ class TestCalibrate:
         rc = run(["calibrate", "--lambda-nm", "795", "--cn2", "1e-14"])
         assert rc == 1
         assert "physical units need all of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["calibrate", "fidelity-scan", "ph-curve"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_no_strengths_exits_one(self, tmp_path, capsys, monkeypatch, command, where):
+        def refuse(*args):
+            raise AssertionError("a field was propagated")
+
+        monkeypatch.setattr(oamturb.cli, "beam_broadening_sweep", refuse)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"strengths": []}))
+        args = ["--strengths", ""] if where == "flag" else ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert run([command, *args, "--realizations", "100", "--grid-n", "64",
+                    "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"oamturb {command}: at least one turbulence strength is required\n")
+        assert not out.exists()
+
+    def test_physical_units_alone_give_one_strength(self, tmp_path):
+        out = tmp_path / "phys"
+        assert run(["calibrate", "--strengths", "", "--realizations", "100",
+                    "--grid-n", "64", "--grid-extent", "16.0",
+                    "--lambda-nm", "795", "--cn2", "1e-14", "--path-m", "1000",
+                    "--waist-mm", "35.2868", "--out-dir", str(out)]) == 0
+        rows = (out / "calibration.csv").read_text().splitlines()[1:]
+        assert len(rows) == 1
+        assert float(rows[0].split(",")[0]) == pytest.approx(1.0, rel=1e-3)
 
     def test_small_run_with_physical_conversion(self, tmp_path):
         out = tmp_path / "cal"
