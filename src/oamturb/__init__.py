@@ -20,12 +20,10 @@ from .errors import (
 )
 from .fields import (
     GridSpec,
-    OamModeSpec,
     ScalarField,
     VectorField,
     boundary_energy_fraction,
     make_lg_mode,
-    oam_power_spectrum,
     overlap,
     propagate,
     rotate_modal,
@@ -67,7 +65,6 @@ from .analytic import (
     coupling_coefficients,
     ring_coefficients,
     success_probability,
-    theta_transform,
 )
 from .montecarlo import (
     CoefficientEstimate,

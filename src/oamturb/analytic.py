@@ -21,10 +21,10 @@ give A in closed form.  With s = |d|^2 in waist units, up to one constant,
 e.g. e^{-s}(1 + s^2/2) and e^{-s}(1 - 2s + s^2/2) at l = 1, leaving one
 integral over d, normalized by its zero-turbulence value.
 
-The single-radius reduction theta_transform / ring_coefficients keeps only
-the coherence gamma(2 r sin(u/2)) between points of a common ring.  It is
-exact for a detector resolving the azimuthal index irrespective of radial
-profile and upper-bounds c0.
+The single-radius reduction ring_coefficients keeps only the coherence
+gamma(2 r sin(u/2)) between points of a common ring.  It is exact for a
+detector resolving the azimuthal index irrespective of radial profile and
+upper-bounds c0.
 
 The coherence has a 5/3-power cusp at zero separation; cubic maps of the
 separation (d = d_max t^3) and ring angle (u = pi t^3) flatten it for
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError, RangeError, ToleranceError
+from .errors import RangeError, ToleranceError
 from .turbulence import STRUCTURE_COEFF, TurbulenceParams
 
 # turbulence strengths scanned in the experiments this package reproduces:
@@ -108,37 +108,6 @@ def _theta_values(delta_l: int, r: np.ndarray, w_over_r0: float,
     strength = (r * w_over_r0) ** (5 / 3)
     gam = np.exp(-_COHERENCE_SCALE * np.outer(strength, sin_pow))
     return 4 * np.pi * (gam @ (np.cos(delta_l * u) * weight))
-
-
-def theta_transform(
-    delta_l: int,
-    r: float,
-    params: TurbulenceParams,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-    *,
-    validate: bool = True,
-) -> float:
-    """Circular-harmonic transform of the ring coherence at radius r.
-
-    Even in delta_l; equals (2 pi)^2 at zero turbulence for delta_l = 0.
-    With validate=True the angular rule is re-run at doubled resolution
-    and a ToleranceError is raised if the value is not converged.
-    """
-    if not isinstance(delta_l, (int, np.integer)) or isinstance(delta_l, bool):
-        raise RangeError(f"delta_l must be an integer, got {delta_l!r}")
-    if r < 0:
-        raise DomainError(f"radius must be nonnegative, got {r}")
-    rr = np.array([float(r)])
-    value = float(_theta_values(delta_l, rr, params.w_over_r0, quad.angular_nodes)[0])
-    if validate:
-        refined = float(_theta_values(delta_l, rr, params.w_over_r0,
-                                      2 * quad.angular_nodes)[0])
-        if abs(refined - value) > quad.tolerance * max(1.0, abs(value)):
-            raise ToleranceError(
-                f"angular quadrature not converged: {value} vs {refined} "
-                f"at {quad.angular_nodes} nodes"
-            )
-    return value
 
 
 @functools.lru_cache(maxsize=32)

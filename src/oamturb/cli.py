@@ -25,7 +25,6 @@ import time
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 from . import __version__, analytic
 from .analytic import DEFAULT_STRENGTHS, QuadratureConfig, ring_coefficients
@@ -171,7 +170,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"oamturb {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, defaults in _COMMAND_DEFAULTS.items():
-        p = sub.add_parser(command, help=_COMMAND_HELP[command])
+        # no abbreviations: --strength must not stand for --strengths
+        p = sub.add_parser(command, help=_COMMAND_HELP[command], allow_abbrev=False)
         for key, default in defaults.items():
             p.add_argument("--" + key.replace("_", "-"), type=_kind(default)[0],
                            help=_HELP.get(key))
@@ -262,8 +262,8 @@ def _write_record(command: str, cfg: dict, record: _Record, compute_s: float) ->
         # what produced the run; outside "config", so a replay ignores it
         "environment": {
             "python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "blas_name": blas.get("name"),
-            "blas_version": blas.get("version"), "cpu_count": os.cpu_count(),
+            "blas_name": blas.get("name"), "blas_version": blas.get("version"),
+            "cpu_count": os.cpu_count(),
             # threads the engines ran on (screen-validate draws serially) and
             # OpenBLAS's own count, which a pool of more workers holds at 1
             "workers": 1 if command == "screen-validate" else resolve_workers(cfg["workers"]),

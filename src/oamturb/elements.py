@@ -157,25 +157,20 @@ def reference_mode(l: int, grid: GridSpec) -> ScalarField:
     return ScalarField(grid, np.abs(make_lg_mode(l, grid).samples))
 
 
-def decode(f: VectorField, l: int, coupling: float = 1.0) -> DecodeResult:
+def decode(f: VectorField, l: int) -> DecodeResult:
     """Undo the hybrid encoding and post-select the flat azimuthal mode.
 
     Applies qplate(q=l/2) then HWP(0), then projects each circular
-    component onto reference_mode(l).  coupling is an optional constant
-    post-selection efficiency (e.g. fiber coupling) multiplying the
-    success probability; it defaults to the ideal 1.
+    component onto reference_mode(l); post-selection is ideal.
     """
     if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 1:
         raise RangeError(f"l must be a positive integer, got {l!r}")
-    if not 0 < coupling <= 1:
-        raise DomainError(f"coupling must be in (0, 1], got {coupling}")
     g = waveplate("hwp", 0.0, qplate(l / 2, f))
     ref = reference_mode(int(l), f.grid)
     pitch_sq = f.grid.pitch**2
     amp_r = complex(np.vdot(ref.samples, g.right.samples) * pitch_sq)
     amp_l = complex(np.vdot(ref.samples, g.left.samples) * pitch_sq)
-    root = np.sqrt(coupling)
-    recovered = np.array([amp_r * root, amp_l * root])
+    recovered = np.array([amp_r, amp_l])
     success = float(recovered.real.dot(recovered.real) + recovered.imag.dot(recovered.imag))
     return DecodeResult(recovered, success)
 
@@ -183,12 +178,11 @@ def decode(f: VectorField, l: int, coupling: float = 1.0) -> DecodeResult:
 def decode_factors(l: int, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """decode as two projections and the fixed 2x2 matrix DECODE_MIX.
 
-    Returns (proj_right, proj_left) such that, for coupling = 1,
-    decode(f, l).recovered equals pitch^2 * DECODE_MIX @ (<proj_right,
-    f.right>, <proj_left, f.left>) up to rounding, where <a, b> =
-    vdot(a, b).  Each projection folds the q-plate phase into
-    reference_mode(l).  Callers that decode many fields sharing one
-    structure use this to replace each full-grid decode by two overlaps.
+    Returns (proj_right, proj_left) such that decode(f, l).recovered
+    equals pitch^2 * DECODE_MIX @ (<proj_right, f.right>, <proj_left,
+    f.left>) up to rounding, where <a, b> = vdot(a, b).  Each projection
+    folds the q-plate phase into reference_mode(l).  Callers decoding many
+    fields of one structure replace each full-grid decode by two overlaps.
     """
     if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 1:
         raise RangeError(f"l must be a positive integer, got {l!r}")

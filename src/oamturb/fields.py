@@ -41,6 +41,8 @@ class GridSpec:
             raise RangeError(f"grid size must be even and >= 32, got {self.n}")
         if not (isinstance(self.extent, (int, float, np.floating)) and self.extent > 0):
             raise RangeError(f"grid extent must be positive, got {self.extent!r}")
+        if self.extent == np.inf:
+            raise RangeError("grid extent must be finite, got inf")
         object.__setattr__(self, "extent", float(self.extent))
         object.__setattr__(self, "n", int(self.n))
 
@@ -122,48 +124,35 @@ class VectorField:
         return self.right.power() + self.left.power()
 
 
-@dataclass(frozen=True)
-class OamModeSpec:
-    """Laguerre-Gauss mode label: azimuthal index l, radial index 0."""
+def make_lg_mode(l: int, grid: GridSpec) -> ScalarField:
+    """Sample the Laguerre-Gauss mode LG_{0,l} at its unit waist.
 
-    l: int
-    p: int = 0
-    waist: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.l, (int, np.integer)) or isinstance(self.l, bool):
-            raise RangeError(f"azimuthal index must be an integer, got {self.l!r}")
-        if abs(self.l) > MAX_AZIMUTHAL_INDEX:
-            raise RangeError(
-                f"|l| <= {MAX_AZIMUTHAL_INDEX} is required, got l={self.l}"
-            )
-        if self.p != 0:
-            raise RangeError("only the p = 0 radial mode is supported")
-        if not self.waist > 0:
-            raise DomainError(f"waist must be positive, got {self.waist}")
-        object.__setattr__(self, "l", int(self.l))
-
-
-def make_lg_mode(mode: OamModeSpec | int, grid: GridSpec) -> ScalarField:
-    """Sample the Laguerre-Gauss mode LG_{0,l} at its waist.
-
-    The profile is (sqrt(2) r / w)^|l| exp(-r^2/w^2) exp(i l theta),
-    renormalized numerically so the grid sum of |f|^2 * pitch^2 is exactly 1.
-    The 16 most recently used modes are cached per (l, waist, grid); the
-    returned field is immutable and may be shared between callers.
+    The profile is (sqrt(2) r)^|l| exp(-r^2) exp(i l theta), renormalized
+    numerically so the grid sum of |f|^2 * pitch^2 is exactly 1.  The 16
+    most recently used modes are cached per (l, grid), immutable and shared.
+    A grid that holds no finite positive power of the mode raises DomainError.
     """
-    if isinstance(mode, (int, np.integer)) and not isinstance(mode, bool):
-        mode = OamModeSpec(l=int(mode))
-    return _lg_mode(mode.l, mode.waist, grid)
+    if not isinstance(l, (int, np.integer)) or isinstance(l, bool):
+        raise RangeError(f"azimuthal index must be an integer, got {l!r}")
+    if abs(l) > MAX_AZIMUTHAL_INDEX:
+        raise RangeError(f"|l| <= {MAX_AZIMUTHAL_INDEX} is required, got l={l}")
+    return _lg_mode(int(l), grid)
 
 
 @functools.lru_cache(maxsize=16)
-def _lg_mode(l: int, waist: float, grid: GridSpec) -> ScalarField:
+def _lg_mode(l: int, grid: GridSpec) -> ScalarField:
     r, theta = grid.polar
-    u = r / waist
-    rho = (np.sqrt(2.0) * u) ** abs(l) * np.exp(-(u**2))
-    f = rho * np.exp(1j * l * theta)
-    f /= np.sqrt(np.sum(f.real**2 + f.imag**2) * grid.pitch**2)
+    with np.errstate(over="ignore", invalid="ignore"):  # bad grids: checked below
+        rho = (np.sqrt(2.0) * r) ** abs(l) * np.exp(-(r**2))
+        f = rho * np.exp(1j * l * theta)
+        try:
+            power = float(np.sum(f.real**2 + f.imag**2) * grid.pitch**2)
+        except OverflowError:  # a Python float's pitch**2 raises, not inf
+            power = np.inf
+    if not 0 < power < np.inf:
+        raise DomainError(f"a {grid.n}-pixel grid {grid.extent!r} waists wide samples "
+                          f"LG_(0,{l}) with power {power}: it cannot resolve the unit waist")
+    f /= np.sqrt(power)
     return ScalarField(grid, f)
 
 
@@ -172,48 +161,6 @@ def overlap(a: ScalarField, b: ScalarField) -> complex:
     if a.grid != b.grid:
         raise ShapeMismatchError("overlap requires both fields on the same grid")
     return complex(np.vdot(a.samples, b.samples) * a.grid.pitch**2)
-
-
-def oam_power_spectrum(
-    f: ScalarField, l_min: int, l_max: int
-) -> dict[int, float]:
-    """Power per azimuthal index over a centered disk.
-
-    The field is resampled onto a polar raster (cubic spline interpolation),
-    Fourier-analyzed in the angle, and the radial integral is taken with
-    Simpson's rule out to extent/2 - 2*pitch.  Power outside that disk is
-    not counted, so the values sum to slightly less than the total power
-    for beams that reach the grid corners.
-    """
-    # imported here: no command needs them, and they are slow to import
-    from scipy.integrate import simpson
-    from scipy.ndimage import map_coordinates
-
-    if l_min > l_max:
-        raise RangeError(f"l_min={l_min} exceeds l_max={l_max}")
-    grid = f.grid
-    n = grid.n
-    if max(abs(l_min), abs(l_max)) > n:
-        raise RangeError(f"|l| <= {n} is required on an n={n} grid")
-    n_theta = 4 * n
-    n_r = 2 * n + 1
-    r_disk = grid.extent / 2 - 2 * grid.pitch
-    r = np.linspace(0.0, r_disk, n_r)
-    theta = 2 * np.pi * np.arange(n_theta) / n_theta
-    xs = np.outer(r, np.cos(theta))
-    ys = np.outer(r, np.sin(theta))
-    # half-pixel grid: pixel index = coordinate/pitch + n/2 - 1/2
-    ix = xs / grid.pitch + n / 2 - 0.5
-    iy = ys / grid.pitch + n / 2 - 0.5
-    vals = map_coordinates(f.samples.real, [iy, ix], order=3) + 1j * map_coordinates(
-        f.samples.imag, [iy, ix], order=3
-    )
-    c = np.fft.fft(vals, axis=1) / n_theta
-    out: dict[int, float] = {}
-    for l in range(l_min, l_max + 1):
-        radial = np.abs(c[:, l % n_theta]) ** 2 * r
-        out[l] = float(2 * np.pi * simpson(radial, x=r))
-    return out
 
 
 def expi(x, out: np.ndarray | None = None) -> np.ndarray:
@@ -281,17 +228,17 @@ def rotate_modal(f: ScalarField, theta: float) -> ScalarField:
     return ScalarField(f.grid, g.copy())
 
 
-def boundary_energy_fraction(f: ScalarField, width: int = 2) -> float:
-    """Fraction of total power in the outermost `width`-pixel frame."""
-    return intensity_frame_fraction(f.samples.real**2 + f.samples.imag**2, width)
+def boundary_energy_fraction(f: ScalarField) -> float:
+    """Fraction of total power in the outermost 2-pixel frame."""
+    return intensity_frame_fraction(f.samples.real**2 + f.samples.imag**2)
 
 
-def intensity_frame_fraction(inten: np.ndarray, width: int = 2) -> float:
+def intensity_frame_fraction(inten: np.ndarray) -> float:
     """boundary_energy_fraction of a field given its intensity |u|^2."""
     total = float(inten.sum())
     if total == 0.0:
         return 0.0
-    inner = float(inten[width:-width, width:-width].sum())
+    inner = float(inten[2:-2, 2:-2].sum())
     return (total - inner) / total
 
 
@@ -318,6 +265,9 @@ def _fresnel(
     allocated.  inten and scratch are real work arrays of u's shape; inten
     is left holding |u|^2 of the result, and the result's
     boundary_energy_fraction is returned."""
+    for name, value in (("wavelength", wavelength), ("propagation distance", distance)):
+        if not np.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if not wavelength > 0:
         raise DomainError(f"wavelength must be positive, got {wavelength}")
     fraction = _frame_fraction(u, inten, scratch)

@@ -257,6 +257,8 @@ def _rotation_samples(config: ExperimentConfig, n_workers: int = 0):
     for j, resid in enumerate(_quarter_turns(t)[1] for t in config.angles):
         key = next((r for r in groups if abs(r - resid) < _SHEAR_GROUP_TOL), resid)
         groups.setdefault(key, []).append(j)
+    for l in ls:  # a grid that cannot sample the modes fails before any screen
+        make_lg_mode(l, grid)
     # one block of phase factors, refilled for every block of realizations
     screens = np.empty((min(_SCREEN_BLOCK, config.n_realizations), grid.n * grid.n),
                        dtype=np.complex128)

@@ -72,8 +72,7 @@ class TurbulenceParams:
     The physical quartet (wavelength_m, cn2, path_m, waist_m) is optional
     metadata; when all four are present the implied waist_m / r0 must agree
     with an explicitly passed w_over_r0 to 1e-12 relative, or w_over_r0 may
-    be omitted and is then derived.  outer_scale (waist units) switches the
-    spectrum to von Karman; None means pure Kolmogorov.
+    be omitted and is then derived.
     """
 
     w_over_r0: float | None = None
@@ -81,7 +80,6 @@ class TurbulenceParams:
     cn2: float | None = None
     path_m: float | None = None
     waist_m: float | None = None
-    outer_scale: float | None = None
 
     def __post_init__(self) -> None:
         physical = (self.wavelength_m, self.cn2, self.path_m, self.waist_m)
@@ -109,8 +107,6 @@ class TurbulenceParams:
                     f"w_over_r0={value} inconsistent with the physical "
                     f"parameters (implied {derived})"
                 )
-        if self.outer_scale is not None and not self.outer_scale > 0:
-            raise DomainError(f"outer_scale must be positive, got {self.outer_scale}")
 
 
 def coherence(r, dtheta, params: TurbulenceParams):
@@ -169,7 +165,7 @@ class PhaseScreen:
 
 
 class _SynthesisTables:
-    """Strength-independent synthesis tables for one (grid, outer_scale).
+    """Strength-independent synthesis tables for one grid.
 
     The screen is the real part of an inverse FFT over point-sampled
     spectral amplitudes (with the 3x3 block around DC removed) plus
@@ -184,20 +180,14 @@ class _SynthesisTables:
     and upsampled exactly to the pixel grid by a fixed matrix.
     """
 
-    def __init__(self, grid: GridSpec, outer_scale: float | None) -> None:
-        n = grid.n
+    def __init__(self, grid: GridSpec) -> None:
         dfreq = 1.0 / grid.extent
-        f0sq = 0.0 if outer_scale is None else (1.0 / outer_scale) ** 2
-
-        def spectrum(fsq):
-            return (fsq + f0sq) ** (-11 / 6)
-
         fr = grid.freqs
         fx, fy = np.meshgrid(fr, fr)
         fsq = fx**2 + fy**2
         point = np.zeros_like(fsq)
-        nz = fsq > 0 if f0sq == 0.0 else np.ones_like(fsq, dtype=bool)
-        point[nz] = spectrum(fsq[nz]) * dfreq**2
+        nz = fsq > 0
+        point[nz] = fsq[nz] ** (-11 / 6) * dfreq**2
         dc_block = (np.abs(np.rint(fx / dfreq)) <= 1) & (np.abs(np.rint(fy / dfreq)) <= 1)
         point[dc_block] = 0.0
         self.amp_fft = np.sqrt(PSD_COEFF * point)
@@ -217,7 +207,7 @@ class _SynthesisTables:
                     if max(abs(cx), abs(cy)) < 0.5 * s * (1 - 1e-12):
                         continue  # covered by the next (finer) level
                     ax, ay = np.meshgrid(cx + du, cy + du)
-                    pw = np.outer(wu, wu) * spectrum(ax**2 + ay**2)
+                    pw = np.outer(wu, wu) * (ax**2 + ay**2) ** (-11 / 6)
                     total = pw.sum()
                     cell_fx.append((pw * ax).sum() / total)
                     cell_fy.append((pw * ay).sum() / total)
@@ -236,13 +226,7 @@ class _SynthesisTables:
         th = 0.5 * (tq_x + 1) * (np.pi / 4)
         tw = 0.5 * (np.pi / 4) * tq_w
         rmax = h / np.cos(th)
-        if f0sq == 0.0:
-            radial = 3.0 * rmax ** (1 / 3)
-        else:
-            rq_x, rq_w = leggauss(64)
-            rho = 0.5 * np.outer(rmax, rq_x + 1)
-            wts = 0.5 * np.outer(rmax, rq_w)
-            radial = (wts * rho**3 * spectrum(rho**2)).sum(axis=1)
+        radial = 3.0 * rmax ** (1 / 3)  # int_0^rmax rho^3 rho^(-11/3) d rho
         tilt_var = (2 * np.pi) ** 2 * 4.0 * float(np.sum(tw * radial))
         self.tilt_sigma = np.sqrt(PSD_COEFF * tilt_var)
 
@@ -258,8 +242,8 @@ class _SynthesisTables:
 
 
 @functools.lru_cache(maxsize=8)
-def _tables(grid: GridSpec, outer_scale: float | None) -> _SynthesisTables:
-    return _SynthesisTables(grid, outer_scale)
+def _tables(grid: GridSpec) -> _SynthesisTables:
+    return _SynthesisTables(grid)
 
 
 def _check_strength(w0: float) -> None:
@@ -275,7 +259,6 @@ def _seed_id(ss: np.random.SeedSequence) -> int:
 
 def _unit_screen(
     grid: GridSpec,
-    outer_scale: float | None,
     ss: np.random.SeedSequence,
     out: np.ndarray | None = None,
     spec: np.ndarray | None = None,
@@ -286,7 +269,7 @@ def _unit_screen(
     place.  spec (complex) and work (real) are optional work arrays of the
     grid's shape; with all three given, nothing grid-sized is allocated."""
     n = grid.n
-    tab = _tables(grid, outer_scale)
+    tab = _tables(grid)
     rng = np.random.Generator(np.random.Philox(ss))
     # the spectrum (zr + 1j * zi) * amp_fft, written part by part into one
     # complex array; zi is drawn into zr's buffer, in the same draw order
@@ -334,7 +317,7 @@ def _draw_phase_factor(
     if w0 == 0.0:
         unit.fill(0.0)
     else:
-        _scale(_unit_screen(grid, params.outer_scale, ss, unit, out, work), w0, out=unit)
+        _scale(_unit_screen(grid, ss, unit, out, work), w0, out=unit)
     return expi(unit, out=out)
 
 
@@ -366,7 +349,7 @@ def generate_screen(
         seed_id = int(seed)
     if w0 == 0.0:
         return PhaseScreen(grid, np.zeros((grid.n, grid.n)), seed_id, params)
-    unit = _unit_screen(grid, params.outer_scale, ss)
+    unit = _unit_screen(grid, ss)
     return PhaseScreen(grid, _scale(unit, w0, out=unit), seed_id, params)
 
 
@@ -506,9 +489,9 @@ def beam_broadening_sweep(
     once.  An entry whose field reaches the grid boundary gets the
     AliasingError of its lowest failing realization in place of its
     result and is skipped in every later realization; the other entries
-    continue.  All entries must share one outer_scale.  Realizations are
-    split over n_workers threads (0: every usable core); each realization
-    fills its own slots, so the result is the same for any worker count.
+    continue.  Realizations are split over n_workers threads (0: every
+    usable core); each realization fills its own slots, so the result is
+    the same for any worker count.
     """
     if n_realizations < 100:
         raise StatisticsError(f"need >= 100 realizations, got {n_realizations}")
@@ -516,8 +499,6 @@ def beam_broadening_sweep(
         _check_strength(params.w_over_r0)
     if seed < 0:
         raise RangeError(f"seed must be nonnegative, got {seed}")
-    if len({params.outer_scale for params in params_list}) > 1:
-        raise DomainError("a broadening sweep needs one outer_scale for all entries")
     if grid is None:
         grid = GridSpec(512, 16.0)
     shape = (grid.n, grid.n)
@@ -546,7 +527,7 @@ def beam_broadening_sweep(
                     continue
                 if not drawn and w0 != 0.0:
                     ss = np.random.SeedSequence(entropy=[seed, i])
-                    _unit_screen(grid, params.outer_scale, ss, unit, u, scratch)
+                    _unit_screen(grid, ss, unit, u, scratch)
                     drawn = True
                 # apply_screen and propagate, in place: gauss * exp(i phase),
                 # the phase held in inten until _fresnel overwrites it
@@ -632,13 +613,16 @@ def save_screen(screen: PhaseScreen, path) -> None:
 
 def load_screen(path) -> PhaseScreen:
     """Read a screen written by save_screen; a TurbulenceParams field the
-    header lacks is None.  A malformed file raises DomainError."""
+    header lacks is None.  A malformed file raises DomainError, and so does
+    an older header's outer_scale unless it is None (Kolmogorov)."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("# "):
             raise DomainError(f"{path}: missing screen header line")
         try:
             meta = dict(item.split("=", 1) for item in header[2:].split())
+            if meta.get("outer_scale", "None") != "None":
+                raise DomainError(f"{path}: von Karman screen (outer_scale={meta['outer_scale']})")
             grid = GridSpec(int(meta["n"]), float(meta["extent"]))
             seed = int(meta["seed"])
             params = TurbulenceParams(**{

@@ -11,7 +11,6 @@ import weakref
 
 import numpy as np
 import pytest
-import scipy
 import scipy.stats
 
 import oamturb
@@ -157,6 +156,16 @@ class TestOptionTable:
         assert all(strings == ["--" + key.replace("_", "-")]
                    for key, strings in flags.items())
 
+    @pytest.mark.parametrize("argv", [
+        ["fidelity-scan", "--strength", "0.6"],  # --strengths of another command
+        ["fidelity-scan", "--real", "7"],  # a prefix of --realizations
+    ])
+    def test_abbreviated_flag_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run([*argv, "--grid-n", "32", "--out-dir", str(out)]) == 1
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, key", [
         (command, key) for command, defaults in _COMMAND_DEFAULTS.items()
         for key in defaults])
@@ -228,11 +237,11 @@ class TestPhCurve:
         manifest = json.loads((out / "manifest.json").read_text())
         env = manifest["environment"]
         assert sorted(env) == sorted([
-            "python", "numpy", "scipy", "blas_name", "blas_version", "cpu_count",
+            "python", "numpy", "blas_name", "blas_version", "cpu_count",
             "workers", "blas_threads",
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"])
         assert env["python"] == platform.python_version()
-        assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
+        assert env["numpy"] == np.__version__
         assert env["cpu_count"] == os.cpu_count()
         # the config keeps the literal default; the manifest what it meant here
         assert manifest["config"]["workers"] == 0
@@ -347,6 +356,23 @@ class TestRunRecord:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "cannot write output" in err
+
+
+class TestUnsamplableGrid:
+    @pytest.mark.parametrize("command", list(_COMMAND_DEFAULTS))
+    @pytest.mark.parametrize("extent", ["inf", "nan", "1e150", "1e300", "1e-300"])
+    def test_exits_one_before_any_screen(self, tmp_path, capsys, monkeypatch,
+                                         command, extent):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a screen was drawn")
+
+        monkeypatch.setattr(oamturb.turbulence, "_unit_screen", refuse)
+        out = tmp_path / "out"
+        assert run([command, "--grid-n", "32", "--grid-extent", extent,
+                    "--realizations", "100", "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"oamturb {command}: ") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 class TestFidelityScan:
@@ -527,6 +553,17 @@ class TestCalibrate:
             f"oamturb {command}: at least one turbulence strength is required\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["--distance", "nan"], "propagation distance must be finite, got nan"),
+        (["--wavelength", "inf"], "wavelength must be finite, got inf"),
+    ])
+    def test_non_finite_optics_named(self, tmp_path, capsys, args, message):
+        out = tmp_path / "out"
+        assert run(["calibrate", *args, "--grid-n", "64", "--grid-extent", "16.0",
+                    "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"oamturb calibrate: {message}\n"
+        assert not out.exists()
+
     def test_physical_units_alone_give_one_strength(self, tmp_path):
         out = tmp_path / "phys"
         assert run(["calibrate", "--strengths", "", "--realizations", "100",
@@ -652,8 +689,8 @@ class TestSpearman:
         assert math.isnan(_spearman([1.0, 1.0, 1.0], [0.0, 1.0, 2.0]))
 
 
-# heavy scipy subpackages that no command needs
-HEAVY_MODULES = ("scipy.stats", "scipy.integrate", "scipy.ndimage",
+# scipy and its heavy subpackages: no command needs them
+HEAVY_MODULES = ("scipy", "scipy.stats", "scipy.integrate", "scipy.ndimage",
                  "scipy.special", "scipy.optimize")
 
 _IMPORT_PROBE = """

@@ -44,6 +44,8 @@ from oamturb.turbulence import screen_statistics
 
 GRID = GridSpec()
 P06 = TurbulenceParams(w_over_r0=0.6)
+# the body of a 32^2 screen file, for headers written out literally
+OLD_SCREEN_ROWS = (",".join(["0.25", "-0.5"] * 16) + "\n") * 32
 P10 = TurbulenceParams(w_over_r0=1.0)
 
 
@@ -96,10 +98,6 @@ class TestTurbulenceParams:
                 wavelength_m=795e-9, cn2=1e-14, path_m=1000.0, waist_m=0.0352868,
             )
 
-    def test_bad_outer_scale_rejected(self):
-        with pytest.raises(DomainError):
-            TurbulenceParams(w_over_r0=0.5, outer_scale=0.0)
-
 
 class TestTheory:
     def test_coherence_reference_point(self):
@@ -149,11 +147,11 @@ class TestTheory:
         assert 0.0 < val <= 1.0
 
 
-def literal_unit_screen(grid, outer_scale, ss):
+def literal_unit_screen(grid, ss):
     """_unit_screen with two fresh normal arrays, a complex sum and an
     allocating ifft2: the reference the in-place synthesis must match."""
     n = grid.n
-    tab = turbulence._tables(grid, outer_scale)
+    tab = turbulence._tables(grid)
     rng = np.random.Generator(np.random.Philox(ss))
     zr = rng.standard_normal((n, n))
     zi = rng.standard_normal((n, n))
@@ -209,34 +207,28 @@ class TestGenerateScreen:
 
     def test_screen_is_scaled_unit_screen(self):
         key = [4, 1]
-        for outer_scale in (None, 5.0):
-            unit = turbulence._unit_screen(
-                GRID, outer_scale, np.random.SeedSequence(entropy=key)
-            )
-            for w in (0.05, 0.3, 1.0, 1.7, 2.0):
-                params = TurbulenceParams(w_over_r0=w, outer_scale=outer_scale)
-                screen = generate_screen(params, GRID, np.random.SeedSequence(entropy=key))
-                expected = unit * w ** (5 / 6)
-                expected -= expected.mean()
-                assert np.array_equal(screen.phase, expected)
+        unit = turbulence._unit_screen(GRID, np.random.SeedSequence(entropy=key))
+        for w in (0.05, 0.3, 1.0, 1.7, 2.0):
+            params = TurbulenceParams(w_over_r0=w)
+            screen = generate_screen(params, GRID, np.random.SeedSequence(entropy=key))
+            expected = unit * w ** (5 / 6)
+            expected -= expected.mean()
+            assert np.array_equal(screen.phase, expected)
 
-    @pytest.mark.parametrize("outer_scale", [None, 5.0])
     @pytest.mark.parametrize("grid,keys", [
         (GridSpec(32, 6.0), 4), (GridSpec(64, 8.0), 4), (GRID, 4),
         (GridSpec(512, 16.0), 2),
     ])
-    def test_unit_screen_matches_literal_synthesis(self, grid, keys, outer_scale):
+    def test_unit_screen_matches_literal_synthesis(self, grid, keys):
         for i in range(keys):
             key = [11, grid.n, i]
-            got = turbulence._unit_screen(
-                grid, outer_scale, np.random.SeedSequence(entropy=key))
-            want = literal_unit_screen(
-                grid, outer_scale, np.random.SeedSequence(entropy=key))
+            got = turbulence._unit_screen(grid, np.random.SeedSequence(entropy=key))
+            want = literal_unit_screen(grid, np.random.SeedSequence(entropy=key))
             assert np.array_equal(got, want), i
             # the same screen through caller-owned work arrays
             out, work = np.empty((2, grid.n, grid.n))
             into = turbulence._unit_screen(
-                grid, outer_scale, np.random.SeedSequence(entropy=key), out=out,
+                grid, np.random.SeedSequence(entropy=key), out=out,
                 spec=np.empty((grid.n, grid.n), complex), work=work)
             assert into is out and np.array_equal(into, want), i
 
@@ -246,17 +238,16 @@ class TestGenerateScreen:
             s.phase[0, 0] = 1.0
 
     def test_phase_factor_is_complex_exponential(self):
-        # 2 spectra x 3 strengths x 17 keys = 102 screens
+        # 3 strengths x 17 keys = 51 screens
         grid = GridSpec(128, 8.0)
-        for outer_scale in (None, 5.0):
-            for w in (0.3, 1.4, 1.99):
-                params = TurbulenceParams(w_over_r0=w, outer_scale=outer_scale)
-                for i in range(17):
-                    s = generate_screen(params, grid, np.random.SeedSequence(entropy=[6, i]))
-                    u = s.phase_factor
-                    assert np.array_equal(u, np.exp(1j * s.phase)), (outer_scale, w, i)
-                    assert u is s.phase_factor
-                    assert not u.flags.writeable
+        for w in (0.3, 1.4, 1.99):
+            params = TurbulenceParams(w_over_r0=w)
+            for i in range(17):
+                s = generate_screen(params, grid, np.random.SeedSequence(entropy=[6, i]))
+                u = s.phase_factor
+                assert np.array_equal(u, np.exp(1j * s.phase)), (w, i)
+                assert u is s.phase_factor
+                assert not u.flags.writeable
 
 
 def literal_coherence(screens, sep):
@@ -468,6 +459,27 @@ class TestScreenIo:
         assert header.startswith("# n=64 ")
         assert "w_over_r0=0.6" in header
         assert "seed=17" in header
+        assert "outer_scale" not in header
+
+    def test_header_with_kolmogorov_outer_scale_loads(self, tmp_path):
+        # the header an older save_screen wrote, with its outer_scale=None
+        path = tmp_path / "old.csv"
+        path.write_text("# n=32 extent=6.0 seed=5 w_over_r0=0.6 wavelength_m=None "
+                        "cn2=None path_m=None waist_m=None outer_scale=None\n"
+                        + OLD_SCREEN_ROWS)
+        back = load_screen(path)
+        assert back.params == P06
+        assert (back.grid, back.seed) == (GridSpec(32, 6.0), 5)
+        assert back.phase[31, :2].tolist() == [0.25, -0.5]
+
+    @pytest.mark.parametrize("value", ["5.0", "inf", "0.0"])
+    def test_header_with_numeric_outer_scale_rejected(self, tmp_path, value):
+        path = tmp_path / "karman.csv"
+        path.write_text("# n=32 extent=6.0 seed=5 w_over_r0=0.6 wavelength_m=None "
+                        f"cn2=None path_m=None waist_m=None outer_scale={value}\n"
+                        + OLD_SCREEN_ROWS)
+        with pytest.raises(DomainError, match=rf"von Karman screen \(outer_scale={value}\)"):
+            load_screen(path)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -476,9 +488,9 @@ class TestScreenIo:
             load_screen(path)
 
     @pytest.mark.parametrize("params", [
-        TurbulenceParams(w_over_r0=0.6, outer_scale=5.0),
+        TurbulenceParams(w_over_r0=0.6),
         TurbulenceParams(wavelength_m=795e-9, cn2=1e-14, path_m=1000.0,
-                         waist_m=0.0353, outer_scale=5.0),
+                         waist_m=0.0353),
     ])
     def test_round_trip_keeps_every_parameter(self, tmp_path, params):
         s = generate_screen(params, GridSpec(64, 6.0), 3)
@@ -499,16 +511,14 @@ class TestScreenIo:
             st.floats(1e-7, 1e-5), st.floats(1e-18, 1e-12),
             st.floats(1.0, 1e5), st.floats(1e-3, 1.0),
         ),
-        outer_scale=st.none() | st.floats(1e-3, 1e3),
     )
-    def test_round_trip_property(self, phase, extent, seed, w_over_r0, physical,
-                                 outer_scale):
+    def test_round_trip_property(self, phase, extent, seed, w_over_r0, physical):
         if physical is None:
-            params = TurbulenceParams(w_over_r0=w_over_r0, outer_scale=outer_scale)
+            params = TurbulenceParams(w_over_r0=w_over_r0)
         else:
             wavelength_m, cn2, path_m, waist_m = physical
             params = TurbulenceParams(wavelength_m=wavelength_m, cn2=cn2, path_m=path_m,
-                                      waist_m=waist_m, outer_scale=outer_scale)
+                                      waist_m=waist_m)
         s = PhaseScreen(GridSpec(32, extent), phase, seed, params)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "screen.csv"
@@ -701,7 +711,4 @@ class TestBroadeningSweep:
                                   0.01, 1, SMALL)
         with pytest.raises(RangeError):
             beam_broadening_sweep([P06], 100, 30.0, 0.01, -1, SMALL)
-        with pytest.raises(DomainError):
-            beam_broadening_sweep([P06, TurbulenceParams(w_over_r0=0.6, outer_scale=5.0)],
-                                  100, 30.0, 0.01, 1, SMALL)
         assert beam_broadening_sweep([], 100, 30.0, 0.01, 1, SMALL) == []
