@@ -49,6 +49,7 @@ from .turbulence import (
     fried_parameter,
     generate_screen,
     save_screen,
+    screen_key,
     screen_statistics,
     structure_function,
 )
@@ -428,7 +429,7 @@ def cmd_screen_validate(cfg: dict) -> _Record:
     def draw():  # one screen at a time; the first n_export are written as they come
         screen_dir = os.path.join(cfg["out_dir"], "screens")
         for i in range(n_screens):
-            screen = generate_screen(params, grid, np.random.SeedSequence(entropy=[seed, i]))
+            screen = generate_screen(params, grid, screen_key(seed, i))
             if i < n_export:
                 os.makedirs(screen_dir, exist_ok=True)
                 save_screen(screen, os.path.join(screen_dir, f"screen_{i:04d}.csv"))
@@ -518,17 +519,19 @@ def cmd_calibrate(cfg: dict) -> _Record:
     grid = _grid(cfg)
     physical = {k: cfg[k] for k in ("lambda_nm", "cn2", "path_m", "waist_mm")}
     given = [k for k, v in physical.items() if v is not None]
-    physical_echo = None
     strengths = [float(s) for s in cfg["strengths"]]
     if given:
         if len(given) < 4:
             raise _UsageError(
                 "physical units need all of --lambda-nm, --cn2, --path-m, --waist-mm"
             )
+        for key, value in physical.items():
+            if not (np.isfinite(value) and value > 0):
+                flag = "--" + key.replace("_", "-")
+                raise _UsageError(f"{flag} must be finite and positive, got {value}")
         r0_m = fried_parameter(physical["lambda_nm"] * 1e-9, physical["cn2"],
                                physical["path_m"])
         w_over_r0 = (physical["waist_mm"] * 1e-3) / r0_m
-        physical_echo = {"r0_m": r0_m, "w_over_r0": w_over_r0}
         strengths = sorted(set(strengths) | {w_over_r0})
     if not strengths:
         raise _UsageError("at least one turbulence strength is required")
@@ -577,8 +580,8 @@ def cmd_calibrate(cfg: dict) -> _Record:
         "boundary_energy_limit": BOUNDARY_ENERGY_LIMIT,
         "max_boundary_energy_fraction": margins,
     }
-    if physical_echo is not None:
-        summary["physical_conversion"] = physical_echo
+    if given:
+        summary["physical_conversion"] = {"r0_m": r0_m, "w_over_r0": w_over_r0}
     return _Record(
         {"calibration.csv": (["w_over_r0_true", "w_t_over_w", "w_t_stderr",
                               "w_over_r0_inferred"], rows)},

@@ -1,9 +1,9 @@
 """Seeded Monte Carlo ensemble engine for the hybrid-qubit pipeline.
 
-Every screen is keyed through a counter-based generator: by
-(master_seed, strength index, realization index) in the fidelity and
-rotation scans (the rotation scan's one strength is index 0), by
-(master_seed, realization index) in run_coefficient_estimate.  Results
+Every screen is keyed by turbulence.screen_key for a counter-based
+generator: by (master_seed, strength index, realization index) in the
+fidelity and rotation scans (the rotation scan's one strength is index 0),
+by (master_seed, realization index) in run_coefficient_estimate.  Results
 are then a pure function of the configuration: an engine may split
 realizations across threads in any way without changing a single bit of
 the output; n_workers is the thread count, 0 (the default) every usable
@@ -30,7 +30,7 @@ from .elements import DECODE_MIX, MUB_LABELS, decode_factors, mub_states
 from .errors import DomainError, RangeError, StatisticsError
 from .fields import GridSpec, ScalarField, _quarter_turns, make_lg_mode, rotate_modal
 from .parallel import parallel_fill
-from .turbulence import TurbulenceParams, _draw_phase_factor
+from .turbulence import TurbulenceParams, _draw_phase_factor, screen_key
 
 # success_prob below this is a total-loss event, excluded from fidelity
 LOSS_THRESHOLD = 1e-12
@@ -124,10 +124,9 @@ class RotationScanRow:
 class CoefficientEstimate:
     """Ensemble estimates of the +/-l coupling weights.
 
-    Iterable as (c0, c2l) for tuple-style use; c2l_reverse carries the
-    opposite cross term |<l|psi_{-l}>|^2 and mirror_dev the largest
-    per-realization |<l|psi_l> - <-l|psi_{-l}>| (an exact identity up to
-    rounding).
+    c2l_reverse carries the opposite cross term |<l|psi_{-l}>|^2 and
+    mirror_dev the largest per-realization |<l|psi_l> - <-l|psi_{-l}>| (an
+    exact identity up to rounding).
     """
 
     c0: EnsembleStats
@@ -135,15 +134,6 @@ class CoefficientEstimate:
     c2l_reverse: EnsembleStats
     mirror_dev: float
     n: int
-
-    def __iter__(self):
-        return iter((self.c0, self.c2l))
-
-
-def _cell_key(master_seed: int, strength_idx: int, realization: int):
-    return np.random.SeedSequence(
-        entropy=[int(master_seed), int(strength_idx), int(realization)]
-    )
 
 
 def _draw_arrays(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -216,7 +206,7 @@ def _fidelity_samples(config: ExperimentConfig, n_workers: int = 0):
     def worker(start: int, stop: int, arrays) -> None:
         for cell in range(start, stop):
             si, i = divmod(cell, n_real)
-            u = _draw_phase_factor(params[si], grid, _cell_key(config.master_seed, si, i),
+            u = _draw_phase_factor(params[si], grid, screen_key(config.master_seed, si, i),
                                    *arrays)
             xy[si, i] = weights @ u.ravel()
 
@@ -267,7 +257,7 @@ def _rotation_samples(config: ExperimentConfig, n_workers: int = 0):
 
         def worker(start: int, stop: int, arrays) -> None:
             for b in range(start, stop):
-                key = _cell_key(config.master_seed, 0, block[b])
+                key = screen_key(config.master_seed, 0, block[b])
                 _draw_phase_factor(params, grid, key, screens[b].reshape(grid.n, grid.n),
                                    *arrays)
 
@@ -319,6 +309,8 @@ def run_coefficient_estimate(
     """
     if n < 100:
         raise StatisticsError(f"need >= 100 realizations, got {n}")
+    if master_seed < 0:
+        raise RangeError("master_seed must be a nonnegative integer")
     if grid is None:
         grid = GridSpec()
     lg_p, lg_m = (make_lg_mode(m, grid).samples for m in (l, -l))
@@ -329,7 +321,7 @@ def run_coefficient_estimate(
 
     def worker(start: int, stop: int, arrays) -> None:
         for i in range(start, stop):
-            ss = np.random.SeedSequence(entropy=[int(master_seed), int(i)])
+            ss = screen_key(master_seed, i)
             ov[i] = weights @ _draw_phase_factor(params, grid, ss, *arrays).ravel()
 
     parallel_fill(n, worker, n_workers, lambda: _draw_arrays(grid))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -60,53 +60,24 @@ _CHEB_ORDER = 32
 
 def fried_parameter(wavelength_m: float, cn2: float, path_m: float) -> float:
     """Fried parameter r0 = 0.185 (lambda^2 / (cn2 z))^(3/5), in meters."""
-    if not (wavelength_m > 0 and cn2 > 0 and path_m > 0):
-        raise DomainError("wavelength, cn2 and path length must all be positive")
+    if not all(math.isfinite(v) and v > 0 for v in (wavelength_m, cn2, path_m)):
+        raise DomainError("wavelength, cn2 and path length must all be finite and positive")
     return 0.185 * (wavelength_m**2 / (cn2 * path_m)) ** 0.6
 
 
 @dataclass(frozen=True)
 class TurbulenceParams:
-    """Turbulence strength, primarily the dimensionless w_over_r0.
+    """Turbulence strength: the dimensionless ratio w_over_r0 of the beam
+    waist to the Fried parameter, finite and >= 0 (fried_parameter converts
+    physical units)."""
 
-    The physical quartet (wavelength_m, cn2, path_m, waist_m) is optional
-    metadata; when all four are present the implied waist_m / r0 must agree
-    with an explicitly passed w_over_r0 to 1e-12 relative, or w_over_r0 may
-    be omitted and is then derived.
-    """
-
-    w_over_r0: float | None = None
-    wavelength_m: float | None = None
-    cn2: float | None = None
-    path_m: float | None = None
-    waist_m: float | None = None
+    w_over_r0: float
 
     def __post_init__(self) -> None:
-        physical = (self.wavelength_m, self.cn2, self.path_m, self.waist_m)
-        derived = None
-        if all(v is not None for v in physical):
-            if not self.waist_m > 0:
-                raise DomainError(f"waist_m must be positive, got {self.waist_m}")
-            derived = self.waist_m / fried_parameter(
-                self.wavelength_m, self.cn2, self.path_m
-            )
-        if self.w_over_r0 is None:
-            if derived is None:
-                raise DomainError(
-                    "w_over_r0 is required unless wavelength_m, cn2, path_m "
-                    "and waist_m are all given"
-                )
-            object.__setattr__(self, "w_over_r0", float(derived))
-        else:
-            value = float(self.w_over_r0)
-            if not (math.isfinite(value) and value >= 0):
-                raise DomainError(f"w_over_r0 must be finite and >= 0, got {value}")
-            object.__setattr__(self, "w_over_r0", value)
-            if derived is not None and abs(derived - value) > 1e-12 * max(1.0, value):
-                raise DomainError(
-                    f"w_over_r0={value} inconsistent with the physical "
-                    f"parameters (implied {derived})"
-                )
+        value = float(self.w_over_r0)
+        if not (math.isfinite(value) and value >= 0):
+            raise DomainError(f"w_over_r0 must be finite and >= 0, got {value}")
+        object.__setattr__(self, "w_over_r0", value)
 
 
 def coherence(r, dtheta, params: TurbulenceParams):
@@ -243,7 +214,17 @@ class _SynthesisTables:
 
 @functools.lru_cache(maxsize=8)
 def _tables(grid: GridSpec) -> _SynthesisTables:
-    return _SynthesisTables(grid)
+    """The grid's synthesis tables; DomainError if an extreme extent breaks them."""
+    with np.errstate(all="ignore"):  # bad grids: checked below
+        try:
+            tab = _SynthesisTables(grid)
+            finite = all(np.isfinite(table).all() for table in vars(tab).values())
+        except OverflowError:  # a Python float's dfreq**2 raises, not inf
+            finite = False
+    if not finite:
+        raise DomainError(f"a {grid.n}-pixel grid {grid.extent!r} waists wide has "
+                          "non-finite screen synthesis tables")
+    return tab
 
 
 def _check_strength(w0: float) -> None:
@@ -253,29 +234,29 @@ def _check_strength(w0: float) -> None:
         )
 
 
-def _seed_id(ss: np.random.SeedSequence) -> int:
-    return int(ss.generate_state(1, np.uint64)[0])
+def screen_key(seed: int, *indices: int) -> np.random.SeedSequence:
+    """SeedSequence(entropy=[seed, *indices]): the key of the screen at
+    indices (strength, realization, ...) of a run with master seed seed."""
+    return np.random.SeedSequence(entropy=[int(seed), *map(int, indices)])
 
 
 def _unit_screen(
     grid: GridSpec,
     ss: np.random.SeedSequence,
-    out: np.ndarray | None = None,
-    spec: np.ndarray | None = None,
-    work: np.ndarray | None = None,
+    out: np.ndarray,
+    spec: np.ndarray,
+    work: np.ndarray,
 ) -> np.ndarray:
     """The screen of key ss at w_over_r0 = 1, piston not yet removed,
-    written to out (default a fresh array) for the caller to scale in
-    place.  spec (complex) and work (real) are optional work arrays of the
-    grid's shape; with all three given, nothing grid-sized is allocated."""
+    written to out for the caller to scale in place.  spec (complex) and
+    work (real) are work arrays of the grid's shape, so nothing grid-sized
+    is allocated."""
     n = grid.n
     tab = _tables(grid)
     rng = np.random.Generator(np.random.Philox(ss))
     # the spectrum (zr + 1j * zi) * amp_fft, written part by part into one
     # complex array; zi is drawn into zr's buffer, in the same draw order
     scr = rng.standard_normal((n, n), out=out)
-    if spec is None:
-        spec = np.empty((n, n), dtype=np.complex128)
     np.multiply(scr, tab.amp_fft, out=spec.real)
     np.multiply(rng.standard_normal(out=scr), tab.amp_fft, out=spec.imag)
     zsh = rng.standard_normal((2, tab.amp_sh.size))
@@ -293,12 +274,28 @@ def _unit_screen(
     return scr
 
 
-def _scale(unit: np.ndarray, w0: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Phase at strength w0 > 0 from a unit screen: times w0^(5/6), piston
-    removed.  out=unit scales in place."""
+def _scale(unit: np.ndarray, w0: float, out: np.ndarray) -> np.ndarray:
+    """Phase at strength w0 from a unit screen: times w0^(5/6), piston
+    removed; all zeros at w0 = 0, where unit is not read.  out=unit scales
+    in place."""
+    if w0 == 0.0:
+        out.fill(0.0)
+        return out
     scr = np.multiply(unit, w0 ** (5 / 6), out=out)
     scr -= scr.mean()
     return scr
+
+
+def _draw_phase(params: TurbulenceParams, grid: GridSpec, ss: np.random.SeedSequence,
+                phase: np.ndarray, spec: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """The phase of key ss at strength params, written to phase; spec
+    (complex) and work (real) are _unit_screen's work arrays.  Nothing is
+    drawn at zero strength."""
+    w0 = params.w_over_r0
+    _check_strength(w0)
+    if w0 != 0.0:
+        _unit_screen(grid, ss, phase, spec, work)
+    return _scale(phase, w0, out=phase)
 
 
 def _draw_phase_factor(
@@ -312,13 +309,7 @@ def _draw_phase_factor(
     """generate_screen(params, grid, ss).phase_factor, bitwise, written to
     out (complex); unit and work are real work arrays of the grid's shape,
     so nothing grid-sized is allocated."""
-    w0 = params.w_over_r0
-    _check_strength(w0)
-    if w0 == 0.0:
-        unit.fill(0.0)
-    else:
-        _scale(_unit_screen(grid, ss, unit, out, work), w0, out=unit)
-    return expi(unit, out=out)
+    return expi(_draw_phase(params, grid, ss, unit, out, work), out=out)
 
 
 def generate_screen(
@@ -330,27 +321,27 @@ def generate_screen(
 
     The generator is counter-based (Philox), so screens for distinct seeds
     can be produced in any order or thread with identical results.  seed
-    may be a nonnegative integer or a numpy SeedSequence (the engine uses
-    SeedSequence(entropy=[master_seed, cell indices...]) to key cells);
-    the stored PhaseScreen.seed is the integer itself, or a 64-bit digest
-    of the SeedSequence for identification in exports.  One key gives
-    the same screen at every strength up to the factor w_over_r0^(5/6)
-    (before the piston is removed).
+    may be a nonnegative integer or a numpy SeedSequence (the engines key
+    their screens with screen_key); the stored PhaseScreen.seed is the
+    integer itself, or a 64-bit digest of the SeedSequence for
+    identification in exports.  One key gives the same screen at every
+    strength up to the factor w_over_r0^(5/6) (before the piston is
+    removed).
     """
-    w0 = params.w_over_r0
-    _check_strength(w0)
     if isinstance(seed, np.random.SeedSequence):
         ss = seed
-        seed_id = _seed_id(ss)
+        seed_id = int(ss.generate_state(1, np.uint64)[0])
     else:
         if seed < 0:
             raise RangeError(f"seed must be nonnegative, got {seed}")
         ss = np.random.SeedSequence(int(seed))
         seed_id = int(seed)
-    if w0 == 0.0:
-        return PhaseScreen(grid, np.zeros((grid.n, grid.n)), seed_id, params)
-    unit = _unit_screen(grid, ss)
-    return PhaseScreen(grid, _scale(unit, w0, out=unit), seed_id, params)
+    if params.w_over_r0 != 0.0:  # the arrays below reuse the memory this build frees
+        _tables(grid)
+    shape = (grid.n, grid.n)
+    phase = _draw_phase(params, grid, ss, np.empty(shape),
+                        np.empty(shape, dtype=np.complex128), np.empty(shape))
+    return PhaseScreen(grid, phase, seed_id, params)
 
 
 def apply_screen(f, s: PhaseScreen):
@@ -482,9 +473,9 @@ def beam_broadening_sweep(
 ) -> list[Broadening | AliasingError]:
     """beam_broadening_mc for several strengths in one pass over realizations.
 
-    Realization i of every strength is keyed SeedSequence(entropy=[seed,
-    i]), so its screen is drawn once at unit strength and scaled for each
-    entry, bitwise as generate_screen would draw it.  A zero-strength
+    Realization i of every strength is keyed screen_key(seed, i), so its
+    screen is drawn once at unit strength and scaled for each entry,
+    bitwise as generate_screen would draw it.  A zero-strength
     entry sees the same field in every realization and is propagated
     once.  An entry whose field reaches the grid boundary gets the
     AliasingError of its lowest failing realization in place of its
@@ -526,15 +517,11 @@ def beam_broadening_sweep(
                 if first_failure[j] < i or (w0 == 0.0 and i > 0):
                     continue
                 if not drawn and w0 != 0.0:
-                    ss = np.random.SeedSequence(entropy=[seed, i])
-                    _unit_screen(grid, ss, unit, u, scratch)
+                    _unit_screen(grid, screen_key(seed, i), unit, u, scratch)
                     drawn = True
                 # apply_screen and propagate, in place: gauss * exp(i phase),
                 # the phase held in inten until _fresnel overwrites it
-                if w0 == 0.0:
-                    inten.fill(0.0)
-                else:
-                    _scale(unit, w0, out=inten)
+                _scale(unit, w0, out=inten)
                 np.multiply(gauss, expi(inten, out=u), out=u)
                 try:
                     frames[j, i] = _fresnel(u, grid, propagation_distance, wavelength,
@@ -592,29 +579,23 @@ def beam_broadening_mc(
     return result.w_t, result.stderr
 
 
-def _header_value(value) -> str:
-    return "None" if value is None else repr(float(value))
-
-
 def save_screen(screen: PhaseScreen, path) -> None:
     """Write a screen as CSV: one comment header line carrying the grid, the
-    seed and every TurbulenceParams field, then n rows of n phase values
+    seed and the strength w_over_r0, then n rows of n phase values
     (radians), full float64 round-trip precision."""
-    params = " ".join(
-        f"{f.name}={_header_value(getattr(screen.params, f.name))}"
-        for f in fields(TurbulenceParams)
-    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# n={screen.grid.n} extent={screen.grid.extent!r} "
-                 f"seed={screen.seed} {params}\n")
+                 f"seed={screen.seed} w_over_r0={screen.params.w_over_r0!r}\n")
         for row in screen.phase:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def load_screen(path) -> PhaseScreen:
-    """Read a screen written by save_screen; a TurbulenceParams field the
-    header lacks is None.  A malformed file raises DomainError, and so does
-    an older header's outer_scale unless it is None (Kolmogorov)."""
+    """Read a screen written by save_screen.  A malformed file raises
+    DomainError, and so does an older header's outer_scale unless it is
+    None (Kolmogorov).  An older header's wavelength_m, cn2, path_m and
+    waist_m are skipped, whatever their values: its w_over_r0 already holds
+    the strength they implied."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("# "):
@@ -625,10 +606,7 @@ def load_screen(path) -> PhaseScreen:
                 raise DomainError(f"{path}: von Karman screen (outer_scale={meta['outer_scale']})")
             grid = GridSpec(int(meta["n"]), float(meta["extent"]))
             seed = int(meta["seed"])
-            params = TurbulenceParams(**{
-                f.name: None if meta.get(f.name, "None") == "None" else float(meta[f.name])
-                for f in fields(TurbulenceParams)
-            })
+            params = TurbulenceParams(float(meta["w_over_r0"]))
             rows = [
                 [float(v) for v in line.split(",")] for line in fh if line.strip()
             ]

@@ -514,6 +514,20 @@ class TestScreenValidate:
         assert max(counts) <= 2
         assert sorted(os.listdir(out / "screens")) == ["screen_0000.csv", "screen_0001.csv"]
 
+    def test_exported_screen_is_the_keyed_screen(self, tmp_path):
+        # screen i of seed s is keyed SeedSequence(entropy=[s, i])
+        out = tmp_path / "keys"
+        assert run(["screen-validate", "--realizations", "100", "--grid-n", "32",
+                    "--grid-extent", "6.0", "--seed", "7", "--export-screens", "2",
+                    "--out-dir", str(out)]) in (0, 2)
+        for i in range(2):
+            got = load_screen(out / "screens" / f"screen_{i:04d}.csv")
+            want = oamturb.generate_screen(oamturb.TurbulenceParams(w_over_r0=1.0),
+                                           oamturb.GridSpec(32, 6.0),
+                                           np.random.SeedSequence(entropy=[7, i]))
+            assert np.array_equal(got.phase, want.phase), i
+            assert (got.seed, got.params) == (want.seed, want.params)
+
     def test_zero_strength_run(self, tmp_path):
         out = tmp_path / "sv0"
         rc = run(["screen-validate", "--strength", "0.0",
@@ -562,6 +576,24 @@ class TestCalibrate:
         assert run(["calibrate", *args, "--grid-n", "64", "--grid-extent", "16.0",
                     "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == f"oamturb calibrate: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--waist-mm", "0"), ("--waist-mm", "-1"), ("--waist-mm", "nan"),
+        ("--lambda-nm", "inf"), ("--cn2", "0"), ("--path-m", "-5"),
+    ])
+    def test_bad_physical_value_named(self, tmp_path, capsys, monkeypatch, flag, value):
+        def refuse(*args):
+            raise AssertionError("a field was propagated")
+
+        monkeypatch.setattr(oamturb.cli, "beam_broadening_sweep", refuse)
+        physical = {"--lambda-nm": "795", "--cn2": "1e-14", "--path-m": "1000",
+                    "--waist-mm": "35.2868", flag: value}
+        out = tmp_path / "out"
+        assert run(["calibrate", *(a for kv in physical.items() for a in kv),
+                    "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"oamturb calibrate: {flag} must be finite and positive, got {float(value)}\n")
         assert not out.exists()
 
     def test_physical_units_alone_give_one_strength(self, tmp_path):

@@ -381,11 +381,14 @@ class TestCoefficientEstimate:
         ratio = est_100.c0.stderr / est_400.c0.stderr
         assert 1.6 < ratio < 2.5
 
-    def test_tuple_unpacking(self, est_400):
-        c0, c2l = est_400
-        assert c0 is est_400.c0
-        assert c2l is est_400.c2l
-
     def test_sample_count_guard(self):
         with pytest.raises(StatisticsError):
             run_coefficient_estimate(1, P06, 50, 1)
+
+    def test_negative_seed_rejected_before_any_screen(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a screen was drawn")
+
+        monkeypatch.setattr(montecarlo, "_draw_phase_factor", refuse)
+        with pytest.raises(RangeError, match="^master_seed must be a nonnegative integer$"):
+            run_coefficient_estimate(1, P06, 100, -1, SMALL)

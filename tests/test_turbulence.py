@@ -61,7 +61,9 @@ class TestFriedParameter:
         b = fried_parameter(1000e-9, 1e-14, 1000.0)
         assert b / a == pytest.approx(2 ** 1.2, rel=1e-12)
 
-    @pytest.mark.parametrize("args", [(0, 1e-14, 1e3), (500e-9, 0, 1e3), (500e-9, 1e-14, 0)])
+    @pytest.mark.parametrize("args", [(0, 1e-14, 1e3), (500e-9, 0, 1e3), (500e-9, 1e-14, 0),
+                                      (math.inf, 1e-14, 1e3), (500e-9, math.nan, 1e3),
+                                      (500e-9, 1e-14, -math.inf)])
     def test_nonpositive_inputs_rejected(self, args):
         with pytest.raises(DomainError):
             fried_parameter(*args)
@@ -69,34 +71,13 @@ class TestFriedParameter:
 
 class TestTurbulenceParams:
     def test_strength_required(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(TypeError):
             TurbulenceParams()
 
     @pytest.mark.parametrize("w", [-0.1, float("nan"), float("inf")])
     def test_bad_strength_rejected(self, w):
         with pytest.raises(DomainError):
             TurbulenceParams(w_over_r0=w)
-
-    def test_physical_quartet_derives_strength(self):
-        p = TurbulenceParams(
-            wavelength_m=795e-9, cn2=1e-14, path_m=1000.0, waist_m=0.0352868
-        )
-        assert p.w_over_r0 == pytest.approx(1.0, rel=1e-4)
-
-    def test_consistent_explicit_strength_accepted(self):
-        r0 = fried_parameter(795e-9, 1e-14, 1000.0)
-        p = TurbulenceParams(
-            w_over_r0=2 * r0 / r0,
-            wavelength_m=795e-9, cn2=1e-14, path_m=1000.0, waist_m=2 * r0,
-        )
-        assert p.w_over_r0 == pytest.approx(2.0, rel=1e-12)
-
-    def test_inconsistent_explicit_strength_rejected(self):
-        with pytest.raises(DomainError):
-            TurbulenceParams(
-                w_over_r0=0.5,
-                wavelength_m=795e-9, cn2=1e-14, path_m=1000.0, waist_m=0.0352868,
-            )
 
 
 class TestTheory:
@@ -167,6 +148,15 @@ def literal_unit_screen(grid, ss):
     return scr
 
 
+def unit_screen(grid, ss):
+    """_unit_screen into fresh arrays; checks that it returns its out array."""
+    out = np.empty((grid.n, grid.n))
+    got = turbulence._unit_screen(grid, ss, out, np.empty((grid.n, grid.n), complex),
+                                  np.empty((grid.n, grid.n)))
+    assert got is out
+    return got
+
+
 class TestGenerateScreen:
     def test_integer_seed_is_reproducible(self):
         a = generate_screen(P06, GRID, 7)
@@ -207,7 +197,7 @@ class TestGenerateScreen:
 
     def test_screen_is_scaled_unit_screen(self):
         key = [4, 1]
-        unit = turbulence._unit_screen(GRID, np.random.SeedSequence(entropy=key))
+        unit = unit_screen(GRID, np.random.SeedSequence(entropy=key))
         for w in (0.05, 0.3, 1.0, 1.7, 2.0):
             params = TurbulenceParams(w_over_r0=w)
             screen = generate_screen(params, GRID, np.random.SeedSequence(entropy=key))
@@ -222,15 +212,20 @@ class TestGenerateScreen:
     def test_unit_screen_matches_literal_synthesis(self, grid, keys):
         for i in range(keys):
             key = [11, grid.n, i]
-            got = turbulence._unit_screen(grid, np.random.SeedSequence(entropy=key))
+            got = unit_screen(grid, np.random.SeedSequence(entropy=key))
             want = literal_unit_screen(grid, np.random.SeedSequence(entropy=key))
             assert np.array_equal(got, want), i
-            # the same screen through caller-owned work arrays
-            out, work = np.empty((2, grid.n, grid.n))
-            into = turbulence._unit_screen(
-                grid, np.random.SeedSequence(entropy=key), out=out,
-                spec=np.empty((grid.n, grid.n), complex), work=work)
-            assert into is out and np.array_equal(into, want), i
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("extent", [1e-300, 1e-150, 1e-100, 1e100, 1e150])
+    def test_extreme_extent_rejected(self, extent):
+        # the frequencies over- or underflow: no OverflowError, no warning,
+        # no non-finite screen
+        grid = GridSpec(32, extent)
+        with pytest.raises(DomainError, match="non-finite screen synthesis tables"):
+            generate_screen(P10, grid, 0)
+        with pytest.raises(DomainError):
+            beam_broadening_sweep([P06], 100, 30.0, 0.01, 1, grid, n_workers=1)
 
     def test_phase_read_only(self):
         s = generate_screen(P06, GRID, 1)
@@ -456,10 +451,7 @@ class TestScreenIo:
         path = tmp_path / "screen.csv"
         save_screen(s, path)
         header = path.read_text().splitlines()[0]
-        assert header.startswith("# n=64 ")
-        assert "w_over_r0=0.6" in header
-        assert "seed=17" in header
-        assert "outer_scale" not in header
+        assert header == "# n=64 extent=6.0 seed=17 w_over_r0=0.6"
 
     def test_header_with_kolmogorov_outer_scale_loads(self, tmp_path):
         # the header an older save_screen wrote, with its outer_scale=None
@@ -471,6 +463,15 @@ class TestScreenIo:
         assert back.params == P06
         assert (back.grid, back.seed) == (GridSpec(32, 6.0), 5)
         assert back.phase[31, :2].tolist() == [0.25, -0.5]
+
+    def test_older_header_physical_values_skipped(self, tmp_path):
+        # the header's w_over_r0 holds the strength; the physical values
+        # an older TurbulenceParams carried are read past, even inconsistent ones
+        path = tmp_path / "old.csv"
+        path.write_text("# n=32 extent=6.0 seed=5 w_over_r0=0.6 wavelength_m=7.95e-07 "
+                        "cn2=1e-14 path_m=1000.0 waist_m=0.5 outer_scale=None\n"
+                        + OLD_SCREEN_ROWS)
+        assert load_screen(path).params == P06
 
     @pytest.mark.parametrize("value", ["5.0", "inf", "0.0"])
     def test_header_with_numeric_outer_scale_rejected(self, tmp_path, value):
@@ -487,11 +488,7 @@ class TestScreenIo:
         with pytest.raises(DomainError):
             load_screen(path)
 
-    @pytest.mark.parametrize("params", [
-        TurbulenceParams(w_over_r0=0.6),
-        TurbulenceParams(wavelength_m=795e-9, cn2=1e-14, path_m=1000.0,
-                         waist_m=0.0353),
-    ])
+    @pytest.mark.parametrize("params", [TurbulenceParams(w_over_r0=0.6)])
     def test_round_trip_keeps_every_parameter(self, tmp_path, params):
         s = generate_screen(params, GridSpec(64, 6.0), 3)
         path = tmp_path / "screen.csv"
@@ -507,18 +504,9 @@ class TestScreenIo:
         extent=st.floats(0.1, 100.0),
         seed=st.integers(min_value=0),
         w_over_r0=st.floats(0.0, 1e6),
-        physical=st.none() | st.tuples(
-            st.floats(1e-7, 1e-5), st.floats(1e-18, 1e-12),
-            st.floats(1.0, 1e5), st.floats(1e-3, 1.0),
-        ),
     )
-    def test_round_trip_property(self, phase, extent, seed, w_over_r0, physical):
-        if physical is None:
-            params = TurbulenceParams(w_over_r0=w_over_r0)
-        else:
-            wavelength_m, cn2, path_m, waist_m = physical
-            params = TurbulenceParams(wavelength_m=wavelength_m, cn2=cn2, path_m=path_m,
-                                      waist_m=waist_m)
+    def test_round_trip_property(self, phase, extent, seed, w_over_r0):
+        params = TurbulenceParams(w_over_r0=w_over_r0)
         s = PhaseScreen(GridSpec(32, extent), phase, seed, params)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "screen.csv"
@@ -534,6 +522,9 @@ class TestScreenIo:
         "# n=64 extent=6.0 w_over_r0=0.6\n",
         "# n=64 extent=6.0 seed=1 w_over_r0=0.6 stray\n",
         "# n=64 extent=6.0 seed=1 w_over_r0=-1.0\n",
+        "# n=64 extent=6.0 seed=1 w_over_r0=None\n",
+        "# n=64 extent=6.0 seed=1 wavelength_m=7.95e-07 cn2=1e-14 path_m=1000.0 "
+        "waist_m=0.0353\n",
     ])
     def test_malformed_header_rejected(self, tmp_path, header):
         path = tmp_path / "bad.csv"
