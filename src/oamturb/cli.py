@@ -44,6 +44,7 @@ from .montecarlo import (
 from .parallel import blas_threads, resolve_workers
 from .turbulence import (
     TurbulenceParams,
+    _check_strength,
     beam_broadening_sweep,
     fried_from_broadening,
     fried_parameter,
@@ -318,6 +319,7 @@ def cmd_ph_curve(cfg: dict) -> _Record:
         ring.append(rc.c0)
         ring_residuals.append(rc.residual)
     gaps = [abs(r[1] - r[2]) / r[1] for r in rows if r[1] > 0]
+    spread = [r for r in rows if r[3] > 0]  # a zero stderr is no yardstick
     return _Record(
         {"ph_curve.csv": (["w_over_r0", "ph_analytic", "ph_mc_mean", "ph_mc_stderr"],
                           rows)},
@@ -325,6 +327,8 @@ def cmd_ph_curve(cfg: dict) -> _Record:
             "n_strengths": len(rows),
             "ph_ring_half_angle_variant": ring,
             "max_relative_gap_mc_vs_analytic": max(gaps),
+            "max_gap_in_stderr": max((abs(r[2] - r[1]) / r[3] for r in spread), default=None),
+            "max_mc_rel_stderr": max((r[3] / r[2] for r in spread), default=None),
             "max_quadrature_residual": max(residuals),
             "max_ring_quadrature_residual": max(ring_residuals),
             "monotone_nonincreasing": all(
@@ -519,7 +523,7 @@ def cmd_calibrate(cfg: dict) -> _Record:
     grid = _grid(cfg)
     physical = {k: cfg[k] for k in ("lambda_nm", "cn2", "path_m", "waist_mm")}
     given = [k for k, v in physical.items() if v is not None]
-    strengths = [float(s) for s in cfg["strengths"]]
+    strengths = sorted(float(s) for s in cfg["strengths"])
     if given:
         if len(given) < 4:
             raise _UsageError(
@@ -539,6 +543,10 @@ def cmd_calibrate(cfg: dict) -> _Record:
     wavelength = float(cfg["wavelength"])
     n_real = int(cfg["realizations"])
     seed = int(cfg["seed"])
+    # every strength, converted or given, is checked before any Fresnel step
+    params = [TurbulenceParams(w_over_r0=s) for s in strengths if s != 0.0]
+    for p in params:
+        _check_strength(p.w_over_r0)
 
     # the reference alone first: if it aliases, no strength is drawn.  A
     # one-entry sweep, not beam_broadening_mc, keeps its guard margin
@@ -549,11 +557,9 @@ def cmd_calibrate(cfg: dict) -> _Record:
     if isinstance(zero, AliasingError):
         raise zero
     reference = zero.w_t
-    strengths = sorted(strengths)
     # a 0.0 row is the reference's own result, not a second propagation
     swept = iter(beam_broadening_sweep(
-        [TurbulenceParams(w_over_r0=s) for s in strengths if s != 0.0],
-        n_real, distance, wavelength, seed, grid, cfg["workers"],
+        params, n_real, distance, wavelength, seed, grid, cfg["workers"],
     ))
     results = [zero if s == 0.0 else next(swept) for s in strengths]
     rows = []

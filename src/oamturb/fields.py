@@ -174,13 +174,22 @@ def expi(x, out: np.ndarray | None = None) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=2)
-def _shear_phase(m: int, pitch: float, coeff: float) -> np.ndarray:
-    """Read-only x-shear phase exp(-2 pi i coeff c f) on an m-point padded
-    axis (rows: centred coordinate c; columns: FFT frequency f); its
-    transpose is the y-shear phase.  Two entries hold one angle's pair, so
-    a second field rotated by the same angle builds none."""
+def _shear_phase(n: int, pitch: float, coeff: float, axis: int) -> np.ndarray:
+    """Read-only shear phase exp(-2 pi i coeff c f) along `axis` of the
+    2n-point padded array of rotate_modal (c: centred coordinate, f: FFT
+    frequency), in the layout it multiplies: x (axis 1), the n central rows
+    of c by 2n of f; y (axis 0), frequency-major, 2n of f by 2n of c.  c and
+    f (bar f = 0 and Nyquist) are antisymmetric exactly, so one quadrant's
+    conjugate mirrors fill the rest, bitwise the full expi.  Two entries hold
+    one angle's pair: a second field at the same angle builds none."""
+    m, h = 2 * n, n // 2 if axis else n  # h: half the table's coordinates
     c = (np.arange(m) - m / 2 + 0.5) * pitch
-    ph = expi(-2 * np.pi * np.outer(c * coeff, np.fft.fftfreq(m, d=pitch)))
+    ph = np.empty((2 * h, m), dtype=np.complex128)
+    t = ph.T if axis else ph  # frequency-major either way
+    expi(-2 * np.pi * np.outer(np.fft.fftfreq(m, d=pitch)[:n + 1], c[n - h:n] * coeff),
+         out=t[:n + 1, :h])
+    np.conj(t[n - 1:0:-1, :h], out=t[n + 1:, :h])
+    np.conj(t[:, h - 1::-1], out=t[:, h:])
     ph.flags.writeable = False
     return ph
 
@@ -201,7 +210,8 @@ def rotate_modal(f: ScalarField, theta: float) -> ScalarField:
     zero-padded copy, which is exact for fields that are band-limited and
     negligible at the grid edge.  The x shears act row by row, so they skip
     the padding rows: zero on the way in, cropped on the way out.  All three
-    run in place in one padded array.
+    run in place in one padded array, each times a contiguous _shear_phase
+    table: x holds only the n central rows, y is frequency-major.
     theta = 0 (mod 2 pi) returns the input unchanged.
     """
     n = f.grid.n
@@ -211,18 +221,16 @@ def rotate_modal(f: ScalarField, theta: float) -> ScalarField:
         return f
     g = np.rot90(f.samples, -k) if k else f.samples
     if resid != 0.0:
-        m = 2 * n
         rows = slice(n // 2, n // 2 + n)
-        ph_x = _shear_phase(m, pitch, -np.tan(resid / 2))[rows]
-        ph_y = _shear_phase(m, pitch, np.sin(resid)).T
-        big = np.zeros((m, m), dtype=np.complex128)
+        a, b = -np.tan(resid / 2), np.sin(resid)
+        big = np.zeros((2 * n, 2 * n), dtype=np.complex128)
         big[rows, rows] = g
         band = big[rows]  # a view: the x shears write through it
         # every step in place: the 1-D fft and ifft honour out=, even on a
         # view (numpy's ifft2, 2.4.6, silently ignores it and allocates)
-        for part, ph, axis in ((band, ph_x, 1), (big, ph_y, 0), (band, ph_x, 1)):
+        for part, coeff, axis in ((band, a, 1), (big, b, 0), (band, a, 1)):
             np.fft.fft(part, axis=axis, out=part)
-            part *= ph
+            part *= _shear_phase(n, pitch, coeff, axis)
             np.fft.ifft(part, axis=axis, out=part)
         g = band[:, rows]
     return ScalarField(f.grid, g.copy())

@@ -155,13 +155,13 @@ def _weights(ls: list[int], grid: GridSpec, theta: float = 0.0,
     """
     k = _quarter_turns(theta)[0]
     frame = np.exp(1j * theta)
-    rows = []
-    for l, pair in zip(ls, projections or [decode_factors(l, grid) for l in ls]):
-        for proj, mode, phase in zip(pair, (l, -l), (np.conj(frame), frame)):
+    out = np.empty((len(ls), 2, grid.n, grid.n), dtype=np.complex128)  # rows, in place
+    for l, pair, ws in zip(ls, projections or [decode_factors(l, grid) for l in ls], out):
+        for proj, mode, phase, w in zip(pair, (l, -l), (np.conj(frame), frame), ws):
             if theta != 0.0:
-                proj = np.rot90(proj, k) * phase
-            rows.append((np.conj(proj) * make_lg_mode(mode, grid).samples).ravel())
-    return np.array(rows)
+                proj = np.multiply(np.rot90(proj, k), phase, out=w)
+            np.multiply(np.conj(proj, out=w), make_lg_mode(mode, grid).samples, out=w)
+    return out.reshape(2 * len(ls), -1)
 
 
 def _score(xy: np.ndarray, config: ExperimentConfig):

@@ -220,6 +220,25 @@ class TestPhCurve:
         summary = json.loads((first_run / "summary.json").read_text())
         assert 0.0 <= summary["max_ring_quadrature_residual"] <= 1e-6
 
+    def test_summary_reports_gap_in_standard_errors(self, first_run):
+        summary = json.loads((first_run / "summary.json").read_text())
+        rows = [[float(v) for v in line.split(",")] for line in
+                (first_run / "ph_curve.csv").read_text().splitlines()[1:]]
+        # the w/r0 = 0 row has a zero stderr and is skipped
+        assert rows[0][3] == 0.0 < rows[1][3]
+        _, analytic_ph, mean, stderr = rows[1]
+        assert summary["max_gap_in_stderr"] == abs(mean - analytic_ph) / stderr
+        assert summary["max_mc_rel_stderr"] == stderr / mean
+
+    def test_gap_in_standard_errors_null_without_spread(self, tmp_path):
+        out = tmp_path / "zero"
+        argv = [a if a != "0.0,0.6" else "0.0" for a in TINY_PH]
+        assert run(argv + ["--out-dir", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["max_gap_in_stderr"] is None
+        assert summary["max_mc_rel_stderr"] is None
+        assert '"max_gap_in_stderr": null' in (out / "summary.json").read_text()
+
     def test_manifest_replay_is_bitwise(self, first_run, tmp_path):
         replay = tmp_path / "replay"
         rc = run(["ph-curve", "--config", str(first_run / "manifest.json"),
@@ -594,6 +613,30 @@ class TestCalibrate:
                     "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == (
             f"oamturb calibrate: {flag} must be finite and positive, got {float(value)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--strengths", "-1"], "w_over_r0 must be finite and >= 0, got -1.0"),
+        (["--strengths", "2.5"], "w_over_r0 = 2.5 outside the validated range [0, 2.0]"),
+        (["--strengths", "nan"], "w_over_r0 must be finite and >= 0, got nan"),
+        (["--waist-mm", "100", "--lambda-nm", "800", "--cn2", "1e-14", "--path-m", "1000"],
+         "w_over_r0 = 2.8126797547360574 outside the validated range [0, 2.0]"),
+    ], ids=["negative", "above-range", "nan", "converted-above-range"])
+    def test_bad_strength_rejected_before_any_fresnel_step(self, tmp_path, capsys,
+                                                           monkeypatch, args, message):
+        steps = []
+        step = oamturb.turbulence._fresnel
+
+        def counted(*a):
+            steps.append(a)
+            return step(*a)
+
+        monkeypatch.setattr(oamturb.turbulence, "_fresnel", counted)
+        out = tmp_path / "out"
+        assert run(["calibrate", *args, "--realizations", "100", "--grid-n", "64",
+                    "--grid-extent", "16.0", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"oamturb calibrate: {message}\n"
+        assert steps == []
         assert not out.exists()
 
     def test_physical_units_alone_give_one_strength(self, tmp_path):

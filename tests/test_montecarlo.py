@@ -23,12 +23,15 @@ from oamturb import (
 )
 from oamturb import montecarlo
 from oamturb.elements import decode, decode_factors, fidelity, mub_states, rotate_frame
-from oamturb.fields import ScalarField, VectorField, make_lg_mode, rotate_modal
+from oamturb.fields import (
+    ScalarField, VectorField, _quarter_turns, make_lg_mode, rotate_modal,
+)
 from oamturb.montecarlo import (
     LOSS_THRESHOLD,
     _fidelity_samples,
     _rotation_samples,
     _score,
+    _weights,
 )
 
 P06 = TurbulenceParams(w_over_r0=0.6)
@@ -301,6 +304,29 @@ class TestRotationScan:
         monkeypatch.setattr(montecarlo, "_SCREEN_BLOCK", 2)
         for a, b in zip(whole, _rotation_samples(cfg)):
             assert np.array_equal(a, b, equal_nan=True)
+
+    @pytest.mark.parametrize("theta", [0.0, 2 * np.pi / 16, 2 * np.pi * 5 / 16, np.pi,
+                                       2 * np.pi * 13 / 16, 0.35, 2.0, 3 * np.pi / 2,
+                                       -0.7, 1e-9, np.pi / 4 + 1e-12])
+    def test_weight_rows_match_literal_build_bitwise(self, theta):
+        # the rows written in place == np.conj(np.rot90(p, k) * phase) * lg
+        # built per row (some of test_fields' PIN_ANGLES), for sheared and
+        # unsheared projections
+        grid, ls = GridSpec(64, 8.0), [1, 2]
+        k, resid = _quarter_turns(theta)
+        frame = np.exp(1j * theta)
+        sheared = [[rotate_modal(ScalarField(grid, p), -resid).samples
+                    for p in decode_factors(l, grid)] for l in ls]
+        for projections in (None, sheared):
+            want = []
+            for l, pair in zip(ls, projections or [decode_factors(l, grid) for l in ls]):
+                for p, mode, phase in zip(pair, (l, -l), (np.conj(frame), frame)):
+                    if theta != 0.0:
+                        p = np.rot90(p, k) * phase
+                    want.append((np.conj(p) * make_lg_mode(mode, grid).samples).ravel())
+            got = _weights(ls, grid, theta, projections)
+            assert got.shape == (4, grid.n**2)
+            assert got.tobytes() == np.array(want).tobytes()
 
     def test_generic_angle_keeps_fidelity(self):
         cfg = ExperimentConfig(
