@@ -42,7 +42,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import RangeError, ToleranceError
-from .turbulence import STRUCTURE_COEFF, TurbulenceParams
+from .turbulence import _COHERENCE_SCALE, STRUCTURE_COEFF, TurbulenceParams
 
 # turbulence strengths scanned in the experiments this package reproduces:
 # 14 values spanning [0, 1.4] including the cross-validation checkpoints
@@ -56,7 +56,6 @@ DEFAULT_STRENGTHS = (
 # 36 l is < 1e-12.
 _RADIAL_CUTOFF = 6.0
 _SEPARATION_CUTOFF = 6.0
-_COHERENCE_SCALE = STRUCTURE_COEFF * 2 ** (2 / 3)
 
 
 @dataclass(frozen=True)

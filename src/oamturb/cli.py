@@ -31,6 +31,7 @@ from .analytic import DEFAULT_STRENGTHS, QuadratureConfig, ring_coefficients
 from .elements import MUB_LABELS, HybridQubit, mub_states
 from .errors import (
     AliasingError,
+    DomainError,
     OamTurbError,
     StatisticsError,
     ToleranceError,
@@ -536,6 +537,8 @@ def cmd_calibrate(cfg: dict) -> _Record:
         r0_m = fried_parameter(physical["lambda_nm"] * 1e-9, physical["cn2"],
                                physical["path_m"])
         w_over_r0 = (physical["waist_mm"] * 1e-3) / r0_m
+        if not (np.isfinite(w_over_r0) and w_over_r0 > 0):
+            raise DomainError(f"converted w_over_r0 = {w_over_r0} is not finite and positive")
         strengths = sorted(set(strengths) | {w_over_r0})
     if not strengths:
         raise _UsageError("at least one turbulence strength is required")

@@ -7,15 +7,16 @@ by (master_seed, realization index) in run_coefficient_estimate.  Results
 are then a pure function of the configuration: an engine may split
 realizations across threads in any way without changing a single bit of
 the output; n_workers is the thread count, 0 (the default) every usable
-core (parallel.parallel_fill).  Each worker draws into its own arrays
-(_draw_arrays), allocating nothing grid-sized per realization.  Within a
-cell the same screens are shared by all states (paired comparison).
-decode is linear and a screen multiplies both polarization components by
-one phase, so a realization needs two overlaps per l of e^{i phi} with
-precomputed weights; every state's amplitudes then follow by 2x2 algebra
-(elements.decode_factors, DECODE_MIX), in place of a full-grid decode
-per state.  The rotation scan rotates the weights, not the screened
-fields, and shears them once for all angles that share a residual shear.
+core (parallel.parallel_fill).  Within a cell the same screens are shared
+by all states (paired comparison).  decode is linear and a screen
+multiplies both polarization components by one phase, so a realization
+needs two overlaps per l of e^{i phi} with precomputed weights; every
+state's amplitudes then follow by 2x2 algebra (elements.decode_factors,
+DECODE_MIX), in place of a full-grid decode per state.  The fidelity scan
+and the coefficient estimate differ only in those weights and their screen
+key: both stream screens through _overlaps.  The rotation scan rotates the
+weights, not the screened fields, so every angle has its own rows; rather
+than hold all angles' rows at once it holds a block of screens.
 """
 
 from __future__ import annotations
@@ -136,13 +137,6 @@ class CoefficientEstimate:
     n: int
 
 
-def _draw_arrays(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One worker's phase factor (complex) and its two real work arrays,
-    for turbulence._draw_phase_factor."""
-    shape = (grid.n, grid.n)
-    return np.empty(shape, dtype=np.complex128), np.empty(shape), np.empty(shape)
-
-
 def _weights(ls: list[int], grid: GridSpec, theta: float = 0.0,
              projections: list | None = None) -> np.ndarray:
     """Rows W_{+l}, W_{-l} per l in ls: for a screen phase factor u,
@@ -195,22 +189,30 @@ def _cell_stats(suc: np.ndarray, fid: np.ndarray, raw: np.ndarray) -> dict:
     )
 
 
-def _fidelity_samples(config: ExperimentConfig, n_workers: int = 0):
-    """_score of every (strength, realization, state)."""
-    grid = config.grid
-    weights = _weights(sorted({s.l for s in config.states}), grid)
-    n_real = config.n_realizations
-    params = [TurbulenceParams(w_over_r0=strength) for strength in config.strengths]
+def _overlaps(weights: np.ndarray, params: list[TurbulenceParams], n_real: int, key,
+              grid: GridSpec, n_workers: int) -> np.ndarray:
+    """xy[si, i] = weights @ u for the phase factor u of screen key(si, i)
+    at params[si]; each worker draws into its own three arrays."""
     xy = np.empty((len(params), n_real, len(weights)), complex)
 
     def worker(start: int, stop: int, arrays) -> None:
         for cell in range(start, stop):
             si, i = divmod(cell, n_real)
-            u = _draw_phase_factor(params[si], grid, screen_key(config.master_seed, si, i),
-                                   *arrays)
-            xy[si, i] = weights @ u.ravel()
+            xy[si, i] = weights @ _draw_phase_factor(params[si], grid, key(si, i),
+                                                     *arrays).ravel()
 
-    parallel_fill(len(params) * n_real, worker, n_workers, lambda: _draw_arrays(grid))
+    shape = (grid.n, grid.n)
+    parallel_fill(len(params) * n_real, worker, n_workers,
+                  lambda: (np.empty(shape, complex), np.empty(shape), np.empty(shape)))
+    return xy
+
+
+def _fidelity_samples(config: ExperimentConfig, n_workers: int = 0):
+    """_score of every (strength, realization, state)."""
+    xy = _overlaps(_weights(sorted({s.l for s in config.states}), config.grid),
+                   [TurbulenceParams(w_over_r0=strength) for strength in config.strengths],
+                   config.n_realizations, lambda si, i: screen_key(config.master_seed, si, i),
+                   config.grid, n_workers)
     return _score(xy, config)
 
 
@@ -247,8 +249,8 @@ def _rotation_samples(config: ExperimentConfig, n_workers: int = 0):
     for j, resid in enumerate(_quarter_turns(t)[1] for t in config.angles):
         key = next((r for r in groups if abs(r - resid) < _SHEAR_GROUP_TOL), resid)
         groups.setdefault(key, []).append(j)
-    for l in ls:  # a grid that cannot sample the modes fails before any screen
-        make_lg_mode(l, grid)
+    # once per run; a grid that cannot sample the modes fails before any screen
+    factors = [decode_factors(l, grid) for l in ls]
     # one block of phase factors, refilled for every block of realizations
     screens = np.empty((min(_SCREEN_BLOCK, config.n_realizations), grid.n * grid.n),
                        dtype=np.complex128)
@@ -265,7 +267,7 @@ def _rotation_samples(config: ExperimentConfig, n_workers: int = 0):
                       lambda: (np.empty((grid.n, grid.n)), np.empty((grid.n, grid.n))))
         for resid, members in groups.items():
             sheared = [[rotate_modal(ScalarField(grid, p), -resid).samples if resid else p
-                        for p in decode_factors(l, grid)] for l in ls]
+                        for p in pair] for pair in factors]
             for j in members:
                 weights = _weights(ls, grid, config.angles[j], sheared)
                 for i, u in zip(block, screens):
@@ -317,14 +319,8 @@ def run_coefficient_estimate(
     # rows <l|psi_l>, <-l|psi_l>, <l|psi_{-l}>, <-l|psi_{-l}>
     weights = np.array([(np.conj(a) * b).ravel()
                         for a, b in ((lg_p, lg_p), (lg_m, lg_p), (lg_p, lg_m), (lg_m, lg_m))])
-    ov = np.empty((n, 4), complex)
-
-    def worker(start: int, stop: int, arrays) -> None:
-        for i in range(start, stop):
-            ss = screen_key(master_seed, i)
-            ov[i] = weights @ _draw_phase_factor(params, grid, ss, *arrays).ravel()
-
-    parallel_fill(n, worker, n_workers, lambda: _draw_arrays(grid))
+    ov = _overlaps(weights, [params], n, lambda si, i: screen_key(master_seed, i), grid,
+                   n_workers)[0]
     ov *= grid.pitch**2
     power = ov.real**2 + ov.imag**2
     return CoefficientEstimate(

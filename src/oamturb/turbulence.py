@@ -41,6 +41,8 @@ from .parallel import parallel_fill
 
 # phase structure function D(d) = STRUCTURE_COEFF * (d/r0)^(5/3)
 STRUCTURE_COEFF = 6.88
+# ring coherence exponent D(2 r sin(dtheta/2)) / 2 per (r w/r0 |sin(dtheta/2)|)^(5/3)
+_COHERENCE_SCALE = STRUCTURE_COEFF * 2 ** (2 / 3)
 
 # Normalization of the 2-D phase power spectrum Phi(f) = PSD_COEFF *
 # r0^(-5/3) * f^(-11/3), fixed by the standard isotropic identity
@@ -62,7 +64,13 @@ def fried_parameter(wavelength_m: float, cn2: float, path_m: float) -> float:
     """Fried parameter r0 = 0.185 (lambda^2 / (cn2 z))^(3/5), in meters."""
     if not all(math.isfinite(v) and v > 0 for v in (wavelength_m, cn2, path_m)):
         raise DomainError("wavelength, cn2 and path length must all be finite and positive")
-    return 0.185 * (wavelength_m**2 / (cn2 * path_m)) ** 0.6
+    try:
+        r0 = 0.185 * (wavelength_m**2 / (cn2 * path_m)) ** 0.6
+    except (OverflowError, ZeroDivisionError):  # Python floats raise, not inf
+        r0 = math.inf
+    if not (math.isfinite(r0) and r0 > 0):
+        raise DomainError(f"the Fried parameter r0 = {r0} m is not finite and positive")
+    return r0
 
 
 @dataclass(frozen=True)
@@ -91,8 +99,7 @@ def coherence(r, dtheta, params: TurbulenceParams):
     if np.any(r < 0):
         raise DomainError("ring radius must be nonnegative")
     exponent = (
-        STRUCTURE_COEFF
-        * 2 ** (2 / 3)
+        _COHERENCE_SCALE
         * (r * params.w_over_r0) ** (5 / 3)
         * np.abs(np.sin(np.asarray(dtheta, dtype=float) / 2)) ** (5 / 3)
     )

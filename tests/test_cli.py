@@ -639,6 +639,26 @@ class TestCalibrate:
         assert steps == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("physical, message", [
+        ((1e300, 1e-14, 1000, 35), "the Fried parameter r0 = inf m is not finite and positive"),
+        ((800, 1e-300, 1e-300, 35), "the Fried parameter r0 = inf m is not finite and positive"),
+        ((1e-300, 1e300, 1e10, 1e300),
+         "the Fried parameter r0 = 0.0 m is not finite and positive"),
+        ((1e-100, 1e10, 1, 1e300), "converted w_over_r0 = inf is not finite and positive"),
+        ((1e20, 1e-14, 1000, 1e-320), "converted w_over_r0 = 0.0 is not finite and positive"),
+    ], ids=["wavelength-squared-overflows", "cn2-path-underflows", "r0-underflows",
+            "ratio-overflows", "ratio-underflows"])
+    def test_extreme_physical_units_end_in_one_line(self, tmp_path, capsys, physical,
+                                                     message):
+        flags = ("--lambda-nm", "--cn2", "--path-m", "--waist-mm")
+        out = tmp_path / "out"
+        assert run(["calibrate", *(a for kv in zip(flags, map(str, physical)) for a in kv),
+                    "--grid-n", "64", "--grid-extent", "16.0", "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"oamturb calibrate: {message}\n"
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_physical_units_alone_give_one_strength(self, tmp_path):
         out = tmp_path / "phys"
         assert run(["calibrate", "--strengths", "", "--realizations", "100",

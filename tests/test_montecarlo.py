@@ -1,6 +1,7 @@
 """Ensemble bookkeeping, scan engines, and seeding reproducibility."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -328,6 +329,23 @@ class TestRotationScan:
             assert got.shape == (4, grid.n**2)
             assert got.tobytes() == np.array(want).tobytes()
 
+    def test_working_set_is_below_every_angles_weight_rows(self):
+        # one residual group's shears and one angle's rows are alive at a
+        # time: 21.1 screen sizes measured, where every angle's rows
+        # stacked into one matrix peaked at 52.1
+        angles = tuple(2 * np.pi * k / 16 for k in range(16))
+        cfg = ExperimentConfig(strengths=(0.6,), n_realizations=1, master_seed=2,
+                               grid=GridSpec(64, 8.0), angles=angles)
+        _rotation_samples(cfg, n_workers=1)  # warm the mode and table caches
+        tracemalloc.start()
+        try:
+            _rotation_samples(cfg, n_workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        screen_bytes = cfg.grid.n**2 * np.dtype(complex).itemsize
+        assert peak < 2 * len(angles) * screen_bytes
+
     def test_generic_angle_keeps_fidelity(self):
         cfg = ExperimentConfig(
             strengths=(0.6,), n_realizations=4, master_seed=2, grid=SMALL,
@@ -418,3 +436,43 @@ class TestCoefficientEstimate:
         monkeypatch.setattr(montecarlo, "_draw_phase_factor", refuse)
         with pytest.raises(RangeError, match="^master_seed must be a nonnegative integer$"):
             run_coefficient_estimate(1, P06, 100, -1, SMALL)
+
+
+class TestDrawCounts:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Keys of every screen drawn and l of every decode_factors call."""
+        calls = {"keys": [], "ls": []}
+        draw, factors = montecarlo._draw_phase_factor, montecarlo.decode_factors
+
+        def counting_draw(params, grid, ss, *arrays):
+            calls["keys"].append(tuple(ss.entropy))
+            return draw(params, grid, ss, *arrays)
+
+        def counting_factors(l, grid):
+            calls["ls"].append(l)
+            return factors(l, grid)
+
+        monkeypatch.setattr(montecarlo, "_draw_phase_factor", counting_draw)
+        monkeypatch.setattr(montecarlo, "decode_factors", counting_factors)
+        return calls
+
+    def test_fidelity_scan_draws_each_cell_once(self, counted):
+        cfg = ExperimentConfig(strengths=(0.0, 0.3, 0.6), n_realizations=4, master_seed=7,
+                               grid=SMALL)
+        _fidelity_samples(cfg, n_workers=2)
+        assert sorted(counted["keys"]) == [(7, si, i) for si in range(3) for i in range(4)]
+
+    def test_coefficient_estimate_draws_each_screen_once(self, counted):
+        run_coefficient_estimate(1, P06, 100, 5, SMALL, n_workers=2)
+        assert sorted(counted["keys"]) == [(5, i) for i in range(100)]
+
+    def test_rotation_scan_draws_each_screen_once_and_decodes_once_per_l(
+            self, counted, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_SCREEN_BLOCK", 2)
+        _rotation_samples(ExperimentConfig(
+            strengths=(0.6,), n_realizations=5, master_seed=4, grid=SMALL,
+            states=tuple(mub_states(1) + mub_states(2)),
+            angles=tuple(2 * np.pi * k / 16 for k in range(16))), n_workers=2)
+        assert sorted(counted["keys"]) == [(4, 0, i) for i in range(5)]
+        assert sorted(counted["ls"]) == [1, 2]

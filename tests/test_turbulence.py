@@ -40,7 +40,7 @@ from oamturb import (
 from oamturb import ScalarField, VectorField
 from oamturb import fields, turbulence
 from oamturb.fields import BOUNDARY_ENERGY_LIMIT
-from oamturb.turbulence import screen_statistics
+from oamturb.turbulence import STRUCTURE_COEFF, screen_statistics
 
 GRID = GridSpec()
 P06 = TurbulenceParams(w_over_r0=0.6)
@@ -66,6 +66,13 @@ class TestFriedParameter:
                                       (500e-9, 1e-14, -math.inf)])
     def test_nonpositive_inputs_rejected(self, args):
         with pytest.raises(DomainError):
+            fried_parameter(*args)
+
+    @pytest.mark.parametrize("args", [(1e291, 1e-14, 1e3), (800e-9, 1e-300, 1e-300),
+                                      (1e-309, 1e300, 1e10)])
+    def test_non_finite_or_zero_result_rejected(self, args):
+        # overflow, a zero denominator and an underflow to 0.0 in turn
+        with pytest.raises(DomainError, match="not finite and positive"):
             fried_parameter(*args)
 
 
@@ -98,6 +105,12 @@ class TestTheory:
     def test_negative_radius_rejected(self):
         with pytest.raises(DomainError):
             coherence(-0.1, 1.0, P10)
+
+    def test_coherence_matches_literal_exponent_bitwise(self):
+        r, dtheta = np.linspace(0, 3, 31)[:, None], np.linspace(-7, 7, 29)
+        literal = np.exp(-(STRUCTURE_COEFF * 2 ** (2 / 3) * (r * 0.6) ** (5 / 3)
+                           * np.abs(np.sin(dtheta / 2)) ** (5 / 3)))
+        assert coherence(r, dtheta, P06).tobytes() == literal.tobytes()
 
     def test_structure_function_scaling(self):
         d1 = structure_function(0.3, P10)
