@@ -22,7 +22,6 @@ from .fields import (
     GridSpec,
     ScalarField,
     VectorField,
-    boundary_energy_fraction,
     make_lg_mode,
     overlap,
     propagate,

@@ -9,8 +9,8 @@ summary.json and a manifest.json recording the resolved config into
 --out-dir.  Re-running with --config manifest.json reproduces the data
 files bytewise.
 
-Exit codes: 0 success, 1 usage/configuration error or unwritable output,
-2 numerical or statistical failure.
+Exit codes: 0 success, 1 usage/configuration error, unwritable output or
+too little memory, 2 numerical or statistical failure.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import datetime
 import json
 import os.path
 import platform
+import resource
 import sys
 import time
 from typing import NamedTuple
@@ -245,7 +246,8 @@ def _write_record(command: str, cfg: dict, record: _Record, compute_s: float) ->
     cfg["out_dir"], creating it if needed.  The manifest's timings give
     compute_s, the command's wall time, realizations_per_s, the record's
     realizations over compute_s, and write_s, the time spent writing the
-    tables and summary.json."""
+    tables and summary.json; peak_rss_mb beside them is the process's peak
+    resident memory in MiB."""
     start = time.perf_counter()
     out = cfg["out_dir"]
     os.makedirs(out, exist_ok=True)
@@ -277,6 +279,8 @@ def _write_record(command: str, cfg: dict, record: _Record, compute_s: float) ->
         "timings": {"compute_s": compute_s,
                     "realizations_per_s": record.realizations / compute_s,
                     "write_s": time.perf_counter() - start},
+        # the process's peak resident memory so far; Linux reports kilobytes
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     _write_json(os.path.join(out, "manifest.json"), manifest)
 
@@ -625,6 +629,8 @@ def main(argv=None) -> int:
         message, code = exc, 2
     except OSError as exc:
         message, code = f"cannot write output: {exc}", 1
+    except MemoryError as exc:  # e.g. a grid too large to allocate
+        message, code = f"out of memory: {exc}", 1
     except (_UsageError, OamTurbError) as exc:
         message, code = exc, 1
     if code:

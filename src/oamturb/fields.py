@@ -56,21 +56,13 @@ class GridSpec:
         c.flags.writeable = False
         return c
 
-    @functools.cached_property
-    def xy(self) -> tuple[np.ndarray, np.ndarray]:
-        x, y = np.meshgrid(self.coords, self.coords)
-        x.flags.writeable = False
-        y.flags.writeable = False
-        return x, y
-
-    @functools.cached_property
+    @property
     def polar(self) -> tuple[np.ndarray, np.ndarray]:
-        x, y = self.xy
-        r = np.hypot(x, y)
-        theta = np.arctan2(y, x)
-        r.flags.writeable = False
-        theta.flags.writeable = False
-        return r, theta
+        """(r, theta) of every sample, x along axis 1 and y along axis 0,
+        broadcast from coords on each call: a grid caches only its 1-D
+        coords and freqs."""
+        c = self.coords
+        return np.hypot(c[None, :], c[:, None]), np.arctan2(c[:, None], c[None, :])
 
     @functools.cached_property
     def freqs(self) -> np.ndarray:
@@ -236,13 +228,9 @@ def rotate_modal(f: ScalarField, theta: float) -> ScalarField:
     return ScalarField(f.grid, g.copy())
 
 
-def boundary_energy_fraction(f: ScalarField) -> float:
-    """Fraction of total power in the outermost 2-pixel frame."""
-    return intensity_frame_fraction(f.samples.real**2 + f.samples.imag**2)
-
-
 def intensity_frame_fraction(inten: np.ndarray) -> float:
-    """boundary_energy_fraction of a field given its intensity |u|^2."""
+    """Fraction of the total of an intensity |u|^2 in its outermost
+    2-pixel frame."""
     total = float(inten.sum())
     if total == 0.0:
         return 0.0
@@ -254,8 +242,8 @@ def intensity_frame_fraction(inten: np.ndarray) -> float:
 def _transfer_function(grid: GridSpec, distance: float, wavelength: float) -> np.ndarray:
     """Read-only Fresnel transfer function exp(-i pi lambda z f^2), cached
     because an ensemble propagates every screened field by one distance."""
-    fx, fy = np.meshgrid(grid.freqs, grid.freqs)
-    tf = np.exp(-1j * np.pi * wavelength * distance * (fx**2 + fy**2))
+    fsq = grid.freqs**2
+    tf = np.exp(-1j * np.pi * wavelength * distance * (fsq[None, :] + fsq[:, None]))
     tf.flags.writeable = False
     return tf
 
@@ -271,8 +259,8 @@ def _fresnel(
     """propagate() on the complex samples u, overwriting them: the same
     checks, messages and arithmetic, bitwise, with nothing grid-sized
     allocated.  inten and scratch are real work arrays of u's shape; inten
-    is left holding |u|^2 of the result, and the result's
-    boundary_energy_fraction is returned."""
+    is left holding |u|^2 of the result, and its
+    intensity_frame_fraction is returned."""
     for name, value in (("wavelength", wavelength), ("propagation distance", distance)):
         if not np.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")

@@ -161,7 +161,7 @@ class _SynthesisTables:
     def __init__(self, grid: GridSpec) -> None:
         dfreq = 1.0 / grid.extent
         fr = grid.freqs
-        fx, fy = np.meshgrid(fr, fr)
+        fx, fy = fr[None, :], fr[:, None]
         fsq = fx**2 + fy**2
         point = np.zeros_like(fsq)
         nz = fsq > 0
@@ -184,7 +184,7 @@ class _SynthesisTables:
                     cy = (j + 0.5) * cs
                     if max(abs(cx), abs(cy)) < 0.5 * s * (1 - 1e-12):
                         continue  # covered by the next (finer) level
-                    ax, ay = np.meshgrid(cx + du, cy + du)
+                    ax, ay = (cx + du)[None, :], (cy + du)[:, None]
                     pw = np.outer(wu, wu) * (ax**2 + ay**2) ** (-11 / 6)
                     total = pw.sum()
                     cell_fx.append((pw * ax).sum() / total)
@@ -502,7 +502,7 @@ def beam_broadening_sweep(
     shape = (grid.n, grid.n)
     gauss = make_lg_mode(0, grid).samples
     c2 = grid.coords**2
-    r2 = c2[:, None] + c2[None, :]  # == x**2 + y**2 of grid.xy, with no meshgrid
+    r2 = c2[:, None] + c2[None, :]  # x**2 + y**2, broadcast from the 1-D coords
     moments = np.empty((len(params_list), n_realizations))
     frames = np.empty((len(params_list), n_realizations))
     first_failure = [n_realizations] * len(params_list)  # realization index

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import resource
 import subprocess
 import sys
 import weakref
@@ -280,6 +281,16 @@ class TestPhCurve:
         assert "timings" not in manifest["config"]
         assert "timings" not in json.loads((out / "summary.json").read_text())
 
+    def test_manifest_records_peak_rss(self, tmp_path):
+        out = tmp_path / "rss"
+        assert run(TINY_PH + ["--out-dir", str(out)]) == 0
+        peak = json.loads((out / "manifest.json").read_text())["peak_rss_mb"]
+        # this process's peak so far, in MiB: the test run holds numpy and
+        # its caches, and the peak cannot have fallen since the run
+        assert isinstance(peak, float)
+        assert 10.0 < peak <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        assert "peak_rss_mb" not in json.loads((out / "summary.json").read_text())
+
     def test_worker_count_independent(self, first_run, tmp_path):
         out = tmp_path / "workers"
         assert run(TINY_PH + ["--workers", "3", "--out-dir", str(out)]) == 0
@@ -391,6 +402,23 @@ class TestUnsamplableGrid:
                     "--realizations", "100", "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"oamturb {command}: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_grid_too_large_to_allocate_ends_in_one_line(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # a 10^6 x 10^6 grid's first grid-sized allocation, in _weights,
+        # raises numpy's MemoryError; a stand-in raises it without allocating
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 29.1 TiB for an array with shape "
+                              "(1, 2, 1000000, 1000000) and data type complex128")
+
+        monkeypatch.setattr(oamturb.montecarlo, "_weights", too_large)
+        out = tmp_path / "out"
+        assert run(["fidelity-scan", "--grid-n", "1000000", "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("oamturb fidelity-scan: out of memory: Unable to allocate 29.1 TiB "
+                       "for an array with shape (1, 2, 1000000, 1000000) and data type "
+                       "complex128\n")
         assert not out.exists()
 
 

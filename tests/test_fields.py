@@ -15,14 +15,19 @@ from oamturb import (
     ScalarField,
     ShapeMismatchError,
     VectorField,
-    boundary_energy_fraction,
     make_lg_mode,
     overlap,
     propagate,
     rotate_modal,
 )
+from oamturb import turbulence
 from oamturb.elements import decode_factors
-from oamturb.fields import _shear_phase, _transfer_function, expi
+from oamturb.fields import (
+    _shear_phase,
+    _transfer_function,
+    expi,
+    intensity_frame_fraction,
+)
 
 GRID = GridSpec()
 
@@ -58,6 +63,24 @@ class TestGridSpec:
     def test_coords_read_only(self):
         with pytest.raises(ValueError):
             GridSpec(32, 2.0).coords[0] = 99.0
+
+    @pytest.mark.parametrize("n", [64, 256, 300, 512])
+    def test_polar_is_bitwise_its_meshgrid_build(self, n):
+        g = GridSpec(n, n / 32)
+        x, y = np.meshgrid(g.coords, g.coords)
+        r, theta = g.polar
+        assert r.tobytes() == np.hypot(x, y).tobytes()
+        assert theta.tobytes() == np.arctan2(y, x).tobytes()
+
+    def test_caches_hold_only_1d_arrays(self):
+        # an extent no other test uses, so every cache below builds on g
+        g = GridSpec(64, 7.25)
+        make_lg_mode(3, g)
+        decode_factors(2, g)
+        turbulence._tables(g)
+        _transfer_function(g, 1.5, 0.5)
+        shapes = {name: np.shape(value) for name, value in vars(g).items()}
+        assert shapes == {"n": (), "extent": (), "coords": (64,), "freqs": (64,)}
 
 
 class TestScalarField:
@@ -95,14 +118,14 @@ class TestLgModes:
     @pytest.mark.parametrize("l, radius", [(1, 1 / math.sqrt(2)), (4, math.sqrt(2))])
     def test_ring_radius(self, l, radius):
         f = make_lg_mode(l, GRID)
-        x, y = GRID.xy
+        x, y = np.meshgrid(GRID.coords, GRID.coords)
         idx = np.argmax(np.abs(f.samples))
         r_peak = math.hypot(x.ravel()[idx], y.ravel()[idx])
         assert abs(r_peak - radius) <= GRID.pitch
 
     def test_azimuthal_phase_winding(self):
         f = make_lg_mode(2, GRID)
-        x, y = GRID.xy
+        x, y = np.meshgrid(GRID.coords, GRID.coords)
         residual = f.samples * np.exp(-1j * 2 * np.arctan2(y, x))
         assert np.max(np.abs(np.angle(residual[np.abs(f.samples) > 1e-6]))) < 1e-12
 
@@ -315,7 +338,7 @@ class TestPropagate:
         wavelength = 0.5
         z_r = np.pi / wavelength  # Rayleigh range for unit waist
         out = propagate(f, z_r, wavelength)
-        x, y = g.xy
+        x, y = np.meshgrid(g.coords, g.coords)
         inten = out.samples.real**2 + out.samples.imag**2
         w = math.sqrt(2 * float(np.sum(inten * (x**2 + y**2)) / np.sum(inten)))
         assert w == pytest.approx(math.sqrt(2), abs=1e-6)
@@ -334,6 +357,13 @@ class TestPropagate:
         for _ in range(2):  # first call fills the cache, the second reads it
             assert np.array_equal(propagate(f, 1.5, 0.5).samples, expected)
         assert not _transfer_function(g, 1.5, 0.5).flags.writeable
+
+    @pytest.mark.parametrize("n", [64, 256, 300, 512])
+    def test_transfer_function_is_bitwise_its_meshgrid_build(self, n):
+        g = GridSpec(n, n / 16)
+        fx, fy = np.meshgrid(g.freqs, g.freqs)
+        literal = np.exp(-1j * np.pi * 0.01 * 30.0 * (fx**2 + fy**2))
+        assert _transfer_function(g, 30.0, 0.01).tobytes() == literal.tobytes()
 
     def test_zero_distance_returns_input(self):
         f = make_lg_mode(0, GRID)
@@ -371,12 +401,11 @@ class TestPropagate:
 class TestBoundaryEnergyFraction:
     def test_uniform_field_frame_fraction(self):
         n = 256
-        f = ScalarField(GRID, np.ones((n, n)))
         expected = (n**2 - (n - 4) ** 2) / n**2
-        assert boundary_energy_fraction(f) == pytest.approx(expected, rel=1e-12)
+        assert intensity_frame_fraction(np.ones((n, n))) == pytest.approx(expected, rel=1e-12)
 
     def test_contained_mode_is_negligible(self):
-        assert boundary_energy_fraction(make_lg_mode(1, GRID)) < 1e-10
+        assert intensity_frame_fraction(np.abs(make_lg_mode(1, GRID).samples) ** 2) < 1e-10
 
     def test_zero_field(self):
-        assert boundary_energy_fraction(ScalarField(GRID, np.zeros((256, 256)))) == 0.0
+        assert intensity_frame_fraction(np.zeros((256, 256))) == 0.0

@@ -3,6 +3,7 @@
 import math
 import sys
 import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.polynomial.chebyshev import chebvander
+from numpy.polynomial.legendre import leggauss
 
 from oamturb import (
     AliasingError,
@@ -24,7 +27,6 @@ from oamturb import (
     apply_screen,
     beam_broadening_mc,
     beam_broadening_sweep,
-    boundary_energy_fraction,
     coherence,
     coherence_estimate,
     fried_from_broadening,
@@ -39,7 +41,7 @@ from oamturb import (
 )
 from oamturb import ScalarField, VectorField
 from oamturb import fields, turbulence
-from oamturb.fields import BOUNDARY_ENERGY_LIMIT
+from oamturb.fields import BOUNDARY_ENERGY_LIMIT, intensity_frame_fraction
 from oamturb.turbulence import STRUCTURE_COEFF, screen_statistics
 
 GRID = GridSpec()
@@ -161,6 +163,48 @@ def literal_unit_screen(grid, ss):
     return scr
 
 
+def literal_tables(grid):
+    """_SynthesisTables' arrays built over np.meshgrid coordinate meshes:
+    the reference for its broadcast build."""
+    dfreq = 1.0 / grid.extent
+    fx, fy = np.meshgrid(grid.freqs, grid.freqs)
+    fsq = fx**2 + fy**2
+    point = np.zeros_like(fsq)
+    point[fsq > 0] = fsq[fsq > 0] ** (-11 / 6) * dfreq**2
+    point[(np.abs(np.rint(fx / dfreq)) <= 1) & (np.abs(np.rint(fy / dfreq)) <= 1)] = 0.0
+    tab = {"amp_fft": np.sqrt(turbulence.PSD_COEFF * point)}
+    gl_x, gl_w = leggauss(16)
+    cells = []
+    half = 3 * turbulence._CELL_SPLIT // 2
+    for level in range(1, turbulence.SUBHARMONIC_LEVELS + 1):
+        s = dfreq / 3 ** (level - 1)
+        cs = s / turbulence._CELL_SPLIT
+        for i in range(-half, half):
+            for j in range(-half, half):
+                cx, cy = (i + 0.5) * cs, (j + 0.5) * cs
+                if max(abs(cx), abs(cy)) < 0.5 * s * (1 - 1e-12):
+                    continue
+                ax, ay = np.meshgrid(cx + 0.5 * cs * gl_x, cy + 0.5 * cs * gl_x)
+                pw = np.outer(0.5 * cs * gl_w, 0.5 * cs * gl_w) * (ax**2 + ay**2) ** (-11 / 6)
+                cells.append(((pw * ax).sum() / pw.sum(), (pw * ay).sum() / pw.sum(),
+                              pw.sum()))
+    tab["sh_fx"], tab["sh_fy"], power = map(np.array, zip(*cells))
+    tab["amp_sh"] = np.sqrt(turbulence.PSD_COEFF * power)
+    h = 0.5 * dfreq / 3 ** (turbulence.SUBHARMONIC_LEVELS - 1)
+    tq_x, tq_w = leggauss(64)
+    radial = 3.0 * (h / np.cos(0.5 * (tq_x + 1) * (np.pi / 4))) ** (1 / 3)
+    tilt_var = (2 * np.pi) ** 2 * 4.0 * float(np.sum(0.5 * (np.pi / 4) * tq_w * radial))
+    tab["tilt_sigma"] = np.sqrt(turbulence.PSD_COEFF * tilt_var)
+    m = turbulence._CHEB_ORDER
+    tnodes = np.cos(np.pi * (2 * np.arange(m) + 1) / (2 * m))
+    tab["nodes"] = tnodes * (grid.extent / 2)
+    tab["upsample"] = chebvander(grid.coords / (grid.extent / 2), m - 1) @ np.linalg.inv(
+        chebvander(tnodes, m - 1))
+    tab["ey_nodes"] = np.exp(2j * np.pi * np.outer(tab["nodes"], tab["sh_fy"]))
+    tab["ex_nodes"] = np.exp(2j * np.pi * np.outer(tab["sh_fx"], tab["nodes"]))
+    return tab
+
+
 def unit_screen(grid, ss):
     """_unit_screen into fresh arrays; checks that it returns its out array."""
     out = np.empty((grid.n, grid.n))
@@ -228,6 +272,15 @@ class TestGenerateScreen:
             got = unit_screen(grid, np.random.SeedSequence(entropy=key))
             want = literal_unit_screen(grid, np.random.SeedSequence(entropy=key))
             assert np.array_equal(got, want), i
+
+    @pytest.mark.parametrize("n", [64, 256, 300, 512])
+    def test_synthesis_tables_are_bitwise_their_meshgrid_build(self, n):
+        grid = GridSpec(n, n / 32)
+        got = vars(turbulence._tables(grid))
+        want = literal_tables(grid)
+        assert sorted(got) == sorted(want)
+        for name, table in got.items():
+            assert np.asarray(table).tobytes() == np.asarray(want[name]).tobytes(), name
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("extent", [1e-300, 1e-150, 1e-100, 1e100, 1e150])
@@ -573,16 +626,21 @@ class TestBroadeningInverter:
 SMALL = GridSpec(64, 16.0)
 
 
+def frame_fraction(f):
+    """The share of f's power in the grid's outer 2-pixel frame."""
+    return intensity_frame_fraction(f.samples.real**2 + f.samples.imag**2)
+
+
 def literal_propagate(f, distance, wavelength):
     """propagate as an allocating step: both guards and fft2, * tf, ifft2,
     each into a fresh array; the reference for the in-place Fresnel step."""
-    if boundary_energy_fraction(f) >= BOUNDARY_ENERGY_LIMIT:
+    if frame_fraction(f) >= BOUNDARY_ENERGY_LIMIT:
         raise AliasingError("input field reaches the grid boundary")
     if distance == 0.0:
         return f
     tf = fields._transfer_function(f.grid, distance, wavelength)
     out = ScalarField(f.grid, np.fft.ifft2(np.fft.fft2(f.samples) * tf))
-    if boundary_energy_fraction(out) >= BOUNDARY_ENERGY_LIMIT:
+    if frame_fraction(out) >= BOUNDARY_ENERGY_LIMIT:
         raise AliasingError("propagated field reaches the grid boundary")
     return out
 
@@ -590,10 +648,10 @@ def literal_propagate(f, distance, wavelength):
 def literal_broadening(params, n, distance, wavelength, seed, grid):
     """The per-strength loop beam_broadening_sweep replaces: a fresh screen,
     apply, an allocating propagation and moment for every realization.
-    Returns (w_t, stderr, largest boundary_energy_fraction) or raises
+    Returns (w_t, stderr, largest frame_fraction) or raises
     AliasingError."""
     gauss = make_lg_mode(0, grid)
-    x, y = grid.xy
+    x, y = np.meshgrid(grid.coords, grid.coords)
     r2 = x**2 + y**2
     moments = np.empty(n)
     frame = 0.0
@@ -602,7 +660,7 @@ def literal_broadening(params, n, distance, wavelength, seed, grid):
         out = literal_propagate(apply_screen(gauss, scr), distance, wavelength)
         inten = out.samples.real**2 + out.samples.imag**2
         moments[i] = float(np.sum(inten * r2) / np.sum(inten))
-        frame = max(frame, boundary_energy_fraction(out))
+        frame = max(frame, frame_fraction(out))
     w_t = math.sqrt(2 * moments.mean())
     return w_t, float(moments.std(ddof=1) / np.sqrt(n)) / w_t, frame
 
@@ -690,6 +748,22 @@ class TestBroadeningSweep:
         sweep_calls.update(unit=0, propagate=0)
         beam_broadening_sweep(params[:1], 100, 30.0, 0.01, 1, SMALL, n_workers=1)
         assert sweep_calls == {"unit": 0, "propagate": 1}
+
+    def test_working_set_is_a_few_screens(self):
+        # one worker's unit screen, field, intensity and scratch arrays and
+        # the r^2 table are 3 screen sizes; the subharmonic sum's 32 x 384
+        # complex temporaries, a fixed size, add 5.0 at 64^2: 8.37 measured,
+        # so 10 leaves a margin of 1.63
+        grid = GridSpec(64, 16.0)
+        params = [TurbulenceParams(w_over_r0=w) for w in (0.0, 0.2, 0.6, 1.0, 1.4)]
+        beam_broadening_sweep(params, 100, 30.0, 0.01, 1, grid, n_workers=1)  # warm
+        tracemalloc.start()
+        try:
+            beam_broadening_sweep(params, 100, 30.0, 0.01, 1, grid, n_workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * grid.n**2 * np.dtype(complex).itemsize
 
     def test_worker_count_independent(self):
         # realizations share the failure record: switch threads as often as
