@@ -266,6 +266,9 @@ def _fresnel(
             raise DomainError(f"{name} must be finite, got {value}")
     if not wavelength > 0:
         raise DomainError(f"wavelength must be positive, got {wavelength}")
+    scale = np.pi * float(wavelength) * float(distance)  # the transfer function's phase
+    if not np.isfinite(scale):  # checked here, so that no NaN table is cached
+        raise DomainError(f"pi * wavelength * propagation distance must be finite, got {scale}")
     fraction = _frame_fraction(u, inten, scratch)
     if fraction >= BOUNDARY_ENERGY_LIMIT:
         raise AliasingError("input field reaches the grid boundary")

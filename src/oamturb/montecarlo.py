@@ -195,8 +195,8 @@ def _overlaps(weights: np.ndarray, params: list[TurbulenceParams], n_real: int, 
     at params[si]; each worker draws into its own three arrays."""
     xy = np.empty((len(params), n_real, len(weights)), complex)
 
-    def worker(start: int, stop: int, arrays) -> None:
-        for cell in range(start, stop):
+    def worker(items: range, arrays) -> None:
+        for cell in items:
             si, i = divmod(cell, n_real)
             xy[si, i] = weights @ _draw_phase_factor(params[si], grid, key(si, i),
                                                      *arrays).ravel()
@@ -257,8 +257,8 @@ def _rotation_samples(config: ExperimentConfig, n_workers: int = 0):
     for first in range(0, config.n_realizations, _SCREEN_BLOCK):
         block = range(first, min(first + _SCREEN_BLOCK, config.n_realizations))
 
-        def worker(start: int, stop: int, arrays) -> None:
-            for b in range(start, stop):
+        def worker(items: range, arrays) -> None:
+            for b in items:
                 key = screen_key(config.master_seed, 0, block[b])
                 _draw_phase_factor(params, grid, key, screens[b].reshape(grid.n, grid.n),
                                    *arrays)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -80,35 +79,26 @@ def _one_blas_thread():
 
 
 def parallel_fill(n_items: int, worker, n_workers: int, work) -> None:
-    """Run worker(start, stop, arrays) over spans covering range(n_items),
-    on at most n_workers threads (0: every usable core) and never more
-    threads than spans.  A single span or worker runs on the calling thread.
+    """Run worker(items, arrays) once per thread over a fixed share of
+    range(n_items), on min(n_workers, n_items) threads (0: every usable
+    core).  Thread t's share is range(t, n_items, n_threads), strided so
+    that cheap and dear indices spread evenly; a single share runs on the
+    calling thread.
 
-    arrays is one result of work(), made on the calling thread before any
-    span runs, one per thread; each span has its own to itself.  So a
-    worker that allocates nothing grid-sized leaves nothing in its thread's
-    allocator arena, which would hold on to freed memory.
+    arrays is that thread's own result of work(), made on the calling
+    thread before any thread starts.  So a worker that allocates nothing
+    grid-sized leaves nothing in its thread's allocator arena, which would
+    hold on to freed memory.
 
     Workers must write only to preallocated per-index slots; the result is
     then identical for any worker count.
     """
-    n_workers = resolve_workers(n_workers)
-    chunk = max(1, math.ceil(n_items / (4 * n_workers)))
-    spans = [(s, min(s + chunk, n_items)) for s in range(0, n_items, chunk)]
-    n_threads = min(n_workers, len(spans))
-    spare = [work() for _ in range(n_threads)]
+    n_threads = min(resolve_workers(n_workers), n_items)
+    shares = [(range(t, n_items, n_threads), work()) for t in range(n_threads)]
     if n_threads <= 1:
-        for start, stop in spans:
-            worker(start, stop, spare[0])
+        for share in shares:
+            worker(*share)
         return
-
-    def run(start: int, stop: int) -> None:
-        arrays = spare.pop()  # never empty: at most n_threads spans run at once
-        try:
-            worker(start, stop, arrays)
-        finally:
-            spare.append(arrays)
-
     with _one_blas_thread(), ThreadPoolExecutor(max_workers=n_threads) as pool:
-        for future in [pool.submit(run, start, stop) for start, stop in spans]:
+        for future in [pool.submit(worker, *share) for share in shares]:
             future.result()

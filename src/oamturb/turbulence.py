@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -484,12 +483,13 @@ def beam_broadening_sweep(
     screen is drawn once at unit strength and scaled for each entry,
     bitwise as generate_screen would draw it.  A zero-strength
     entry sees the same field in every realization and is propagated
-    once.  An entry whose field reaches the grid boundary gets the
+    once.  Realizations are split into strided shares over n_workers
+    threads (0: every usable core), and each fills its own slots, an
+    AliasingError included, so the result is the same for any worker
+    count.  An entry whose field reaches the grid boundary gets the
     AliasingError of its lowest failing realization in place of its
-    result and is skipped in every later realization; the other entries
-    continue.  Realizations are split over n_workers threads (0: every
-    usable core); each realization fills its own slots, so the result is
-    the same for any worker count.
+    result; the others continue.  A share skips an entry only after it
+    failed in that share, so the lowest failing realization is stepped.
     """
     if n_realizations < 100:
         raise StatisticsError(f"need >= 100 realizations, got {n_realizations}")
@@ -505,23 +505,20 @@ def beam_broadening_sweep(
     r2 = c2[:, None] + c2[None, :]  # x**2 + y**2, broadcast from the 1-D coords
     moments = np.empty((len(params_list), n_realizations))
     frames = np.empty((len(params_list), n_realizations))
-    first_failure = [n_realizations] * len(params_list)  # realization index
-    failed: dict[int, AliasingError] = {}
-    lock = threading.Lock()
+    errors = np.full((len(params_list), n_realizations), None)  # AliasingError slots
 
     def work_arrays():
         return (np.empty(shape), np.empty(shape, dtype=np.complex128),
                 np.empty(shape), np.empty(shape))
 
-    def span(start: int, stop: int, arrays) -> None:
+    def share(items: range, arrays) -> None:
         unit, u, inten, scratch = arrays
-        for i in range(start, stop):
+        aliased = set()  # entries that failed earlier in this share
+        for i in items:
             drawn = False  # the unit screen is drawn on first use
             for j, params in enumerate(params_list):
                 w0 = params.w_over_r0
-                # first_failure is read without the lock: a stale value
-                # costs a wasted step, never a different result
-                if first_failure[j] < i or (w0 == 0.0 and i > 0):
+                if j in aliased or (w0 == 0.0 and i > 0):
                     continue
                 if not drawn and w0 != 0.0:
                     _unit_screen(grid, screen_key(seed, i), unit, u, scratch)
@@ -534,20 +531,20 @@ def beam_broadening_sweep(
                     frames[j, i] = _fresnel(u, grid, propagation_distance, wavelength,
                                             inten, scratch)
                 except AliasingError as exc:
-                    with lock:
-                        if i < first_failure[j]:
-                            first_failure[j], failed[j] = i, exc
+                    errors[j, i] = exc
+                    aliased.add(j)
                     continue
                 moments[j, i] = float(np.sum(np.multiply(inten, r2, out=scratch))
                                       / np.sum(inten))
 
     # an all-zero sweep propagates realization 0 only
     active = any(params.w_over_r0 != 0.0 for params in params_list)
-    parallel_fill(n_realizations if active else 1, span, n_workers, work_arrays)
+    parallel_fill(n_realizations if active else 1, share, n_workers, work_arrays)
     results: list[Broadening | AliasingError] = []
     for j, params in enumerate(params_list):
-        if j in failed:
-            results.append(failed[j])
+        failure = next((exc for exc in errors[j] if exc is not None), None)
+        if failure is not None:
+            results.append(failure)
             continue
         m, f = moments[j], frames[j]
         if params.w_over_r0 == 0.0:

@@ -487,6 +487,16 @@ class TestScreenValidate:
         assert err.count("\n") == 1
         assert "r0 = 100 waists exceeds the grid span 5.8125 waists" in err
         assert not out.exists()  # stopped before drawing or exporting a screen
+        # r0 in pixels overflows: 1/strength, or r0/pitch, is inf
+        for args, span in ((["--strength", "1e-310"], "r0 = inf waists exceeds the grid span"),
+                           (["--grid-extent", "1e-310", "--strength", "1.0"],
+                            "r0 = 1 waists exceeds the grid span 9.6875e-311 waists")):
+            assert run(["screen-validate", "--grid-n", "32", "--realizations", "100",
+                        *args, "--export-screens", "1", "--out-dir", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert span in err
+            assert not out.exists()
 
     @pytest.fixture
     def no_screens(self, monkeypatch):
@@ -623,6 +633,16 @@ class TestCalibrate:
         assert run(["calibrate", *args, "--grid-n", "64", "--grid-extent", "16.0",
                     "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == f"oamturb calibrate: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_phase_scale_named(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["calibrate", "--grid-n", "32", "--grid-extent", "16.0",
+                    "--distance", "1e200", "--wavelength", "1e200", "--realizations", "100",
+                    "--strengths", "0.2", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == ("oamturb calibrate: pi * wavelength * propagation "
+                                           "distance must be finite, got inf\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [

@@ -387,6 +387,13 @@ class TestPropagate:
         with pytest.raises(DomainError, match=f"^{message}$"):
             propagate(make_lg_mode(0, GRID), distance, wavelength)
 
+    def test_overflowing_phase_scale_rejected_before_the_table(self):
+        built = _transfer_function.cache_info().misses
+        with pytest.raises(DomainError, match=r"^pi \* wavelength \* propagation distance "
+                                              r"must be finite, got inf$"):
+            propagate(make_lg_mode(0, GRID), 1e200, 1e200)
+        assert _transfer_function.cache_info().misses == built  # no NaN table
+
     def test_negative_distance_propagates_back(self):
         f = make_lg_mode(1, GRID)
         back = propagate(propagate(f, 1.5, 0.5), -1.5, 0.5)

@@ -1,4 +1,4 @@
-"""Worker pool: span split, thread cap, usable-core default, BLAS pin."""
+"""Worker pool: strided shares, thread cap, usable-core default, BLAS pin."""
 
 import os
 import threading
@@ -44,9 +44,9 @@ def fill(n_items, n_workers):
     """Each index's slot, and the threads that filled them."""
     slots, threads = [None] * n_items, set()
 
-    def worker(start, stop, arrays):
+    def worker(items, arrays):
         threads.add(threading.get_ident())
-        for i in range(start, stop):
+        for i in items:
             assert slots[i] is None
             slots[i] = i
 
@@ -83,16 +83,38 @@ class TestParallelFill:
             made.append(threading.get_ident())
             return [len(made)]
 
-        def worker(start, stop, arrays):
+        def worker(items, arrays):
             assert arrays[0] not in busy
             busy.add(arrays[0])
             seen.add(arrays[0])
-            time.sleep(0.001)  # let another span start meanwhile
+            time.sleep(0.001)  # let another share start meanwhile
             busy.discard(arrays[0])
 
         parallel_fill(n_items, worker, n_workers, work)
         assert made == [threading.get_ident()] * sets
         assert seen <= set(range(1, sets + 1))
+
+    @pytest.mark.parametrize("n_items,n_workers", [(10, 3), (2, 2), (7, 4), (3, 500)])
+    def test_thread_t_runs_once_over_every_n_threads_th_index_from_t(
+            self, executor, n_items, n_workers):
+        calls, made = [], iter(range(n_items))
+        parallel_fill(n_items, lambda items, arrays: calls.append((items, arrays)),
+                      n_workers, lambda: next(made))
+        n_threads = min(n_workers, n_items)
+        assert executor == [n_threads]
+        assert calls == [(range(t, n_items, n_threads), t) for t in range(n_threads)]
+
+    def test_shares_run_at_once_on_their_own_threads(self):
+        together = threading.Barrier(3, timeout=30)  # broken unless all 3 run at once
+        calls = []
+
+        def worker(items, arrays):
+            calls.append((items, threading.get_ident()))
+            together.wait()
+
+        parallel_fill(9, worker, 3, lambda: None)
+        assert sorted(items.start for items, _ in calls) == [0, 1, 2]
+        assert len({ident for _, ident in calls}) == 3
 
     def test_zero_means_every_usable_core(self, executor):
         cores = len(os.sched_getaffinity(0))
@@ -105,7 +127,7 @@ class TestParallelFill:
         with pytest.raises(DomainError, match="got -1"):
             resolve_workers(-1)
         with pytest.raises(DomainError):
-            parallel_fill(4, lambda start, stop, arrays: None, -2, lambda: None)
+            parallel_fill(4, lambda items, arrays: None, -2, lambda: None)
 
 
 needs_blas_calls = pytest.mark.skipif(
@@ -128,7 +150,7 @@ class TestBlasPin:
     def test_pool_holds_one_thread_and_restores(self, two_blas_threads):
         seen = []
 
-        def worker(start, stop, arrays):
+        def worker(items, arrays):
             seen.append(blas_threads())
 
         parallel_fill(8, worker, 2, lambda: None)
@@ -137,13 +159,13 @@ class TestBlasPin:
 
     def test_serial_run_leaves_the_count(self, two_blas_threads):
         seen = []
-        parallel_fill(8, lambda start, stop, arrays: seen.append(blas_threads()), 1,
+        parallel_fill(8, lambda items, arrays: seen.append(blas_threads()), 1,
                       lambda: None)
         assert set(seen) == {two_blas_threads}
 
     def test_count_restored_after_an_exception(self, two_blas_threads):
-        def worker(start, stop, arrays):
-            if start > 0:
+        def worker(items, arrays):
+            if items.start > 0:
                 raise ValueError("span failed")
 
         with pytest.raises(ValueError, match="span failed"):

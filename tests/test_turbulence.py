@@ -3,6 +3,7 @@
 import math
 import sys
 import tempfile
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -765,9 +766,34 @@ class TestBroadeningSweep:
             tracemalloc.stop()
         assert peak < 10 * grid.n**2 * np.dtype(complex).itemsize
 
+    @pytest.mark.parametrize("n_workers", [1, 2, 3, 4])
+    def test_lowest_failing_realization_at_any_worker_count(self, monkeypatch, n_workers):
+        # the last entry fails at realizations 5, 6 and 9, which different
+        # shares step at more than one worker
+        params = [TurbulenceParams(w_over_r0=w) for w in (0.2, 0.6, 1.0)]
+        clean = beam_broadening_sweep(params, 100, 30.0, 0.01, 3, SMALL, n_workers)
+        here = threading.local()  # this thread's realization and step in it
+
+        def keyed(seed, i, _fn=turbulence.screen_key):
+            here.i, here.step = i, 0
+            return _fn(seed, i)
+
+        def fresnel(*args, _fn=turbulence._fresnel):
+            here.step += 1
+            if here.step == 3 and here.i in (5, 6, 9):
+                raise AliasingError(f"realization {here.i}")
+            return _fn(*args)
+
+        monkeypatch.setattr(turbulence, "screen_key", keyed)
+        monkeypatch.setattr(turbulence, "_fresnel", fresnel)
+        swept = beam_broadening_sweep(params, 100, 30.0, 0.01, 3, SMALL, n_workers)
+        assert isinstance(swept[2], AliasingError)
+        assert str(swept[2]) == "realization 5"
+        assert swept[:2] == clean[:2]
+
     def test_worker_count_independent(self):
-        # realizations share the failure record: switch threads as often as
-        # possible, with more workers than cores
+        # each share keeps its own failure record: switch threads as often
+        # as possible, with more workers than cores
         grid = GridSpec(64, 8.0)
         params = [TurbulenceParams(w_over_r0=w) for w in (0.0, 0.2, 2.0, 1.0)]
         interval = sys.getswitchinterval()
