@@ -46,7 +46,6 @@ from .montecarlo import (
 from .parallel import blas_threads, resolve_workers
 from .turbulence import (
     TurbulenceParams,
-    _check_strength,
     beam_broadening_sweep,
     fried_from_broadening,
     fried_parameter,
@@ -465,6 +464,9 @@ def cmd_screen_validate(cfg: dict) -> _Record:
         for x in np.geomspace(0.2 * r0, 2.0 * r0, 10)
     } | {r0_lag})
     seps = [lag * pitch for lag in lags if lag <= grid.n - 1]
+    if len(seps) < 2:
+        raise _UsageError(f"separations 0.2-2 r0 all round to pixel lag {lags[0]}; the "
+                          "slope fit needs two: raise --grid-n or lower --strength")
     coh_seps = seps[:: max(1, len(seps) // 5)]
     # every argument check runs before the first screen is drawn
     d_emp, coh_emp = screen_statistics(draw(), n_screens, grid, seps, coh_seps)
@@ -550,27 +552,15 @@ def cmd_calibrate(cfg: dict) -> _Record:
     wavelength = float(cfg["wavelength"])
     n_real = int(cfg["realizations"])
     seed = int(cfg["seed"])
-    # every strength, converted or given, is checked before any Fresnel step
-    params = [TurbulenceParams(w_over_r0=s) for s in strengths if s != 0.0]
-    for p in params:
-        _check_strength(p.w_over_r0)
-
-    # the reference alone first: if it aliases, no strength is drawn.  A
-    # one-entry sweep, not beam_broadening_mc, keeps its guard margin.  Its one
-    # share runs here, so the 4 MB (512^2) transfer function is built in no
-    # worker's arena: folded into the sweep below, the same bytes came at a
-    # peak RSS of 83.6 MB against 77.9 (79.7 with the table built here first)
-    (zero,) = beam_broadening_sweep(
-        [TurbulenceParams(w_over_r0=0.0)], n_real, distance, wavelength, seed, grid,
-        cfg["workers"],
+    # the reference is the sweep's first entry, and a 0.0 row is its result
+    zero, *swept = beam_broadening_sweep(
+        [TurbulenceParams(w_over_r0=s) for s in [0.0, *(w for w in strengths if w != 0.0)]],
+        n_real, distance, wavelength, seed, grid, cfg["workers"],
     )
     if isinstance(zero, AliasingError):
         raise zero
     reference = zero.w_t
-    # a 0.0 row is the reference's own result, not a second propagation
-    swept = iter(beam_broadening_sweep(
-        params, n_real, distance, wavelength, seed, grid, cfg["workers"],
-    ))
+    swept = iter(swept)
     results = [zero if s == 0.0 else next(swept) for s in strengths]
     rows = []
     failures = []

@@ -31,7 +31,7 @@ from .elements import DECODE_MIX, MUB_LABELS, decode_factors, mub_states
 from .errors import DomainError, RangeError, StatisticsError
 from .fields import GridSpec, ScalarField, _quarter_turns, make_lg_mode, rotate_modal
 from .parallel import parallel_fill
-from .turbulence import TurbulenceParams, _draw_phase_factor, screen_key
+from .turbulence import TurbulenceParams, _check_strength, _draw_phase_factor, screen_key
 
 # success_prob below this is a total-loss event, excluded from fidelity
 LOSS_THRESHOLD = 1e-12
@@ -192,7 +192,10 @@ def _cell_stats(suc: np.ndarray, fid: np.ndarray, raw: np.ndarray) -> dict:
 def _overlaps(weights: np.ndarray, params: list[TurbulenceParams], n_real: int, key,
               grid: GridSpec, n_workers: int) -> np.ndarray:
     """xy[si, i] = weights @ u for the phase factor u of screen key(si, i)
-    at params[si]; each worker draws into its own three arrays."""
+    at params[si], every strength checked first; each worker draws into its
+    own three arrays."""
+    for p in params:
+        _check_strength(p.w_over_r0)
     xy = np.empty((len(params), n_real, len(weights)), complex)
 
     def worker(items: range, arrays) -> None:

@@ -483,18 +483,19 @@ def beam_broadening_sweep(
     screen is drawn once at unit strength and scaled for each entry,
     bitwise as generate_screen would draw it.  A zero-strength
     entry sees the same field in every realization and is propagated
-    once.  Realizations are split into strided shares over n_workers
-    threads (0: every usable core), and each fills its own slots, an
-    AliasingError included, so the result is the same for any worker
-    count.  An entry whose field reaches the grid boundary gets the
-    AliasingError of its lowest failing realization in place of its
-    result; the others continue.  A share skips an entry only after it
-    failed in that share, so the lowest failing realization is stepped.
+    once.  Realization 0 of every entry runs on the calling thread, and
+    realizations 1..n-1 in strided shares over n_workers threads (0: every
+    usable core); each fills its own slots, an AliasingError included, so
+    the result is the same for any worker count.  An entry whose field
+    reaches the grid boundary gets the AliasingError of its lowest failing
+    realization in place of its result; the others continue.  A share
+    skips an entry only after it failed in realization 0 or in that share,
+    so the lowest failing realization is stepped.
     """
-    if n_realizations < 100:
-        raise StatisticsError(f"need >= 100 realizations, got {n_realizations}")
     for params in params_list:
         _check_strength(params.w_over_r0)
+    if n_realizations < 100:
+        raise StatisticsError(f"need >= 100 realizations, got {n_realizations}")
     if seed < 0:
         raise RangeError(f"seed must be nonnegative, got {seed}")
     if grid is None:
@@ -511,10 +512,10 @@ def beam_broadening_sweep(
         return (np.empty(shape), np.empty(shape, dtype=np.complex128),
                 np.empty(shape), np.empty(shape))
 
-    def share(items: range, arrays) -> None:
+    def share(realizations: range, arrays, aliased: set) -> None:
+        """Step every entry not in aliased, adding each that fails to it."""
         unit, u, inten, scratch = arrays
-        aliased = set()  # entries that failed earlier in this share
-        for i in items:
+        for i in realizations:
             drawn = False  # the unit screen is drawn on first use
             for j, params in enumerate(params_list):
                 w0 = params.w_over_r0
@@ -537,9 +538,14 @@ def beam_broadening_sweep(
                 moments[j, i] = float(np.sum(np.multiply(inten, r2, out=scratch))
                                       / np.sum(inten))
 
-    # an all-zero sweep propagates realization 0 only
-    active = any(params.w_over_r0 != 0.0 for params in params_list)
-    parallel_fill(n_realizations if active else 1, share, n_workers, work_arrays)
+    # realization 0 here, so the transfer function and its work arrays are
+    # made in no worker's arena; an entry that fails in it is final, and
+    # every share of realizations 1..n-1 starts with it marked
+    failed = set()
+    share(range(1), work_arrays(), failed)
+    parallel_fill(n_realizations - 1, lambda items, arrays: share(
+        range(1 + items.start, n_realizations, items.step), arrays, set(failed)),
+        n_workers, work_arrays)
     results: list[Broadening | AliasingError] = []
     for j, params in enumerate(params_list):
         failure = next((exc for exc in errors[j] if exc is not None), None)

@@ -357,7 +357,9 @@ class TestRunRecord:
         for name, data in first.items():
             assert (out / name).read_bytes() == data, name
         replayed = json.loads((out / "manifest.json").read_text())
-        # the wall-clock fields differ from run to run; the rest must not
+        # the wall-clock fields differ from run to run, and peak_rss_mb is the
+        # process's high-water mark, which never falls; the rest must not
+        assert replayed.pop("peak_rss_mb") >= manifest.pop("peak_rss_mb")
         for key in ("timestamp", "timings"):
             del manifest[key], replayed[key]
         assert replayed == manifest
@@ -449,6 +451,26 @@ class TestFidelityScan:
         assert summary["total_losses"] == 0
         assert 1e-12 <= summary["min_success_prob"] < 1.0
 
+    @pytest.mark.parametrize("command, workers", [("fidelity-scan", "1"), ("ph-curve", "2")])
+    def test_strengths_checked_before_the_first_screen(self, tmp_path, capsys, monkeypatch,
+                                                       command, workers):
+        draws = []
+        draw = oamturb.montecarlo._draw_phase_factor
+
+        def counted(*args):
+            draws.append(args[0])
+            return draw(*args)
+
+        monkeypatch.setattr(oamturb.montecarlo, "_draw_phase_factor", counted)
+        out = tmp_path / "out"
+        assert run([command, "--strengths", "0.2,2.5", "--grid-n", "32", "--grid-extent", "6",
+                    "--realizations", "200", "--workers", workers,
+                    "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"oamturb {command}: w_over_r0 = 2.5 outside the validated range [0, 2.0]\n")
+        assert draws == []
+        assert not out.exists()
+
 
 class TestRotationScan:
     def test_small_run(self, tmp_path):
@@ -523,6 +545,19 @@ class TestScreenValidate:
         err = capsys.readouterr().err
         assert err == ("oamturb screen-validate: separation 0.0 maps to pixel lag 0, "
                        "outside [1, 31]\n")
+        assert not out.exists()
+
+    def test_one_separation_fails_before_drawing(self, tmp_path, capsys, no_screens):
+        # r0 = 0.7 pixels: every separation from 0.2 to 2 r0 rounds to lag 1,
+        # and a slope through one point is no fit
+        out = tmp_path / "lag1"
+        rc = run(["screen-validate", "--grid-n", "32", "--grid-extent", "22.86",
+                  "--strength", "2.0", "--realizations", "100",
+                  "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "oamturb screen-validate: separations 0.2-2 r0 all round to pixel lag 1; the "
+            "slope fit needs two: raise --grid-n or lower --strength\n")
         assert not out.exists()
 
     def test_negative_seed_exits_one(self, tmp_path, capsys, no_screens):
@@ -780,6 +815,17 @@ class TestCalibrate:
         assert [m["w_over_r0"] for m in margins] == [0.0, 0.6]
         # the Gaussian's frame power is below the rounding of its total
         assert margins[0]["fraction"] == 0.0 < margins[1]["fraction"]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_aliasing_reference_writes_nothing(self, tmp_path, capsys, workers):
+        # a unit waist on a 3-waist grid: the reference trips the input guard
+        out = tmp_path / "alias"
+        assert run(["calibrate", "--strengths", "0.2,0.6", "--realizations", "100",
+                    "--grid-n", "32", "--grid-extent", "3.0", "--workers", workers,
+                    "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "oamturb calibrate: input field reaches the grid boundary\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("args,code,err", [
         (["--strengths", "0.0,0.6,1.2", "--grid-extent", "16.0"], 0, ""),

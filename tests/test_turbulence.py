@@ -807,6 +807,24 @@ class TestBroadeningSweep:
         assert runs[0][2] == "propagated field reaches the grid boundary"
         assert runs[1:] == [runs[0]] * 3
 
+    def test_transfer_function_built_on_the_calling_thread(self, monkeypatch):
+        # realization 0 runs on the calling thread, so a worker's arena never
+        # holds the table; (37.0, 0.011) is a key no other test builds
+        builders = []
+        cached = fields._transfer_function
+
+        def recorded(*args):
+            misses = cached.cache_info().misses
+            tf = cached(*args)
+            if cached.cache_info().misses > misses:
+                builders.append(threading.get_ident())
+            return tf
+
+        monkeypatch.setattr(fields, "_transfer_function", recorded)
+        params = [TurbulenceParams(w_over_r0=w) for w in (0.3, 0.6)]
+        beam_broadening_sweep(params, 100, 37.0, 0.011, 1, SMALL, n_workers=2)
+        assert builders == [threading.get_ident()]
+
     def test_argument_checks(self):
         with pytest.raises(StatisticsError):
             beam_broadening_sweep([P06], 99, 30.0, 0.01, 1, SMALL)
