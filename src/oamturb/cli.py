@@ -20,6 +20,7 @@ import datetime
 import json
 import os.path
 import platform
+import re
 import resource
 import sys
 import time
@@ -530,7 +531,7 @@ def cmd_calibrate(cfg: dict) -> _Record:
     grid = _grid(cfg)
     physical = {k: cfg[k] for k in ("lambda_nm", "cn2", "path_m", "waist_mm")}
     given = [k for k, v in physical.items() if v is not None]
-    strengths = sorted(float(s) for s in cfg["strengths"])
+    strengths = sorted({float(s) for s in cfg["strengths"]})  # one row per strength
     if given:
         if len(given) < 4:
             raise _UsageError(
@@ -608,6 +609,12 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes "-0.5,0.6" for a flag, so "--strengths -0.5,0.6" would
+    # lack its value; "--strengths=-0.5,0.6" it reads as the value
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--strengths" and re.match(r"-[\d.]", argv[i + 1]):
+            argv[i:i + 2] = [f"--strengths={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

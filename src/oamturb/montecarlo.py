@@ -31,7 +31,7 @@ from .elements import DECODE_MIX, MUB_LABELS, decode_factors, mub_states
 from .errors import DomainError, RangeError, StatisticsError
 from .fields import GridSpec, ScalarField, _quarter_turns, make_lg_mode, rotate_modal
 from .parallel import parallel_fill
-from .turbulence import TurbulenceParams, _check_strength, _draw_phase_factor, screen_key
+from .turbulence import TurbulenceParams, _draw_phase_factor, screen_key
 
 # success_prob below this is a total-loss event, excluded from fidelity
 LOSS_THRESHOLD = 1e-12
@@ -78,11 +78,9 @@ class ExperimentConfig:
     angles: tuple = ()
 
     def __post_init__(self) -> None:
-        strengths = tuple(float(s) for s in self.strengths)
+        strengths = tuple(TurbulenceParams(s).w_over_r0 for s in self.strengths)
         if not strengths:
             raise DomainError("at least one turbulence strength is required")
-        if any(s < 0 for s in strengths):
-            raise DomainError("turbulence strengths must be nonnegative")
         object.__setattr__(self, "strengths", strengths)
         states = tuple(self.states) if self.states else tuple(mub_states(1))
         labels = tuple(str(x) for x in self.state_labels)
@@ -192,10 +190,7 @@ def _cell_stats(suc: np.ndarray, fid: np.ndarray, raw: np.ndarray) -> dict:
 def _overlaps(weights: np.ndarray, params: list[TurbulenceParams], n_real: int, key,
               grid: GridSpec, n_workers: int) -> np.ndarray:
     """xy[si, i] = weights @ u for the phase factor u of screen key(si, i)
-    at params[si], every strength checked first; each worker draws into its
-    own three arrays."""
-    for p in params:
-        _check_strength(p.w_over_r0)
+    at params[si]; each worker draws into its own three arrays."""
     xy = np.empty((len(params), n_real, len(weights)), complex)
 
     def worker(items: range, arrays) -> None:

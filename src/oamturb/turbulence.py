@@ -75,8 +75,9 @@ def fried_parameter(wavelength_m: float, cn2: float, path_m: float) -> float:
 @dataclass(frozen=True)
 class TurbulenceParams:
     """Turbulence strength: the dimensionless ratio w_over_r0 of the beam
-    waist to the Fried parameter, finite and >= 0 (fried_parameter converts
-    physical units)."""
+    waist to the Fried parameter (fried_parameter converts physical units),
+    finite and >= 0 (else DomainError) and within the screens' validated
+    range [0, MAX_W_OVER_R0] (else RangeError); no engine checks it again."""
 
     w_over_r0: float
 
@@ -84,6 +85,9 @@ class TurbulenceParams:
         value = float(self.w_over_r0)
         if not (math.isfinite(value) and value >= 0):
             raise DomainError(f"w_over_r0 must be finite and >= 0, got {value}")
+        if value > MAX_W_OVER_R0:
+            raise RangeError(f"w_over_r0 = {value} outside the validated range "
+                             f"[0, {MAX_W_OVER_R0}]")
         object.__setattr__(self, "w_over_r0", value)
 
 
@@ -233,13 +237,6 @@ def _tables(grid: GridSpec) -> _SynthesisTables:
     return tab
 
 
-def _check_strength(w0: float) -> None:
-    if w0 > MAX_W_OVER_R0:
-        raise RangeError(
-            f"w_over_r0 = {w0} outside the validated range [0, {MAX_W_OVER_R0}]"
-        )
-
-
 def screen_key(seed: int, *indices: int) -> np.random.SeedSequence:
     """SeedSequence(entropy=[seed, *indices]): the key of the screen at
     indices (strength, realization, ...) of a run with master seed seed."""
@@ -298,7 +295,6 @@ def _draw_phase(params: TurbulenceParams, grid: GridSpec, ss: np.random.SeedSequ
     (complex) and work (real) are _unit_screen's work arrays.  Nothing is
     drawn at zero strength."""
     w0 = params.w_over_r0
-    _check_strength(w0)
     if w0 != 0.0:
         _unit_screen(grid, ss, phase, spec, work)
     return _scale(phase, w0, out=phase)
@@ -492,8 +488,6 @@ def beam_broadening_sweep(
     skips an entry only after it failed in realization 0 or in that share,
     so the lowest failing realization is stepped.
     """
-    for params in params_list:
-        _check_strength(params.w_over_r0)
     if n_realizations < 100:
         raise StatisticsError(f"need >= 100 realizations, got {n_realizations}")
     if seed < 0:

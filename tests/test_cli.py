@@ -490,6 +490,24 @@ class TestRotationScan:
         assert run(["rotation-scan", "--n-angles", "0"]) == 1
         assert "--n-angles" in capsys.readouterr().err
 
+    def test_out_of_range_strength_fails_before_any_projection(self, tmp_path, capsys,
+                                                               monkeypatch):
+        calls = []
+        factors = oamturb.montecarlo.decode_factors
+
+        def counted(*args):
+            calls.append(args)
+            return factors(*args)
+
+        monkeypatch.setattr(oamturb.montecarlo, "decode_factors", counted)
+        out = tmp_path / "out"
+        assert run(["rotation-scan", "--strength", "2.5", "--grid-n", "32",
+                    "--grid-extent", "6", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "oamturb rotation-scan: w_over_r0 = 2.5 outside the validated range [0, 2.0]\n")
+        assert calls == []
+        assert not out.exists()
+
 
 class TestScreenValidate:
     def test_too_few_screens_exit_two(self, tmp_path, capsys):
@@ -558,6 +576,19 @@ class TestScreenValidate:
         assert capsys.readouterr().err == (
             "oamturb screen-validate: separations 0.2-2 r0 all round to pixel lag 1; the "
             "slope fit needs two: raise --grid-n or lower --strength\n")
+        assert not out.exists()
+
+    def test_out_of_range_strength_fails_before_any_table(self, tmp_path, capsys):
+        # a grid no other test uses, so a synthesis-table build is a cache miss
+        misses = oamturb.turbulence._tables.cache_info().misses
+        out = tmp_path / "above"
+        rc = run(["screen-validate", "--grid-n", "34", "--grid-extent", "7.25",
+                  "--strength", "2.5", "--realizations", "100", "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "oamturb screen-validate: w_over_r0 = 2.5 outside the validated range "
+            "[0, 2.0]\n")
+        assert oamturb.turbulence._tables.cache_info().misses == misses
         assert not out.exists()
 
     def test_negative_seed_exits_one(self, tmp_path, capsys, no_screens):
@@ -636,6 +667,23 @@ class TestScreenValidate:
         assert screen.params.w_over_r0 == 0.0
 
 
+class TestStrengthLists:
+    # argparse alone takes "-0.5,0.6" for a flag and prints its usage text
+    @pytest.mark.parametrize("command", ["calibrate", "fidelity-scan", "ph-curve"])
+    @pytest.mark.parametrize("args, value", [
+        (["--strengths", "-0.5,0.6"], -0.5),
+        (["--strengths", "-.5,0.6"], -0.5),
+        (["--strengths=-0.5,0.6"], -0.5),
+        (["--strengths", "-1"], -1.0),
+    ], ids=["list", "leading-dot", "equals-sign", "one-value"])
+    def test_negative_entry_gets_one_line(self, tmp_path, capsys, command, args, value):
+        out = tmp_path / "out"
+        assert run([command, *args, "--grid-n", "64", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"oamturb {command}: w_over_r0 must be finite and >= 0, got {value}\n")
+        assert not out.exists()
+
+
 class TestCalibrate:
     def test_partial_physical_quartet_rejected(self, capsys):
         rc = run(["calibrate", "--lambda-nm", "795", "--cn2", "1e-14"])
@@ -697,6 +745,24 @@ class TestCalibrate:
         assert capsys.readouterr().err == (
             f"oamturb calibrate: {flag} must be finite and positive, got {float(value)}\n")
         assert not out.exists()
+
+    def test_duplicate_strengths_give_one_row(self, tmp_path, monkeypatch):
+        steps = []
+        step = oamturb.turbulence._fresnel
+
+        def counted(*a):
+            steps.append(a)
+            return step(*a)
+
+        common = ["--grid-n", "64", "--grid-extent", "16.0", "--realizations", "100"]
+        assert run(["calibrate", "--strengths", "0.0,0.6", *common,
+                    "--out-dir", str(tmp_path / "once")]) == 0
+        monkeypatch.setattr(oamturb.turbulence, "_fresnel", counted)
+        assert run(["calibrate", "--strengths", "0.6,0.6,0.0", *common,
+                    "--out-dir", str(tmp_path / "twice")]) == 0
+        assert len(steps) == 1 + 100  # the reference once, 0.6 in every realization
+        assert ((tmp_path / "twice" / "calibration.csv").read_bytes()
+                == (tmp_path / "once" / "calibration.csv").read_bytes())
 
     @pytest.mark.parametrize("args, message", [
         (["--strengths", "-1"], "w_over_r0 must be finite and >= 0, got -1.0"),

@@ -87,6 +87,13 @@ class TestExperimentConfig:
         with pytest.raises(DomainError):
             ExperimentConfig(strengths=(-0.1,))
 
+    def test_strengths_are_turbulence_params(self):
+        with pytest.raises(RangeError):
+            ExperimentConfig(strengths=(0.2, 2.5))
+        with pytest.raises(DomainError):
+            ExperimentConfig(strengths=(float("nan"),))
+        assert ExperimentConfig(strengths=(2.0,)).strengths == (2.0,)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(RangeError):
             ExperimentConfig(master_seed=-1)

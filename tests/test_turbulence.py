@@ -89,6 +89,12 @@ class TestTurbulenceParams:
         with pytest.raises(DomainError):
             TurbulenceParams(w_over_r0=w)
 
+    def test_validated_range_is_held_by_the_params(self):
+        assert TurbulenceParams(2.0).w_over_r0 == turbulence.MAX_W_OVER_R0
+        with pytest.raises(RangeError, match=r"^w_over_r0 = 2\.5 outside the validated "
+                                             r"range \[0, 2\.0\]$"):
+            TurbulenceParams(2.5)
+
 
 class TestTheory:
     def test_coherence_reference_point(self):
@@ -570,7 +576,7 @@ class TestScreenIo:
                      elements=st.floats(allow_nan=False, allow_infinity=False)),
         extent=st.floats(0.1, 100.0),
         seed=st.integers(min_value=0),
-        w_over_r0=st.floats(0.0, 1e6),
+        w_over_r0=st.floats(0.0, turbulence.MAX_W_OVER_R0),
     )
     def test_round_trip_property(self, phase, extent, seed, w_over_r0):
         params = TurbulenceParams(w_over_r0=w_over_r0)
@@ -583,6 +589,15 @@ class TestScreenIo:
         assert back.grid == s.grid
         assert back.seed == seed
         assert back.params == params
+
+    def test_strength_at_the_range_edge(self, tmp_path):
+        path = tmp_path / "screen.csv"
+        path.write_text("# n=32 extent=6.0 seed=5 w_over_r0=2.5\n" + OLD_SCREEN_ROWS)
+        with pytest.raises(DomainError):
+            load_screen(path)
+        s = PhaseScreen(GridSpec(32, 6.0), np.zeros((32, 32)), 5, TurbulenceParams(2.0))
+        save_screen(s, path)
+        assert load_screen(path).params == s.params
 
     @pytest.mark.parametrize("header", [
         "# n=64 extent=6.0 seed=1 w_over_r0=abc\n",
