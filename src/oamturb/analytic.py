@@ -83,10 +83,20 @@ class CouplingCoefficients:
     residual: float = 0.0  # node-doubling change; 0.0 when not validated
 
 
+@functools.lru_cache(maxsize=32)
+def _legendre_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """leggauss(n_nodes), read-only.  Cached by node count because
+    ring_coefficients reads it on every call and the build, an eigenvalue
+    solve, costs more than the rest of a call."""
+    x, w = leggauss(n_nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _cubic_rule(n_nodes: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, scale] through x = scale t^3,
     whose Jacobian flattens a 5/3-power cusp at x = 0."""
-    x, w = leggauss(n_nodes)
+    x, w = _legendre_rule(n_nodes)
     t = 0.5 * (x + 1)
     return scale * t**3, 3 * scale * t**2 * (0.5 * w)
 
@@ -199,7 +209,7 @@ def ring_coefficients(
 
     def once(l: int, radial_nodes: int, angular_nodes: int) -> tuple[float, float]:
         # LG_{0,l} intensity weights on [0, cutoff], normalized numerically
-        x, w = leggauss(radial_nodes)
+        x, w = _legendre_rule(radial_nodes)
         r = 0.5 * _RADIAL_CUTOFF * math.sqrt(l) * (x + 1)
         # r^{2l+1} e^{-2 r^2} in log form, scaled to peak 1: no overflow at large l
         log_dens = (2 * l + 1) * np.log(r) - 2 * r**2

@@ -299,7 +299,7 @@ def cmd_ph_curve(cfg: dict) -> _Record:
     grid = _grid(cfg)
     quad = QuadratureConfig(cfg["radial_nodes"], cfg["angular_nodes"], cfg["tolerance"])
     l = int(cfg["l"])
-    strengths = sorted(float(s) for s in cfg["strengths"])
+    strengths = sorted({float(s) for s in cfg["strengths"]})  # one row per strength
     mc_config = ExperimentConfig(
         strengths=tuple(strengths),
         states=(HybridQubit(1, 0, l),),
@@ -348,7 +348,7 @@ def cmd_fidelity_scan(cfg: dict) -> _Record:
     grid = _grid(cfg)
     l = int(cfg["l"])
     config = ExperimentConfig(
-        strengths=tuple(sorted(float(s) for s in cfg["strengths"])),
+        strengths=tuple(sorted({float(s) for s in cfg["strengths"]})),  # one cell each
         states=tuple(mub_states(l)),
         state_labels=MUB_LABELS,
         n_realizations=cfg["realizations"],

@@ -165,23 +165,27 @@ def expi(x, out: np.ndarray | None = None) -> np.ndarray:
     return u
 
 
+# band columns per chunk of rotate_modal's y shear, in place of a 2n x 2n array
+_SHEAR_CHUNK = 32
+
+
 @functools.lru_cache(maxsize=2)
 def _shear_phase(n: int, pitch: float, coeff: float, axis: int) -> np.ndarray:
-    """Read-only shear phase exp(-2 pi i coeff c f) along `axis` of the
-    2n-point padded array of rotate_modal (c: centred coordinate, f: FFT
-    frequency), in the layout it multiplies: x (axis 1), the n central rows
-    of c by 2n of f; y (axis 0), frequency-major, 2n of f by 2n of c.  c and
-    f (bar f = 0 and Nyquist) are antisymmetric exactly, so one quadrant's
-    conjugate mirrors fill the rest, bitwise the full expi.  Two entries hold
-    one angle's pair: a second field at the same angle builds none."""
+    """Read-only shear phase exp(-2 pi i coeff c f) of rotate_modal's
+    2n-point padded transforms (c: centred coordinate, f: FFT frequency),
+    one row per coordinate c, as each shear multiplies it: x (axis 1) keeps
+    the n central c, y (axis 0) all 2n, so a y chunk reads contiguous rows.
+    c and f (bar f = 0 and Nyquist) are antisymmetric exactly, so one
+    quadrant's conjugate mirrors fill the rest, bitwise the full expi.  Two
+    entries hold one angle's pair: a second field at the same angle builds
+    none."""
     m, h = 2 * n, n // 2 if axis else n  # h: half the table's coordinates
     c = (np.arange(m) - m / 2 + 0.5) * pitch
     ph = np.empty((2 * h, m), dtype=np.complex128)
-    t = ph.T if axis else ph  # frequency-major either way
-    expi(-2 * np.pi * np.outer(np.fft.fftfreq(m, d=pitch)[:n + 1], c[n - h:n] * coeff),
-         out=t[:n + 1, :h])
-    np.conj(t[n - 1:0:-1, :h], out=t[n + 1:, :h])
-    np.conj(t[:, h - 1::-1], out=t[:, h:])
+    expi(-2 * np.pi * np.outer(c[n - h:n] * coeff, np.fft.fftfreq(m, d=pitch)[:n + 1]),
+         out=ph[:h, :n + 1])
+    np.conj(ph[:h, n - 1:0:-1], out=ph[:h, n + 1:])
+    np.conj(ph[h - 1::-1], out=ph[h:])
     ph.flags.writeable = False
     return ph
 
@@ -193,6 +197,61 @@ def _quarter_turns(theta: float) -> tuple[int, float]:
     return k % 4, th - k * (np.pi / 2)
 
 
+def _shear_tables(n: int, pitch: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y _shear_phase tables of rotate_modal's residual shear at
+    theta, built on first use."""
+    r = _quarter_turns(theta)[1]
+    return _shear_phase(n, pitch, -np.tan(r / 2), 1), _shear_phase(n, pitch, np.sin(r), 0)
+
+
+def _rotation_work(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """_rotate_into's work arrays: the n x 2n band and the y-shear chunk."""
+    return np.empty((n, 2 * n), complex), np.empty((_SHEAR_CHUNK, 2 * n), complex)
+
+
+def _shear(part: np.ndarray, table: np.ndarray) -> None:
+    """One FFT shear of every row of part, in place: the 1-D fft and ifft
+    honour out=, even on a view (numpy's ifft2, 2.4.6, silently ignores it
+    and allocates)."""
+    np.fft.fft(part, axis=1, out=part)
+    part *= table
+    np.fft.ifft(part, axis=1, out=part)
+
+
+def _rotate_into(out: np.ndarray, g: np.ndarray, pitch: float, theta: float,
+                 band: np.ndarray, chunk: np.ndarray) -> np.ndarray:
+    """Write rotate_modal's rotation of the samples g by theta to out,
+    shearing in the work arrays of _rotation_work.  Of the 2n x 2n padded
+    copy only the n central rows are read by the x shears and kept by the
+    crop, so they alone live in band.  The y shear takes band's columns
+    _SHEAR_CHUNK at a time, transposed into chunk's zero-padded rows, and
+    writes back only band's rows: every 1-D transform sees the data of the
+    full padded array, so the result is bitwise the same."""
+    n = g.shape[0]
+    k, r = _quarter_turns(theta)
+    if k:
+        g = np.rot90(g, -k)
+    if r == 0.0:
+        np.copyto(out, g)
+        return out
+    x_table, y_table = _shear_tables(n, pitch, theta)
+    s = n // 2  # padding on each side
+    mid = slice(s, s + n)
+    band[:, :s] = band[:, s + n:] = 0.0
+    band[:, mid] = g
+    _shear(band, x_table)
+    for j in range(0, 2 * n, _SHEAR_CHUNK):
+        cols = band[:, j:j + _SHEAR_CHUNK]
+        part = chunk[:cols.shape[1]]
+        part[:, :s] = part[:, s + n:] = 0.0
+        part[:, mid] = cols.T
+        _shear(part, y_table[j:j + _SHEAR_CHUNK])
+        cols[...] = part[:, mid].T
+    _shear(band, x_table)
+    np.copyto(out, band[:, mid])
+    return out
+
+
 def rotate_modal(f: ScalarField, theta: float) -> ScalarField:
     """Rotate the transverse profile by theta about the beam axis.
 
@@ -200,32 +259,16 @@ def rotate_modal(f: ScalarField, theta: float) -> ScalarField:
     Quadrant parts of the angle are exact array rotations; the residual in
     [-pi/4, pi/4] is applied as three FFT shears (x, y, x) on a 2x
     zero-padded copy, which is exact for fields that are band-limited and
-    negligible at the grid edge.  The x shears act row by row, so they skip
-    the padding rows: zero on the way in, cropped on the way out.  All three
-    run in place in one padded array, each times a contiguous _shear_phase
-    table: x holds only the n central rows, y is frequency-major.
-    theta = 0 (mod 2 pi) returns the input unchanged.
+    negligible at the grid edge.  No 2n x 2n array is made: the shears run
+    in place in an n x 2n band of the padded copy's central rows, the y
+    shear in column chunks (_rotate_into), each times a contiguous
+    _shear_phase table.  theta = 0 (mod 2 pi) returns the input unchanged.
     """
-    n = f.grid.n
-    pitch = f.grid.pitch
-    k, resid = _quarter_turns(theta)
-    if k == 0 and resid == 0.0:
+    if _quarter_turns(theta) == (0, 0.0):
         return f
-    g = np.rot90(f.samples, -k) if k else f.samples
-    if resid != 0.0:
-        rows = slice(n // 2, n // 2 + n)
-        a, b = -np.tan(resid / 2), np.sin(resid)
-        big = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-        big[rows, rows] = g
-        band = big[rows]  # a view: the x shears write through it
-        # every step in place: the 1-D fft and ifft honour out=, even on a
-        # view (numpy's ifft2, 2.4.6, silently ignores it and allocates)
-        for part, coeff, axis in ((band, a, 1), (big, b, 0), (band, a, 1)):
-            np.fft.fft(part, axis=axis, out=part)
-            part *= _shear_phase(n, pitch, coeff, axis)
-            np.fft.ifft(part, axis=axis, out=part)
-        g = band[:, rows]
-    return ScalarField(f.grid, g.copy())
+    out = np.empty((f.grid.n, f.grid.n), complex)
+    return ScalarField(f.grid, _rotate_into(out, f.samples, f.grid.pitch, theta,
+                                            *_rotation_work(f.grid.n)))
 
 
 def intensity_frame_fraction(inten: np.ndarray) -> float:

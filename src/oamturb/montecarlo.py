@@ -16,7 +16,9 @@ DECODE_MIX), in place of a full-grid decode per state.  The fidelity scan
 and the coefficient estimate differ only in those weights and their screen
 key: both stream screens through _overlaps.  The rotation scan rotates the
 weights, not the screened fields, so every angle has its own rows; rather
-than hold all angles' rows at once it holds a block of screens.
+than hold all angles' rows at once it holds a block of screens.  The
+decode projections of each group of angles that share a residual shear
+are sheared on the worker threads, each into its slot of one array.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ import numpy as np
 from .analytic import DEFAULT_STRENGTHS
 from .elements import DECODE_MIX, MUB_LABELS, decode_factors, mub_states
 from .errors import DomainError, RangeError, StatisticsError
-from .fields import GridSpec, ScalarField, _quarter_turns, make_lg_mode, rotate_modal
+from .fields import (GridSpec, _quarter_turns, _rotate_into, _rotation_work, _shear_tables,
+                     make_lg_mode)
 from .parallel import parallel_fill
 from .turbulence import TurbulenceParams, _draw_phase_factor, screen_key
 
@@ -190,18 +193,23 @@ def _cell_stats(suc: np.ndarray, fid: np.ndarray, raw: np.ndarray) -> dict:
 def _overlaps(weights: np.ndarray, params: list[TurbulenceParams], n_real: int, key,
               grid: GridSpec, n_workers: int) -> np.ndarray:
     """xy[si, i] = weights @ u for the phase factor u of screen key(si, i)
-    at params[si]; each worker draws into its own three arrays."""
+    at params[si]; each worker draws into its own three arrays.  At zero
+    strength u is all ones whatever the key, so such a cell is one field,
+    not an ensemble: its realization 0 is taken and copied to the rest."""
     xy = np.empty((len(params), n_real, len(weights)), complex)
+    zero = [si for si, p in enumerate(params) if p.w_over_r0 == 0.0]
+    cells = [(si, i) for si in range(len(params)) for i in range(1 if si in zero else n_real)]
 
     def worker(items: range, arrays) -> None:
-        for cell in items:
-            si, i = divmod(cell, n_real)
+        for c in items:
+            si, i = cells[c]
             xy[si, i] = weights @ _draw_phase_factor(params[si], grid, key(si, i),
                                                      *arrays).ravel()
 
     shape = (grid.n, grid.n)
-    parallel_fill(len(params) * n_real, worker, n_workers,
+    parallel_fill(len(cells), worker, n_workers,
                   lambda: (np.empty(shape, complex), np.empty(shape), np.empty(shape)))
+    xy[zero, 1:] = xy[zero, :1]
     return xy
 
 
@@ -234,7 +242,10 @@ def run_fidelity_scan(config: ExperimentConfig, n_workers: int = 0) -> list[Fide
 def _rotation_samples(config: ExperimentConfig, n_workers: int = 0):
     """_score of every (angle, realization, state).  Screens are held a
     block of _SCREEN_BLOCK realizations at a time while every angle's
-    weights are built, so memory is bounded whatever the realizations."""
+    weights are built, so memory is bounded whatever the realizations.
+    Each residual group's shears run on parallel_fill, each writing its
+    slot of `sheared`; tables and work arrays are made on the calling
+    thread."""
     if len(config.strengths) != 1:
         raise DomainError("rotation scan runs at a single turbulence strength")
     if not config.angles:
@@ -249,6 +260,8 @@ def _rotation_samples(config: ExperimentConfig, n_workers: int = 0):
         groups.setdefault(key, []).append(j)
     # once per run; a grid that cannot sample the modes fails before any screen
     factors = [decode_factors(l, grid) for l in ls]
+    # one residual group's sheared projections, refilled for every group
+    sheared = np.empty((len(ls), 2, grid.n, grid.n), dtype=np.complex128)
     # one block of phase factors, refilled for every block of realizations
     screens = np.empty((min(_SCREEN_BLOCK, config.n_realizations), grid.n * grid.n),
                        dtype=np.complex128)
@@ -264,13 +277,23 @@ def _rotation_samples(config: ExperimentConfig, n_workers: int = 0):
         parallel_fill(len(block), worker, n_workers,
                       lambda: (np.empty((grid.n, grid.n)), np.empty((grid.n, grid.n))))
         for resid, members in groups.items():
-            sheared = [[rotate_modal(ScalarField(grid, p), -resid).samples if resid else p
-                        for p in pair] for pair in factors]
+            if resid:
+                # built here, not in a worker's allocator arena; keyed by the
+                # angle the shears take, whose residual at pi/4 is an ulp off
+                _shear_tables(grid.n, grid.pitch, -resid)
+
+                def shear(items: range, arrays) -> None:
+                    for q in items:
+                        li, side = divmod(q, 2)
+                        _rotate_into(sheared[li, side], factors[li][side], grid.pitch,
+                                     -resid, *arrays)
+
+                parallel_fill(2 * len(ls), shear, n_workers, lambda: _rotation_work(grid.n))
             for j in members:
-                weights = _weights(ls, grid, config.angles[j], sheared)
+                weights = _weights(ls, grid, config.angles[j],
+                                   list(sheared) if resid else factors)
                 for i, u in zip(block, screens):
                     xy[j, i] = weights @ u
-            del sheared  # not held while the next group is sheared
     return _score(xy, config)
 
 

@@ -572,8 +572,9 @@ def beam_broadening_mc(
     includes beam wander) is returned as w_t relative to the input waist,
     with a standard error across realizations.  Raises AliasingError when
     a propagated field reaches the grid boundary.  The public one-strength
-    form of beam_broadening_sweep, which calibrate calls directly because
-    it also reports each cell's guard margin.
+    form of beam_broadening_sweep; calibrate calls the sweep itself, once,
+    with the zero-strength reference as its first entry, because it also
+    reports each cell's guard margin.
     """
     (result,) = beam_broadening_sweep(
         [params], n_realizations, propagation_distance, wavelength, seed, grid

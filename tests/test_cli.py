@@ -13,6 +13,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.stats
+from numpy.polynomial.legendre import leggauss
 
 import oamturb
 import oamturb.cli
@@ -239,6 +240,26 @@ class TestPhCurve:
         assert summary["max_gap_in_stderr"] is None
         assert summary["max_mc_rel_stderr"] is None
         assert '"max_gap_in_stderr": null' in (out / "summary.json").read_text()
+
+    def test_legendre_rules_built_once_and_bitwise(self, tmp_path, monkeypatch):
+        # ring_coefficients takes its radial rule from a cache by node count:
+        # each count is built once, and the outputs are those of a rule
+        # rebuilt on every call
+        builds = []
+        monkeypatch.setattr(oamturb.analytic, "leggauss",
+                            lambda n: builds.append(n) or leggauss(n))
+        oamturb.analytic._legendre_rule.cache_clear()
+        argv = [a if a != "0.0,0.6" else "0.2,0.6,1.0" for a in TINY_PH]
+        assert run(argv + ["--out-dir", str(tmp_path / "cached")]) == 0
+        assert {100, 200} <= set(builds) and len(builds) == len(set(builds))
+        monkeypatch.setattr(oamturb.analytic, "_legendre_rule", leggauss)
+        assert run(argv + ["--out-dir", str(tmp_path / "rebuilt")]) == 0
+        outputs = []
+        for d in ("cached", "rebuilt"):
+            summary = json.loads((tmp_path / d / "summary.json").read_text())
+            del summary["config"]
+            outputs.append(((tmp_path / d / "ph_curve.csv").read_bytes(), json.dumps(summary)))
+        assert outputs[0] == outputs[1]
 
     def test_manifest_replay_is_bitwise(self, first_run, tmp_path):
         replay = tmp_path / "replay"
@@ -682,6 +703,33 @@ class TestStrengthLists:
         assert capsys.readouterr().err == (
             f"oamturb {command}: w_over_r0 must be finite and >= 0, got {value}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, table", [("fidelity-scan", "fidelity_scan.csv"),
+                                                ("ph-curve", "ph_curve.csv")])
+    def test_duplicate_strengths_give_one_row(self, tmp_path, monkeypatch, command, table):
+        draws = []
+        draw = oamturb.montecarlo._draw_phase_factor
+
+        def counted(*args):
+            draws.append(args[0].w_over_r0)
+            return draw(*args)
+
+        common = ["--grid-n", "64", "--grid-extent", "6.0", "--realizations", "3"]
+        if command == "ph-curve":
+            common += TINY_PH[-4:]  # the quadrature's node counts
+        assert run([command, "--strengths", "0.0,0.6", *common,
+                    "--out-dir", str(tmp_path / "once")]) == 0
+        monkeypatch.setattr(oamturb.montecarlo, "_draw_phase_factor", counted)
+        assert run([command, "--strengths", "0.6,0.6,0.0", *common,
+                    "--out-dir", str(tmp_path / "twice")]) == 0
+        assert sorted(draws) == [0.0, 0.6, 0.6, 0.6]  # the zero cell once, 0.6 per realization
+        assert ((tmp_path / "twice" / table).read_bytes()
+                == (tmp_path / "once" / table).read_bytes())
+        summaries = [json.loads((tmp_path / d / "summary.json").read_text())
+                     for d in ("once", "twice")]
+        for summary in summaries:
+            del summary["config"]
+        assert json.dumps(summaries[0]) == json.dumps(summaries[1])
 
 
 class TestCalibrate:

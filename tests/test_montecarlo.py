@@ -30,10 +30,12 @@ from oamturb.fields import (
 from oamturb.montecarlo import (
     LOSS_THRESHOLD,
     _fidelity_samples,
+    _overlaps,
     _rotation_samples,
     _score,
     _weights,
 )
+from oamturb.turbulence import _draw_phase_factor, screen_key
 
 P06 = TurbulenceParams(w_over_r0=0.6)
 SMALL = GridSpec(64, 6.0)
@@ -222,6 +224,22 @@ class TestFidelityScan:
         np.testing.assert_allclose(suc, ref_suc, rtol=0, atol=1e-12)
         np.testing.assert_allclose(fid, ref_fid, rtol=0, atol=1e-12)
 
+    def test_zero_strength_cells_equal_the_per_realization_loop(self):
+        # a zero-strength cell is taken once and copied: the bytes of
+        # drawing and projecting every realization, wherever the cell sits
+        grid, n_real = SMALL, 5
+        weights = _weights([1, 2], grid)
+        params = [TurbulenceParams(w_over_r0=w) for w in (0.0, 0.6, 0.0)]
+        arrays = (np.empty((grid.n, grid.n), complex), np.empty((grid.n, grid.n)),
+                  np.empty((grid.n, grid.n)))
+        want = np.array([[weights @ _draw_phase_factor(p, grid, screen_key(7, si, i),
+                                                       *arrays).ravel()
+                          for i in range(n_real)] for si, p in enumerate(params)])
+        for workers in (1, 2, 3):
+            got = _overlaps(weights, params, n_real, lambda si, i: screen_key(7, si, i),
+                            grid, workers)
+            assert got.tobytes() == want.tobytes(), workers
+
     def test_overshoot_is_reported_unclipped(self, tiny_config):
         _, fid, raw = _fidelity_samples(tiny_config)
         assert np.nanmax(fid) <= 1.0
@@ -273,12 +291,13 @@ class TestRotationScan:
     ])
     def test_one_shear_per_residual_and_projection(self, monkeypatch, angles):
         calls = []
+        rotate = montecarlo._rotate_into
 
-        def counting(f, theta):
-            calls.append(theta)
-            return rotate_modal(f, theta)
+        def counting(*args):
+            calls.append(args[3])
+            return rotate(*args)
 
-        monkeypatch.setattr(montecarlo, "rotate_modal", counting)
+        monkeypatch.setattr(montecarlo, "_rotate_into", counting)
         _rotation_samples(ExperimentConfig(
             strengths=(0.6,), n_realizations=2, grid=SMALL, angles=angles))
         assert len(calls) == 8
@@ -338,20 +357,33 @@ class TestRotationScan:
 
     def test_working_set_is_below_every_angles_weight_rows(self):
         # one residual group's shears and one angle's rows are alive at a
-        # time: 21.1 screen sizes measured, where every angle's rows
+        # time: 19.1 screen sizes measured at one worker and 19.3 at two
+        # (each shearing in its own band), where every angle's rows
         # stacked into one matrix peaked at 52.1
         angles = tuple(2 * np.pi * k / 16 for k in range(16))
         cfg = ExperimentConfig(strengths=(0.6,), n_realizations=1, master_seed=2,
                                grid=GridSpec(64, 8.0), angles=angles)
-        _rotation_samples(cfg, n_workers=1)  # warm the mode and table caches
-        tracemalloc.start()
-        try:
-            _rotation_samples(cfg, n_workers=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         screen_bytes = cfg.grid.n**2 * np.dtype(complex).itemsize
-        assert peak < 2 * len(angles) * screen_bytes
+        for workers in (1, 2):
+            _rotation_samples(cfg, n_workers=workers)  # warm the mode and table caches
+            tracemalloc.start()
+            try:
+                _rotation_samples(cfg, n_workers=workers)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * len(angles) * screen_bytes, workers
+
+    def test_bitwise_at_any_worker_count(self):
+        # each residual group's four shears (l = 1, 2) split over 1-3 threads
+        cfg = ExperimentConfig(strengths=(0.6,), n_realizations=3, master_seed=2,
+                               grid=GridSpec(40, 6.0),
+                               states=tuple(mub_states(1) + mub_states(2)),
+                               angles=tuple(2 * np.pi * k / 12 for k in range(12)))
+        one = _rotation_samples(cfg, n_workers=1)
+        for workers in (2, 3):
+            for a, b in zip(one, _rotation_samples(cfg, n_workers=workers)):
+                assert a.tobytes() == b.tobytes(), workers
 
     def test_generic_angle_keeps_fidelity(self):
         cfg = ExperimentConfig(
@@ -468,7 +500,9 @@ class TestDrawCounts:
         cfg = ExperimentConfig(strengths=(0.0, 0.3, 0.6), n_realizations=4, master_seed=7,
                                grid=SMALL)
         _fidelity_samples(cfg, n_workers=2)
-        assert sorted(counted["keys"]) == [(7, si, i) for si in range(3) for i in range(4)]
+        # the zero-strength cell is one field, drawn once (synthesizing nothing)
+        assert sorted(counted["keys"]) == [(7, 0, 0)] + [
+            (7, si, i) for si in (1, 2) for i in range(4)]
 
     def test_coefficient_estimate_draws_each_screen_once(self, counted):
         run_coefficient_estimate(1, P06, 100, 5, SMALL, n_workers=2)
