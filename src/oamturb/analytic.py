@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import legder, leggauss, legval
 
 from .errors import RangeError, ToleranceError
 from .turbulence import _COHERENCE_SCALE, STRUCTURE_COEFF, TurbulenceParams
@@ -83,12 +83,53 @@ class CouplingCoefficients:
     residual: float = 0.0  # node-doubling change; 0.0 when not validated
 
 
+# LAPACK's root-free QL/QR eigenvalue solver for a symmetric tridiagonal
+# matrix, as numpy's OpenBLAS exports it (ILP64: 64-bit integer arguments)
+_DSTERF = "scipy_dsterf_64_"
+
+
+def _companion_eigenvalues(n: int) -> np.ndarray | None:
+    """The eigenvalues of legcompanion's symmetric tridiagonal matrix for
+    the degree-n Legendre polynomial, ascending, from dsterf on its zero
+    diagonal and its off-diagonal; None when numpy's OpenBLAS lacks dsterf
+    or dsterf fails.  eigvalsh, which leggauss calls on the dense matrix,
+    finds it already tridiagonal and calls dsterf on the same two vectors."""
+    import ctypes
+
+    from .parallel import _openblas
+
+    dsterf = getattr(_openblas(), _DSTERF, None)
+    if dsterf is None:
+        return None
+    scl = 1. / np.sqrt(2 * np.arange(n) + 1)
+    diag, off = np.zeros(n), np.arange(1, n) * scl[:-1] * scl[1:]
+    size, info = ctypes.c_int64(n), ctypes.c_int64(0)
+    dsterf(ctypes.byref(size), diag.ctypes.data_as(ctypes.c_void_p),
+           off.ctypes.data_as(ctypes.c_void_p), ctypes.byref(info))
+    return diag if info.value == 0 else None
+
+
 @functools.lru_cache(maxsize=32)
 def _legendre_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """leggauss(n_nodes), read-only.  Cached by node count because
-    ring_coefficients reads it on every call and the build, an eigenvalue
-    solve, costs more than the rest of a call."""
-    x, w = leggauss(n_nodes)
+    """leggauss(n_nodes) bitwise, read-only, cached by node count.  The
+    nodes start from _companion_eigenvalues, in O(n_nodes) memory where
+    leggauss builds the dense n_nodes x n_nodes companion matrix; then
+    leggauss's own Newton step, weights, symmetrisation and normalisation
+    follow unchanged.  Without dsterf it calls leggauss itself."""
+    x = _companion_eigenvalues(n_nodes)
+    if x is None:
+        x, w = leggauss(n_nodes)
+    else:
+        c = np.array([0] * n_nodes + [1])
+        df = legval(x, legder(c))
+        x -= legval(x, c) / df
+        fm = legval(x, c[1:])
+        fm /= np.abs(fm).max()
+        df /= np.abs(df).max()
+        w = 1 / (fm * df)
+        w = (w + w[::-1]) / 2
+        x = (x - x[::-1]) / 2
+        w *= 2. / w.sum()
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -110,13 +151,18 @@ def _angular_rule(n_nodes: int):
     return u, weight, np.abs(np.sin(u / 2)) ** (5 / 3)
 
 
-def _theta_values(delta_l: int, r: np.ndarray, w_over_r0: float,
-                  n_nodes: int) -> np.ndarray:
-    """Theta_dl at each radius: 2 pi * 2 * int_0^pi cos(dl u) gamma du."""
+def _theta_values(r: np.ndarray, w_over_r0: float, n_nodes: int,
+                  *delta_ls: int) -> list[np.ndarray]:
+    """Theta_dl at each radius for each dl in delta_ls: 2 pi * 2 *
+    int_0^pi cos(dl u) gamma du, every dl from one radius x angle
+    coherence matrix, built in place."""
     u, weight, sin_pow = _angular_rule(n_nodes)
-    strength = (r * w_over_r0) ** (5 / 3)
-    gam = np.exp(-_COHERENCE_SCALE * np.outer(strength, sin_pow))
-    return 4 * np.pi * (gam @ (np.cos(delta_l * u) * weight))
+    gam = np.outer((r * w_over_r0) ** (5 / 3), sin_pow)
+    gam *= -_COHERENCE_SCALE
+    np.exp(gam, out=gam)
+    # one matrix-vector product per dl: a matrix-matrix product of the
+    # stacked rows can round differently
+    return [4 * np.pi * (gam @ (np.cos(dl * u) * weight)) for dl in delta_ls]
 
 
 @functools.lru_cache(maxsize=32)
@@ -215,8 +261,7 @@ def ring_coefficients(
         log_dens = (2 * l + 1) * np.log(r) - 2 * r**2
         dens = w * np.exp(log_dens - log_dens.max())
         dens /= dens.sum()
-        t0 = _theta_values(0, r, w0, angular_nodes)
-        t2 = _theta_values(2 * l, r, w0, angular_nodes)
+        t0, t2 = _theta_values(r, w0, angular_nodes, 0, 2 * l)
         norm = (2 * np.pi) ** 2
         return float(dens @ t0) / norm, float(dens @ t2) / norm
 

@@ -232,7 +232,7 @@ class _Record(NamedTuple):
     header and rows; its summary fields, to which the writer adds
     "config"; its Monte Carlo work, the realizations it ran summed over
     strengths (a zero-turbulence field is one field, not an ensemble, so
-    calibrate and screen-validate count none for it); and a message that
+    every command but rotation-scan counts none for it); and a message that
     ends the run with exit code 2 once the files are written."""
 
     tables: dict[str, tuple[list[str], list[list]]]
@@ -340,7 +340,7 @@ def cmd_ph_curve(cfg: dict) -> _Record:
                 rows[i][1] >= rows[i + 1][1] - 1e-12 for i in range(len(rows) - 1)
             ),
         },
-        mc_config.n_realizations * len(strengths),
+        mc_config.n_realizations * sum(s != 0.0 for s in strengths),
     )
 
 
@@ -373,7 +373,7 @@ def cmd_fidelity_scan(cfg: dict) -> _Record:
             "max_fidelity_overshoot": max(r.fidelity_overshoot for r in result),
             "min_success_prob": min(r.success_prob.min for r in result),
         },
-        config.n_realizations * len(config.strengths),
+        config.n_realizations * sum(s != 0.0 for s in config.strengths),
     )
 
 

@@ -36,18 +36,29 @@ def resolve_workers(n_workers: int) -> int:
 
 
 @functools.lru_cache(maxsize=1)
-def _thread_calls():
-    """(get, set) of numpy's OpenBLAS thread count, or None when numpy's
-    BLAS does not export them."""
+def _openblas():
+    """numpy's bundled OpenBLAS, opened through ctypes, or None when it
+    cannot be opened."""
     import ctypes  # on first use, not at import
 
     try:
         from numpy._core import _multiarray_umath
         # dlsym on numpy's extension module also searches the libraries it
         # links, its BLAS among them
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-        get, put = (getattr(lib, name) for name in _THREAD_SYMBOLS)
-    except (ImportError, OSError, AttributeError):
+        return ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+
+
+@functools.lru_cache(maxsize=1)
+def _thread_calls():
+    """(get, set) of numpy's OpenBLAS thread count, or None when numpy's
+    BLAS does not export them."""
+    import ctypes
+
+    try:
+        get, put = (getattr(_openblas(), name) for name in _THREAD_SYMBOLS)
+    except AttributeError:  # no such symbol, or no library at all
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     put.argtypes, put.restype = [ctypes.c_int], None

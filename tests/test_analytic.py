@@ -1,6 +1,7 @@
 """Quadrature paths: ring transform, two-point coupling weights, P_h curve."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +16,13 @@ from oamturb import (
     ring_coefficients,
     success_probability,
 )
+from oamturb import analytic, parallel
 from oamturb.analytic import (
     _SEPARATION_CUTOFF,
+    _angular_rule,
+    _companion_eigenvalues,
     _cubic_rule,
+    _legendre_rule,
     _separation_rule,
     _theta_values,
 )
@@ -93,8 +98,8 @@ class TestQuadratureConfig:
 
 def theta(delta_l, r, params, angular_nodes=512):
     """Theta_dl at one radius, through the rule ring_coefficients uses."""
-    return float(_theta_values(delta_l, np.array([r]), params.w_over_r0,
-                               angular_nodes)[0])
+    return float(_theta_values(np.array([r]), params.w_over_r0, angular_nodes,
+                               delta_l)[0][0])
 
 
 class TestThetaTransform:
@@ -243,8 +248,8 @@ class TestRingCoefficients:
         dens = w * np.exp(log_dens - log_dens.max())
         dens /= dens.sum()
         ref = [
-            dens @ _theta_values(dl, r, P06.w_over_r0, 1024) / (2 * np.pi) ** 2
-            for dl in (0, 2 * l)
+            dens @ t / (2 * np.pi) ** 2
+            for t in _theta_values(r, P06.w_over_r0, 1024, 0, 2 * l)
         ]
         rc = ring_coefficients(l, P06)
         assert rc.c0 == pytest.approx(ref[0], abs=1e-12)
@@ -254,3 +259,47 @@ class TestRingCoefficients:
 class TestPhCurve:
     def test_success_probability_is_survival_weight(self):
         assert success_probability(P06) == coupling_coefficients(1, P06).c0
+
+
+has_dsterf = pytest.mark.skipif(
+    getattr(parallel._openblas(), analytic._DSTERF, None) is None,
+    reason="numpy's OpenBLAS exports no ILP64 dsterf, so the rule comes from "
+           "leggauss's dense companion matrix")
+
+
+class TestLegendreRule:
+    def test_is_leggauss_bitwise(self):
+        _legendre_rule.cache_clear()
+        for n in [*range(2, 301), 400, 512, 800, 1024, 2048]:
+            x, w = _legendre_rule(n)
+            ref_x, ref_w = leggauss(n)
+            assert x.tobytes() == ref_x.tobytes(), n
+            assert w.tobytes() == ref_w.tobytes(), n
+            assert not (x.flags.writeable or w.flags.writeable)
+
+    def test_falls_back_to_leggauss_without_dsterf(self, monkeypatch):
+        monkeypatch.setattr(analytic, "_DSTERF", "no_such_dsterf")
+        _legendre_rule.cache_clear()
+        try:
+            assert _companion_eigenvalues(200) is None
+            for n in (8, 200):
+                x, w = _legendre_rule(n)
+                ref_x, ref_w = leggauss(n)
+                assert x.tobytes() == ref_x.tobytes()
+                assert w.tobytes() == ref_w.tobytes()
+        finally:
+            _legendre_rule.cache_clear()
+
+    @has_dsterf
+    def test_validated_ring_call_holds_one_coherence_matrix(self):
+        # the doubled pass's 400 x 1024 coherence matrix is the one large
+        # array; leggauss(1024)'s companion matrix alone would be 8 MiB
+        _legendre_rule.cache_clear()
+        _angular_rule.cache_clear()
+        tracemalloc.start()
+        try:
+            ring_coefficients(1, P06)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 400 * 1024 * np.dtype(float).itemsize

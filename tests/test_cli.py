@@ -244,10 +244,11 @@ class TestPhCurve:
     def test_legendre_rules_built_once_and_bitwise(self, tmp_path, monkeypatch):
         # ring_coefficients takes its radial rule from a cache by node count:
         # each count is built once, and the outputs are those of a rule
-        # rebuilt on every call
+        # rebuilt by leggauss on every call
         builds = []
-        monkeypatch.setattr(oamturb.analytic, "leggauss",
-                            lambda n: builds.append(n) or leggauss(n))
+        build = oamturb.analytic._companion_eigenvalues
+        monkeypatch.setattr(oamturb.analytic, "_companion_eigenvalues",
+                            lambda n: builds.append(n) or build(n))
         oamturb.analytic._legendre_rule.cache_clear()
         argv = [a if a != "0.0,0.6" else "0.2,0.6,1.0" for a in TINY_PH]
         assert run(argv + ["--out-dir", str(tmp_path / "cached")]) == 0
@@ -387,15 +388,16 @@ class TestRunRecord:
 
     @pytest.mark.parametrize("command,args,code,cells", [
         *((command, *RECORD_CASES[command][:2], cells) for command, cells in (
-            ("ph-curve", 4 * 2), ("fidelity-scan", 2 * 2), ("rotation-scan", 2),
+            ("ph-curve", 4), ("fidelity-scan", 2), ("rotation-scan", 2),
             ("screen-validate", 100), ("calibrate", 100 * 2))),
         ("screen-validate", ["--strength", "0.0", "--realizations", "100",
                              "--grid-n", "32", "--grid-extent", "6.0"], 0, 0),
     ])
     def test_manifest_reports_realizations_per_second(self, tmp_path, command, args,
                                                       code, cells):
-        # cells: realizations times strengths; a zero-turbulence field counts
-        # none in calibrate (its 0.0 row) and screen-validate (no screen drawn)
+        # cells: realizations times nonzero strengths; a zero-turbulence field
+        # draws no screen, so calibrate's 0.0 row, the 0.0 cells of ph-curve
+        # and fidelity-scan, and screen-validate at 0.0 count none
         out = tmp_path / "run"
         assert run([command, *args, "--out-dir", str(out)]) == code
         timings = json.loads((out / "manifest.json").read_text())["timings"]
