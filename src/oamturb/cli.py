@@ -232,8 +232,8 @@ class _Record(NamedTuple):
     header and rows; its summary fields, to which the writer adds
     "config"; its Monte Carlo work, the realizations it ran summed over
     strengths (a zero-turbulence field is one field, not an ensemble, so
-    every command but rotation-scan counts none for it); and a message that
-    ends the run with exit code 2 once the files are written."""
+    no command counts any for it); and a message that ends the run with
+    exit code 2 once the files are written."""
 
     tables: dict[str, tuple[list[str], list[list]]]
     summary: dict
@@ -411,7 +411,7 @@ def cmd_rotation_scan(cfg: dict) -> _Record:
             "max_variation": max(variation.values()),
             "max_fidelity_overshoot": max(r.fidelity_overshoot for r in result),
         },
-        config.n_realizations,
+        config.n_realizations * sum(s != 0.0 for s in config.strengths),
     )
 
 

@@ -291,34 +291,34 @@ def _transfer_function(grid: GridSpec, distance: float, wavelength: float) -> np
     return tf
 
 
-def _fresnel(
-    u: np.ndarray,
-    grid: GridSpec,
-    distance: float,
-    wavelength: float,
-    inten: np.ndarray,
-    scratch: np.ndarray,
-) -> float:
-    """propagate() on the complex samples u, overwriting them: the same
-    checks, messages and arithmetic, bitwise, with nothing grid-sized
-    allocated.  inten and scratch are real work arrays of u's shape; inten
-    is left holding |u|^2 of the result, and its
-    intensity_frame_fraction is returned."""
+def _transfer(grid: GridSpec, distance: float, wavelength: float) -> np.ndarray | None:
+    """propagate's checks, then the cached _transfer_function (None at distance
+    0); checked first, so that no NaN table is cached."""
     for name, value in (("wavelength", wavelength), ("propagation distance", distance)):
         if not np.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
     if not wavelength > 0:
         raise DomainError(f"wavelength must be positive, got {wavelength}")
     scale = np.pi * float(wavelength) * float(distance)  # the transfer function's phase
-    if not np.isfinite(scale):  # checked here, so that no NaN table is cached
+    if not np.isfinite(scale):
         raise DomainError(f"pi * wavelength * propagation distance must be finite, got {scale}")
+    return None if distance == 0.0 else _transfer_function(grid, distance, wavelength)
+
+
+def _fresnel(u: np.ndarray, tf: np.ndarray | None, inten: np.ndarray,
+             scratch: np.ndarray) -> float:
+    """propagate() on the complex samples u, overwriting them, by the step
+    whose _transfer is tf: the same guards, messages and arithmetic,
+    bitwise, with nothing grid-sized allocated.  inten and scratch are real
+    work arrays of u's shape; inten is left holding |u|^2 of the result,
+    and its intensity_frame_fraction is returned."""
     fraction = _frame_fraction(u, inten, scratch)
     if fraction >= BOUNDARY_ENERGY_LIMIT:
         raise AliasingError("input field reaches the grid boundary")
-    if distance == 0.0:
+    if tf is None:
         return fraction
     np.fft.fft2(u, out=u)
-    u *= _transfer_function(grid, distance, wavelength)
+    u *= tf
     # ifftn, not ifft2: numpy's ifft2 (2.4.6) silently ignores out= and
     # returns a fresh array, so u would keep the spectrum
     np.fft.ifftn(u, axes=(-2, -1), out=u)
@@ -346,5 +346,5 @@ def propagate(f: ScalarField, distance: float, wavelength: float) -> ScalarField
     since wrap-around then contaminates the result.
     """
     u = f.samples.copy()
-    _fresnel(u, f.grid, distance, wavelength, np.empty(u.shape), np.empty(u.shape))
+    _fresnel(u, _transfer(f.grid, distance, wavelength), np.empty(u.shape), np.empty(u.shape))
     return f if distance == 0.0 else ScalarField(f.grid, u)

@@ -1,20 +1,19 @@
 """Seeded Monte Carlo ensemble engine for the hybrid-qubit pipeline.
 
-Every screen is keyed by turbulence.screen_key for a counter-based
-generator: by (master_seed, strength index, realization index) in the
-fidelity and rotation scans (the rotation scan's one strength is index 0),
-by (master_seed, realization index) in run_coefficient_estimate.  Results
-are then a pure function of the configuration: an engine may split
-realizations across threads in any way without changing a single bit of
-the output; n_workers is the thread count, 0 (the default) every usable
-core (parallel.parallel_fill).  Within a cell the same screens are shared
+Every engine draws its screens through turbulence._screen_loop, keyed
+for a counter-based generator by (master_seed, strength index,
+realization index) in the fidelity and rotation scans (the rotation scan's
+one strength is index 0), by (master_seed, realization index) in
+run_coefficient_estimate.  Results are then a pure function of the
+configuration, bitwise at any n_workers, the thread count (0, the default:
+every usable core).  Within a cell the same screens are shared
 by all states (paired comparison).  decode is linear and a screen
 multiplies both polarization components by one phase, so a realization
 needs two overlaps per l of e^{i phi} with precomputed weights; every
 state's amplitudes then follow by 2x2 algebra (elements.decode_factors,
 DECODE_MIX), in place of a full-grid decode per state.  The fidelity scan
 and the coefficient estimate differ only in those weights and their screen
-key: both stream screens through _overlaps.  The rotation scan rotates the
+key: both are steps of _overlaps.  The rotation scan rotates the
 weights, not the screened fields, so every angle has its own rows; rather
 than hold all angles' rows at once it holds a block of screens.  The
 decode projections of each group of angles that share a residual shear
@@ -32,9 +31,9 @@ from .analytic import DEFAULT_STRENGTHS
 from .elements import DECODE_MIX, MUB_LABELS, decode_factors, mub_states
 from .errors import DomainError, RangeError, StatisticsError
 from .fields import (GridSpec, _quarter_turns, _rotate_into, _rotation_work, _shear_tables,
-                     make_lg_mode)
+                     expi, make_lg_mode)
 from .parallel import parallel_fill
-from .turbulence import TurbulenceParams, _draw_phase_factor, screen_key
+from .turbulence import TurbulenceParams, _screen_loop
 
 # success_prob below this is a total-loss event, excluded from fidelity
 LOSS_THRESHOLD = 1e-12
@@ -193,22 +192,16 @@ def _cell_stats(suc: np.ndarray, fid: np.ndarray, raw: np.ndarray) -> dict:
 def _overlaps(weights: np.ndarray, params: list[TurbulenceParams], n_real: int, key,
               grid: GridSpec, n_workers: int) -> np.ndarray:
     """xy[si, i] = weights @ u for the phase factor u of screen key(si, i)
-    at params[si]; each worker draws into its own three arrays.  At zero
-    strength u is all ones whatever the key, so such a cell is one field,
-    not an ensemble: its realization 0 is taken and copied to the rest."""
+    at params[si], built in _screen_loop's complex work array.  At zero
+    strength u is all ones, so such a cell is one field, not an ensemble:
+    the loop steps its realization 0, copied here to the rest."""
     xy = np.empty((len(params), n_real, len(weights)), complex)
+
+    def step(si: int, i: int, arrays) -> None:
+        xy[si, i] = weights @ expi(arrays[2], out=arrays[1]).ravel()
+
+    _screen_loop(params, n_real, key, grid, n_workers, step)
     zero = [si for si, p in enumerate(params) if p.w_over_r0 == 0.0]
-    cells = [(si, i) for si in range(len(params)) for i in range(1 if si in zero else n_real)]
-
-    def worker(items: range, arrays) -> None:
-        for c in items:
-            si, i = cells[c]
-            xy[si, i] = weights @ _draw_phase_factor(params[si], grid, key(si, i),
-                                                     *arrays).ravel()
-
-    shape = (grid.n, grid.n)
-    parallel_fill(len(cells), worker, n_workers,
-                  lambda: (np.empty(shape, complex), np.empty(shape), np.empty(shape)))
     xy[zero, 1:] = xy[zero, :1]
     return xy
 
@@ -217,7 +210,7 @@ def _fidelity_samples(config: ExperimentConfig, n_workers: int = 0):
     """_score of every (strength, realization, state)."""
     xy = _overlaps(_weights(sorted({s.l for s in config.states}), config.grid),
                    [TurbulenceParams(w_over_r0=strength) for strength in config.strengths],
-                   config.n_realizations, lambda si, i: screen_key(config.master_seed, si, i),
+                   config.n_realizations, lambda si, i: (config.master_seed, si, i),
                    config.grid, n_workers)
     return _score(xy, config)
 
@@ -254,6 +247,8 @@ def _rotation_samples(config: ExperimentConfig, n_workers: int = 0):
     params = TurbulenceParams(w_over_r0=config.strengths[0])
     ls = sorted({s.l for s in config.states})
     xy = np.empty((len(config.angles), config.n_realizations, 2 * len(ls)), complex)
+    # at zero strength every realization is one field: 0 is taken and copied
+    n_real = 1 if params.w_over_r0 == 0.0 else config.n_realizations
     groups: dict[float, list[int]] = {}  # first residual shear -> angles
     for j, resid in enumerate(_quarter_turns(t)[1] for t in config.angles):
         key = next((r for r in groups if abs(r - resid) < _SHEAR_GROUP_TOL), resid)
@@ -263,19 +258,15 @@ def _rotation_samples(config: ExperimentConfig, n_workers: int = 0):
     # one residual group's sheared projections, refilled for every group
     sheared = np.empty((len(ls), 2, grid.n, grid.n), dtype=np.complex128)
     # one block of phase factors, refilled for every block of realizations
-    screens = np.empty((min(_SCREEN_BLOCK, config.n_realizations), grid.n * grid.n),
-                       dtype=np.complex128)
-    for first in range(0, config.n_realizations, _SCREEN_BLOCK):
-        block = range(first, min(first + _SCREEN_BLOCK, config.n_realizations))
+    screens = np.empty((min(_SCREEN_BLOCK, n_real), grid.n * grid.n), dtype=np.complex128)
 
-        def worker(items: range, arrays) -> None:
-            for b in items:
-                key = screen_key(config.master_seed, 0, block[b])
-                _draw_phase_factor(params, grid, key, screens[b].reshape(grid.n, grid.n),
-                                   *arrays)
+    def draw(_, b: int, arrays) -> None:
+        expi(arrays[2], out=screens[b].reshape(grid.n, grid.n))
 
-        parallel_fill(len(block), worker, n_workers,
-                      lambda: (np.empty((grid.n, grid.n)), np.empty((grid.n, grid.n))))
+    for first in range(0, n_real, _SCREEN_BLOCK):
+        block = range(first, min(first + _SCREEN_BLOCK, n_real))
+        _screen_loop([params], len(block), lambda _, b: (config.master_seed, 0, block[b]),
+                     grid, n_workers, draw)
         for resid, members in groups.items():
             if resid:
                 # built here, not in a worker's allocator arena; keyed by the
@@ -294,6 +285,7 @@ def _rotation_samples(config: ExperimentConfig, n_workers: int = 0):
                                    list(sheared) if resid else factors)
                 for i, u in zip(block, screens):
                     xy[j, i] = weights @ u
+    xy[:, n_real:] = xy[:, :1]
     return _score(xy, config)
 
 
@@ -340,8 +332,7 @@ def run_coefficient_estimate(
     # rows <l|psi_l>, <-l|psi_l>, <l|psi_{-l}>, <-l|psi_{-l}>
     weights = np.array([(np.conj(a) * b).ravel()
                         for a, b in ((lg_p, lg_p), (lg_m, lg_p), (lg_p, lg_m), (lg_m, lg_m))])
-    ov = _overlaps(weights, [params], n, lambda si, i: screen_key(master_seed, i), grid,
-                   n_workers)[0]
+    ov = _overlaps(weights, [params], n, lambda si, i: (master_seed, i), grid, n_workers)[0]
     ov *= grid.pitch**2
     power = ov.real**2 + ov.imag**2
     return CoefficientEstimate(

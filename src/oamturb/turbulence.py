@@ -33,6 +33,7 @@ from .fields import (
     ScalarField,
     VectorField,
     _fresnel,
+    _transfer,
     expi,
     make_lg_mode,
 )
@@ -57,6 +58,8 @@ MAX_W_OVER_R0 = 2.0
 SUBHARMONIC_LEVELS = 3
 _CELL_SPLIT = 4  # each subharmonic annulus is split into (3*_CELL_SPLIT)^2 cells
 _CHEB_ORDER = 32
+# subharmonic cells: each level's (3*_CELL_SPLIT)^2 minus the inner _CELL_SPLIT^2
+_SUB_CELLS = SUBHARMONIC_LEVELS * 8 * _CELL_SPLIT**2
 
 
 def fried_parameter(wavelength_m: float, cn2: float, path_m: float) -> float:
@@ -249,11 +252,13 @@ def _unit_screen(
     out: np.ndarray,
     spec: np.ndarray,
     work: np.ndarray,
+    sub: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """The screen of key ss at w_over_r0 = 1, piston not yet removed,
     written to out for the caller to scale in place.  spec (complex) and
     work (real) are work arrays of the grid's shape, so nothing grid-sized
-    is allocated."""
+    is allocated; sub, when given, holds the subharmonic sum's complex
+    _CHEB_ORDER x _SUB_CELLS and _CHEB_ORDER x _CHEB_ORDER products."""
     n = grid.n
     tab = _tables(grid)
     rng = np.random.Generator(np.random.Philox(ss))
@@ -269,7 +274,9 @@ def _unit_screen(
     np.fft.ifftn(spec, axes=(-2, -1), out=spec)
     np.multiply(spec.real, n * n, out=scr)
     ck = (zsh[0] + 1j * zsh[1]) * tab.amp_sh
-    coarse = ((tab.ey_nodes * ck) @ tab.ex_nodes).real
+    ey_ck, coarse = sub or (None, None)
+    coarse = np.matmul(np.multiply(tab.ey_nodes, ck, out=ey_ck), tab.ex_nodes,
+                       out=coarse).real
     coarse += tab.tilt_sigma * (
         ztilt[0] * tab.nodes[None, :] + ztilt[1] * tab.nodes[:, None]
     )
@@ -287,31 +294,6 @@ def _scale(unit: np.ndarray, w0: float, out: np.ndarray) -> np.ndarray:
     scr = np.multiply(unit, w0 ** (5 / 6), out=out)
     scr -= scr.mean()
     return scr
-
-
-def _draw_phase(params: TurbulenceParams, grid: GridSpec, ss: np.random.SeedSequence,
-                phase: np.ndarray, spec: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """The phase of key ss at strength params, written to phase; spec
-    (complex) and work (real) are _unit_screen's work arrays.  Nothing is
-    drawn at zero strength."""
-    w0 = params.w_over_r0
-    if w0 != 0.0:
-        _unit_screen(grid, ss, phase, spec, work)
-    return _scale(phase, w0, out=phase)
-
-
-def _draw_phase_factor(
-    params: TurbulenceParams,
-    grid: GridSpec,
-    ss: np.random.SeedSequence,
-    out: np.ndarray,
-    unit: np.ndarray,
-    work: np.ndarray,
-) -> np.ndarray:
-    """generate_screen(params, grid, ss).phase_factor, bitwise, written to
-    out (complex); unit and work are real work arrays of the grid's shape,
-    so nothing grid-sized is allocated."""
-    return expi(_draw_phase(params, grid, ss, unit, out, work), out=out)
 
 
 def generate_screen(
@@ -338,12 +320,52 @@ def generate_screen(
             raise RangeError(f"seed must be nonnegative, got {seed}")
         ss = np.random.SeedSequence(int(seed))
         seed_id = int(seed)
-    if params.w_over_r0 != 0.0:  # the arrays below reuse the memory this build frees
+    w0 = params.w_over_r0
+    if w0 != 0.0:  # the arrays below reuse the memory this build frees
         _tables(grid)
+    phase = np.empty((grid.n, grid.n))
+    if w0 != 0.0:
+        _unit_screen(grid, ss, phase, np.empty(phase.shape, complex), np.empty(phase.shape))
+    return PhaseScreen(grid, _scale(phase, w0, out=phase), seed_id, params)
+
+
+def _screen_loop(params_list, n_real: int, key, grid: GridSpec, n_workers: int, step,
+                 work=tuple) -> None:
+    """step(j, i, arrays) for every strength j and realization i < n_real,
+    arrays[2] holding generate_screen(params_list[j], grid,
+    screen_key(*key(j, i))).phase bitwise; key gives index tuples.  A zero
+    strength is one field, stepped at realization 0 only with no draw.
+    Realizations run in strided shares (parallel_fill), each in order and
+    strength by strength; one unit screen is drawn per run of equal keys.
+    arrays, the thread's own: the unit screen, _unit_screen's complex and
+    real work arrays, then work()'s; a step may overwrite all but the first.
+    A step returning False drops its strength for the rest of its share, so
+    its lowest failing realization is stepped at any worker count."""
     shape = (grid.n, grid.n)
-    phase = _draw_phase(params, grid, ss, np.empty(shape),
-                        np.empty(shape, dtype=np.complex128), np.empty(shape))
-    return PhaseScreen(grid, phase, seed_id, params)
+
+    def thread_arrays():  # _unit_screen's sub, and arrays
+        return ((np.empty((_CHEB_ORDER, _SUB_CELLS), complex),
+                 np.empty((_CHEB_ORDER, _CHEB_ORDER), complex)),
+                (np.empty(shape), np.empty(shape, complex), np.empty(shape), *work()))
+
+    def share(realizations: range, made) -> None:
+        sub, arrays = made
+        unit, spec, phase = arrays[:3]
+        drawn, dropped = None, set()
+        for i in realizations:
+            for j, params in enumerate(params_list):
+                w0 = params.w_over_r0
+                if j in dropped or (w0 == 0.0 and i > 0):
+                    continue
+                k = key(j, i)
+                if w0 != 0.0 and k != drawn:
+                    _unit_screen(grid, screen_key(*k), unit, spec, phase, sub)
+                    drawn = k
+                _scale(unit, w0, out=phase)
+                if step(j, i, arrays) is False:
+                    dropped.add(j)
+
+    parallel_fill(n_real, share, n_workers, thread_arrays)
 
 
 def apply_screen(f, s: PhaseScreen):
@@ -475,18 +497,16 @@ def beam_broadening_sweep(
 ) -> list[Broadening | AliasingError]:
     """beam_broadening_mc for several strengths in one pass over realizations.
 
-    Realization i of every strength is keyed screen_key(seed, i), so its
-    screen is drawn once at unit strength and scaled for each entry,
-    bitwise as generate_screen would draw it.  A zero-strength
-    entry sees the same field in every realization and is propagated
-    once.  Realization 0 of every entry runs on the calling thread, and
-    realizations 1..n-1 in strided shares over n_workers threads (0: every
-    usable core); each fills its own slots, an AliasingError included, so
-    the result is the same for any worker count.  An entry whose field
-    reaches the grid boundary gets the AliasingError of its lowest failing
-    realization in place of its result; the others continue.  A share
-    skips an entry only after it failed in realization 0 or in that share,
-    so the lowest failing realization is stepped.
+    Realization i of every strength is keyed screen_key(seed, i), so
+    _screen_loop draws its screen once and scales it for each entry; a
+    zero-strength entry is one field, propagated once.  Realizations run
+    on n_workers threads (0: every usable core), each filling its own
+    slots, an AliasingError included, so the result is the same for any
+    worker count; the transfer function and synthesis tables are built on
+    the calling thread, so no worker's allocator arena holds them.  An
+    entry whose field reaches the grid boundary gets the AliasingError of
+    its lowest failing realization in place of its result; the others
+    continue.
     """
     if n_realizations < 100:
         raise StatisticsError(f"need >= 100 realizations, got {n_realizations}")
@@ -494,52 +514,35 @@ def beam_broadening_sweep(
         raise RangeError(f"seed must be nonnegative, got {seed}")
     if grid is None:
         grid = GridSpec(512, 16.0)
-    shape = (grid.n, grid.n)
     gauss = make_lg_mode(0, grid).samples
     c2 = grid.coords**2
     r2 = c2[:, None] + c2[None, :]  # x**2 + y**2, broadcast from the 1-D coords
     moments = np.empty((len(params_list), n_realizations))
     frames = np.empty((len(params_list), n_realizations))
     errors = np.full((len(params_list), n_realizations), None)  # AliasingError slots
+    if any(params.w_over_r0 != 0.0 for params in params_list):
+        _tables(grid)
 
-    def work_arrays():
-        return (np.empty(shape), np.empty(shape, dtype=np.complex128),
-                np.empty(shape), np.empty(shape))
+    def step(j: int, i: int, arrays) -> bool:
+        _, u, phase, inten, tf = arrays
+        # apply_screen and propagate, in place: gauss * exp(i phase), the
+        # phase's array then _fresnel's scratch
+        np.multiply(gauss, expi(phase, out=u), out=u)
+        try:
+            frames[j, i] = _fresnel(u, tf, inten, phase)
+        except AliasingError as exc:
+            errors[j, i] = exc
+            return False
+        moments[j, i] = float(np.sum(np.multiply(inten, r2, out=phase)) / np.sum(inten))
+        return True
 
-    def share(realizations: range, arrays, aliased: set) -> None:
-        """Step every entry not in aliased, adding each that fails to it."""
-        unit, u, inten, scratch = arrays
-        for i in realizations:
-            drawn = False  # the unit screen is drawn on first use
-            for j, params in enumerate(params_list):
-                w0 = params.w_over_r0
-                if j in aliased or (w0 == 0.0 and i > 0):
-                    continue
-                if not drawn and w0 != 0.0:
-                    _unit_screen(grid, screen_key(seed, i), unit, u, scratch)
-                    drawn = True
-                # apply_screen and propagate, in place: gauss * exp(i phase),
-                # the phase held in inten until _fresnel overwrites it
-                _scale(unit, w0, out=inten)
-                np.multiply(gauss, expi(inten, out=u), out=u)
-                try:
-                    frames[j, i] = _fresnel(u, grid, propagation_distance, wavelength,
-                                            inten, scratch)
-                except AliasingError as exc:
-                    errors[j, i] = exc
-                    aliased.add(j)
-                    continue
-                moments[j, i] = float(np.sum(np.multiply(inten, r2, out=scratch))
-                                      / np.sum(inten))
-
-    # realization 0 here, so the transfer function and its work arrays are
-    # made in no worker's arena; an entry that fails in it is final, and
-    # every share of realizations 1..n-1 starts with it marked
-    failed = set()
-    share(range(1), work_arrays(), failed)
-    parallel_fill(n_realizations - 1, lambda items, arrays: share(
-        range(1 + items.start, n_realizations, items.step), arrays, set(failed)),
-        n_workers, work_arrays)
+    # the transfer function comes with each thread's arrays (work() runs on
+    # the calling thread), so a first build lands above the first thread's
+    # arrays and keeps the heap from being trimmed after the sweep; built
+    # before them, repeated 512^2 sweeps peaked 2 MB higher
+    _screen_loop(params_list, n_realizations, lambda j, i: (seed, i), grid, n_workers, step,
+                 lambda: (np.empty((grid.n, grid.n)),
+                          _transfer(grid, propagation_distance, wavelength)))
     results: list[Broadening | AliasingError] = []
     for j, params in enumerate(params_list):
         failure = next((exc for exc in errors[j] if exc is not None), None)

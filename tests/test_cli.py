@@ -392,12 +392,15 @@ class TestRunRecord:
             ("screen-validate", 100), ("calibrate", 100 * 2))),
         ("screen-validate", ["--strength", "0.0", "--realizations", "100",
                              "--grid-n", "32", "--grid-extent", "6.0"], 0, 0),
+        ("rotation-scan", ["--strength", "0.0", "--realizations", "4", "--n-angles", "4",
+                           "--grid-n", "64", "--grid-extent", "6.0"], 0, 0),
     ])
     def test_manifest_reports_realizations_per_second(self, tmp_path, command, args,
                                                       code, cells):
         # cells: realizations times nonzero strengths; a zero-turbulence field
         # draws no screen, so calibrate's 0.0 row, the 0.0 cells of ph-curve
-        # and fidelity-scan, and screen-validate at 0.0 count none
+        # and fidelity-scan, and screen-validate and rotation-scan at 0.0
+        # count none
         out = tmp_path / "run"
         assert run([command, *args, "--out-dir", str(out)]) == code
         timings = json.loads((out / "manifest.json").read_text())["timings"]
@@ -478,13 +481,13 @@ class TestFidelityScan:
     def test_strengths_checked_before_the_first_screen(self, tmp_path, capsys, monkeypatch,
                                                        command, workers):
         draws = []
-        draw = oamturb.montecarlo._draw_phase_factor
+        draw = oamturb.turbulence._unit_screen
 
         def counted(*args):
-            draws.append(args[0])
+            draws.append(args[1])
             return draw(*args)
 
-        monkeypatch.setattr(oamturb.montecarlo, "_draw_phase_factor", counted)
+        monkeypatch.setattr(oamturb.turbulence, "_unit_screen", counted)
         out = tmp_path / "out"
         assert run([command, "--strengths", "0.2,2.5", "--grid-n", "32", "--grid-extent", "6",
                     "--realizations", "200", "--workers", workers,
@@ -709,19 +712,22 @@ class TestStrengthLists:
     @pytest.mark.parametrize("command, table", [("fidelity-scan", "fidelity_scan.csv"),
                                                 ("ph-curve", "ph_curve.csv")])
     def test_duplicate_strengths_give_one_row(self, tmp_path, monkeypatch, command, table):
-        draws = []
-        draw = oamturb.montecarlo._draw_phase_factor
+        draws = []  # the strength of every cell the screen loop steps
+        loop = oamturb.montecarlo._screen_loop
 
-        def counted(*args):
-            draws.append(args[0].w_over_r0)
-            return draw(*args)
+        def counted(params, n_real, key, *rest):
+            def keyed(j, i):
+                draws.append(params[j].w_over_r0)
+                return key(j, i)
+
+            return loop(params, n_real, keyed, *rest)
 
         common = ["--grid-n", "64", "--grid-extent", "6.0", "--realizations", "3"]
         if command == "ph-curve":
             common += TINY_PH[-4:]  # the quadrature's node counts
         assert run([command, "--strengths", "0.0,0.6", *common,
                     "--out-dir", str(tmp_path / "once")]) == 0
-        monkeypatch.setattr(oamturb.montecarlo, "_draw_phase_factor", counted)
+        monkeypatch.setattr(oamturb.montecarlo, "_screen_loop", counted)
         assert run([command, "--strengths", "0.6,0.6,0.0", *common,
                     "--out-dir", str(tmp_path / "twice")]) == 0
         assert sorted(draws) == [0.0, 0.6, 0.6, 0.6]  # the zero cell once, 0.6 per realization

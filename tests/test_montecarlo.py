@@ -22,7 +22,7 @@ from oamturb import (
     run_fidelity_scan,
     run_rotation_scan,
 )
-from oamturb import montecarlo
+from oamturb import montecarlo, turbulence
 from oamturb.elements import decode, decode_factors, fidelity, mub_states, rotate_frame
 from oamturb.fields import (
     ScalarField, VectorField, _quarter_turns, make_lg_mode, rotate_modal,
@@ -35,7 +35,7 @@ from oamturb.montecarlo import (
     _score,
     _weights,
 )
-from oamturb.turbulence import _draw_phase_factor, screen_key
+from oamturb.turbulence import screen_key
 
 P06 = TurbulenceParams(w_over_r0=0.6)
 SMALL = GridSpec(64, 6.0)
@@ -230,14 +230,11 @@ class TestFidelityScan:
         grid, n_real = SMALL, 5
         weights = _weights([1, 2], grid)
         params = [TurbulenceParams(w_over_r0=w) for w in (0.0, 0.6, 0.0)]
-        arrays = (np.empty((grid.n, grid.n), complex), np.empty((grid.n, grid.n)),
-                  np.empty((grid.n, grid.n)))
-        want = np.array([[weights @ _draw_phase_factor(p, grid, screen_key(7, si, i),
-                                                       *arrays).ravel()
+        want = np.array([[weights @ generate_screen(p, grid, screen_key(7, si, i))
+                          .phase_factor.ravel()
                           for i in range(n_real)] for si, p in enumerate(params)])
         for workers in (1, 2, 3):
-            got = _overlaps(weights, params, n_real, lambda si, i: screen_key(7, si, i),
-                            grid, workers)
+            got = _overlaps(weights, params, n_real, lambda si, i: (7, si, i), grid, workers)
             assert got.tobytes() == want.tobytes(), workers
 
     def test_overshoot_is_reported_unclipped(self, tiny_config):
@@ -472,7 +469,7 @@ class TestCoefficientEstimate:
         def refuse(*args):
             raise AssertionError("a screen was drawn")
 
-        monkeypatch.setattr(montecarlo, "_draw_phase_factor", refuse)
+        monkeypatch.setattr(turbulence, "_unit_screen", refuse)
         with pytest.raises(RangeError, match="^master_seed must be a nonnegative integer$"):
             run_coefficient_estimate(1, P06, 100, -1, SMALL)
 
@@ -480,19 +477,23 @@ class TestCoefficientEstimate:
 class TestDrawCounts:
     @pytest.fixture
     def counted(self, monkeypatch):
-        """Keys of every screen drawn and l of every decode_factors call."""
+        """Keys of every screen stepped (the screen loop's key calls, a
+        zero-strength cell's included) and l of every decode_factors call."""
         calls = {"keys": [], "ls": []}
-        draw, factors = montecarlo._draw_phase_factor, montecarlo.decode_factors
+        loop, factors = montecarlo._screen_loop, montecarlo.decode_factors
 
-        def counting_draw(params, grid, ss, *arrays):
-            calls["keys"].append(tuple(ss.entropy))
-            return draw(params, grid, ss, *arrays)
+        def counting_loop(params, n_real, key, *rest):
+            def counting_key(j, i):
+                calls["keys"].append(key(j, i))
+                return key(j, i)
+
+            return loop(params, n_real, counting_key, *rest)
 
         def counting_factors(l, grid):
             calls["ls"].append(l)
             return factors(l, grid)
 
-        monkeypatch.setattr(montecarlo, "_draw_phase_factor", counting_draw)
+        monkeypatch.setattr(montecarlo, "_screen_loop", counting_loop)
         monkeypatch.setattr(montecarlo, "decode_factors", counting_factors)
         return calls
 
@@ -503,6 +504,14 @@ class TestDrawCounts:
         # the zero-strength cell is one field, drawn once (synthesizing nothing)
         assert sorted(counted["keys"]) == [(7, 0, 0)] + [
             (7, si, i) for si in (1, 2) for i in range(4)]
+
+    def test_zero_strength_rotation_scan_steps_one_realization(self, counted):
+        # one field in every realization: realization 0 is taken and copied
+        cfg = ExperimentConfig(strengths=(0.0,), n_realizations=4, master_seed=4, grid=SMALL,
+                               angles=(0.0, 2.0))
+        suc, fid, _ = _rotation_samples(cfg, n_workers=2)
+        assert counted["keys"] == [(4, 0, 0)]
+        assert (suc == suc[:, :1]).all() and (fid == fid[:, :1]).all()
 
     def test_coefficient_estimate_draws_each_screen_once(self, counted):
         run_coefficient_estimate(1, P06, 100, 5, SMALL, n_workers=2)

@@ -1,5 +1,6 @@
 """Kolmogorov statistics, screen synthesis, and the broadening inverter."""
 
+import ast
 import math
 import sys
 import tempfile
@@ -373,6 +374,89 @@ def screens_200():
         generate_screen(P10, GRID, np.random.SeedSequence(entropy=[11, i]))
         for i in range(200)
     ]
+
+
+def literal_loop_phases(params, n_real, key, grid):
+    """The phase of every cell _screen_loop steps, by generate_screen per cell."""
+    return {(j, i): generate_screen(p, grid, turbulence.screen_key(*key(j, i))).phase
+            for j, p in enumerate(params)
+            for i in range(1 if p.w_over_r0 == 0.0 else n_real)}
+
+
+def looped_phases(params, n_real, key, grid, n_workers, fail=()):
+    """The phase each step of _screen_loop sees, by cell; the step returns
+    False at the cells in fail."""
+    got = {}
+
+    def step(j, i, arrays):
+        got[j, i] = arrays[2].copy()
+        return (j, i) not in fail
+
+    turbulence._screen_loop(params, n_real, key, grid, n_workers, step)
+    return got
+
+
+class TestScreenLoop:
+    GRID = GridSpec(32, 6.0)
+    PARAMS = [TurbulenceParams(w_over_r0=w) for w in (0.3, 0.0, 1.2, 0.3)]
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    @pytest.mark.parametrize("shared, draws", [(False, 3 * 5), (True, 5)],
+                             ids=["per-strength-keys", "shared-key"])
+    def test_matches_literal_generate_screen_loop(self, monkeypatch, n_workers, shared,
+                                                  draws):
+        key = (lambda j, i: (5, i)) if shared else (lambda j, i: (5, j, i))
+        want = literal_loop_phases(self.PARAMS, 5, key, self.GRID)
+        drawn = []
+
+        def counted(*args, _fn=turbulence._unit_screen):
+            drawn.append(tuple(args[1].entropy))
+            return _fn(*args)
+
+        monkeypatch.setattr(turbulence, "_unit_screen", counted)
+        got = looped_phases(self.PARAMS, 5, key, self.GRID, n_workers)
+        assert sorted(got) == sorted(want)  # the zero strength at realization 0 only
+        for cell, phase in want.items():
+            assert got[cell].tobytes() == phase.tobytes(), cell
+        # one unit screen per run of equal keys, none at zero strength
+        assert len(drawn) == draws
+        assert sorted(drawn) == sorted({key(j, i) for j, i in want if j != 1})
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_false_drops_a_strength_for_the_rest_of_its_share(self, n_workers):
+        # strength 2 fails at realizations 3, 4 and 6; each strided share
+        # steps it up to its own first failure, so 3 is always stepped
+        fail = {(2, 3), (2, 4), (2, 6)}
+        got = looped_phases(self.PARAMS, 8, lambda j, i: (5, j, i), self.GRID, n_workers,
+                            fail)
+        want = []
+        for t in range(n_workers):
+            for i in range(t, 8, n_workers):
+                want.append(i)
+                if (2, i) in fail:
+                    break
+        assert sorted(i for j, i in got if j == 2) == sorted(want)
+        assert min(i for j, i in got if (j, i) in fail) == 3
+        others = {(j, i) for j in (0, 3) for i in range(8)} | {(1, 0)}
+        assert {cell for cell in got if cell[0] != 2} == others
+
+
+def test_one_function_besides_generate_screen_draws_unit_screens():
+    # every engine draws its screens through the one screen loop
+    callers = set()
+    for path in sorted(Path(turbulence.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            defs = top.body if isinstance(top, ast.ClassDef) else [top]
+            for fn in defs:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and "_unit_screen" in (
+                            getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                        callers.add(f"{path.stem}.{fn.name}")
+    callers.discard("turbulence.generate_screen")
+    assert len(callers) == 1, callers
 
 
 class TestEnsembleStatistics:
@@ -766,10 +850,10 @@ class TestBroadeningSweep:
         assert sweep_calls == {"unit": 0, "propagate": 1}
 
     def test_working_set_is_a_few_screens(self):
-        # one worker's unit screen, field, intensity and scratch arrays and
-        # the r^2 table are 3 screen sizes; the subharmonic sum's 32 x 384
-        # complex temporaries, a fixed size, add 5.0 at 64^2: 8.37 measured,
-        # so 10 leaves a margin of 1.63
+        # one worker's unit screen, field, phase and intensity arrays and
+        # the r^2 table are 3 screen sizes; its subharmonic buffers (32 x 384
+        # and 32 x 32 complex, a fixed size) add 3.25 at 64^2: 8.69 measured,
+        # so 10 leaves a margin of 1.31
         grid = GridSpec(64, 16.0)
         params = [TurbulenceParams(w_over_r0=w) for w in (0.0, 0.2, 0.6, 1.0, 1.4)]
         beam_broadening_sweep(params, 100, 30.0, 0.01, 1, grid, n_workers=1)  # warm
@@ -823,8 +907,9 @@ class TestBroadeningSweep:
         assert runs[1:] == [runs[0]] * 3
 
     def test_transfer_function_built_on_the_calling_thread(self, monkeypatch):
-        # realization 0 runs on the calling thread, so a worker's arena never
-        # holds the table; (37.0, 0.011) is a key no other test builds
+        # the sweep builds the table on the calling thread before its workers
+        # start, so a worker's arena never holds it; (37.0, 0.011) is a key
+        # no other test builds
         builders = []
         cached = fields._transfer_function
 
