@@ -47,13 +47,14 @@ from .montecarlo import (
 from .parallel import blas_threads, resolve_workers
 from .turbulence import (
     TurbulenceParams,
+    _screen_loop,
+    _screen_statistics,
     beam_broadening_sweep,
     fried_from_broadening,
     fried_parameter,
     generate_screen,
     save_screen,
     screen_key,
-    screen_statistics,
     structure_function,
 )
 
@@ -269,9 +270,8 @@ def _write_record(command: str, cfg: dict, record: _Record, compute_s: float) ->
             "python": platform.python_version(), "numpy": np.__version__,
             "blas_name": blas.get("name"), "blas_version": blas.get("version"),
             "cpu_count": os.cpu_count(),
-            # threads the engines ran on (screen-validate draws serially) and
-            # OpenBLAS's own count, which a pool of more workers holds at 1
-            "workers": 1 if command == "screen-validate" else resolve_workers(cfg["workers"]),
+            # the engines' threads, and OpenBLAS's own (a pool of more workers holds it at 1)
+            "workers": resolve_workers(cfg["workers"]),
             "blas_threads": blas_threads(),
             **{var: os.environ.get(var) for var in
                ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}},
@@ -424,7 +424,7 @@ def cmd_screen_validate(cfg: dict) -> _Record:
     grid = _grid(cfg)
     strength = float(cfg["strength"])
     n_screens = int(cfg["realizations"])
-    n_export = int(cfg["export_screens"])
+    n_export = min(int(cfg["export_screens"]), n_screens)
     seed = int(cfg["seed"])
     if seed < 0:
         raise _UsageError(f"seed must be nonnegative, got {seed}")
@@ -435,22 +435,23 @@ def cmd_screen_validate(cfg: dict) -> _Record:
     params = TurbulenceParams(w_over_r0=strength)
     pitch = grid.pitch
 
-    def draw():  # one screen at a time; the first n_export are written as they come
-        screen_dir = os.path.join(cfg["out_dir"], "screens")
-        for i in range(n_screens):
-            screen = generate_screen(params, grid, screen_key(seed, i))
-            if i < n_export:
-                os.makedirs(screen_dir, exist_ok=True)
-                save_screen(screen, os.path.join(screen_dir, f"screen_{i:04d}.csv"))
-            yield screen
+    def fill(values) -> None:  # every screen on the workers, then the exports on this thread
+        _screen_loop([params], n_screens, lambda _, i: (seed, i), grid, cfg["workers"],
+                     lambda _, i, arrays: values(  # cos and sin: the complex work array
+                         i, arrays[2], *arrays[1].view(float).reshape(2, grid.n, grid.n)))
+        for i in range(n_export):
+            os.makedirs(os.path.join(cfg["out_dir"], "screens"), exist_ok=True)
+            save_screen(generate_screen(params, grid, screen_key(seed, i)),
+                        os.path.join(cfg["out_dir"], "screens", f"screen_{i:04d}.csv"))
 
     if strength == 0.0:
-        peak = max(float(np.max(np.abs(s.phase))) for s in draw())
+        peak = []  # of the one zero field the screen loop steps
+        fill(lambda i, phase, *_: peak.append(float(np.max(np.abs(phase)))))
         return _Record(
             {"structure_function.csv": (_STRUCTURE_HEADER, []),
              "coherence.csv": (_COHERENCE_HEADER, [])},
-            {"passed": True, "zero_turbulence": True, "max_abs_phase": peak},
-            0,  # generate_screen draws nothing at zero strength
+            {"passed": True, "zero_turbulence": True, "max_abs_phase": peak[0]},
+            0,  # a zero-strength screen is one field, not an ensemble
         )
 
     r0 = 1.0 / strength  # Fried length in waist units
@@ -470,7 +471,7 @@ def cmd_screen_validate(cfg: dict) -> _Record:
                           "slope fit needs two: raise --grid-n or lower --strength")
     coh_seps = seps[:: max(1, len(seps) // 5)]
     # every argument check runs before the first screen is drawn
-    d_emp, coh_emp = screen_statistics(draw(), n_screens, grid, seps, coh_seps)
+    d_emp, coh_emp = _screen_statistics(n_screens, grid, seps, coh_seps, fill)
     d_rows = [[sep, *d_emp[sep], structure_function(sep, params)] for sep in seps]
 
     sep_r0 = r0_lag * pitch

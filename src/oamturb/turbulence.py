@@ -340,8 +340,11 @@ def _screen_loop(params_list, n_real: int, key, grid: GridSpec, n_workers: int, 
     arrays, the thread's own: the unit screen, _unit_screen's complex and
     real work arrays, then work()'s; a step may overwrite all but the first.
     A step returning False drops its strength for the rest of its share, so
-    its lowest failing realization is stepped at any worker count."""
+    its lowest failing realization is stepped at any worker count.  The
+    synthesis tables are built here first, so no worker's arena holds them."""
     shape = (grid.n, grid.n)
+    if any(params.w_over_r0 != 0.0 for params in params_list):
+        _tables(grid)
 
     def thread_arrays():  # _unit_screen's sub, and arrays
         return ((np.empty((_CHEB_ORDER, _SUB_CELLS), complex),
@@ -395,6 +398,40 @@ def _pixel_lag(separation: float, grid: GridSpec) -> int:
     return lag
 
 
+def _screen_statistics(n_screens: int, grid: GridSpec, separations, coherence_separations,
+                       fill) -> tuple[dict[float, tuple[float, float]], ...]:
+    """screen_statistics over fill(values), which passes each screen i once
+    to values(i, phase[, cos, sin]), in any order and from any thread (cos
+    and sin: grid-sized scratch arrays).  Every check runs before fill."""
+    if n_screens < 100:
+        raise StatisticsError(f"need >= 100 screens, got {n_screens}")
+    d_lags = {sep: _pixel_lag(sep, grid) for sep in separations}
+    c_lags = {sep: _pixel_lag(sep, grid) for sep in coherence_separations}
+    d_vals, c_vals = [np.empty((len(lags), n_screens)) for lags in (d_lags, c_lags)]
+
+    def values(i: int, ph: np.ndarray, c=None, sn=None) -> None:
+        for j, lag in enumerate(d_lags.values()):
+            dx = ph[:, lag:] - ph[:, :-lag]  # squared in place: two temporaries a lag
+            dy = ph[lag:, :] - ph[:-lag, :]
+            d_vals[j, i] = 0.5 * (np.mean(np.square(dx, out=dx)) + np.mean(np.square(dy, out=dy)))
+        if c_lags:
+            # cos(phi' - phi) = c'c + s's: one cos and one sin per screen
+            c, sn = np.cos(ph, out=c), np.sin(ph, out=sn)
+            for j, lag in enumerate(c_lags.values()):
+                dx = c[:, lag:] * c[:, :-lag]
+                dx += sn[:, lag:] * sn[:, :-lag]
+                dy = c[lag:, :] * c[:-lag, :]
+                dy += sn[lag:, :] * sn[:-lag, :]
+                c_vals[j, i] = 0.5 * (np.mean(dx) + np.mean(dy))
+
+    fill(values)
+    return tuple(
+        {sep: (float(v.mean()), float(v.std(ddof=1) / np.sqrt(n_screens)))
+         for sep, v in zip(lags, vals)}
+        for lags, vals in ((d_lags, d_vals), (c_lags, c_vals))
+    )
+
+
 def screen_statistics(
     screens, n_screens: int, grid: GridSpec, separations, coherence_separations
 ) -> tuple[dict[float, tuple[float, float]], dict[float, tuple[float, float]]]:
@@ -405,40 +442,23 @@ def screen_statistics(
     screens, and every separation a whole pixel lag inside [1, n - 1].
     screens may be any iterable of exactly n_screens screens on grid that
     share one set of params; it is read one screen at a time, so a
-    generator need never hold more than one.
+    generator need never hold more than one (screen-validate's workers
+    fill the same core, _screen_statistics).
     """
-    if n_screens < 100:
-        raise StatisticsError(f"need >= 100 screens, got {n_screens}")
-    d_lags = {sep: _pixel_lag(sep, grid) for sep in separations}
-    c_lags = {sep: _pixel_lag(sep, grid) for sep in coherence_separations}
-    d_vals = np.empty((len(d_lags), n_screens))
-    c_vals = np.empty((len(c_lags), n_screens))
-    i, params = -1, None
-    for i, s in enumerate(screens):
-        params = params or s.params  # the first screen's
-        if i == n_screens:
-            raise ShapeMismatchError(f"more than the {n_screens} screens announced")
-        if s.grid != grid or s.params != params:
-            raise ShapeMismatchError("screens mix different grids or parameters")
-        ph = s.phase
-        for j, lag in enumerate(d_lags.values()):
-            dx = ph[:, lag:] - ph[:, :-lag]
-            dy = ph[lag:, :] - ph[:-lag, :]
-            d_vals[j, i] = 0.5 * (np.mean(dx**2) + np.mean(dy**2))
-        if c_lags:
-            # cos(phi' - phi) = c'c + s's: one cos and one sin per screen
-            c, sn = np.cos(ph), np.sin(ph)
-            for j, lag in enumerate(c_lags.values()):
-                dx = c[:, lag:] * c[:, :-lag] + sn[:, lag:] * sn[:, :-lag]
-                dy = c[lag:, :] * c[:-lag, :] + sn[lag:, :] * sn[:-lag, :]
-                c_vals[j, i] = 0.5 * (np.mean(dx) + np.mean(dy))
-    if i + 1 < n_screens:
-        raise ShapeMismatchError(f"got {i + 1} of the {n_screens} screens announced")
-    return tuple(
-        {sep: (float(v.mean()), float(v.std(ddof=1) / np.sqrt(n_screens)))
-         for sep, v in zip(lags, vals)}
-        for lags, vals in ((d_lags, d_vals), (c_lags, c_vals))
-    )
+
+    def fill(values) -> None:
+        i, params = -1, None
+        for i, s in enumerate(screens):
+            params = params or s.params  # the first screen's
+            if i == n_screens:
+                raise ShapeMismatchError(f"more than the {n_screens} screens announced")
+            if s.grid != grid or s.params != params:
+                raise ShapeMismatchError("screens mix different grids or parameters")
+            values(i, s.phase)
+        if i + 1 < n_screens:
+            raise ShapeMismatchError(f"got {i + 1} of the {n_screens} screens announced")
+
+    return _screen_statistics(n_screens, grid, separations, coherence_separations, fill)
 
 
 def structure_function_estimate(
@@ -520,8 +540,6 @@ def beam_broadening_sweep(
     moments = np.empty((len(params_list), n_realizations))
     frames = np.empty((len(params_list), n_realizations))
     errors = np.full((len(params_list), n_realizations), None)  # AliasingError slots
-    if any(params.w_over_r0 != 0.0 for params in params_list):
-        _tables(grid)
 
     def step(j: int, i: int, arrays) -> bool:
         _, u, phase, inten, tf = arrays
@@ -618,6 +636,7 @@ def load_screen(path) -> PhaseScreen:
             rows = [
                 [float(v) for v in line.split(",")] for line in fh if line.strip()
             ]
+            # a ragged row fails in np.array, a missing one in PhaseScreen
+            return PhaseScreen(grid, np.array(rows), seed, params)
         except (KeyError, ValueError) as exc:
             raise DomainError(f"{path}: malformed screen file: {exc!r}") from exc
-    return PhaseScreen(grid, np.array(rows), seed, params)

@@ -8,7 +8,7 @@ import platform
 import resource
 import subprocess
 import sys
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -569,7 +569,7 @@ class TestScreenValidate:
         def refuse(*args):
             raise AssertionError("a screen was drawn")
 
-        monkeypatch.setattr(oamturb.cli, "generate_screen", refuse)
+        monkeypatch.setattr(oamturb.turbulence, "_unit_screen", refuse)
 
     def test_too_few_screens_fail_before_drawing(self, tmp_path, capsys, no_screens):
         out = tmp_path / "few"
@@ -641,27 +641,33 @@ class TestScreenValidate:
         assert capsys.readouterr().err == f"oamturb screen-validate: {message}\n"
         assert not out.exists()
 
-    def test_screens_are_drawn_and_dropped_one_at_a_time(self, tmp_path, monkeypatch):
-        # keyed by draw index: PhaseScreen hashes its phase array, so a
-        # WeakSet cannot hold it
-        alive = weakref.WeakValueDictionary()
-        counts = []
-        draw = oamturb.cli.generate_screen
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_working_set_is_a_few_screens_per_worker(self, tmp_path, workers):
+        # each worker's unit screen, phase and complex work array (which holds
+        # cos and sin) are 2 screen sizes, its subharmonic buffers 3.25 at
+        # 64^2, and the lag differences and products a few more: 9.04 measured
+        # at 1 worker and 8.44 a worker at 2, so 10.5 leaves a margin of 1.46
+        argv = ["screen-validate", "--grid-n", "64", "--grid-extent", "8.0",
+                "--realizations", "100", "--workers", str(workers),
+                "--out-dir", str(tmp_path / "sv")]
+        assert run(argv) == 0  # warm
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10.5 * workers * 64**2 * np.dtype(complex).itemsize
 
-        def recording(*args):
-            screen = draw(*args)
-            alive[len(counts)] = screen
-            counts.append(len(alive))
-            return screen
-
-        monkeypatch.setattr(oamturb.cli, "generate_screen", recording)
-        out = tmp_path / "stream"
-        rc = run(["screen-validate", "--realizations", "100", "--grid-n", "32",
-                  "--grid-extent", "6.0", "--export-screens", "2", "--out-dir", str(out)])
-        assert rc == 2  # 100 screens on 32^2 miss the coherence band
-        assert len(counts) == 100
-        assert max(counts) <= 2
-        assert sorted(os.listdir(out / "screens")) == ["screen_0000.csv", "screen_0001.csv"]
+    @pytest.mark.parametrize("strength, n_screens", [("0.0", 3), ("1.0", 100)])
+    def test_export_stops_at_the_last_screen(self, tmp_path, strength, n_screens):
+        out = tmp_path / "few"
+        assert run(["screen-validate", "--grid-n", "32", "--grid-extent", "6.0",
+                    "--strength", strength, "--realizations", str(n_screens),
+                    "--export-screens", str(n_screens + 2), "--workers", "2",
+                    "--out-dir", str(out)]) in (0, 2)
+        assert sorted(os.listdir(out / "screens")) == [
+            f"screen_{i:04d}.csv" for i in range(n_screens)]
 
     def test_exported_screen_is_the_keyed_screen(self, tmp_path):
         # screen i of seed s is keyed SeedSequence(entropy=[s, i])
@@ -680,7 +686,7 @@ class TestScreenValidate:
     def test_zero_strength_run(self, tmp_path):
         out = tmp_path / "sv0"
         rc = run(["screen-validate", "--strength", "0.0",
-                  "--realizations", "120", "--export-screens", "2",
+                  "--realizations", "120", "--export-screens", "2", "--workers", "2",
                   "--out-dir", str(out)])
         assert rc == 0
         summary = json.loads((out / "summary.json").read_text())
@@ -689,8 +695,10 @@ class TestScreenValidate:
         assert summary["max_abs_phase"] == 0.0
         exported = sorted(os.listdir(out / "screens"))
         assert exported == ["screen_0000.csv", "screen_0001.csv"]
-        screen = load_screen(out / "screens" / "screen_0000.csv")
-        assert screen.params.w_over_r0 == 0.0
+        for name in exported:
+            screen = load_screen(out / "screens" / name)
+            assert screen.params.w_over_r0 == 0.0
+            assert not screen.phase.any()
 
 
 class TestStrengthLists:
@@ -1039,6 +1047,8 @@ WORKER_CASES = {
     "rotation-scan": RECORD_CASES["rotation-scan"][0],
     "calibrate": ["--strengths", "0.0,0.6,1.2", "--realizations", "100",
                   "--grid-n", "128", "--grid-extent", "16.0"],
+    "screen-validate": ["--grid-n", "64", "--grid-extent", "8.0", "--realizations", "200",
+                        "--export-screens", "2"],
 }
 
 _WORKERS_PROBE = """
@@ -1070,9 +1080,8 @@ class TestWorkers:
             outputs = {}
             for run_dir in sorted((tmp_path / blas / cmd / w)
                                   for blas in ("pinned", "unpinned") for w in "123"):
-                files = {name: (run_dir / name).read_bytes()
-                         for name in os.listdir(run_dir)
-                         if name not in ("summary.json", "manifest.json")}
+                files = {str(path.relative_to(run_dir)): path.read_bytes()  # screens/ too
+                         for path in run_dir.rglob("*.csv")}
                 summary = json.loads((run_dir / "summary.json").read_text())
                 del summary["config"]  # it holds the worker count
                 manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -1080,5 +1089,6 @@ class TestWorkers:
                 outputs[run_dir] = (files, json.dumps(summary, sort_keys=True))
             first, *rest = outputs.values()
             assert rest == [first] * 5, cmd
+            assert ("screens/screen_0001.csv" in first[0]) == (cmd == "screen-validate")
             pinned = json.loads((tmp_path / "pinned" / cmd / "1" / "manifest.json").read_text())
             assert pinned["environment"]["blas_threads"] in (1, None)

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import re
 import sys
 import tempfile
 import threading
@@ -696,6 +697,19 @@ class TestScreenIo:
         path = tmp_path / "bad.csv"
         path.write_text(header + "0.0,0.0\n")
         with pytest.raises(DomainError):
+            load_screen(path)
+
+    @pytest.mark.parametrize("damage", ["ragged row", "missing row", "header only"])
+    def test_malformed_body_rejected(self, tmp_path, damage):
+        path = tmp_path / "screen.csv"
+        save_screen(generate_screen(P06, GridSpec(32, 6.0), 5), path)
+        header, *rows = path.read_text().splitlines(keepends=True)
+        if damage == "ragged row":
+            rows[7] = rows[7].split(",", 1)[1]
+        else:
+            rows = rows[1:] if damage == "missing row" else []
+        path.write_text(header + "".join(rows))
+        with pytest.raises(DomainError, match=f"^{re.escape(str(path))}: malformed"):
             load_screen(path)
 
 
