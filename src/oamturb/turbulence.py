@@ -400,16 +400,17 @@ def _pixel_lag(separation: float, grid: GridSpec) -> int:
 
 def _screen_statistics(n_screens: int, grid: GridSpec, separations, coherence_separations,
                        fill) -> tuple[dict[float, tuple[float, float]], ...]:
-    """screen_statistics over fill(values), which passes each screen i once
-    to values(i, phase[, cos, sin]), in any order and from any thread (cos
-    and sin: grid-sized scratch arrays).  Every check runs before fill."""
+    """The estimators over fill(values), which passes each screen i once to
+    values(i, phase, cos, sin), in any order and from any thread (cos and
+    sin: that thread's grid-sized scratch arrays).  Every check runs before
+    fill: at least 100 screens, each separation a pixel lag in [1, n - 1]."""
     if n_screens < 100:
         raise StatisticsError(f"need >= 100 screens, got {n_screens}")
     d_lags = {sep: _pixel_lag(sep, grid) for sep in separations}
     c_lags = {sep: _pixel_lag(sep, grid) for sep in coherence_separations}
     d_vals, c_vals = [np.empty((len(lags), n_screens)) for lags in (d_lags, c_lags)]
 
-    def values(i: int, ph: np.ndarray, c=None, sn=None) -> None:
+    def values(i: int, ph: np.ndarray, c: np.ndarray, sn: np.ndarray) -> None:
         for j, lag in enumerate(d_lags.values()):
             dx = ph[:, lag:] - ph[:, :-lag]  # squared in place: two temporaries a lag
             dy = ph[lag:, :] - ph[:-lag, :]
@@ -432,57 +433,43 @@ def _screen_statistics(n_screens: int, grid: GridSpec, separations, coherence_se
     )
 
 
-def screen_statistics(
-    screens, n_screens: int, grid: GridSpec, separations, coherence_separations
-) -> tuple[dict[float, tuple[float, float]], dict[float, tuple[float, float]]]:
-    """structure_function_estimate at separations and coherence_estimate at
-    coherence_separations, in one pass over screens.
-
-    Every check runs before the first screen is pulled: at least 100
-    screens, and every separation a whole pixel lag inside [1, n - 1].
-    screens may be any iterable of exactly n_screens screens on grid that
-    share one set of params; it is read one screen at a time, so a
-    generator need never hold more than one (screen-validate's workers
-    fill the same core, _screen_statistics).
-    """
+def _list_statistics(screens, separations, coherence_separations):
+    """_screen_statistics over a list of screens, filled on parallel_fill's
+    threads; a list that mixes grids or params fails before any is read."""
+    grid = screens[0].grid if screens else None  # an empty list fails the count
 
     def fill(values) -> None:
-        i, params = -1, None
-        for i, s in enumerate(screens):
-            params = params or s.params  # the first screen's
-            if i == n_screens:
-                raise ShapeMismatchError(f"more than the {n_screens} screens announced")
-            if s.grid != grid or s.params != params:
-                raise ShapeMismatchError("screens mix different grids or parameters")
-            values(i, s.phase)
-        if i + 1 < n_screens:
-            raise ShapeMismatchError(f"got {i + 1} of the {n_screens} screens announced")
+        if any(s.grid != grid or s.params != screens[0].params for s in screens):
+            raise ShapeMismatchError("screens mix different grids or parameters")
 
-    return _screen_statistics(n_screens, grid, separations, coherence_separations, fill)
+        def share(indices: range, scratch: np.ndarray) -> None:
+            for i in indices:
+                values(i, screens[i].phase, *scratch)  # cos and sin: scratch's two halves
+
+        parallel_fill(len(screens), share, 0, lambda: np.empty((2, grid.n, grid.n)))
+
+    return _screen_statistics(len(screens), grid, separations, coherence_separations, fill)
 
 
-def structure_function_estimate(
-    screens, separations
-) -> dict[float, tuple[float, float]]:
+def structure_function_estimate(screens, separations) -> dict[float, tuple[float, float]]:
     """Empirical D(d) = <(phi(x) - phi(x'))^2> at each separation.
 
     Separations are rounded to whole pixel lags; pairs along both grid
-    axes are pooled.  Returns {separation: (mean, stderr)} with the
-    standard error taken across screens (per-screen means are iid).
+    axes are pooled.  screens is a list on one grid with one set of params,
+    read on every usable core.  Returns {separation: (mean, stderr)} with
+    the standard error taken across screens (per-screen means are iid).
     """
-    grid = screens[0].grid if screens else None  # an empty list fails the count
-    return screen_statistics(screens, len(screens), grid, separations, ())[0]
+    return _list_statistics(screens, separations, ())[0]
 
 
 def coherence_estimate(screens, separations) -> dict[float, tuple[float, float]]:
     """Empirical Re<e^{i(phi(x) - phi(x'))}> at each pixel-pair separation.
 
-    Companion to structure_function_estimate; compare against
-    coherence(r, dtheta, params) at the chord 2 r sin(dtheta/2) equal to
-    the separation.  Returns {separation: (mean, stderr)}.
+    Companion to structure_function_estimate, over the same screens; compare
+    against coherence(r, dtheta, params) at the chord 2 r sin(dtheta/2)
+    equal to the separation.  Returns {separation: (mean, stderr)}.
     """
-    grid = screens[0].grid if screens else None
-    return screen_statistics(screens, len(screens), grid, (), separations)[1]
+    return _list_statistics(screens, (), separations)[1]
 
 
 def fried_from_broadening(w_t: float, w: float) -> float:
@@ -617,11 +604,12 @@ def save_screen(screen: PhaseScreen, path) -> None:
 
 
 def load_screen(path) -> PhaseScreen:
-    """Read a screen written by save_screen.  A malformed file raises
-    DomainError, and so does an older header's outer_scale unless it is
-    None (Kolmogorov).  An older header's wavelength_m, cn2, path_m and
-    waist_m are skipped, whatever their values: its w_over_r0 already holds
-    the strength they implied."""
+    """Read a screen written by save_screen.  A header value the package
+    rejects raises DomainError "<path>: <its message>", as does an older
+    header's outer_scale other than None (Kolmogorov); a file that does not
+    parse or fit its grid raises DomainError "<path>: malformed screen file:
+    ...".  An older header's wavelength_m, cn2, path_m and waist_m are
+    skipped, whatever their values: its w_over_r0 holds the strength."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("# "):
@@ -629,14 +617,14 @@ def load_screen(path) -> PhaseScreen:
         try:
             meta = dict(item.split("=", 1) for item in header[2:].split())
             if meta.get("outer_scale", "None") != "None":
-                raise DomainError(f"{path}: von Karman screen (outer_scale={meta['outer_scale']})")
+                raise DomainError(f"von Karman screen (outer_scale={meta['outer_scale']})")
             grid = GridSpec(int(meta["n"]), float(meta["extent"]))
             seed = int(meta["seed"])
             params = TurbulenceParams(float(meta["w_over_r0"]))
-            rows = [
-                [float(v) for v in line.split(",")] for line in fh if line.strip()
-            ]
+            rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
             # a ragged row fails in np.array, a missing one in PhaseScreen
             return PhaseScreen(grid, np.array(rows), seed, params)
+        except (DomainError, RangeError) as exc:  # a header value, not a parse failure
+            raise DomainError(f"{path}: {exc}") from exc
         except (KeyError, ValueError) as exc:
             raise DomainError(f"{path}: malformed screen file: {exc!r}") from exc

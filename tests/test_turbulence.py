@@ -7,7 +7,6 @@ import sys
 import tempfile
 import threading
 import tracemalloc
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +42,9 @@ from oamturb import (
     structure_function_estimate,
 )
 from oamturb import ScalarField, VectorField
-from oamturb import fields, turbulence
+from oamturb import fields, parallel, turbulence
 from oamturb.fields import BOUNDARY_ENERGY_LIMIT, intensity_frame_fraction
-from oamturb.turbulence import STRUCTURE_COEFF, screen_statistics
+from oamturb.turbulence import STRUCTURE_COEFF
 
 GRID = GridSpec()
 P06 = TurbulenceParams(w_over_r0=0.6)
@@ -363,10 +362,22 @@ def literal_product_coherence(screens, separations):
             for sep, v in zip(separations, vals)}
 
 
-def unpullable():
-    """A screen stream that fails if a screen is ever pulled from it."""
-    raise AssertionError("a screen was pulled")
-    yield
+def unfillable(values):
+    """A _screen_statistics fill that fails if it is ever called."""
+    raise AssertionError("a screen was filled")
+
+
+class WatchedScreen:
+    """A screen's grid, params and phase; each read of the phase is logged."""
+
+    def __init__(self, screen, reads):
+        self.grid, self.params, self._screen, self._reads = (
+            screen.grid, screen.params, screen, reads)
+
+    @property
+    def phase(self):
+        self._reads.append(self._screen.seed)
+        return self._screen.phase
 
 
 @pytest.fixture(scope="module")
@@ -375,6 +386,12 @@ def screens_200():
         generate_screen(P10, GRID, np.random.SeedSequence(entropy=[11, i]))
         for i in range(200)
     ]
+
+
+@pytest.fixture(scope="module")
+def screens_64():
+    return [generate_screen(P10, GridSpec(64, 8.0), np.random.SeedSequence(entropy=[9, i]))
+            for i in range(300)]
 
 
 def literal_loop_phases(params, n_real, key, grid):
@@ -503,7 +520,12 @@ class TestEnsembleStatistics:
     def test_one_pass_gives_both_estimators(self, screens_200):
         d_seps = [lag * GRID.pitch for lag in (2, 16, 64)]
         c_seps = [lag * GRID.pitch for lag in (4, 16)]
-        d, c = screen_statistics(iter(screens_200), 200, GRID, d_seps, c_seps)
+
+        def fill(values):
+            for i, s in enumerate(screens_200):
+                values(i, s.phase, np.empty(s.phase.shape), np.empty(s.phase.shape))
+
+        d, c = turbulence._screen_statistics(200, GRID, d_seps, c_seps, fill)
         assert d == literal_structure_function(screens_200, d_seps)
         assert c == literal_product_coherence(screens_200, c_seps)
 
@@ -517,8 +539,8 @@ class TestEnsembleStatistics:
         self, n_screens, separations, coherence_separations, error
     ):
         with pytest.raises(error):
-            screen_statistics(unpullable(), n_screens, GRID, separations,
-                              coherence_separations)
+            turbulence._screen_statistics(n_screens, GRID, separations,
+                                          coherence_separations, unfillable)
 
     @pytest.mark.parametrize("odd", [
         PhaseScreen(GridSpec(128, 8.0), np.zeros((128, 128)), 0, P10),
@@ -531,31 +553,53 @@ class TestEnsembleStatistics:
             structure_function_estimate(mixed, [sep])
         with pytest.raises(ShapeMismatchError):
             coherence_estimate(mixed, [sep])
+
+    @pytest.mark.parametrize("estimator", [structure_function_estimate, coherence_estimate])
+    def test_mixed_list_rejected_before_a_phase_is_read(self, screens_200, estimator):
+        odd = PhaseScreen(GRID, np.zeros((GRID.n, GRID.n)), 0, P06)
+        reads = []
+        clean = [WatchedScreen(s, reads) for s in screens_200]
+        assert estimator(clean, [8 * GRID.pitch]) == estimator(screens_200, [8 * GRID.pitch])
+        assert len(reads) == 200  # the logging itself works: each phase read once
+        reads.clear()
         with pytest.raises(ShapeMismatchError):
-            screen_statistics(iter(mixed), 200, GRID, [sep], [sep])
+            estimator(clean[:199] + [WatchedScreen(odd, reads)], [8 * GRID.pitch])
+        assert reads == []
 
-    @pytest.mark.parametrize("n_screens", [199, 201])
-    def test_stream_length_must_match_count(self, screens_200, n_screens):
-        with pytest.raises(ShapeMismatchError):
-            screen_statistics(iter(screens_200[:200]), n_screens, GRID, [0.5], [0.5])
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_estimators_bitwise_at_any_worker_count(self, monkeypatch, screens_200,
+                                                    n_workers):
+        asked = []
+        monkeypatch.setattr(parallel, "resolve_workers",
+                            lambda n: asked.append(n) or n_workers)
+        screens, seps = screens_200[:100], [lag * GRID.pitch for lag in (1, 32, 255)]
+        assert structure_function_estimate(screens, seps) == (
+            literal_structure_function(screens, seps))
+        assert coherence_estimate(screens, seps) == literal_product_coherence(screens, seps)
+        assert asked == [0, 0]  # each estimator asked the pool for every usable core
 
-    def test_stream_holds_at_most_two_screens(self):
-        grid = GridSpec(32, 6.0)
-        # keyed by draw index: PhaseScreen hashes its phase array, so a
-        # WeakSet cannot hold it
-        alive = weakref.WeakValueDictionary()
-        counts = []
-
-        def stream():
-            for i in range(100):
-                screen = generate_screen(P10, grid, np.random.SeedSequence(entropy=[3, i]))
-                alive[i] = screen
-                counts.append(len(alive))
-                yield screen
-
-        screen_statistics(stream(), 100, grid, [0.5, 1.0], [0.5])
-        assert len(counts) == 100
-        assert max(counts) <= 2
+    @pytest.mark.parametrize("n_screens", [100, 300])
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("estimator", [structure_function_estimate, coherence_estimate])
+    def test_working_set_is_a_few_screens_per_worker(self, monkeypatch, screens_64,
+                                                     estimator, n_workers, n_screens):
+        # per worker: the cos and sin scratch arrays, a lag's two difference
+        # arrays and numpy's fixed 64 KiB ufunc buffers (2 screen sizes at
+        # 64^2): 6.9-7.1 measured at 1-3 workers, so 9 leaves a margin.  The
+        # result columns, one float per screen and lag, are taken off, and
+        # the list is not copied, so the bound holds at any list length.
+        monkeypatch.setattr(parallel, "resolve_workers", lambda n: n_workers)
+        screens, grid = screens_64[:n_screens], screens_64[0].grid
+        seps = [lag * grid.pitch for lag in (1, 4, 16, 63)]
+        estimator(screens, seps)  # warm
+        tracemalloc.start()
+        try:
+            estimator(screens, seps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = len(seps) * n_screens * np.dtype(float).itemsize
+        assert peak - columns < 9 * n_workers * grid.n**2 * np.dtype(float).itemsize
 
 
 class TestApplyScreen:
@@ -683,6 +727,22 @@ class TestScreenIo:
         s = PhaseScreen(GridSpec(32, 6.0), np.zeros((32, 32)), 5, TurbulenceParams(2.0))
         save_screen(s, path)
         assert load_screen(path).params == s.params
+
+    @pytest.mark.parametrize("value, reason", [
+        ("outer_scale=5.0", "von Karman screen (outer_scale=5.0)"),
+        ("n=2", "grid size must be even and >= 32, got 2"),
+        ("w_over_r0=2.5", "w_over_r0 = 2.5 outside the validated range [0, 2.0]"),
+    ])
+    def test_rejected_header_value_names_its_reason_once(self, tmp_path, value, reason):
+        meta = dict(item.split("=") for item in ["n=32", "extent=6.0", "seed=5",
+                                                  "w_over_r0=0.6", value])
+        path = tmp_path / "screen.csv"
+        path.write_text("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n"
+                        + OLD_SCREEN_ROWS)
+        with pytest.raises(DomainError) as info:
+            load_screen(path)
+        assert type(info.value) is DomainError
+        assert str(info.value) == f"{path}: {reason}"
 
     @pytest.mark.parametrize("header", [
         "# n=64 extent=6.0 seed=1 w_over_r0=abc\n",
