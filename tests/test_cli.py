@@ -1,6 +1,7 @@
 """Command-line interface: arguments, configs, manifests, and exit codes."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.stats
+from numpy._core._multiarray_umath import __cpu_features__
 from numpy.polynomial.legendre import leggauss
 
 import oamturb
@@ -1061,8 +1063,60 @@ for cmd, argv in {cases!r}:
 """
 
 
+
+def _build_key() -> tuple:
+    """What an output's bits depend on besides the source: numpy, its BLAS,
+    the machine and the CPU features numpy dispatches on."""
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    features = " ".join(sorted(name for name, on in __cpu_features__.items() if on))
+    return np.__version__, blas["name"], blas["version"], platform.machine(), features
+
+
+# SHA-256 of every WORKER_CASES output, summary.json without its config, by build
+OUTPUT_DIGESTS = {
+    ("2.4.6", "scipy-openblas", "0.3.31.188.0", "x86_64",
+     "AVX AVX2 AVX512BF16 AVX512BITALG AVX512BW AVX512CD AVX512DQ AVX512F AVX512FP16 "
+     "AVX512IFMA AVX512VBMI AVX512VBMI2 AVX512VL AVX512VNNI AVX512VPOPCNTDQ AVX512_CLX "
+     "AVX512_CNL AVX512_ICL AVX512_SKX AVX512_SPR BMI BMI2 CX16 F16C FMA3 GFNI LAHF LZCNT "
+     "MMX MOVBE POPCNT SSE SSE2 SSE3 SSE41 SSE42 SSSE3 VAES VPCLMULQDQ X86_V2 X86_V3 X86_V4"): {
+        "ph-curve": {
+            "ph_curve.csv": "3ef0cdc41566871b6304c084ab8245f2df5af73e0a78f409bd65346a50dc8a3f",
+            "summary.json": "57f09d5a6120e9b94fb8c505414c7c0dfb2d6d23c3e75a053278c8d0efe02dd1",
+        },
+        "fidelity-scan": {
+            "fidelity_scan.csv": "ed91dee91fa6f2d7c2e1a098ad78da4685041db1dc57845614744085c2287131",
+            "summary.json": "d065b5f7aa7207f7d1a15b5f6627f660d8510c2e53c4911cd469f10c843b5e09",
+        },
+        "rotation-scan": {
+            "rotation_scan.csv": "4d52b864ee3b02f65e3029ce27660ac2b8a31e6640a4b48017581249d224b4ed",
+            "summary.json": "18e366ebe1bed4158e57166cd89641a927035c58421253e5f94d97bec99f597a",
+        },
+        "calibrate": {
+            "calibration.csv": "01f89969db0729853d2d7db5832edf0219090b20ef6aea3f1ba8487365719192",
+            "summary.json": "f5ff6e7ca43ccedb2bbe81c302bd162596dbd119086a85bfda138692a8ffaf34",
+        },
+        "screen-validate": {
+            "coherence.csv": "72c0abdae575d648de1103f1eaf9f6ee41f71041d89d9d49968a0ec1c1b9310b",
+            "structure_function.csv":
+                "0293c806c01c1b0bed1bdfda0650983606e1bda438d5818b92237a5f3a672aa0",
+            "screens/screen_0000.csv":
+                "b28f7889c4989474185509632e1f35e30cf3b3b0ee1c330f7175041ca4a1df64",
+            "screens/screen_0001.csv":
+                "bbfe4589239023c92d32ab302088a6d342da48ba81793352a2210fae700b95b1",
+            "summary.json": "8cfa848c6c640251cdda3a4319eded8be995f3a173dce4811301e51839f8c4b9",
+        },
+    },
+}
+
+
 class TestWorkers:
     def test_outputs_bitwise_at_any_worker_and_blas_thread_count(self, tmp_path):
+        """Every command's CSVs (screens/ included) and summary.json without
+        its config are byte-identical at 1-3 workers, BLAS pinned and not,
+        and their digests equal OUTPUT_DIGESTS for this build.  The digests
+        pin this build's bits, to catch any unintended change; they are not
+        reference values and say nothing about correctness.  A build whose
+        key is not in the table skips that comparison."""
         # fresh interpreters: OpenBLAS reads OPENBLAS_NUM_THREADS once, at load
         probe = _WORKERS_PROBE.format(cases=list(WORKER_CASES.items()))
         env = dict(os.environ)
@@ -1076,6 +1130,7 @@ class TestWorkers:
             subprocess.run([sys.executable, "-c", probe, str(tmp_path / blas)],
                            env=env, cwd=tmp_path, capture_output=True, text=True,
                            check=True)
+        digests = {}
         for cmd in WORKER_CASES:
             outputs = {}
             for run_dir in sorted((tmp_path / blas / cmd / w)
@@ -1092,3 +1147,10 @@ class TestWorkers:
             assert ("screens/screen_0001.csv" in first[0]) == (cmd == "screen-validate")
             pinned = json.loads((tmp_path / "pinned" / cmd / "1" / "manifest.json").read_text())
             assert pinned["environment"]["blas_threads"] in (1, None)
+            files, summary = first
+            digests[cmd] = {name: hashlib.sha256(data).hexdigest()
+                            for name, data in {**files, "summary.json": summary.encode()}.items()}
+        build = _build_key()
+        if build not in OUTPUT_DIGESTS:
+            pytest.skip(f"output digests are pinned for {list(OUTPUT_DIGESTS)}, not {build}")
+        assert digests == OUTPUT_DIGESTS[build]
