@@ -434,80 +434,79 @@ def cmd_screen_validate(cfg: dict) -> _Record:
         raise _UsageError("--export-screens must be nonnegative")
     params = TurbulenceParams(w_over_r0=strength)
     pitch = grid.pitch
-
-    def fill(values) -> None:  # every screen on the workers, then the exports on this thread
-        _screen_loop([params], n_screens, lambda _, i: (seed, i), grid, cfg["workers"],
-                     lambda _, i, arrays: values(  # cos and sin: the complex work array
-                         i, arrays[2], *arrays[1].view(float).reshape(2, grid.n, grid.n)))
-        for i in range(n_export):
-            os.makedirs(os.path.join(cfg["out_dir"], "screens"), exist_ok=True)
-            save_screen(generate_screen(params, grid, screen_key(seed, i)),
-                        os.path.join(cfg["out_dir"], "screens", f"screen_{i:04d}.csv"))
-
     if strength == 0.0:
-        peak = []  # of the one zero field the screen loop steps
-        fill(lambda i, phase, *_: peak.append(float(np.max(np.abs(phase)))))
-        return _Record(
+        record = _Record(
             {"structure_function.csv": (_STRUCTURE_HEADER, []),
              "coherence.csv": (_COHERENCE_HEADER, [])},
-            {"passed": True, "zero_turbulence": True, "max_abs_phase": peak[0]},
+            # the one field at zero strength, as _scale writes it: all zeros
+            {"passed": True, "zero_turbulence": True, "max_abs_phase": 0.0},
             0,  # a zero-strength screen is one field, not an ensemble
         )
+    else:
+        r0 = 1.0 / strength  # Fried length in waist units
+        # an infinite r0 / pitch is past any grid
+        r0_lag = int(round(r0 / pitch)) if np.isfinite(r0 / pitch) else grid.n
+        if r0_lag > grid.n - 1:
+            raise _UsageError(
+                f"Fried length r0 = {r0:g} waists exceeds the grid span "
+                f"{(grid.n - 1) * pitch:g} waists; raise --grid-extent or --strength"
+            )
+        lags = sorted({
+            max(1, int(round(x / pitch)))
+            for x in np.geomspace(0.2 * r0, 2.0 * r0, 10)
+        } | {r0_lag})
+        seps = [lag * pitch for lag in lags if lag <= grid.n - 1]
+        if len(seps) < 2:
+            raise _UsageError(f"separations 0.2-2 r0 all round to pixel lag {lags[0]}; the "
+                              "slope fit needs two: raise --grid-n or lower --strength")
+        coh_seps = seps[:: max(1, len(seps) // 5)]
+        # every argument check runs before the first screen is drawn
+        d_emp, coh_emp = _screen_statistics(
+            n_screens, grid, seps, coh_seps,
+            lambda values: _screen_loop(  # each screen's statistics on its worker
+                [params], n_screens, lambda _, i: (seed, i), grid, cfg["workers"],
+                lambda _, i, phase, u: values(i, phase, u)))
+        d_rows = [[sep, *d_emp[sep], structure_function(sep, params)] for sep in seps]
 
-    r0 = 1.0 / strength  # Fried length in waist units
-    r0_lag = int(round(r0 / pitch)) if np.isfinite(r0 / pitch) else grid.n  # inf: past any grid
-    if r0_lag > grid.n - 1:
-        raise _UsageError(
-            f"Fried length r0 = {r0:g} waists exceeds the grid span "
-            f"{(grid.n - 1) * pitch:g} waists; raise --grid-extent or --strength"
+        sep_r0 = r0_lag * pitch
+        d_at_r0 = d_emp[sep_r0][0]
+        ratio = d_at_r0 / structure_function(sep_r0, params)
+        logs, logd = np.log([row[:2] for row in d_rows]).T
+        slope = float(np.polyfit(logs, logd, 1)[0])
+
+        coh_rows = []
+        for sep in coh_seps:
+            mean, err = coh_emp[sep]
+            theory = float(np.exp(-structure_function(sep, params) / 2))
+            coh_rows.append([sep, mean, err, theory, abs(mean - theory) <= 3 * err])
+        coh_ok = all(row[4] for row in coh_rows)
+
+        d_ok = abs(ratio - 1.0) <= 0.10
+        slope_ok = abs(slope - 5 / 3) <= 0.10
+        passed = d_ok and slope_ok and coh_ok
+        record = _Record(
+            {"structure_function.csv": (_STRUCTURE_HEADER, d_rows),
+             "coherence.csv": (_COHERENCE_HEADER, coh_rows)},
+            {
+                "d_at_r0": d_at_r0,
+                "d_at_r0_ratio_to_theory": ratio,
+                "d_ratio_ok": d_ok,
+                "loglog_slope": slope,
+                "slope_ok": slope_ok,
+                "coherence_ok": coh_ok,
+                "passed": passed,
+            },
+            n_screens,
+            None if passed else (
+                "statistics outside tolerance bands "
+                f"(D ratio {ratio:.4f}, slope {slope:.4f}, coherence ok={coh_ok})"
+            ),
         )
-    lags = sorted({
-        max(1, int(round(x / pitch)))
-        for x in np.geomspace(0.2 * r0, 2.0 * r0, 10)
-    } | {r0_lag})
-    seps = [lag * pitch for lag in lags if lag <= grid.n - 1]
-    if len(seps) < 2:
-        raise _UsageError(f"separations 0.2-2 r0 all round to pixel lag {lags[0]}; the "
-                          "slope fit needs two: raise --grid-n or lower --strength")
-    coh_seps = seps[:: max(1, len(seps) // 5)]
-    # every argument check runs before the first screen is drawn
-    d_emp, coh_emp = _screen_statistics(n_screens, grid, seps, coh_seps, fill)
-    d_rows = [[sep, *d_emp[sep], structure_function(sep, params)] for sep in seps]
-
-    sep_r0 = r0_lag * pitch
-    d_at_r0 = d_emp[sep_r0][0]
-    ratio = d_at_r0 / structure_function(sep_r0, params)
-    logs, logd = np.log([row[:2] for row in d_rows]).T
-    slope = float(np.polyfit(logs, logd, 1)[0])
-
-    coh_rows = []
-    for sep in coh_seps:
-        mean, err = coh_emp[sep]
-        theory = float(np.exp(-structure_function(sep, params) / 2))
-        coh_rows.append([sep, mean, err, theory, abs(mean - theory) <= 3 * err])
-    coh_ok = all(row[4] for row in coh_rows)
-
-    d_ok = abs(ratio - 1.0) <= 0.10
-    slope_ok = abs(slope - 5 / 3) <= 0.10
-    passed = d_ok and slope_ok and coh_ok
-    return _Record(
-        {"structure_function.csv": (_STRUCTURE_HEADER, d_rows),
-         "coherence.csv": (_COHERENCE_HEADER, coh_rows)},
-        {
-            "d_at_r0": d_at_r0,
-            "d_at_r0_ratio_to_theory": ratio,
-            "d_ratio_ok": d_ok,
-            "loglog_slope": slope,
-            "slope_ok": slope_ok,
-            "coherence_ok": coh_ok,
-            "passed": passed,
-        },
-        n_screens,
-        None if passed else (
-            "statistics outside tolerance bands "
-            f"(D ratio {ratio:.4f}, slope {slope:.4f}, coherence ok={coh_ok})"
-        ),
-    )
+    for i in range(n_export):  # drawn again on this thread, once every check has passed
+        os.makedirs(os.path.join(cfg["out_dir"], "screens"), exist_ok=True)
+        save_screen(generate_screen(params, grid, screen_key(seed, i)),
+                    os.path.join(cfg["out_dir"], "screens", f"screen_{i:04d}.csv"))
+    return record
 
 
 def _ranks(x) -> np.ndarray:
@@ -554,20 +553,16 @@ def cmd_calibrate(cfg: dict) -> _Record:
     wavelength = float(cfg["wavelength"])
     n_real = int(cfg["realizations"])
     seed = int(cfg["seed"])
-    # the reference is the sweep's first entry, and a 0.0 row is its result
-    zero, *swept = beam_broadening_sweep(
-        [TurbulenceParams(w_over_r0=s) for s in [0.0, *(w for w in strengths if w != 0.0)]],
-        n_real, distance, wavelength, seed, grid, cfg["workers"],
-    )
-    if isinstance(zero, AliasingError):
-        raise zero
-    reference = zero.w_t
-    swept = iter(swept)
-    results = [zero if s == 0.0 else next(swept) for s in strengths]
-    rows = []
-    failures = []
-    margins = []
-    for s, res in zip(strengths, results):
+    swept = sorted({0.0, *strengths})  # the reference, and a 0.0 row's result
+    results = dict(zip(swept, beam_broadening_sweep(
+        [TurbulenceParams(w_over_r0=s) for s in swept], n_real, distance, wavelength, seed,
+        grid, cfg["workers"])))
+    if isinstance(results[0.0], AliasingError):
+        raise results[0.0]
+    reference = results[0.0].w_t
+    rows, failures, margins = [], [], []
+    for s in strengths:
+        res = results[s]
         if isinstance(res, AliasingError):
             failures.append({"w_over_r0": s, "error": str(res)})
             continue

@@ -192,13 +192,13 @@ def _cell_stats(suc: np.ndarray, fid: np.ndarray, raw: np.ndarray) -> dict:
 def _overlaps(weights: np.ndarray, params: list[TurbulenceParams], n_real: int, key,
               grid: GridSpec, n_workers: int) -> np.ndarray:
     """xy[si, i] = weights @ u for the phase factor u of screen key(si, i)
-    at params[si], built in _screen_loop's complex work array.  At zero
+    at params[si], built in place in the loop's complex array u.  At zero
     strength u is all ones, so such a cell is one field, not an ensemble:
     the loop steps its realization 0, copied here to the rest."""
     xy = np.empty((len(params), n_real, len(weights)), complex)
 
-    def step(si: int, i: int, arrays) -> None:
-        xy[si, i] = weights @ expi(arrays[2], out=arrays[1]).ravel()
+    def step(si: int, i: int, phase: np.ndarray, u: np.ndarray) -> None:
+        xy[si, i] = weights @ expi(phase, out=u).ravel()
 
     _screen_loop(params, n_real, key, grid, n_workers, step)
     zero = [si for si, p in enumerate(params) if p.w_over_r0 == 0.0]
@@ -260,8 +260,8 @@ def _rotation_samples(config: ExperimentConfig, n_workers: int = 0):
     # one block of phase factors, refilled for every block of realizations
     screens = np.empty((min(_SCREEN_BLOCK, n_real), grid.n * grid.n), dtype=np.complex128)
 
-    def draw(_, b: int, arrays) -> None:
-        expi(arrays[2], out=screens[b].reshape(grid.n, grid.n))
+    def draw(_, b: int, phase: np.ndarray, u: np.ndarray) -> None:
+        expi(phase, out=screens[b].reshape(grid.n, grid.n))
 
     for first in range(0, n_real, _SCREEN_BLOCK):
         block = range(first, min(first + _SCREEN_BLOCK, n_real))

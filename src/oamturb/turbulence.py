@@ -331,29 +331,29 @@ def generate_screen(
 
 def _screen_loop(params_list, n_real: int, key, grid: GridSpec, n_workers: int, step,
                  work=tuple) -> None:
-    """step(j, i, arrays) for every strength j and realization i < n_real,
-    arrays[2] holding generate_screen(params_list[j], grid,
+    """step(j, i, phase, u, *work()) for every strength j and realization
+    i < n_real, phase holding generate_screen(params_list[j], grid,
     screen_key(*key(j, i))).phase bitwise; key gives index tuples.  A zero
     strength is one field, stepped at realization 0 only with no draw.
     Realizations run in strided shares (parallel_fill), each in order and
     strength by strength; one unit screen is drawn per run of equal keys.
-    arrays, the thread's own: the unit screen, _unit_screen's complex and
-    real work arrays, then work()'s; a step may overwrite all but the first.
-    A step returning False drops its strength for the rest of its share, so
-    its lowest failing realization is stepped at any worker count.  The
-    synthesis tables are built here first, so no worker's arena holds them."""
+    phase, the complex u and work()'s arrays are the thread's own, and a
+    step may overwrite them all.  A step returning False drops its strength
+    for the rest of its share: a failing entry is stepped up to its first
+    failure in each share, so its lowest failing realization is stepped at
+    any worker count, and its step count, not its result, grows by at most
+    one per extra worker.  The synthesis tables are built here first."""
     shape = (grid.n, grid.n)
     if any(params.w_over_r0 != 0.0 for params in params_list):
         _tables(grid)
 
-    def thread_arrays():  # _unit_screen's sub, and arrays
+    def thread_arrays():  # _unit_screen's sub, the unit screen, u, phase, work()'s
         return ((np.empty((_CHEB_ORDER, _SUB_CELLS), complex),
                  np.empty((_CHEB_ORDER, _CHEB_ORDER), complex)),
                 (np.empty(shape), np.empty(shape, complex), np.empty(shape), *work()))
 
     def share(realizations: range, made) -> None:
-        sub, arrays = made
-        unit, spec, phase = arrays[:3]
+        sub, (unit, u, phase, *extra) = made
         drawn, dropped = None, set()
         for i in realizations:
             for j, params in enumerate(params_list):
@@ -362,10 +362,10 @@ def _screen_loop(params_list, n_real: int, key, grid: GridSpec, n_workers: int, 
                     continue
                 k = key(j, i)
                 if w0 != 0.0 and k != drawn:
-                    _unit_screen(grid, screen_key(*k), unit, spec, phase, sub)
+                    _unit_screen(grid, screen_key(*k), unit, u, phase, sub)
                     drawn = k
                 _scale(unit, w0, out=phase)
-                if step(j, i, arrays) is False:
+                if step(j, i, phase, u, *extra) is False:
                     dropped.add(j)
 
     parallel_fill(n_real, share, n_workers, thread_arrays)
@@ -401,23 +401,24 @@ def _pixel_lag(separation: float, grid: GridSpec) -> int:
 def _screen_statistics(n_screens: int, grid: GridSpec, separations, coherence_separations,
                        fill) -> tuple[dict[float, tuple[float, float]], ...]:
     """The estimators over fill(values), which passes each screen i once to
-    values(i, phase, cos, sin), in any order and from any thread (cos and
-    sin: that thread's grid-sized scratch arrays).  Every check runs before
-    fill: at least 100 screens, each separation a pixel lag in [1, n - 1]."""
+    values(i, phase, u), in any order and from any thread (u: that thread's
+    complex grid-sized scratch).  Every check runs before fill: at least
+    100 screens, each separation a pixel lag in [1, n - 1]."""
     if n_screens < 100:
         raise StatisticsError(f"need >= 100 screens, got {n_screens}")
     d_lags = {sep: _pixel_lag(sep, grid) for sep in separations}
     c_lags = {sep: _pixel_lag(sep, grid) for sep in coherence_separations}
     d_vals, c_vals = [np.empty((len(lags), n_screens)) for lags in (d_lags, c_lags)]
 
-    def values(i: int, ph: np.ndarray, c: np.ndarray, sn: np.ndarray) -> None:
+    def values(i: int, ph: np.ndarray, u: np.ndarray) -> None:
         for j, lag in enumerate(d_lags.values()):
             dx = ph[:, lag:] - ph[:, :-lag]  # squared in place: two temporaries a lag
             dy = ph[lag:, :] - ph[:-lag, :]
             d_vals[j, i] = 0.5 * (np.mean(np.square(dx, out=dx)) + np.mean(np.square(dy, out=dy)))
         if c_lags:
             # cos(phi' - phi) = c'c + s's: one cos and one sin per screen
-            c, sn = np.cos(ph, out=c), np.sin(ph, out=sn)
+            cs = u.view(float).reshape(2, *ph.shape)  # cos and sin: u's two halves
+            c, sn = np.cos(ph, out=cs[0]), np.sin(ph, out=cs[1])
             for j, lag in enumerate(c_lags.values()):
                 dx = c[:, lag:] * c[:, :-lag]
                 dx += sn[:, lag:] * sn[:, :-lag]
@@ -442,11 +443,11 @@ def _list_statistics(screens, separations, coherence_separations):
         if any(s.grid != grid or s.params != screens[0].params for s in screens):
             raise ShapeMismatchError("screens mix different grids or parameters")
 
-        def share(indices: range, scratch: np.ndarray) -> None:
+        def share(indices: range, u: np.ndarray) -> None:
             for i in indices:
-                values(i, screens[i].phase, *scratch)  # cos and sin: scratch's two halves
+                values(i, screens[i].phase, u)
 
-        parallel_fill(len(screens), share, 0, lambda: np.empty((2, grid.n, grid.n)))
+        parallel_fill(len(screens), share, 0, lambda: np.empty((grid.n, grid.n), complex))
 
     return _screen_statistics(len(screens), grid, separations, coherence_separations, fill)
 
@@ -513,7 +514,9 @@ def beam_broadening_sweep(
     the calling thread, so no worker's allocator arena holds them.  An
     entry whose field reaches the grid boundary gets the AliasingError of
     its lowest failing realization in place of its result; the others
-    continue.
+    continue.  Each worker's share propagates a failing entry up to its
+    first failure, so its propagation count, not its result, grows by at
+    most one per extra worker.
     """
     if n_realizations < 100:
         raise StatisticsError(f"need >= 100 realizations, got {n_realizations}")
@@ -528,8 +531,7 @@ def beam_broadening_sweep(
     frames = np.empty((len(params_list), n_realizations))
     errors = np.full((len(params_list), n_realizations), None)  # AliasingError slots
 
-    def step(j: int, i: int, arrays) -> bool:
-        _, u, phase, inten, tf = arrays
+    def step(j: int, i: int, phase, u, inten, tf) -> bool:
         # apply_screen and propagate, in place: gauss * exp(i phase), the
         # phase's array then _fresnel's scratch
         np.multiply(gauss, expi(phase, out=u), out=u)
@@ -581,7 +583,7 @@ def beam_broadening_mc(
     with a standard error across realizations.  Raises AliasingError when
     a propagated field reaches the grid boundary.  The public one-strength
     form of beam_broadening_sweep; calibrate calls the sweep itself, once,
-    with the zero-strength reference as its first entry, because it also
+    with the zero-strength reference among its entries, because it also
     reports each cell's guard margin.
     """
     (result,) = beam_broadening_sweep(

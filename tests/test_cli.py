@@ -702,6 +702,17 @@ class TestScreenValidate:
             assert screen.params.w_over_r0 == 0.0
             assert not screen.phase.any()
 
+    def test_zero_strength_draws_no_screen_loop(self, tmp_path, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the screen loop ran at zero strength")
+
+        monkeypatch.setattr(oamturb.cli, "_screen_loop", refused)
+        out = tmp_path / "sv0"
+        assert run(["screen-validate", "--strength", "0.0", "--realizations", "120",
+                    "--export-screens", "2", "--out-dir", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["max_abs_phase"] == 0.0
+        assert sorted(os.listdir(out / "screens")) == ["screen_0000.csv", "screen_0001.csv"]
+
 
 class TestStrengthLists:
     # argparse alone takes "-0.5,0.6" for a flag and prints its usage text

@@ -401,16 +401,21 @@ def literal_loop_phases(params, n_real, key, grid):
             for i in range(1 if p.w_over_r0 == 0.0 else n_real)}
 
 
-def looped_phases(params, n_real, key, grid, n_workers, fail=()):
+def looped_phases(params, n_real, key, grid, n_workers, fail=(), vandal=False):
     """The phase each step of _screen_loop sees, by cell; the step returns
-    False at the cells in fail."""
+    False at the cells in fail.  A vandal step fills phase, u and two work
+    arrays with NaN once it has copied phase."""
     got = {}
 
-    def step(j, i, arrays):
-        got[j, i] = arrays[2].copy()
+    def step(j, i, phase, u, *work):
+        got[j, i] = phase.copy()
+        if vandal:
+            for array in (phase, u, *work):
+                array.fill(np.nan)
         return (j, i) not in fail
 
-    turbulence._screen_loop(params, n_real, key, grid, n_workers, step)
+    turbulence._screen_loop(params, n_real, key, grid, n_workers, step,
+                            lambda: (np.empty((grid.n, grid.n)), np.empty(3, complex)))
     return got
 
 
@@ -439,6 +444,18 @@ class TestScreenLoop:
         # one unit screen per run of equal keys, none at zero strength
         assert len(drawn) == draws
         assert sorted(drawn) == sorted({key(j, i) for j, i in want if j != 1})
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    @pytest.mark.parametrize("shared", [False, True], ids=["per-strength-keys", "shared-key"])
+    def test_a_step_may_overwrite_every_array_it_is_handed(self, n_workers, shared):
+        # with a shared key the next strength rescales the same unit screen,
+        # which a step therefore must not be handed
+        key = (lambda j, i: (5, i)) if shared else (lambda j, i: (5, j, i))
+        want = literal_loop_phases(self.PARAMS, 5, key, self.GRID)
+        got = looped_phases(self.PARAMS, 5, key, self.GRID, n_workers, vandal=True)
+        assert sorted(got) == sorted(want)
+        for cell, phase in want.items():
+            assert got[cell].tobytes() == phase.tobytes(), cell
 
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     def test_false_drops_a_strength_for_the_rest_of_its_share(self, n_workers):
@@ -523,7 +540,7 @@ class TestEnsembleStatistics:
 
         def fill(values):
             for i, s in enumerate(screens_200):
-                values(i, s.phase, np.empty(s.phase.shape), np.empty(s.phase.shape))
+                values(i, s.phase, np.empty(s.phase.shape, complex))
 
         d, c = turbulence._screen_statistics(200, GRID, d_seps, c_seps, fill)
         assert d == literal_structure_function(screens_200, d_seps)
@@ -914,6 +931,20 @@ class TestBroadeningSweep:
             assert tuple(swept[k]) == literal_broadening(params, 100, 60.0, 0.01, 2, grid)
         with pytest.raises(AliasingError, match=str(literal_error.value)):
             beam_broadening_mc(TurbulenceParams(w_over_r0=2.0), 100, 60.0, 0.01, 2, grid)
+
+    @pytest.mark.parametrize("n_workers, calls", [(1, 201), (2, 202), (3, 203)])
+    def test_failing_entry_costs_at_most_one_propagation_per_extra_worker(
+        self, sweep_calls, n_workers, calls
+    ):
+        # w/r0 = 2.0 aliases at realization 0, and each worker's share steps
+        # it up to its own first failure: the count grows, the result not
+        grid = GridSpec(64, 8.0)
+        params = [TurbulenceParams(w_over_r0=w) for w in (0.2, 2.0, 1.0)]
+        swept = beam_broadening_sweep(params, 100, 60.0, 0.01, 2, grid, n_workers)
+        assert sweep_calls["propagate"] == calls
+        serial = beam_broadening_sweep(params, 100, 60.0, 0.01, 2, grid, 1)
+        assert str(swept[1]) == str(serial[1])
+        assert [swept[0], swept[2]] == [serial[0], serial[2]]
 
     def test_one_unit_screen_per_realization(self, sweep_calls):
         params = [TurbulenceParams(w_over_r0=w) for w in (0.0, 0.3, 0.6, 1.0)]
