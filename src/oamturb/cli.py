@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
+import math
 import os.path
 import platform
 import re
@@ -268,6 +270,7 @@ def _write_record(command: str, cfg: dict, record: _Record, compute_s: float) ->
         # what produced the run; outside "config", so a replay ignores it
         "environment": {
             "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": _scipy_version(),
             "blas_name": blas.get("name"), "blas_version": blas.get("version"),
             "cpu_count": os.cpu_count(),
             # the engines' threads, and OpenBLAS's own (a pool of more workers holds it at 1)
@@ -285,9 +288,44 @@ def _write_record(command: str, cfg: dict, record: _Record, compute_s: float) ->
     _write_json(os.path.join(out, "manifest.json"), manifest)
 
 
+@functools.cache
+def _scipy_version() -> str | None:
+    """The Version field of the first scipy-*.dist-info on sys.path, the
+    metadata importlib.metadata.version("scipy") reads; None when there is
+    none.  Neither scipy nor importlib.metadata is imported: the email
+    parser the latter loads stays resident, about 1.3 MiB of a run's peak."""
+    for entry in sys.path:
+        try:
+            names = sorted(os.listdir(entry or "."))
+        except OSError:  # a zip archive or a missing directory
+            continue
+        for name in names:
+            if name.startswith("scipy-") and name.endswith(".dist-info"):
+                try:
+                    with open(os.path.join(entry or ".", name, "METADATA"),
+                              encoding="utf-8") as fh:
+                        return next((line[len("Version:"):].strip() for line in fh
+                                     if line.startswith("Version:")), None)
+                except OSError:  # no readable METADATA: not an installed copy
+                    continue
+    return None
+
+
+def _strict(obj):
+    """obj with every non-finite float (NaN, +-inf) as None, so that it
+    dumps as strict JSON: null, not NaN or Infinity."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    return obj
+
+
 def _write_json(path: str, obj: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_strict(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -14,13 +14,12 @@ convention is frozen by a unit test.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, RangeError, ShapeMismatchError, TotalLossError
-from .fields import GridSpec, ScalarField, VectorField, make_lg_mode, rotate_modal
+from .fields import GridSpec, ScalarField, VectorField, expi, make_lg_mode, rotate_modal
 
 MUB_LABELS = ("0", "1", "+", "-", "R", "L")
 
@@ -110,13 +109,14 @@ DECODE_MIX = _jones("hwp", 0.0)[:, ::-1]
 DECODE_MIX.flags.writeable = False
 
 
-@functools.lru_cache(maxsize=8)
 def _qplate_phases(grid: GridSpec, two_q: int) -> tuple[np.ndarray, np.ndarray]:
-    plus = np.exp(1j * two_q * grid.polar[1])
-    minus = np.conj(plus)
-    plus.flags.writeable = False
-    minus.flags.writeable = False
-    return plus, minus
+    """e^{+i 2q theta} and its conjugate, built on each call: equal to
+    np.exp(1j * two_q * grid.polar[1]), bitwise for two_q != 0."""
+    c = grid.coords
+    phase = np.arctan2(c[:, None], c[None, :])  # grid.polar's theta
+    phase *= two_q
+    plus = expi(phase)
+    return plus, np.conj(plus)
 
 
 def qplate(q: float, f: VectorField) -> VectorField:
@@ -149,11 +149,10 @@ def encode(qubit: HybridQubit, grid: GridSpec) -> VectorField:
     )
 
 
-@functools.lru_cache(maxsize=16)
 def reference_mode(l: int, grid: GridSpec) -> ScalarField:
     """Azimuthally uniform post-selection mode with the LG_{0,l} radial
-    modulus, unit norm.  Projecting on it makes the decoder lossless at
-    zero turbulence."""
+    modulus, unit norm, built on each call.  Projecting on it makes the
+    decoder lossless at zero turbulence."""
     return ScalarField(grid, np.abs(make_lg_mode(l, grid).samples))
 
 
@@ -183,12 +182,14 @@ def decode_factors(l: int, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     f.left>) up to rounding, where <a, b> = vdot(a, b).  Each projection
     folds the q-plate phase into reference_mode(l).  Callers decoding many
     fields of one structure replace each full-grid decode by two overlaps.
+    Nothing is cached: the pair is built in the q-plate phases' arrays;
+    theta and the real modulus |LG_l| are the only other grid-sized arrays.
     """
     if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 1:
         raise RangeError(f"l must be a positive integer, got {l!r}")
     plus, minus = _qplate_phases(grid, int(l))
-    ref = reference_mode(int(l), grid).samples
-    return ref * plus, ref * minus
+    ref = np.abs(make_lg_mode(int(l), grid).samples)
+    return np.multiply(ref, plus, out=plus), np.multiply(ref, minus, out=minus)
 
 
 def rotate_frame(f: VectorField, theta: float) -> VectorField:

@@ -174,18 +174,21 @@ def _shear_phase(n: int, pitch: float, coeff: float, axis: int) -> np.ndarray:
     """Read-only shear phase exp(-2 pi i coeff c f) of rotate_modal's
     2n-point padded transforms (c: centred coordinate, f: FFT frequency),
     one row per coordinate c, as each shear multiplies it: x (axis 1) keeps
-    the n central c, y (axis 0) all 2n, so a y chunk reads contiguous rows.
-    c and f (bar f = 0 and Nyquist) are antisymmetric exactly, so one
-    quadrant's conjugate mirrors fill the rest, bitwise the full expi.  Two
+    the n central c, y (axis 0) the first n of all 2n, so each is n x 2n and
+    a y chunk reads contiguous rows.  c and f (bar f = 0 and Nyquist) are
+    antisymmetric exactly, so one quadrant's conjugate mirrors fill the
+    rest, bitwise the full expi; the full y table's row r >= n is
+    conj(ph[2n-1-r]), which _rotate_into applies without storing it.  Two
     entries hold one angle's pair: a second field at the same angle builds
     none."""
-    m, h = 2 * n, n // 2 if axis else n  # h: half the table's coordinates
+    m, h = 2 * n, n // 2 if axis else n  # h: the table's own coordinates
     c = (np.arange(m) - m / 2 + 0.5) * pitch
-    ph = np.empty((2 * h, m), dtype=np.complex128)
+    ph = np.empty((n, m), dtype=np.complex128)
     expi(-2 * np.pi * np.outer(c[n - h:n] * coeff, np.fft.fftfreq(m, d=pitch)[:n + 1]),
          out=ph[:h, :n + 1])
     np.conj(ph[:h, n - 1:0:-1], out=ph[:h, n + 1:])
-    np.conj(ph[h - 1::-1], out=ph[h:])
+    if axis:
+        np.conj(ph[h - 1::-1], out=ph[h:])
     ph.flags.writeable = False
     return ph
 
@@ -209,12 +212,18 @@ def _rotation_work(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((n, 2 * n), complex), np.empty((_SHEAR_CHUNK, 2 * n), complex)
 
 
-def _shear(part: np.ndarray, table: np.ndarray) -> None:
-    """One FFT shear of every row of part, in place: the 1-D fft and ifft
-    honour out=, even on a view (numpy's ifft2, 2.4.6, silently ignores it
-    and allocates)."""
+def _shear(part: np.ndarray, table: np.ndarray, mirrored: bool = False) -> None:
+    """One FFT shear of every row of part, in place, row i times table[i],
+    or, mirrored, times conj(table[i]), taken as conj(conj(row) * table[i]):
+    bitwise the stored conjugate's product, with no copy of the table.  The
+    1-D fft and ifft honour out=, even on a view (numpy's ifft2, 2.4.6,
+    silently ignores it and allocates)."""
     np.fft.fft(part, axis=1, out=part)
+    if mirrored:
+        np.conj(part, out=part)
     part *= table
+    if mirrored:
+        np.conj(part, out=part)
     np.fft.ifft(part, axis=1, out=part)
 
 
@@ -226,7 +235,10 @@ def _rotate_into(out: np.ndarray, g: np.ndarray, pitch: float, theta: float,
     crop, so they alone live in band.  The y shear takes band's columns
     _SHEAR_CHUNK at a time, transposed into chunk's zero-padded rows, and
     writes back only band's rows: every 1-D transform sees the data of the
-    full padded array, so the result is bitwise the same."""
+    full padded array, so the result is bitwise the same.  Columns 0..n-1
+    take the y table's rows; columns n..2n-1 take their conjugate mirrors,
+    in chunks that never straddle n, each chunk's columns in descending
+    order so that its mirror rows are a contiguous ascending slice."""
     n = g.shape[0]
     k, r = _quarter_turns(theta)
     if k:
@@ -240,13 +252,18 @@ def _rotate_into(out: np.ndarray, g: np.ndarray, pitch: float, theta: float,
     band[:, :s] = band[:, s + n:] = 0.0
     band[:, mid] = g
     _shear(band, x_table)
-    for j in range(0, 2 * n, _SHEAR_CHUNK):
-        cols = band[:, j:j + _SHEAR_CHUNK]
-        part = chunk[:cols.shape[1]]
-        part[:, :s] = part[:, s + n:] = 0.0
-        part[:, mid] = cols.T
-        _shear(part, y_table[j:j + _SHEAR_CHUNK])
-        cols[...] = part[:, mid].T
+    for half in (0, n):  # the y table's rows, then their mirrors
+        for j in range(half, half + n, _SHEAR_CHUNK):
+            w = min(_SHEAR_CHUNK, half + n - j)
+            if half:  # columns in descending order, so their mirror rows ascend
+                cols, rows = band[:, j:j + w][:, ::-1], y_table[2 * n - j - w:2 * n - j]
+            else:
+                cols, rows = band[:, j:j + w], y_table[j:j + w]
+            part = chunk[:w]
+            part[:, :s] = part[:, s + n:] = 0.0
+            part[:, mid] = cols.T
+            _shear(part, rows, bool(half))
+            cols[...] = part[:, mid].T
     _shear(band, x_table)
     np.copyto(out, band[:, mid])
     return out
@@ -261,8 +278,8 @@ def rotate_modal(f: ScalarField, theta: float) -> ScalarField:
     zero-padded copy, which is exact for fields that are band-limited and
     negligible at the grid edge.  No 2n x 2n array is made: the shears run
     in place in an n x 2n band of the padded copy's central rows, the y
-    shear in column chunks (_rotate_into), each times a contiguous
-    _shear_phase table.  theta = 0 (mod 2 pi) returns the input unchanged.
+    shear in column chunks (_rotate_into), each times a contiguous slice of
+    a _shear_phase table.  theta = 0 (mod 2 pi) returns the input unchanged.
     """
     if _quarter_turns(theta) == (0, 0.0):
         return f

@@ -15,9 +15,12 @@ DECODE_MIX), in place of a full-grid decode per state.  The fidelity scan
 and the coefficient estimate differ only in those weights and their screen
 key: both are steps of _overlaps.  The rotation scan rotates the
 weights, not the screened fields, so every angle has its own rows; rather
-than hold all angles' rows at once it holds a block of screens.  The
-decode projections of each group of angles that share a residual shear
-are sheared on the worker threads, each into its slot of one array.
+than hold all angles' rows at once it holds a block of screens and one
+angle's rows, dropped once that angle's products are taken.  The decode
+projections of each group of angles that share a residual shear are
+sheared on the worker threads, each into its slot of one array.  No engine
+keeps a grid-sized array once it returns, beyond the caches the README
+lists (LG modes, synthesis and shear tables).
 """
 
 from __future__ import annotations
@@ -235,7 +238,8 @@ def run_fidelity_scan(config: ExperimentConfig, n_workers: int = 0) -> list[Fide
 def _rotation_samples(config: ExperimentConfig, n_workers: int = 0):
     """_score of every (angle, realization, state).  Screens are held a
     block of _SCREEN_BLOCK realizations at a time while every angle's
-    weights are built, so memory is bounded whatever the realizations.
+    weights are built, one angle's at a time, so memory is bounded
+    whatever the realizations and angles.
     Each residual group's shears run on parallel_fill, each writing its
     slot of `sheared`; tables and work arrays are made on the calling
     thread."""
@@ -285,6 +289,7 @@ def _rotation_samples(config: ExperimentConfig, n_workers: int = 0):
                                    list(sheared) if resid else factors)
                 for i, u in zip(block, screens):
                     xy[j, i] = weights @ u
+                del weights  # 2 MiB an l at 256^2: not held through the next group's shears
     xy[:, n_real:] = xy[:, :1]
     return _score(xy, config)
 

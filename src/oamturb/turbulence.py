@@ -526,21 +526,22 @@ def beam_broadening_sweep(
         grid = GridSpec(512, 16.0)
     gauss = make_lg_mode(0, grid).samples
     c2 = grid.coords**2
-    r2 = c2[:, None] + c2[None, :]  # x**2 + y**2, broadcast from the 1-D coords
     moments = np.empty((len(params_list), n_realizations))
     frames = np.empty((len(params_list), n_realizations))
     errors = np.full((len(params_list), n_realizations), None)  # AliasingError slots
 
     def step(j: int, i: int, phase, u, inten, tf) -> bool:
         # apply_screen and propagate, in place: gauss * exp(i phase), the
-        # phase's array then _fresnel's scratch
+        # phase's array then _fresnel's scratch, then r^2 = x^2 + y^2,
+        # broadcast from the 1-D coords rather than held for the sweep
         np.multiply(gauss, expi(phase, out=u), out=u)
         try:
             frames[j, i] = _fresnel(u, tf, inten, phase)
         except AliasingError as exc:
             errors[j, i] = exc
             return False
-        moments[j, i] = float(np.sum(np.multiply(inten, r2, out=phase)) / np.sum(inten))
+        r2 = np.add(c2[:, None], c2[None, :], out=phase)
+        moments[j, i] = float(np.sum(np.multiply(inten, r2, out=r2)) / np.sum(inten))
         return True
 
     # the transfer function comes with each thread's arrays (work() runs on

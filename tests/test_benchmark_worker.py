@@ -1,0 +1,43 @@
+"""The benchmark's worker (perfbench/worker.py) still runs against the package.
+
+perfbench/ is the benchmark and is not changed by program changes; this
+test imports its worker as it stands, without writing bytecode there, and
+runs the set-up of every workload, so that a change to the package that
+would break the benchmark fails here first.
+"""
+
+import importlib.util
+import pathlib
+import sys
+
+import pytest
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    """perfbench/worker.py as a module, importing its siblings (tracer,
+    workloads) from perfbench/ as run.py does; they leave sys.modules
+    after the test."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH))
+    siblings = ("tracer", "workloads")
+    before = {name: sys.modules.get(name) for name in siblings}
+    spec = importlib.util.spec_from_file_location("perfbench_worker", BENCH / "worker.py")
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        for name, old in before.items():
+            if old is None:
+                sys.modules.pop(name, None)
+            else:
+                sys.modules[name] = old
+
+
+def test_warm_runs_for_every_workload(worker):
+    assert worker.WORKLOADS
+    for workload in worker.WORKLOADS.values():
+        worker.warm(workload)

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import importlib.metadata
 import json
 import math
 import os
@@ -26,6 +27,12 @@ from oamturb.parallel import blas_threads
 
 def run(args):
     return main(list(args))
+
+
+def _refuse_constant(name):
+    """json parse_constant that fails on NaN, Infinity and -Infinity, which
+    strict JSON does not have."""
+    raise ValueError(f"not strict JSON: {name}")
 
 
 TINY_PH = [
@@ -281,11 +288,12 @@ class TestPhCurve:
         manifest = json.loads((out / "manifest.json").read_text())
         env = manifest["environment"]
         assert sorted(env) == sorted([
-            "python", "numpy", "blas_name", "blas_version", "cpu_count",
+            "python", "numpy", "scipy", "blas_name", "blas_version", "cpu_count",
             "workers", "blas_threads",
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"])
         assert env["python"] == platform.python_version()
         assert env["numpy"] == np.__version__
+        assert env["scipy"] == importlib.metadata.version("scipy") == scipy.__version__
         assert env["cpu_count"] == os.cpu_count()
         # the config keeps the literal default; the manifest what it meant here
         assert manifest["config"]["workers"] == 0
@@ -294,6 +302,34 @@ class TestPhCurve:
         assert (env["OMP_NUM_THREADS"], env["MKL_NUM_THREADS"]) == ("3", None)
         assert "environment" not in manifest["config"]
         assert "environment" not in json.loads((out / "summary.json").read_text())
+
+    @pytest.mark.parametrize("dist", [None, "scipy-9.9.9.dist-info"])
+    def test_scipy_version_read_from_dist_info(self, tmp_path, monkeypatch, dist):
+        # the first scipy-*.dist-info's Version header on sys.path, never an
+        # import of scipy (TestImports); null when there is none, and a
+        # dist-info without METADATA is skipped
+        site = tmp_path / "site"
+        (site / "scipy-0.0.0.dist-info").mkdir(parents=True)
+        if dist:
+            (site / dist).mkdir()
+            (site / dist / "METADATA").write_text(
+                "Metadata-Version: 2.1\nName: scipy\nVersion: 9.9.9\n\nVersion: 0\n")
+        monkeypatch.setattr(sys, "path", [str(tmp_path / "missing"), str(site)])
+        oamturb.cli._scipy_version.cache_clear()
+        try:
+            version = oamturb.cli._scipy_version()
+        finally:
+            oamturb.cli._scipy_version.cache_clear()
+        assert version == ("9.9.9" if dist else None)
+
+    def test_json_files_write_non_finite_as_null(self, tmp_path):
+        path = tmp_path / "out.json"
+        oamturb.cli._write_json(str(path), {
+            "a": [math.nan, math.inf, -math.inf, 1.5, np.float64("nan")],
+            "b": {"c": (math.nan, 2)}, "d": True, "e": None, "f": "NaN"})
+        assert json.loads(path.read_text(), parse_constant=_refuse_constant) == {
+            "a": [None, None, None, 1.5, None], "b": {"c": [None, 2]}, "d": True,
+            "e": None, "f": "NaN"}
 
     def test_manifest_records_timings(self, tmp_path):
         out = tmp_path / "timed"
@@ -932,7 +968,17 @@ class TestCalibrate:
         assert [m["w_over_r0"] for m in margins] == [0.2, 1.0]
         assert 0.0 < margins[0]["fraction"] < margins[1]["fraction"] < limit
         # two rows left: too few for a rank correlation
-        assert math.isnan(summary["spearman_rho"])
+        assert summary["spearman_rho"] is None
+
+    def test_two_rows_write_strict_json(self, tmp_path):
+        # below three rows there is no rank correlation: null, not NaN
+        out = tmp_path / "two"
+        assert run(["calibrate", "--strengths", "0.2,0.6", "--realizations", "100",
+                    "--grid-n", "64", "--grid-extent", "16.0", "--out-dir", str(out)]) == 0
+        parsed = {name: json.loads((out / name).read_text(), parse_constant=_refuse_constant)
+                  for name in ("summary.json", "manifest.json")}
+        assert parsed["summary.json"]["spearman_rho"] is None
+        assert '"spearman_rho": null' in (out / "summary.json").read_text()
 
     def test_zero_row_is_the_reference_propagated_once(self, tmp_path, monkeypatch):
         steps = []

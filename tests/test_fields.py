@@ -275,7 +275,8 @@ class TestRotateModal:
         ph_x = _shear_phase(g.n, g.pitch, -np.tan(0.15), 1)
         ph_y = _shear_phase(g.n, g.pitch, np.sin(0.3), 0)
         assert _shear_phase.cache_info().misses == 2
-        assert ph_x.shape == (g.n, 2 * g.n) and ph_y.shape == (2 * g.n, 2 * g.n)
+        # y stores only its first n rows: the rest are their conjugate mirrors
+        assert ph_x.shape == ph_y.shape == (g.n, 2 * g.n)
         for ph in (ph_x, ph_y):
             assert ph.flags.c_contiguous and not ph.flags.writeable
             with pytest.raises(ValueError):
@@ -285,7 +286,7 @@ class TestRotateModal:
     def test_shear_phase_is_the_full_expi_table_bitwise(self, n):
         # one quadrant plus conjugate mirrors == the literal full-table
         # build, zero signs included: x keeps the n central rows of the
-        # (c, f) table, y all 2n
+        # (c, f) table, y its first n, whose mirrors are the other n
         m = 2 * n
         for pitch in (8.0 / n, 0.1, 16.0 / 512):
             c = (np.arange(m) - m / 2 + 0.5) * pitch
@@ -294,7 +295,7 @@ class TestRotateModal:
                           -np.sin(np.pi / 4), np.sin(1e-9), -np.tan(0.175), 0.5):
                 full = expi(-2 * np.pi * np.outer(c * coeff, f))
                 want_x = full[n // 2:n // 2 + n]
-                want_y = full
+                want_y = full[:n]
                 assert _shear_phase(n, pitch, coeff, 1).tobytes() == want_x.tobytes()
                 assert _shear_phase(n, pitch, coeff, 0).tobytes() == want_y.tobytes()
 

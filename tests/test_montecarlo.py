@@ -1,5 +1,7 @@
 """Ensemble bookkeeping, scan engines, and seeding reproducibility."""
 
+import dataclasses
+import gc
 import math
 import tracemalloc
 
@@ -22,7 +24,7 @@ from oamturb import (
     run_fidelity_scan,
     run_rotation_scan,
 )
-from oamturb import montecarlo, turbulence
+from oamturb import analytic, fields, montecarlo, turbulence
 from oamturb.elements import decode, decode_factors, fidelity, mub_states, rotate_frame
 from oamturb.fields import (
     ScalarField, VectorField, _quarter_turns, make_lg_mode, rotate_modal,
@@ -354,9 +356,11 @@ class TestRotationScan:
 
     def test_working_set_is_below_every_angles_weight_rows(self):
         # one residual group's shears and one angle's rows are alive at a
-        # time: 19.1 screen sizes measured at one worker and 19.3 at two
-        # (each shearing in its own band), where every angle's rows
-        # stacked into one matrix peaked at 52.1
+        # time, never both: 13.1 screen sizes measured at one worker and
+        # 15.4 at two (each shearing in its own band), so the bound is
+        # 16.5, a margin of 1.1; rows held through the next group's shears
+        # with a full 2n-row y table peaked at 19.1 and 19.3, and every
+        # angle's rows stacked into one matrix at 52.1
         angles = tuple(2 * np.pi * k / 16 for k in range(16))
         cfg = ExperimentConfig(strengths=(0.6,), n_realizations=1, master_seed=2,
                                grid=GridSpec(64, 8.0), angles=angles)
@@ -369,7 +373,7 @@ class TestRotationScan:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 2 * len(angles) * screen_bytes, workers
+            assert peak < 16.5 * screen_bytes, workers
 
     def test_bitwise_at_any_worker_count(self):
         # each residual group's four shears (l = 1, 2) split over 1-3 threads
@@ -526,3 +530,39 @@ class TestDrawCounts:
             angles=tuple(2 * np.pi * k / 16 for k in range(16))), n_workers=2)
         assert sorted(counted["keys"]) == [(4, 0, i) for i in range(5)]
         assert sorted(counted["ls"]) == [1, 2]
+
+
+# the grid-sized caches the README lists under "What each grid caches"
+LISTED_CACHES = (fields._lg_mode, turbulence._tables, fields._transfer_function,
+                 fields._shear_phase, analytic._legendre_rule)
+
+
+class TestRetained:
+    @pytest.mark.parametrize("scan,extent", [(run_fidelity_scan, 7.125),
+                                             (run_rotation_scan, 7.375)])
+    def test_cold_scan_keeps_nothing_beyond_the_listed_caches(self, scan, extent):
+        # a grid of its own, so that no other test warmed a cache; with
+        # the listed caches cleared after the run, what is left is what the
+        # engines keep elsewhere: under one screen size (7 KB and 17 KB
+        # measured, the rows), where a cached q-plate pair and reference
+        # mode kept 3.  A first run on another grid makes the imports the
+        # engines do on first use.
+        cfg = ExperimentConfig(strengths=(0.6,), n_realizations=2, master_seed=3,
+                               grid=GridSpec(32, 6.0), angles=(0.0, 0.35, 2.0))
+        scan(cfg, n_workers=2)
+        grid = GridSpec(64, extent)
+        cfg = dataclasses.replace(cfg, grid=grid)
+        for cache in LISTED_CACHES:
+            cache.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rows = scan(cfg, n_workers=2)
+            for cache in LISTED_CACHES:
+                cache.cache_clear()
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert rows
+        assert retained < grid.n**2 * np.dtype(complex).itemsize
