@@ -219,6 +219,8 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
         if value is not None:
             cfg[key] = value
     resolve_workers(cfg["workers"])  # a negative count fails before any work
+    if cfg["seed"] < 0:  # one message for every command, before any work
+        raise _UsageError(f"seed must be nonnegative, got {cfg['seed']}")
     return cfg
 
 
@@ -464,8 +466,6 @@ def cmd_screen_validate(cfg: dict) -> _Record:
     n_screens = int(cfg["realizations"])
     n_export = min(int(cfg["export_screens"]), n_screens)
     seed = int(cfg["seed"])
-    if seed < 0:
-        raise _UsageError(f"seed must be nonnegative, got {seed}")
     if n_screens < 1:
         raise _UsageError("--realizations must be at least 1")
     if n_export < 0:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AliasingError, DomainError, RangeError, ShapeMismatchError
+from .parallel import parallel_fill
 
 MAX_AZIMUTHAL_INDEX = 8
 
@@ -200,18 +201,6 @@ def _quarter_turns(theta: float) -> tuple[int, float]:
     return k % 4, th - k * (np.pi / 2)
 
 
-def _shear_tables(n: int, pitch: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The x and y _shear_phase tables of rotate_modal's residual shear at
-    theta, built on first use."""
-    r = _quarter_turns(theta)[1]
-    return _shear_phase(n, pitch, -np.tan(r / 2), 1), _shear_phase(n, pitch, np.sin(r), 0)
-
-
-def _rotation_work(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """_rotate_into's work arrays: the n x 2n band and the y-shear chunk."""
-    return np.empty((n, 2 * n), complex), np.empty((_SHEAR_CHUNK, 2 * n), complex)
-
-
 def _shear(part: np.ndarray, table: np.ndarray, mirrored: bool = False) -> None:
     """One FFT shear of every row of part, in place, row i times table[i],
     or, mirrored, times conj(table[i]), taken as conj(conj(row) * table[i]):
@@ -227,26 +216,26 @@ def _shear(part: np.ndarray, table: np.ndarray, mirrored: bool = False) -> None:
     np.fft.ifft(part, axis=1, out=part)
 
 
-def _rotate_into(out: np.ndarray, g: np.ndarray, pitch: float, theta: float,
-                 band: np.ndarray, chunk: np.ndarray) -> np.ndarray:
-    """Write rotate_modal's rotation of the samples g by theta to out,
-    shearing in the work arrays of _rotation_work.  Of the 2n x 2n padded
-    copy only the n central rows are read by the x shears and kept by the
-    crop, so they alone live in band.  The y shear takes band's columns
-    _SHEAR_CHUNK at a time, transposed into chunk's zero-padded rows, and
-    writes back only band's rows: every 1-D transform sees the data of the
-    full padded array, so the result is bitwise the same.  Columns 0..n-1
-    take the y table's rows; columns n..2n-1 take their conjugate mirrors,
-    in chunks that never straddle n, each chunk's columns in descending
-    order so that its mirror rows are a contiguous ascending slice."""
+def _rotate_into(out: np.ndarray, g: np.ndarray, k: int, tables, band: np.ndarray,
+                 chunk: np.ndarray) -> None:
+    """Write to out the samples g turned by k quarter turns and, unless
+    tables is None, sheared by the residual whose x and y _shear_phase
+    tables it holds.  Of the 2n x 2n padded copy only the n central rows
+    are read by the x shears and kept by the crop, so they alone live in
+    the n x 2n band.  The y shear takes band's columns _SHEAR_CHUNK at a
+    time, transposed into chunk's zero-padded rows, and writes back only
+    band's rows: every 1-D transform sees the data of the full padded
+    array, so the result is bitwise the same.  Columns 0..n-1 take the y
+    table's rows; columns n..2n-1 take their conjugate mirrors, in chunks
+    that never straddle n, each chunk's columns in descending order so that
+    its mirror rows are a contiguous ascending slice."""
     n = g.shape[0]
-    k, r = _quarter_turns(theta)
     if k:
         g = np.rot90(g, -k)
-    if r == 0.0:
+    if tables is None:
         np.copyto(out, g)
-        return out
-    x_table, y_table = _shear_tables(n, pitch, theta)
+        return
+    x_table, y_table = tables
     s = n // 2  # padding on each side
     mid = slice(s, s + n)
     band[:, :s] = band[:, s + n:] = 0.0
@@ -266,7 +255,26 @@ def _rotate_into(out: np.ndarray, g: np.ndarray, pitch: float, theta: float,
             cols[...] = part[:, mid].T
     _shear(band, x_table)
     np.copyto(out, band[:, mid])
-    return out
+
+
+def _rotate_all(out: np.ndarray, arrays, pitch: float, theta: float,
+                n_workers: int = 1) -> None:
+    """Set each n x n slot out[q] to rotate_modal's rotation of arrays[q]
+    by theta.  Its quarter turns and residual shear tables (none for a pure
+    quarter turn) are found once, on the calling thread; the slots are
+    rotated on parallel_fill, each thread in its own work arrays."""
+    n = out.shape[-1]
+    k, r = _quarter_turns(theta)
+    tables = None if r == 0.0 else (_shear_phase(n, pitch, -np.tan(r / 2), 1),
+                                    _shear_phase(n, pitch, np.sin(r), 0))
+
+    def rotate(items: range, work) -> None:
+        for q in items:
+            _rotate_into(out[q], arrays[q], k, tables, *work)
+
+    parallel_fill(len(out), rotate, n_workers,
+                  lambda: (np.empty((n, 2 * n), complex),
+                           np.empty((_SHEAR_CHUNK, 2 * n), complex)))
 
 
 def rotate_modal(f: ScalarField, theta: float) -> ScalarField:
@@ -276,16 +284,16 @@ def rotate_modal(f: ScalarField, theta: float) -> ScalarField:
     Quadrant parts of the angle are exact array rotations; the residual in
     [-pi/4, pi/4] is applied as three FFT shears (x, y, x) on a 2x
     zero-padded copy, which is exact for fields that are band-limited and
-    negligible at the grid edge.  No 2n x 2n array is made: the shears run
-    in place in an n x 2n band of the padded copy's central rows, the y
-    shear in column chunks (_rotate_into), each times a contiguous slice of
-    a _shear_phase table.  theta = 0 (mod 2 pi) returns the input unchanged.
+    negligible at the grid edge.  No 2n x 2n array is made: _rotate_all
+    runs the shears in place in an n x 2n band of the padded copy's central
+    rows, the y shear in column chunks, each times a contiguous slice of a
+    _shear_phase table.  theta = 0 (mod 2 pi) returns the input unchanged.
     """
     if _quarter_turns(theta) == (0, 0.0):
         return f
     out = np.empty((f.grid.n, f.grid.n), complex)
-    return ScalarField(f.grid, _rotate_into(out, f.samples, f.grid.pitch, theta,
-                                            *_rotation_work(f.grid.n)))
+    _rotate_all(out[None], f.samples[None], f.grid.pitch, theta)
+    return ScalarField(f.grid, out)
 
 
 def intensity_frame_fraction(inten: np.ndarray) -> float:

@@ -18,9 +18,10 @@ weights, not the screened fields, so every angle has its own rows; rather
 than hold all angles' rows at once it holds a block of screens and one
 angle's rows, dropped once that angle's products are taken.  The decode
 projections of each group of angles that share a residual shear are
-sheared on the worker threads, each into its slot of one array.  No engine
-keeps a grid-sized array once it returns, beyond the caches the README
-lists (LG modes, synthesis and shear tables).
+sheared by one fields._rotate_all call, each into its slot of one array,
+on the worker threads.  No engine keeps a grid-sized array once it
+returns, beyond the caches the README lists (LG modes, synthesis and shear
+tables).
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ import numpy as np
 from .analytic import DEFAULT_STRENGTHS
 from .elements import DECODE_MIX, MUB_LABELS, decode_factors, mub_states
 from .errors import DomainError, RangeError, StatisticsError
-from .fields import (GridSpec, _quarter_turns, _rotate_into, _rotation_work, _shear_tables,
-                     expi, make_lg_mode)
-from .parallel import parallel_fill
+from .fields import GridSpec, _quarter_turns, _rotate_all, expi, make_lg_mode
 from .turbulence import TurbulenceParams, _screen_loop
 
 # success_prob below this is a total-loss event, excluded from fidelity
@@ -223,8 +222,11 @@ def run_fidelity_scan(config: ExperimentConfig, n_workers: int = 0) -> list[Fide
 
     Total-loss realizations (success below LOSS_THRESHOLD) are excluded
     from the fidelity statistics and counted in n_loss; success statistics
-    include every realization.
+    include every realization.  A config with angles raises DomainError:
+    only run_rotation_scan reads them.
     """
+    if config.angles:
+        raise DomainError("fidelity scan takes no angles; use run_rotation_scan")
     suc, fid, raw = _fidelity_samples(config, n_workers)
     return [
         FidelityScanRow(w_over_r0=strength, state_label=label,
@@ -239,10 +241,8 @@ def _rotation_samples(config: ExperimentConfig, n_workers: int = 0):
     """_score of every (angle, realization, state).  Screens are held a
     block of _SCREEN_BLOCK realizations at a time while every angle's
     weights are built, one angle's at a time, so memory is bounded
-    whatever the realizations and angles.
-    Each residual group's shears run on parallel_fill, each writing its
-    slot of `sheared`; tables and work arrays are made on the calling
-    thread."""
+    whatever the realizations and angles.  Each residual group's
+    projections are sheared by one fields._rotate_all into `sheared`."""
     if len(config.strengths) != 1:
         raise DomainError("rotation scan runs at a single turbulence strength")
     if not config.angles:
@@ -273,17 +273,8 @@ def _rotation_samples(config: ExperimentConfig, n_workers: int = 0):
                      grid, n_workers, draw)
         for resid, members in groups.items():
             if resid:
-                # built here, not in a worker's allocator arena; keyed by the
-                # angle the shears take, whose residual at pi/4 is an ulp off
-                _shear_tables(grid.n, grid.pitch, -resid)
-
-                def shear(items: range, arrays) -> None:
-                    for q in items:
-                        li, side = divmod(q, 2)
-                        _rotate_into(sheared[li, side], factors[li][side], grid.pitch,
-                                     -resid, *arrays)
-
-                parallel_fill(2 * len(ls), shear, n_workers, lambda: _rotation_work(grid.n))
+                _rotate_all(sheared.reshape(-1, grid.n, grid.n),
+                            [p for pair in factors for p in pair], grid.pitch, -resid, n_workers)
             for j in members:
                 weights = _weights(ls, grid, config.angles[j],
                                    list(sheared) if resid else factors)

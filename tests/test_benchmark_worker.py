@@ -2,8 +2,9 @@
 
 perfbench/ is the benchmark and is not changed by program changes; this
 test imports its worker as it stands, without writing bytecode there, and
-runs the set-up of every workload, so that a change to the package that
-would break the benchmark fails here first.
+runs the set-up of every workload and one checked pass of each quick
+one, so that a change to the package that would break the benchmark, or
+fail a workload's own output check, fails here first.
 """
 
 import importlib.util
@@ -41,3 +42,10 @@ def test_warm_runs_for_every_workload(worker):
     assert worker.WORKLOADS
     for workload in worker.WORKLOADS.values():
         worker.warm(workload)
+
+
+@pytest.mark.parametrize("name", ["mub_scan", "rotation_scan", "ph_curve"])
+def test_one_pass_passes_its_output_check(worker, tmp_path, name):
+    # calibrate_512 is left out: one pass takes seconds, not a fraction
+    result = worker.run_pass(worker.WORKLOADS[name], 23, str(tmp_path / "out"), None)
+    assert result["ok"], result["problems"]

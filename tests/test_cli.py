@@ -75,6 +75,16 @@ class TestParsing:
             "got -1\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", list(_COMMAND_DEFAULTS))
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_gets_one_message(self, tmp_path, capsys, command, where):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        args = ["--seed", "-1"] if where == "flag" else ["--config", str(cfg)]
+        assert run([command, *args, "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"oamturb {command}: seed must be nonnegative, got -1\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_config_key_fails(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sneed": 5}))

@@ -23,6 +23,7 @@ from oamturb import (
 from oamturb import turbulence
 from oamturb.elements import decode_factors
 from oamturb.fields import (
+    _rotate_all,
     _shear_phase,
     _transfer_function,
     expi,
@@ -245,8 +246,9 @@ class TestExpi:
 
 
 class TestRotateModal:
-    # 40: 2n = 80 is no multiple of the y shear's 32-column chunk
-    @pytest.mark.parametrize("n", [32, 40, 64, 128, 256])
+    # 40, 34, 46: 2n is no multiple of the y shear's 32-column chunk; at
+    # 34 and 46 n/2, the padding on each side, is odd
+    @pytest.mark.parametrize("n", [32, 34, 40, 46, 64, 128, 256])
     def test_matches_literal_three_shears_bitwise(self, n):
         g = GridSpec(n, 8.0)
         rng = np.random.default_rng(n)
@@ -261,6 +263,19 @@ class TestRotateModal:
                 got = rotate_modal(f, theta).samples
                 want = literal_rotate_modal(f, theta).samples
                 assert np.array_equal(got, want), (kind, theta)
+
+    @pytest.mark.parametrize("n", [34, 64])
+    @pytest.mark.parametrize("theta", [0.35, 3 * np.pi / 2])
+    def test_rotate_all_matches_rotate_modal_at_any_worker_count(self, n, theta):
+        # a residual angle and a pure quarter turn, over a stack of three
+        g = GridSpec(n, 8.0)
+        rng = np.random.default_rng(n)
+        stack = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+        want = [rotate_modal(ScalarField(g, a), theta).samples.tobytes() for a in stack]
+        for workers in (1, 2, 3):
+            out = np.empty_like(stack)
+            _rotate_all(out, stack, g.pitch, theta, workers)
+            assert [a.tobytes() for a in out] == want, workers
 
     def test_shear_phases_cached_and_read_only(self):
         assert _shear_phase.cache_info().maxsize == 2

@@ -204,6 +204,14 @@ class TestFidelityScan:
         b = run_fidelity_scan(tiny_config, n_workers=3)
         assert [r.success_prob.mean for r in a] == [r.success_prob.mean for r in b]
 
+    def test_rejects_angles_before_any_screen(self, monkeypatch, tiny_config):
+        def no_screens(*args):
+            raise AssertionError("a screen was drawn")
+
+        monkeypatch.setattr(montecarlo, "_screen_loop", no_screens)
+        with pytest.raises(DomainError, match="no angles"):
+            run_fidelity_scan(dataclasses.replace(tiny_config, angles=(0.0,)))
+
     def test_higher_charge_states(self):
         cfg = ExperimentConfig(
             strengths=(0.4,),
@@ -290,13 +298,13 @@ class TestRotationScan:
     ])
     def test_one_shear_per_residual_and_projection(self, monkeypatch, angles):
         calls = []
-        rotate = montecarlo._rotate_into
+        rotate = fields._rotate_into
 
         def counting(*args):
             calls.append(args[3])
             return rotate(*args)
 
-        monkeypatch.setattr(montecarlo, "_rotate_into", counting)
+        monkeypatch.setattr(fields, "_rotate_into", counting)
         _rotation_samples(ExperimentConfig(
             strengths=(0.6,), n_realizations=2, grid=SMALL, angles=angles))
         assert len(calls) == 8
@@ -546,9 +554,10 @@ class TestRetained:
         # engines keep elsewhere: under one screen size (7 KB and 17 KB
         # measured, the rows), where a cached q-plate pair and reference
         # mode kept 3.  A first run on another grid makes the imports the
-        # engines do on first use.
+        # engines do on first use.  Only the rotation scan takes angles.
+        angles = (0.0, 0.35, 2.0) if scan is run_rotation_scan else ()
         cfg = ExperimentConfig(strengths=(0.6,), n_realizations=2, master_seed=3,
-                               grid=GridSpec(32, 6.0), angles=(0.0, 0.35, 2.0))
+                               grid=GridSpec(32, 6.0), angles=angles)
         scan(cfg, n_workers=2)
         grid = GridSpec(64, extent)
         cfg = dataclasses.replace(cfg, grid=grid)
