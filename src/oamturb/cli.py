@@ -335,30 +335,35 @@ def _grid(cfg: dict) -> GridSpec:
     return GridSpec(cfg["grid_n"], cfg["grid_extent"])
 
 
+def _scan(cfg: dict, run, strengths, states, labels, angles=()) -> tuple[list, int]:
+    """The rows of run over cfg's realizations, seed and grid, one cell per
+    distinct strength in ascending order, and the realizations it drew:
+    n_realizations per nonzero strength.  Callers pass run_fidelity_scan or
+    run_rotation_scan as looked up at call time, so that a wrapper
+    installed on this module sees the call."""
+    config = ExperimentConfig(
+        strengths=tuple(sorted({float(s) for s in strengths})), states=states,
+        state_labels=labels, n_realizations=cfg["realizations"], master_seed=cfg["seed"],
+        grid=_grid(cfg), angles=angles)
+    return (run(config, n_workers=cfg["workers"]),
+            config.n_realizations * sum(s != 0.0 for s in config.strengths))
+
+
 def cmd_ph_curve(cfg: dict) -> _Record:
-    grid = _grid(cfg)
     quad = QuadratureConfig(cfg["radial_nodes"], cfg["angular_nodes"], cfg["tolerance"])
     l = int(cfg["l"])
-    strengths = sorted({float(s) for s in cfg["strengths"]})  # one row per strength
-    mc_config = ExperimentConfig(
-        strengths=tuple(strengths),
-        states=(HybridQubit(1, 0, l),),
-        state_labels=("0",),
-        n_realizations=cfg["realizations"],
-        master_seed=cfg["seed"],
-        grid=grid,
-    )
-    mc_rows = run_fidelity_scan(mc_config, n_workers=cfg["workers"])
+    mc_rows, realizations = _scan(cfg, run_fidelity_scan, cfg["strengths"],
+                                  [HybridQubit(1, 0, l)], ("0",))
     rows = []
     residuals = []
     ring = []
     ring_residuals = []
-    for strength, mc in zip(strengths, mc_rows):
-        params = TurbulenceParams(w_over_r0=strength)
+    for mc in mc_rows:
+        params = TurbulenceParams(w_over_r0=mc.w_over_r0)
         # looked up on the module, so wrappers installed there see the call
         cc = analytic.coupling_coefficients(l, params, quad)
         residuals.append(cc.residual)
-        rows.append([strength, cc.c0, mc.success_prob.mean, mc.success_prob.stderr])
+        rows.append([mc.w_over_r0, cc.c0, mc.success_prob.mean, mc.success_prob.stderr])
         # single-radius reduction, for reference
         rc = ring_coefficients(l, params, quad)
         ring.append(rc.c0)
@@ -380,25 +385,16 @@ def cmd_ph_curve(cfg: dict) -> _Record:
                 rows[i][1] >= rows[i + 1][1] - 1e-12 for i in range(len(rows) - 1)
             ),
         },
-        mc_config.n_realizations * sum(s != 0.0 for s in strengths),
+        realizations,
     )
 
 
 def cmd_fidelity_scan(cfg: dict) -> _Record:
-    grid = _grid(cfg)
-    l = int(cfg["l"])
-    config = ExperimentConfig(
-        strengths=tuple(sorted({float(s) for s in cfg["strengths"]})),  # one cell each
-        states=tuple(mub_states(l)),
-        state_labels=MUB_LABELS,
-        n_realizations=cfg["realizations"],
-        master_seed=cfg["seed"],
-        grid=grid,
-    )
-    result = run_fidelity_scan(config, n_workers=cfg["workers"])
+    result, realizations = _scan(cfg, run_fidelity_scan, cfg["strengths"],
+                                 mub_states(int(cfg["l"])), MUB_LABELS)
     rows = [
         [r.w_over_r0, r.state_label, r.fidelity.mean, r.fidelity.stderr,
-         r.n_loss / config.n_realizations]
+         r.n_loss / cfg["realizations"]]
         for r in result
     ]
     means = [r.fidelity.mean for r in result]
@@ -413,31 +409,21 @@ def cmd_fidelity_scan(cfg: dict) -> _Record:
             "max_fidelity_overshoot": max(r.fidelity_overshoot for r in result),
             "min_success_prob": min(r.success_prob.min for r in result),
         },
-        config.n_realizations * sum(s != 0.0 for s in config.strengths),
+        realizations,
     )
 
 
 def cmd_rotation_scan(cfg: dict) -> _Record:
-    grid = _grid(cfg)
-    l = int(cfg["l"])
     n_angles = int(cfg["n_angles"])
     if n_angles < 1:
         raise _UsageError("--n-angles must be at least 1")
     angles = tuple(2 * np.pi * k / n_angles for k in range(n_angles))
-    config = ExperimentConfig(
-        strengths=(float(cfg["strength"]),),
-        states=tuple(mub_states(l)),
-        state_labels=MUB_LABELS,
-        n_realizations=cfg["realizations"],
-        master_seed=cfg["seed"],
-        grid=grid,
-        angles=angles,
-    )
-    result = run_rotation_scan(config, n_workers=cfg["workers"])
+    result, realizations = _scan(cfg, run_rotation_scan, [cfg["strength"]],
+                                 mub_states(int(cfg["l"])), MUB_LABELS, angles)
     rows = [[r.theta, r.state_label, r.fidelity.mean, r.fidelity.stderr]
             for r in result]
     variation = {}
-    for label in config.state_labels:
+    for label in MUB_LABELS:
         means = [r.fidelity.mean for r in result if r.state_label == label]
         variation[label] = float(max(means) - min(means))
     all_means = [r.fidelity.mean for r in result]
@@ -451,7 +437,7 @@ def cmd_rotation_scan(cfg: dict) -> _Record:
             "max_variation": max(variation.values()),
             "max_fidelity_overshoot": max(r.fidelity_overshoot for r in result),
         },
-        config.n_realizations * sum(s != 0.0 for s in config.strengths),
+        realizations,
     )
 
 

@@ -216,25 +216,19 @@ def _shear(part: np.ndarray, table: np.ndarray, mirrored: bool = False) -> None:
     np.fft.ifft(part, axis=1, out=part)
 
 
-def _rotate_into(out: np.ndarray, g: np.ndarray, k: int, tables, band: np.ndarray,
+def _rotate_into(out: np.ndarray, g: np.ndarray, tables, band: np.ndarray,
                  chunk: np.ndarray) -> None:
-    """Write to out the samples g turned by k quarter turns and, unless
-    tables is None, sheared by the residual whose x and y _shear_phase
-    tables it holds.  Of the 2n x 2n padded copy only the n central rows
-    are read by the x shears and kept by the crop, so they alone live in
-    the n x 2n band.  The y shear takes band's columns _SHEAR_CHUNK at a
-    time, transposed into chunk's zero-padded rows, and writes back only
-    band's rows: every 1-D transform sees the data of the full padded
-    array, so the result is bitwise the same.  Columns 0..n-1 take the y
-    table's rows; columns n..2n-1 take their conjugate mirrors, in chunks
-    that never straddle n, each chunk's columns in descending order so that
-    its mirror rows are a contiguous ascending slice."""
+    """Write to out the samples g sheared by the residual whose x and y
+    _shear_phase tables it holds.  Of the 2n x 2n padded copy only the n
+    central rows are read by the x shears and kept by the crop, so they
+    alone live in the n x 2n band.  The y shear takes band's columns
+    _SHEAR_CHUNK at a time, transposed into chunk's zero-padded rows, and
+    writes back only band's rows: every 1-D transform sees the data of the
+    full padded array, so the result is bitwise the same.  Columns 0..n-1
+    take the y table's rows; columns n..2n-1 take their conjugate mirrors,
+    in chunks that never straddle n, each chunk's columns in descending
+    order so that its mirror rows are a contiguous ascending slice."""
     n = g.shape[0]
-    if k:
-        g = np.rot90(g, -k)
-    if tables is None:
-        np.copyto(out, g)
-        return
     x_table, y_table = tables
     s = n // 2  # padding on each side
     mid = slice(s, s + n)
@@ -260,17 +254,22 @@ def _rotate_into(out: np.ndarray, g: np.ndarray, k: int, tables, band: np.ndarra
 def _rotate_all(out: np.ndarray, arrays, pitch: float, theta: float,
                 n_workers: int = 1) -> None:
     """Set each n x n slot out[q] to rotate_modal's rotation of arrays[q]
-    by theta.  Its quarter turns and residual shear tables (none for a pure
-    quarter turn) are found once, on the calling thread; the slots are
-    rotated on parallel_fill, each thread in its own work arrays."""
+    by theta.  A pure quarter turn is an np.rot90 copy on the calling
+    thread, with no work arrays; a residual's x and y shear tables are
+    found once, there, and _rotate_into shears each quarter-turned slot on
+    parallel_fill, each thread in its own n x 2n band and _SHEAR_CHUNK x 2n
+    chunk."""
     n = out.shape[-1]
     k, r = _quarter_turns(theta)
-    tables = None if r == 0.0 else (_shear_phase(n, pitch, -np.tan(r / 2), 1),
-                                    _shear_phase(n, pitch, np.sin(r), 0))
+    if r == 0.0:
+        for q in range(len(out)):
+            np.copyto(out[q], np.rot90(arrays[q], -k))
+        return
+    tables = (_shear_phase(n, pitch, -np.tan(r / 2), 1), _shear_phase(n, pitch, np.sin(r), 0))
 
     def rotate(items: range, work) -> None:
         for q in items:
-            _rotate_into(out[q], arrays[q], k, tables, *work)
+            _rotate_into(out[q], np.rot90(arrays[q], -k), tables, *work)
 
     parallel_fill(len(out), rotate, n_workers,
                   lambda: (np.empty((n, 2 * n), complex),
@@ -281,13 +280,14 @@ def rotate_modal(f: ScalarField, theta: float) -> ScalarField:
     """Rotate the transverse profile by theta about the beam axis.
 
     A pure mode c_l(r) e^{i l theta_az} maps to e^{-i l theta} times itself.
-    Quadrant parts of the angle are exact array rotations; the residual in
-    [-pi/4, pi/4] is applied as three FFT shears (x, y, x) on a 2x
-    zero-padded copy, which is exact for fields that are band-limited and
-    negligible at the grid edge.  No 2n x 2n array is made: _rotate_all
-    runs the shears in place in an n x 2n band of the padded copy's central
-    rows, the y shear in column chunks, each times a contiguous slice of a
-    _shear_phase table.  theta = 0 (mod 2 pi) returns the input unchanged.
+    Quadrant parts of the angle are exact array rotations (a pure quarter
+    turn is one np.rot90 copy); the residual in [-pi/4, pi/4] is applied as
+    three FFT shears (x, y, x) on a 2x zero-padded copy, exact for fields
+    that are band-limited and negligible at the grid edge.  No 2n x 2n
+    array is made: _rotate_all runs the shears in place in an n x 2n band
+    of the padded copy's central rows, the y shear in column chunks, each
+    times a contiguous slice of a _shear_phase table.  theta = 0 (mod 2 pi)
+    returns the input unchanged.
     """
     if _quarter_turns(theta) == (0, 0.0):
         return f

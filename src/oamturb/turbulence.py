@@ -374,19 +374,15 @@ def _screen_loop(params_list, n_real: int, key, grid: GridSpec, n_workers: int, 
 def apply_screen(f, s: PhaseScreen):
     """Multiply a field by e^{i phase}; the same screen acts on both
     polarization components of a VectorField."""
+    if not isinstance(f, (ScalarField, VectorField)):
+        raise TypeError(f"expected ScalarField or VectorField, got {type(f)!r}")
+    if f.grid != s.grid:
+        raise ShapeMismatchError("field and screen grids differ")
     if isinstance(f, ScalarField):
-        if f.grid != s.grid:
-            raise ShapeMismatchError("field and screen grids differ")
         return ScalarField(f.grid, f.samples * s.phase_factor)
-    if isinstance(f, VectorField):
-        if f.grid != s.grid:
-            raise ShapeMismatchError("field and screen grids differ")
-        u = s.phase_factor
-        return VectorField(
-            ScalarField(f.grid, f.right.samples * u),
-            ScalarField(f.grid, f.left.samples * u),
-        )
-    raise TypeError(f"expected ScalarField or VectorField, got {type(f)!r}")
+    u = s.phase_factor
+    return VectorField(ScalarField(f.grid, f.right.samples * u),
+                       ScalarField(f.grid, f.left.samples * u))
 
 
 def _pixel_lag(separation: float, grid: GridSpec) -> int:

@@ -13,6 +13,8 @@ import sys
 
 import pytest
 
+from oamturb import cli
+
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -49,3 +51,12 @@ def test_one_pass_passes_its_output_check(worker, tmp_path, name):
     # calibrate_512 is left out: one pass takes seconds, not a fraction
     result = worker.run_pass(worker.WORKLOADS[name], 23, str(tmp_path / "out"), None)
     assert result["ok"], result["problems"]
+
+
+def test_every_workload_command_line_resolves(worker, tmp_path):
+    # no pass is run: a change that rejects a workload's exact arguments
+    # (calibrate_512's included) fails here, not first in a benchmark run
+    for workload in worker.WORKLOADS.values():
+        args = cli._build_parser().parse_args(workload.argv(23, str(tmp_path / "out")))
+        cfg = cli._resolve_config(args.command, args)
+        assert (cfg["grid_n"], cfg["grid_extent"]) == (workload.grid_n, workload.grid_extent)

@@ -1,6 +1,7 @@
 """Grid geometry, LG modes, overlaps, modal rotation, and propagation."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from oamturb import (
     propagate,
     rotate_modal,
 )
-from oamturb import turbulence
+from oamturb import fields, turbulence
 from oamturb.elements import decode_factors
 from oamturb.fields import (
     _rotate_all,
@@ -276,6 +277,31 @@ class TestRotateModal:
             out = np.empty_like(stack)
             _rotate_all(out, stack, g.pitch, theta, workers)
             assert [a.tobytes() for a in out] == want, workers
+
+    def test_quarter_turn_is_rot90_on_the_calling_thread(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a pure quarter turn started the worker pool")
+
+        monkeypatch.setattr(fields, "parallel_fill", refuse)
+        rng = np.random.default_rng(5)
+        stack = rng.normal(size=(3, 34, 34)) + 1j * rng.normal(size=(3, 34, 34))
+        for k in range(4):
+            out = np.empty_like(stack)
+            _rotate_all(out, stack, 8.0 / 34, k * np.pi / 2, 2)
+            assert [a.tobytes() for a in out] == [np.rot90(a, -k).tobytes() for a in stack]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_quarter_turn_holds_only_its_output(self, k):
+        # an np.rot90 copy makes no band or chunk (2.25 outputs more at 256^2)
+        f = make_lg_mode(1, GRID)
+        rotate_modal(f, k * np.pi / 2)  # warm
+        tracemalloc.start()
+        try:
+            rotate_modal(f, k * np.pi / 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * f.samples.nbytes
 
     def test_shear_phases_cached_and_read_only(self):
         assert _shear_phase.cache_info().maxsize == 2

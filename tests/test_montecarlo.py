@@ -301,7 +301,7 @@ class TestRotationScan:
         rotate = fields._rotate_into
 
         def counting(*args):
-            calls.append(args[3])
+            calls.append(args[2])
             return rotate(*args)
 
         monkeypatch.setattr(fields, "_rotate_into", counting)
