@@ -335,16 +335,17 @@ def _grid(cfg: dict) -> GridSpec:
     return GridSpec(cfg["grid_n"], cfg["grid_extent"])
 
 
-def _scan(cfg: dict, run, strengths, states, labels, angles=()) -> tuple[list, int]:
-    """The rows of run over cfg's realizations, seed and grid, one cell per
-    distinct strength in ascending order, and the realizations it drew:
-    n_realizations per nonzero strength.  Callers pass run_fidelity_scan or
-    run_rotation_scan as looked up at call time, so that a wrapper
-    installed on this module sees the call."""
+def _scan(cfg: dict, strengths, states, labels, angles=()) -> tuple[list, int]:
+    """The rows of run_rotation_scan, given angles, or else of
+    run_fidelity_scan, over cfg's realizations, seed and grid, one cell per
+    distinct strength in ascending order, and the realizations drawn:
+    n_realizations per nonzero strength.  Either engine is looked up in
+    this module at call time, so that a wrapper installed here sees it."""
     config = ExperimentConfig(
         strengths=tuple(sorted({float(s) for s in strengths})), states=states,
         state_labels=labels, n_realizations=cfg["realizations"], master_seed=cfg["seed"],
         grid=_grid(cfg), angles=angles)
+    run = run_rotation_scan if angles else run_fidelity_scan
     return (run(config, n_workers=cfg["workers"]),
             config.n_realizations * sum(s != 0.0 for s in config.strengths))
 
@@ -352,8 +353,7 @@ def _scan(cfg: dict, run, strengths, states, labels, angles=()) -> tuple[list, i
 def cmd_ph_curve(cfg: dict) -> _Record:
     quad = QuadratureConfig(cfg["radial_nodes"], cfg["angular_nodes"], cfg["tolerance"])
     l = int(cfg["l"])
-    mc_rows, realizations = _scan(cfg, run_fidelity_scan, cfg["strengths"],
-                                  [HybridQubit(1, 0, l)], ("0",))
+    mc_rows, realizations = _scan(cfg, cfg["strengths"], [HybridQubit(1, 0, l)], ("0",))
     rows = []
     residuals = []
     ring = []
@@ -390,8 +390,7 @@ def cmd_ph_curve(cfg: dict) -> _Record:
 
 
 def cmd_fidelity_scan(cfg: dict) -> _Record:
-    result, realizations = _scan(cfg, run_fidelity_scan, cfg["strengths"],
-                                 mub_states(int(cfg["l"])), MUB_LABELS)
+    result, realizations = _scan(cfg, cfg["strengths"], mub_states(int(cfg["l"])), MUB_LABELS)
     rows = [
         [r.w_over_r0, r.state_label, r.fidelity.mean, r.fidelity.stderr,
          r.n_loss / cfg["realizations"]]
@@ -418,8 +417,8 @@ def cmd_rotation_scan(cfg: dict) -> _Record:
     if n_angles < 1:
         raise _UsageError("--n-angles must be at least 1")
     angles = tuple(2 * np.pi * k / n_angles for k in range(n_angles))
-    result, realizations = _scan(cfg, run_rotation_scan, [cfg["strength"]],
-                                 mub_states(int(cfg["l"])), MUB_LABELS, angles)
+    result, realizations = _scan(cfg, [cfg["strength"]], mub_states(int(cfg["l"])), MUB_LABELS,
+                                 angles)
     rows = [[r.theta, r.state_label, r.fidelity.mean, r.fidelity.stderr]
             for r in result]
     variation = {}

@@ -41,7 +41,7 @@ class HybridQubit:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
         norm_sq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm_sq - 1.0) > 1e-12:
+        if not abs(norm_sq - 1.0) <= 1e-12:
             raise DomainError(f"qubit must be normalized, |alpha|^2+|beta|^2={norm_sq}")
 
     @classmethod
@@ -72,7 +72,7 @@ class DecodeResult:
         arr.flags.writeable = False
         object.__setattr__(self, "recovered", arr)
         norm_sq = float(arr.real.dot(arr.real) + arr.imag.dot(arr.imag))
-        if abs(norm_sq - self.success_prob) > 1e-9:
+        if not abs(norm_sq - self.success_prob) <= 1e-9:
             raise DomainError(
                 f"success_prob={self.success_prob} inconsistent with |recovered|^2={norm_sq}"
             )

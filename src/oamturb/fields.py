@@ -171,83 +171,78 @@ _SHEAR_CHUNK = 32
 
 
 @functools.lru_cache(maxsize=2)
-def _shear_phase(n: int, pitch: float, coeff: float, axis: int) -> np.ndarray:
+def _shear_phase(n: int, pitch: float, coeff: float, rows: int) -> np.ndarray:
     """Read-only shear phase exp(-2 pi i coeff c f) of rotate_modal's
     2n-point padded transforms (c: centred coordinate, f: FFT frequency),
-    one row per coordinate c, as each shear multiplies it: x (axis 1) keeps
-    the n central c, y (axis 0) the first n of all 2n, so each is n x 2n and
-    a y chunk reads contiguous rows.  c and f (bar f = 0 and Nyquist) are
-    antisymmetric exactly, so one quadrant's conjugate mirrors fill the
-    rest, bitwise the full expi; the full y table's row r >= n is
-    conj(ph[2n-1-r]), which _rotate_into applies without storing it.  Two
-    entries hold one angle's pair: a second field at the same angle builds
-    none."""
-    m, h = 2 * n, n // 2 if axis else n  # h: the table's own coordinates
+    one row per coordinate c, for the `rows` coordinates c < 0 nearest the
+    centre: n // 2 for the x shear, n for the y shear.  c and f (bar f = 0
+    and Nyquist) are antisymmetric exactly, so conjugate mirrors fill the
+    rest, bitwise the full expi: the columns past Nyquist here, and every
+    row past the centre in _shear.  Two entries hold one angle's pair: a
+    second field at the same angle builds none."""
+    m = 2 * n
     c = (np.arange(m) - m / 2 + 0.5) * pitch
-    ph = np.empty((n, m), dtype=np.complex128)
-    expi(-2 * np.pi * np.outer(c[n - h:n] * coeff, np.fft.fftfreq(m, d=pitch)[:n + 1]),
-         out=ph[:h, :n + 1])
-    np.conj(ph[:h, n - 1:0:-1], out=ph[:h, n + 1:])
-    if axis:
-        np.conj(ph[h - 1::-1], out=ph[h:])
+    ph = np.empty((rows, m), dtype=np.complex128)
+    expi(-2 * np.pi * np.outer(c[n - rows:n] * coeff, np.fft.fftfreq(m, d=pitch)[:n + 1]),
+         out=ph[:, :n + 1])
+    np.conj(ph[:, n - 1:0:-1], out=ph[:, n + 1:])
     ph.flags.writeable = False
     return ph
 
 
 def _quarter_turns(theta: float) -> tuple[int, float]:
-    """theta mod 2 pi as k quarter turns, 0 <= k < 4, and a residual r."""
+    """theta mod 2 pi as k quarter turns, 0 <= k < 4, and a residual r.
+    A non-finite theta raises DomainError."""
+    if not np.isfinite(theta):
+        raise DomainError(f"rotation angle must be finite, got {theta}")
     th = float(theta) % (2 * np.pi)
     k = int(np.round(th / (np.pi / 2)))
     return k % 4, th - k * (np.pi / 2)
 
 
-def _shear(part: np.ndarray, table: np.ndarray, mirrored: bool = False) -> None:
-    """One FFT shear of every row of part, in place, row i times table[i],
-    or, mirrored, times conj(table[i]), taken as conj(conj(row) * table[i]):
+def _shear(part: np.ndarray, table: np.ndarray, first: int) -> None:
+    """One FFT shear of every row of part, in place.  Row i sits at the
+    table's coordinate index t = first + i: a row with t < L = len(table)
+    is multiplied by table[t], and a row past the centre by its conjugate
+    mirror conj(table[2L-1-t]), taken as conj(conj(row) * table[2L-1-t]):
     bitwise the stored conjugate's product, with no copy of the table.  The
     1-D fft and ifft honour out=, even on a view (numpy's ifft2, 2.4.6,
     silently ignores it and allocates)."""
+    size = len(table)
+    below = min(max(size - first, 0), len(part))  # rows with t < L
+    upper = part[below:]
     np.fft.fft(part, axis=1, out=part)
-    if mirrored:
-        np.conj(part, out=part)
-    part *= table
-    if mirrored:
-        np.conj(part, out=part)
+    part[:below] *= table[first:first + below]
+    np.conj(upper, out=upper)
+    upper *= table[2 * size - first - len(part):2 * size - first - below][::-1]
+    np.conj(upper, out=upper)
     np.fft.ifft(part, axis=1, out=part)
 
 
-def _rotate_into(out: np.ndarray, g: np.ndarray, tables, band: np.ndarray,
-                 chunk: np.ndarray) -> None:
-    """Write to out the samples g sheared by the residual whose x and y
-    _shear_phase tables it holds.  Of the 2n x 2n padded copy only the n
-    central rows are read by the x shears and kept by the crop, so they
-    alone live in the n x 2n band.  The y shear takes band's columns
-    _SHEAR_CHUNK at a time, transposed into chunk's zero-padded rows, and
-    writes back only band's rows: every 1-D transform sees the data of the
-    full padded array, so the result is bitwise the same.  Columns 0..n-1
-    take the y table's rows; columns n..2n-1 take their conjugate mirrors,
-    in chunks that never straddle n, each chunk's columns in descending
-    order so that its mirror rows are a contiguous ascending slice."""
+def _rotate_into(out: np.ndarray, g: np.ndarray, x_table: np.ndarray,
+                 y_table: np.ndarray, band: np.ndarray, chunk: np.ndarray) -> None:
+    """Write to out the samples g sheared by the residual whose
+    _shear_phase tables are x_table and y_table.  Of the 2n x 2n padded
+    copy only the n central rows are read by the x shears and kept by the
+    crop, so they alone live in the n x 2n band.  The y shear takes band's
+    2n columns _SHEAR_CHUNK at a time, transposed into the rows of the
+    row-major _SHEAR_CHUNK x 2n chunk, zero-padded, and writes back only
+    band's rows: every 1-D transform sees the data of the full padded
+    array, so the result is bitwise the same."""
     n = g.shape[0]
-    x_table, y_table = tables
     s = n // 2  # padding on each side
     mid = slice(s, s + n)
     band[:, :s] = band[:, s + n:] = 0.0
     band[:, mid] = g
-    _shear(band, x_table)
-    for half in (0, n):  # the y table's rows, then their mirrors
-        for j in range(half, half + n, _SHEAR_CHUNK):
-            w = min(_SHEAR_CHUNK, half + n - j)
-            if half:  # columns in descending order, so their mirror rows ascend
-                cols, rows = band[:, j:j + w][:, ::-1], y_table[2 * n - j - w:2 * n - j]
-            else:
-                cols, rows = band[:, j:j + w], y_table[j:j + w]
-            part = chunk[:w]
-            part[:, :s] = part[:, s + n:] = 0.0
-            part[:, mid] = cols.T
-            _shear(part, rows, bool(half))
-            cols[...] = part[:, mid].T
-    _shear(band, x_table)
+    _shear(band, x_table, 0)
+    for j in range(0, 2 * n, _SHEAR_CHUNK):
+        cols = band[:, j:j + _SHEAR_CHUNK]
+        part = chunk[:cols.shape[1]]
+        part[:, :s] = part[:, s + n:] = 0.0
+        part[:, mid] = cols.T
+        _shear(part, y_table, j)
+        cols[...] = part[:, mid].T
+    _shear(band, x_table, 0)
     np.copyto(out, band[:, mid])
 
 
@@ -265,11 +260,11 @@ def _rotate_all(out: np.ndarray, arrays, pitch: float, theta: float,
         for q in range(len(out)):
             np.copyto(out[q], np.rot90(arrays[q], -k))
         return
-    tables = (_shear_phase(n, pitch, -np.tan(r / 2), 1), _shear_phase(n, pitch, np.sin(r), 0))
+    tables = (_shear_phase(n, pitch, -np.tan(r / 2), n // 2), _shear_phase(n, pitch, np.sin(r), n))
 
     def rotate(items: range, work) -> None:
         for q in items:
-            _rotate_into(out[q], np.rot90(arrays[q], -k), tables, *work)
+            _rotate_into(out[q], np.rot90(arrays[q], -k), *tables, *work)
 
     parallel_fill(len(out), rotate, n_workers,
                   lambda: (np.empty((n, 2 * n), complex),
@@ -285,9 +280,9 @@ def rotate_modal(f: ScalarField, theta: float) -> ScalarField:
     three FFT shears (x, y, x) on a 2x zero-padded copy, exact for fields
     that are band-limited and negligible at the grid edge.  No 2n x 2n
     array is made: _rotate_all runs the shears in place in an n x 2n band
-    of the padded copy's central rows, the y shear in column chunks, each
-    times a contiguous slice of a _shear_phase table.  theta = 0 (mod 2 pi)
-    returns the input unchanged.
+    of the padded copy's central rows, the y shear in column chunks.
+    theta = 0 (mod 2 pi) returns the input unchanged; a non-finite theta
+    raises DomainError.
     """
     if _quarter_turns(theta) == (0, 0.0):
         return f

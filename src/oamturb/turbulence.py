@@ -477,7 +477,7 @@ def fried_from_broadening(w_t: float, w: float) -> float:
     """
     if not w > 0:
         raise DomainError(f"reference width must be positive, got {w}")
-    if w_t < w:
+    if not w_t >= w:
         raise DomainError(f"broadened width {w_t} smaller than reference {w}")
     return (1 / 3) * math.sqrt((w_t / w) ** 2 - 1)
 

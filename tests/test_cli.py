@@ -454,6 +454,29 @@ class TestRunRecord:
         timings = json.loads((out / "manifest.json").read_text())["timings"]
         assert timings["realizations_per_s"] == cells / timings["compute_s"]
 
+    @pytest.mark.parametrize("command, engine", [("ph-curve", "run_fidelity_scan"),
+                                                 ("fidelity-scan", "run_fidelity_scan"),
+                                                 ("rotation-scan", "run_rotation_scan")])
+    def test_scan_calls_the_engine_installed_on_the_module(self, tmp_path, monkeypatch,
+                                                           command, engine):
+        # a wrapper installed on oamturb.cli, as a tracer installs one, sees
+        # the call, and only the engine that matches the command runs
+        calls = []
+
+        def wrap(name):
+            inner = getattr(oamturb.cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in ("run_fidelity_scan", "run_rotation_scan"):
+            monkeypatch.setattr(oamturb.cli, name, wrap(name))
+        args, code, _ = RECORD_CASES[command]
+        assert run([command, *args, "--out-dir", str(tmp_path / "run")]) == code
+        assert calls == [engine]
+
     def test_unwritable_out_dir_exits_one(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")

@@ -82,6 +82,13 @@ class TestHybridQubit:
         with pytest.raises(DomainError):
             HybridQubit.from_amplitudes(0.0, 0.0)
 
+    def test_non_finite_amplitudes_rejected(self):
+        # a NaN norm fails the normalization check instead of passing it
+        with pytest.raises(DomainError):
+            HybridQubit(float("nan"), 0)
+        with pytest.raises(DomainError):
+            HybridQubit.from_amplitudes(math.inf, 1)
+
     def test_mub_set_structure(self):
         states = mub_states(1)
         assert len(states) == len(MUB_LABELS) == 6
@@ -223,6 +230,10 @@ class TestDecodeResult:
     def test_inconsistent_success_rejected(self):
         with pytest.raises(DomainError):
             DecodeResult(np.array([1.0 + 0j, 0.0j]), 0.5)
+
+    def test_nan_success_rejected(self):
+        with pytest.raises(DomainError):
+            DecodeResult(np.array([1.0 + 0j, 0.0j]), float("nan"))
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ShapeMismatchError):

@@ -313,11 +313,13 @@ class TestRotateModal:
         # a second field at the same angle builds no phase
         rotate_modal(ScalarField(g, proj_l), 0.3)
         assert _shear_phase.cache_info().misses == 2
-        ph_x = _shear_phase(g.n, g.pitch, -np.tan(0.15), 1)
-        ph_y = _shear_phase(g.n, g.pitch, np.sin(0.3), 0)
+        ph_x = _shear_phase(g.n, g.pitch, -np.tan(0.15), g.n // 2)
+        ph_y = _shear_phase(g.n, g.pitch, np.sin(0.3), g.n)
         assert _shear_phase.cache_info().misses == 2
-        # y stores only its first n rows: the rest are their conjugate mirrors
-        assert ph_x.shape == ph_y.shape == (g.n, 2 * g.n)
+        # each stores only the rows below the centre: x the n // 2 of the
+        # band, y all n; the rest are their conjugate mirrors
+        assert ph_x.shape == (g.n // 2, 2 * g.n)
+        assert ph_y.shape == (g.n, 2 * g.n)
         for ph in (ph_x, ph_y):
             assert ph.flags.c_contiguous and not ph.flags.writeable
             with pytest.raises(ValueError):
@@ -326,8 +328,8 @@ class TestRotateModal:
     @pytest.mark.parametrize("n", [32, 64, 256, 512])
     def test_shear_phase_is_the_full_expi_table_bitwise(self, n):
         # one quadrant plus conjugate mirrors == the literal full-table
-        # build, zero signs included: x keeps the n central rows of the
-        # (c, f) table, y its first n, whose mirrors are the other n
+        # build, zero signs included: a table keeps the rows of the (c, f)
+        # table just below the centre, n // 2 for x and n for y
         m = 2 * n
         for pitch in (8.0 / n, 0.1, 16.0 / 512):
             c = (np.arange(m) - m / 2 + 0.5) * pitch
@@ -335,15 +337,20 @@ class TestRotateModal:
             for coeff in (np.tan(np.pi / 16), -np.tan(np.pi / 16), np.sin(np.pi / 4),
                           -np.sin(np.pi / 4), np.sin(1e-9), -np.tan(0.175), 0.5):
                 full = expi(-2 * np.pi * np.outer(c * coeff, f))
-                want_x = full[n // 2:n // 2 + n]
+                want_x = full[n // 2:n]
                 want_y = full[:n]
-                assert _shear_phase(n, pitch, coeff, 1).tobytes() == want_x.tobytes()
-                assert _shear_phase(n, pitch, coeff, 0).tobytes() == want_y.tobytes()
+                assert _shear_phase(n, pitch, coeff, n // 2).tobytes() == want_x.tobytes()
+                assert _shear_phase(n, pitch, coeff, n).tobytes() == want_y.tobytes()
 
     def test_zero_angle_is_identity_object(self):
         f = make_lg_mode(1, GRID)
         assert rotate_modal(f, 0.0) is f
         assert rotate_modal(f, 4 * np.pi) is f
+
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angle_rejected(self, theta):
+        with pytest.raises(DomainError, match="rotation angle must be finite"):
+            rotate_modal(make_lg_mode(1, GRID), theta)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_quarter_turns_are_exact_phases(self, k):

@@ -410,6 +410,16 @@ class TestRotationScan:
         with pytest.raises(DomainError):
             run_rotation_scan(ExperimentConfig(strengths=(0.6,), n_realizations=2))
 
+    def test_rejects_non_finite_angle_before_any_screen(self, monkeypatch):
+        def no_screens(*args):
+            raise AssertionError("a screen was drawn")
+
+        monkeypatch.setattr(montecarlo, "_screen_loop", no_screens)
+        cfg = ExperimentConfig(strengths=(0.6,), n_realizations=2, grid=SMALL,
+                               angles=(0.0, float("nan")))
+        with pytest.raises(DomainError, match="rotation angle must be finite, got nan"):
+            run_rotation_scan(cfg)
+
 
 def literal_coefficient_samples(l, params, n, master_seed, grid):
     """run_coefficient_estimate's per-realization (c0, c2l, reverse,

@@ -802,6 +802,8 @@ class TestBroadeningInverter:
             fried_from_broadening(0.9, 1.0)
         with pytest.raises(DomainError):
             fried_from_broadening(1.0, 0.0)
+        with pytest.raises(DomainError):
+            fried_from_broadening(float("nan"), 1.0)
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(st.floats(0.0, 3.0), st.floats(0.1, 10.0))
