@@ -142,22 +142,13 @@ def _cubic_rule(n_nodes: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
     return scale * t**3, 3 * scale * t**2 * (0.5 * w)
 
 
-@functools.lru_cache(maxsize=32)
-def _angular_rule(n_nodes: int):
-    """(u, weight, sin_pow) with sum(weight * g(u)) approximating
-    int_0^pi g(u) du, and sin_pow the cusp factor |sin(u/2)|^{5/3} at the
-    nodes."""
-    u, weight = _cubic_rule(n_nodes, np.pi)  # single cusp at u = 0
-    return u, weight, np.abs(np.sin(u / 2)) ** (5 / 3)
-
-
 def _theta_values(r: np.ndarray, w_over_r0: float, n_nodes: int,
                   *delta_ls: int) -> list[np.ndarray]:
     """Theta_dl at each radius for each dl in delta_ls: 2 pi * 2 *
     int_0^pi cos(dl u) gamma du, every dl from one radius x angle
     coherence matrix, built in place."""
-    u, weight, sin_pow = _angular_rule(n_nodes)
-    gam = np.outer((r * w_over_r0) ** (5 / 3), sin_pow)
+    u, weight = _cubic_rule(n_nodes, np.pi)  # single cusp at u = 0
+    gam = np.outer((r * w_over_r0) ** (5 / 3), np.abs(np.sin(u / 2)) ** (5 / 3))
     gam *= -_COHERENCE_SCALE
     np.exp(gam, out=gam)
     # one matrix-vector product per dl: a matrix-matrix product of the
@@ -165,7 +156,6 @@ def _theta_values(r: np.ndarray, w_over_r0: float, n_nodes: int,
     return [4 * np.pi * (gam @ (np.cos(dl * u) * weight)) for dl in delta_ls]
 
 
-@functools.lru_cache(maxsize=32)
 def _separation_rule(l: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Separation nodes d and weights (k0, k2) with sum(k * g(d))
     approximating int A(d) g(d) d dd / int A_0(d) d dd for A = A_0, A_2l

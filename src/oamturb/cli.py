@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import functools
 import json
 import math
 import os.path
@@ -290,7 +289,6 @@ def _write_record(command: str, cfg: dict, record: _Record, compute_s: float) ->
     _write_json(os.path.join(out, "manifest.json"), manifest)
 
 
-@functools.cache
 def _scipy_version() -> str | None:
     """The Version field of the first scipy-*.dist-info on sys.path, the
     metadata importlib.metadata.version("scipy") reads; None when there is
@@ -648,10 +646,12 @@ def main(argv=None) -> int:
         message, code = exc, 2
     except OSError as exc:
         message, code = f"cannot write output: {exc}", 1
-    except MemoryError as exc:  # e.g. a grid too large to allocate
-        message, code = f"out of memory: {exc}", 1
     except (_UsageError, OamTurbError) as exc:
         message, code = exc, 1
+    except (MemoryError, ValueError) as exc:  # a grid too large to allocate or address
+        if isinstance(exc, ValueError) and not str(exc).startswith("array is too big"):
+            raise
+        message, code = f"out of memory: {exc}", 1
     if code:
         print(f"oamturb {args.command}: {message}", file=sys.stderr)
     return code

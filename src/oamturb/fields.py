@@ -170,16 +170,14 @@ def expi(x, out: np.ndarray | None = None) -> np.ndarray:
 _SHEAR_CHUNK = 32
 
 
-@functools.lru_cache(maxsize=2)
 def _shear_phase(n: int, pitch: float, coeff: float, rows: int) -> np.ndarray:
-    """Read-only shear phase exp(-2 pi i coeff c f) of rotate_modal's
+    """Shear phase exp(-2 pi i coeff c f) of rotate_modal's
     2n-point padded transforms (c: centred coordinate, f: FFT frequency),
     one row per coordinate c, for the `rows` coordinates c < 0 nearest the
     centre: n // 2 for the x shear, n for the y shear.  c and f (bar f = 0
     and Nyquist) are antisymmetric exactly, so conjugate mirrors fill the
     rest, bitwise the full expi: the columns past Nyquist here, and every
-    row past the centre in _shear.  Two entries hold one angle's pair: a
-    second field at the same angle builds none."""
+    row past the centre in _shear.  Read-only: worker threads share it."""
     m = 2 * n
     c = (np.arange(m) - m / 2 + 0.5) * pitch
     ph = np.empty((rows, m), dtype=np.complex128)
@@ -251,7 +249,7 @@ def _rotate_all(out: np.ndarray, arrays, pitch: float, theta: float,
     """Set each n x n slot out[q] to rotate_modal's rotation of arrays[q]
     by theta.  A pure quarter turn is an np.rot90 copy on the calling
     thread, with no work arrays; a residual's x and y shear tables are
-    found once, there, and _rotate_into shears each quarter-turned slot on
+    built once, there, and _rotate_into shears each quarter-turned slot on
     parallel_fill, each thread in its own n x 2n band and _SHEAR_CHUNK x 2n
     chunk."""
     n = out.shape[-1]
@@ -302,18 +300,11 @@ def intensity_frame_fraction(inten: np.ndarray) -> float:
 
 
 @functools.lru_cache(maxsize=4)
-def _transfer_function(grid: GridSpec, distance: float, wavelength: float) -> np.ndarray:
-    """Read-only Fresnel transfer function exp(-i pi lambda z f^2), cached
-    because an ensemble propagates every screened field by one distance."""
-    fsq = grid.freqs**2
-    tf = np.exp(-1j * np.pi * wavelength * distance * (fsq[None, :] + fsq[:, None]))
-    tf.flags.writeable = False
-    return tf
-
-
 def _transfer(grid: GridSpec, distance: float, wavelength: float) -> np.ndarray | None:
-    """propagate's checks, then the cached _transfer_function (None at distance
-    0); checked first, so that no NaN table is cached."""
+    """propagate's checks, then None at distance 0, else the read-only Fresnel
+    transfer function exp(-i pi lambda z f^2), cached because an ensemble
+    propagates every screened field by one distance; a call that raises
+    caches nothing."""
     for name, value in (("wavelength", wavelength), ("propagation distance", distance)):
         if not np.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
@@ -322,7 +313,12 @@ def _transfer(grid: GridSpec, distance: float, wavelength: float) -> np.ndarray 
     scale = np.pi * float(wavelength) * float(distance)  # the transfer function's phase
     if not np.isfinite(scale):
         raise DomainError(f"pi * wavelength * propagation distance must be finite, got {scale}")
-    return None if distance == 0.0 else _transfer_function(grid, distance, wavelength)
+    if distance == 0.0:
+        return None
+    fsq = grid.freqs**2
+    tf = np.exp(-1j * np.pi * wavelength * distance * (fsq[None, :] + fsq[:, None]))
+    tf.flags.writeable = False
+    return tf
 
 
 def _fresnel(u: np.ndarray, tf: np.ndarray | None, inten: np.ndarray,

@@ -20,7 +20,7 @@ angle's rows, dropped once that angle's products are taken.  The decode
 projections of each group of angles that share a residual shear are
 sheared by one fields._rotate_all call, each into its slot of one array,
 on the worker threads.  No engine keeps a grid-sized array once it
-returns, beyond the caches the README lists (LG modes, synthesis and shear
+returns, beyond the caches the README lists (LG modes and synthesis
 tables).
 """
 

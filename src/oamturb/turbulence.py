@@ -475,9 +475,11 @@ def fried_from_broadening(w_t: float, w: float) -> float:
     w is the unperturbed spot size at the observation plane and w_t the
     turbulent one at the same plane.
     """
+    if not (math.isfinite(w_t) and math.isfinite(w)):
+        raise DomainError(f"widths must be finite, got w_t={w_t}, w={w}")
     if not w > 0:
         raise DomainError(f"reference width must be positive, got {w}")
-    if not w_t >= w:
+    if w_t < w:
         raise DomainError(f"broadened width {w_t} smaller than reference {w}")
     return (1 / 3) * math.sqrt((w_t / w) ** 2 - 1)
 

@@ -19,7 +19,6 @@ from oamturb import (
 from oamturb import analytic, parallel
 from oamturb.analytic import (
     _SEPARATION_CUTOFF,
-    _angular_rule,
     _companion_eigenvalues,
     _cubic_rule,
     _legendre_rule,
@@ -295,7 +294,6 @@ class TestLegendreRule:
         # the doubled pass's 400 x 1024 coherence matrix is the one large
         # array; leggauss(1024)'s companion matrix alone would be 8 MiB
         _legendre_rule.cache_clear()
-        _angular_rule.cache_clear()
         tracemalloc.start()
         try:
             ring_coefficients(1, P06)

@@ -325,12 +325,7 @@ class TestPhCurve:
             (site / dist / "METADATA").write_text(
                 "Metadata-Version: 2.1\nName: scipy\nVersion: 9.9.9\n\nVersion: 0\n")
         monkeypatch.setattr(sys, "path", [str(tmp_path / "missing"), str(site)])
-        oamturb.cli._scipy_version.cache_clear()
-        try:
-            version = oamturb.cli._scipy_version()
-        finally:
-            oamturb.cli._scipy_version.cache_clear()
-        assert version == ("9.9.9" if dist else None)
+        assert oamturb.cli._scipy_version() == ("9.9.9" if dist else None)
 
     def test_json_files_write_non_finite_as_null(self, tmp_path):
         path = tmp_path / "out.json"
@@ -518,6 +513,46 @@ class TestUnsamplableGrid:
         assert err == ("oamturb fidelity-scan: out of memory: Unable to allocate 29.1 TiB "
                        "for an array with shape (1, 2, 1000000, 1000000) and data type "
                        "complex128\n")
+        assert not out.exists()
+
+    def test_other_value_errors_propagate(self, tmp_path, monkeypatch):
+        # only numpy's "array is too big" reads as out of memory
+        def bug(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(oamturb.montecarlo, "_weights", bug)
+        with pytest.raises(ValueError, match="^operands could not"):
+            run(["fidelity-scan", "--grid-n", "32", "--out-dir", str(tmp_path / "out")])
+
+
+def hostile_cases():
+    """(command, flags) for every command and each value that must fail
+    before any screen is drawn."""
+    for command, defaults in _COMMAND_DEFAULTS.items():
+        strength = "--strengths" if "strengths" in defaults else "--strength"
+        cases = [["--grid-n", "1000000000000"], ["--grid-n", "31"], ["--grid-extent", "nan"],
+                 ["--grid-extent", "inf"], ["--seed", "-1"], ["--workers", "-1"],
+                 ["--realizations", "0"], [strength, "nan"], [f"{strength}=-0.5"]]
+        # the two-row weight stack is beyond numpy's size limit; the other
+        # three commands would first build a 4.5 GiB coordinate array
+        if command in ("ph-curve", "fidelity-scan"):
+            cases.append(["--grid-n", "600000000"])
+        for flags in cases:
+            yield pytest.param(command, flags, id=f"{command}:{'='.join(flags)}")
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("command, flags", hostile_cases())
+    def test_one_line_and_no_traceback(self, tmp_path, capsys, monkeypatch, command,
+                                       flags):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a screen was drawn")
+
+        monkeypatch.setattr(oamturb.turbulence, "_unit_screen", refuse)
+        out = tmp_path / "out"
+        assert run([command, *flags, "--out-dir", str(out)]) in (1, 2)
+        err = capsys.readouterr().err
+        assert err.startswith(f"oamturb {command}: ") and err.count("\n") == 1, err
         assert not out.exists()
 
 

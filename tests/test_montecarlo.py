@@ -1,13 +1,18 @@
 """Ensemble bookkeeping, scan engines, and seeding reproducibility."""
 
 import dataclasses
+import functools
 import gc
+import importlib
+import inspect
 import math
+import pkgutil
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import oamturb
 from oamturb import (
     DomainError,
     EnsembleStats,
@@ -551,8 +556,8 @@ class TestDrawCounts:
 
 
 # the grid-sized caches the README lists under "What each grid caches"
-LISTED_CACHES = (fields._lg_mode, turbulence._tables, fields._transfer_function,
-                 fields._shear_phase, analytic._legendre_rule)
+LISTED_CACHES = (fields._lg_mode, turbulence._tables, fields._transfer,
+                 analytic._legendre_rule)
 
 
 class TestRetained:
@@ -585,3 +590,25 @@ class TestRetained:
             tracemalloc.stop()
         assert rows
         assert retained < grid.n**2 * np.dtype(complex).itemsize
+
+    def test_memo_set_is_pinned(self):
+        """The package memoises only what a workload reads again: a new
+        memo needs a workload that hits it, and a memo no workload hits is
+        deleted.  Every module-level object with cache_info and every
+        cached_property of a class counts."""
+        found = set()
+        for info in pkgutil.iter_modules(oamturb.__path__):
+            module = importlib.import_module(f"oamturb.{info.name}")
+            for obj in vars(module).values():
+                if getattr(obj, "__module__", None) != module.__name__:
+                    continue
+                if hasattr(obj, "cache_info"):
+                    found.add(f"{info.name}.{obj.__qualname__}")
+                if inspect.isclass(obj):
+                    found |= {f"{info.name}.{obj.__qualname__}.{name}"
+                              for name, attr in vars(obj).items()
+                              if isinstance(attr, functools.cached_property)}
+        assert found == {"fields._lg_mode", "turbulence._tables", "fields._transfer",
+                         "analytic._legendre_rule", "parallel._openblas",
+                         "parallel._thread_calls", "fields.GridSpec.coords",
+                         "fields.GridSpec.freqs", "turbulence.PhaseScreen.phase_factor"}

@@ -805,6 +805,12 @@ class TestBroadeningInverter:
         with pytest.raises(DomainError):
             fried_from_broadening(float("nan"), 1.0)
 
+    @pytest.mark.parametrize("w_t, w", [(math.inf, 1.0), (math.inf, math.inf),
+                                        (math.nan, 1.0), (2.0, math.inf)])
+    def test_non_finite_widths_rejected(self, w_t, w):
+        with pytest.raises(DomainError, match=f"^widths must be finite, got w_t={w_t}, w={w}$"):
+            fried_from_broadening(w_t, w)
+
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(st.floats(0.0, 3.0), st.floats(0.1, 10.0))
     def test_inverts_the_growth_model(self, strength, w):
@@ -831,7 +837,7 @@ def literal_propagate(f, distance, wavelength):
         raise AliasingError("input field reaches the grid boundary")
     if distance == 0.0:
         return f
-    tf = fields._transfer_function(f.grid, distance, wavelength)
+    tf = fields._transfer(f.grid, distance, wavelength)
     out = ScalarField(f.grid, np.fft.ifft2(np.fft.fft2(f.samples) * tf))
     if frame_fraction(out) >= BOUNDARY_ENERGY_LIMIT:
         raise AliasingError("propagated field reaches the grid boundary")
@@ -1018,7 +1024,7 @@ class TestBroadeningSweep:
         # start, so a worker's arena never holds it; (37.0, 0.011) is a key
         # no other test builds
         builders = []
-        cached = fields._transfer_function
+        cached = turbulence._transfer
 
         def recorded(*args):
             misses = cached.cache_info().misses
@@ -1027,7 +1033,7 @@ class TestBroadeningSweep:
                 builders.append(threading.get_ident())
             return tf
 
-        monkeypatch.setattr(fields, "_transfer_function", recorded)
+        monkeypatch.setattr(turbulence, "_transfer", recorded)
         params = [TurbulenceParams(w_over_r0=w) for w in (0.3, 0.6)]
         beam_broadening_sweep(params, 100, 37.0, 0.011, 1, SMALL, n_workers=2)
         assert builders == [threading.get_ident()]
