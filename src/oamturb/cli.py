@@ -414,7 +414,8 @@ def cmd_rotation_scan(cfg: dict) -> _Record:
     n_angles = int(cfg["n_angles"])
     if n_angles < 1:
         raise _UsageError("--n-angles must be at least 1")
-    angles = tuple(2 * np.pi * k / n_angles for k in range(n_angles))
+    # numpy refuses a count past its size limit before it allocates
+    angles = tuple((2 * np.pi * np.arange(n_angles) / n_angles).tolist())
     result, realizations = _scan(cfg, [cfg["strength"]], mub_states(int(cfg["l"])), MUB_LABELS,
                                  angles)
     rows = [[r.theta, r.state_label, r.fidelity.mean, r.fidelity.stderr]
@@ -648,10 +649,12 @@ def main(argv=None) -> int:
         message, code = f"cannot write output: {exc}", 1
     except (_UsageError, OamTurbError) as exc:
         message, code = exc, 1
-    except (MemoryError, ValueError) as exc:  # a grid too large to allocate or address
-        if isinstance(exc, ValueError) and not str(exc).startswith("array is too big"):
+    except (MemoryError, ValueError) as exc:  # an array too large to allocate or address
+        # numpy's "array is too big" and "Maximum allowed size (dimension) exceeded"
+        refused = str(exc).startswith(("array is too big", "Maximum allowed "))
+        if isinstance(exc, ValueError) and not refused:
             raise
-        message, code = f"out of memory: {exc}", 1
+        message, code = f"out of memory: {str(exc) or type(exc).__name__}", 1
     if code:
         print(f"oamturb {args.command}: {message}", file=sys.stderr)
     return code

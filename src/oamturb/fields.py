@@ -302,7 +302,8 @@ def intensity_frame_fraction(inten: np.ndarray) -> float:
 @functools.lru_cache(maxsize=4)
 def _transfer(grid: GridSpec, distance: float, wavelength: float) -> np.ndarray | None:
     """propagate's checks, then None at distance 0, else the read-only Fresnel
-    transfer function exp(-i pi lambda z f^2), cached because an ensemble
+    transfer function exp(-i pi lambda z f^2) as its rows 0 ... n/2 (fftfreq's
+    squares mirror, so row n - k is row k bitwise), cached because an ensemble
     propagates every screened field by one distance; a call that raises
     caches nothing."""
     for name, value in (("wavelength", wavelength), ("propagation distance", distance)):
@@ -316,25 +317,31 @@ def _transfer(grid: GridSpec, distance: float, wavelength: float) -> np.ndarray 
     if distance == 0.0:
         return None
     fsq = grid.freqs**2
-    tf = np.exp(-1j * np.pi * wavelength * distance * (fsq[None, :] + fsq[:, None]))
+    tf = np.exp(-1j * np.pi * wavelength * distance
+                * (fsq[None, :] + fsq[:grid.n // 2 + 1, None]))
     tf.flags.writeable = False
     return tf
+
+
+_SCRATCH_ROWS = 16  # rows of _fresnel's scratch in propagate and the sweep
 
 
 def _fresnel(u: np.ndarray, tf: np.ndarray | None, inten: np.ndarray,
              scratch: np.ndarray) -> float:
     """propagate() on the complex samples u, overwriting them, by the step
     whose _transfer is tf: the same guards, messages and arithmetic,
-    bitwise, with nothing grid-sized allocated.  inten and scratch are real
-    work arrays of u's shape; inten is left holding |u|^2 of the result,
-    and its intensity_frame_fraction is returned."""
+    bitwise, with nothing grid-sized allocated.  inten, a real work array of
+    u's shape, is left holding |u|^2 of the result, whose
+    intensity_frame_fraction is returned; scratch is real, of u's row length
+    and any number of rows.  Rows past n/2 take tf's rows reversed."""
     fraction = _frame_fraction(u, inten, scratch)
     if fraction >= BOUNDARY_ENERGY_LIMIT:
         raise AliasingError("input field reaches the grid boundary")
     if tf is None:
         return fraction
     np.fft.fft2(u, out=u)
-    u *= tf
+    u[:len(tf)] *= tf
+    u[len(tf):] *= tf[-2:0:-1]  # contiguous rows: numpy needs no ufunc buffer
     # ifftn, not ifft2: numpy's ifft2 (2.4.6) silently ignores out= and
     # returns a fresh array, so u would keep the spectrum
     np.fft.ifftn(u, axes=(-2, -1), out=u)
@@ -346,9 +353,12 @@ def _fresnel(u: np.ndarray, tf: np.ndarray | None, inten: np.ndarray,
 
 def _frame_fraction(u: np.ndarray, inten: np.ndarray, scratch: np.ndarray) -> float:
     """intensity_frame_fraction of |u|^2, built in inten (== u.real**2 +
-    u.imag**2 bitwise) with scratch as the second operand."""
+    u.imag**2 bitwise) with scratch as the second operand, len(scratch)
+    rows at a time: the operation is elementwise, so the bytes are the same."""
     np.square(u.real, out=inten)
-    inten += np.square(u.imag, out=scratch)
+    for i in range(0, len(u), len(scratch)):
+        block = inten[i:i + len(scratch)]
+        block += np.square(u.imag[i:i + len(scratch)], out=scratch[:len(block)])
     return intensity_frame_fraction(inten)
 
 
@@ -359,8 +369,10 @@ def propagate(f: ScalarField, distance: float, wavelength: float) -> ScalarField
     transfer function exp(-i pi lambda z f^2) is unitary, so grid power is
     conserved.  Raises AliasingError when more than BOUNDARY_ENERGY_LIMIT
     of the power sits in the outer 2-pixel frame before or after the step,
-    since wrap-around then contaminates the result.
+    since wrap-around then contaminates the result.  The transfer function
+    is cached as its rows 0 ... n/2, which mirror onto the rest.
     """
     u = f.samples.copy()
-    _fresnel(u, _transfer(f.grid, distance, wavelength), np.empty(u.shape), np.empty(u.shape))
+    _fresnel(u, _transfer(f.grid, distance, wavelength), np.empty(u.shape),
+             np.empty((_SCRATCH_ROWS, f.grid.n)))
     return f if distance == 0.0 else ScalarField(f.grid, u)

@@ -515,8 +515,24 @@ class TestUnsamplableGrid:
                        "complex128\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("exc, text", [
+        (ValueError("Maximum allowed size exceeded"), "Maximum allowed size exceeded"),
+        (ValueError("Maximum allowed dimension exceeded"), "Maximum allowed dimension exceeded"),
+        (MemoryError(), "MemoryError"),  # no text: its type name
+    ])
+    def test_numpy_size_refusals_end_in_one_line(self, tmp_path, capsys, monkeypatch, exc,
+                                                 text):
+        def refuse(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(oamturb.montecarlo, "_weights", refuse)
+        out = tmp_path / "out"
+        assert run(["fidelity-scan", "--grid-n", "32", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"oamturb fidelity-scan: out of memory: {text}\n"
+        assert not out.exists()
+
     def test_other_value_errors_propagate(self, tmp_path, monkeypatch):
-        # only numpy's "array is too big" reads as out of memory
+        # only numpy's size and shape refusals read as out of memory
         def bug(*args, **kwargs):
             raise ValueError("operands could not be broadcast together")
 
@@ -537,6 +553,11 @@ def hostile_cases():
         # three commands would first build a 4.5 GiB coordinate array
         if command in ("ph-curve", "fidelity-scan"):
             cases.append(["--grid-n", "600000000"])
+        # numpy refuses both angle arrays before it allocates; 10^12 angles
+        # are left out, as their outcome depends on the machine's overcommit
+        if command == "rotation-scan":
+            cases += [["--n-angles", "2305843009213693952"],
+                      ["--n-angles", "10000000000000000000"]]
         for flags in cases:
             yield pytest.param(command, flags, id=f"{command}:{'='.join(flags)}")
 

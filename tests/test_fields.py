@@ -24,6 +24,7 @@ from oamturb import (
 from oamturb import fields, turbulence
 from oamturb.elements import decode_factors
 from oamturb.fields import (
+    _frame_fraction,
     _rotate_all,
     _shear_phase,
     _transfer,
@@ -399,12 +400,17 @@ class TestPropagate:
             assert np.array_equal(propagate(f, 1.5, 0.5).samples, expected)
         assert not _transfer(g, 1.5, 0.5).flags.writeable
 
-    @pytest.mark.parametrize("n", [64, 256, 300, 512])
+    @pytest.mark.parametrize("n", [32, 34, 46, 64, 256, 300, 512])
     def test_transfer_function_is_bitwise_its_meshgrid_build(self, n):
+        # the cache holds rows 0 ... n/2; the literal's rows past n/2 are
+        # the stored rows n/2 - 1 ... 1, as _fresnel reads them
         g = GridSpec(n, n / 16)
         fx, fy = np.meshgrid(g.freqs, g.freqs)
         literal = np.exp(-1j * np.pi * 0.01 * 30.0 * (fx**2 + fy**2))
-        assert _transfer(g, 30.0, 0.01).tobytes() == literal.tobytes()
+        tf, h = _transfer(g, 30.0, 0.01), n // 2 + 1
+        assert tf.shape == (h, n)
+        assert tf.tobytes() == literal[:h].tobytes()
+        assert tf[h - 2:0:-1].tobytes() == literal[h:].tobytes()
 
     def test_zero_distance_returns_input(self):
         f = make_lg_mode(0, GRID)
@@ -447,6 +453,21 @@ class TestPropagate:
 
 
 class TestBoundaryEnergyFraction:
+    @pytest.mark.parametrize("n", [34, 64])
+    def test_scratch_of_any_row_count_leaves_the_same_bytes(self, n):
+        # _frame_fraction squares u.imag len(scratch) rows at a time: the
+        # operation is elementwise, so every row count gives the bytes of a
+        # full-size scratch, which are those of u.real**2 + u.imag**2
+        rng = np.random.default_rng(n)
+        u = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        full = np.empty((n, n))
+        expected = _frame_fraction(u, full, np.empty((n, n)))
+        assert full.tobytes() == (u.real**2 + u.imag**2).tobytes()
+        for rows in (1, 7, 32, n):
+            inten = np.empty((n, n))
+            assert _frame_fraction(u, inten, np.empty((rows, n))) == expected, rows
+            assert inten.tobytes() == full.tobytes(), rows
+
     def test_uniform_field_frame_fraction(self):
         n = 256
         expected = (n**2 - (n - 4) ** 2) / n**2

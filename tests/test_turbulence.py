@@ -42,7 +42,7 @@ from oamturb import (
     structure_function_estimate,
 )
 from oamturb import ScalarField, VectorField
-from oamturb import fields, parallel, turbulence
+from oamturb import parallel, turbulence
 from oamturb.fields import BOUNDARY_ENERGY_LIMIT, intensity_frame_fraction
 from oamturb.turbulence import STRUCTURE_COEFF
 
@@ -832,12 +832,14 @@ def frame_fraction(f):
 
 def literal_propagate(f, distance, wavelength):
     """propagate as an allocating step: both guards and fft2, * tf, ifft2,
-    each into a fresh array; the reference for the in-place Fresnel step."""
+    each into a fresh array, tf the full meshgrid transfer function; the
+    reference for the in-place Fresnel step."""
     if frame_fraction(f) >= BOUNDARY_ENERGY_LIMIT:
         raise AliasingError("input field reaches the grid boundary")
     if distance == 0.0:
         return f
-    tf = fields._transfer(f.grid, distance, wavelength)
+    fx, fy = np.meshgrid(f.grid.freqs, f.grid.freqs)
+    tf = np.exp(-1j * np.pi * wavelength * distance * (fx**2 + fy**2))
     out = ScalarField(f.grid, np.fft.ifft2(np.fft.fft2(f.samples) * tf))
     if frame_fraction(out) >= BOUNDARY_ENERGY_LIMIT:
         raise AliasingError("propagated field reaches the grid boundary")
@@ -963,10 +965,10 @@ class TestBroadeningSweep:
         assert sweep_calls == {"unit": 0, "propagate": 1}
 
     def test_working_set_is_a_few_screens(self):
-        # one worker's unit screen, field, phase and intensity arrays and
-        # the r^2 table are 3 screen sizes; its subharmonic buffers (32 x 384
-        # and 32 x 32 complex, a fixed size) add 3.25 at 64^2: 8.69 measured,
-        # so 10 leaves a margin of 1.31
+        # one worker's unit screen, field and phase arrays are 2 screen
+        # sizes; its subharmonic buffers (32 x 384 and 32 x 32 complex, a
+        # fixed size) add 3.25 at 64^2, and numpy's 64 KiB ufunc buffers
+        # are a screen size here: 7.82 measured, so 10 leaves a margin
         grid = GridSpec(64, 16.0)
         params = [TurbulenceParams(w_over_r0=w) for w in (0.0, 0.2, 0.6, 1.0, 1.4)]
         beam_broadening_sweep(params, 100, 30.0, 0.01, 1, grid, n_workers=1)  # warm
@@ -977,6 +979,22 @@ class TestBroadeningSweep:
         finally:
             tracemalloc.stop()
         assert peak < 10 * grid.n**2 * np.dtype(complex).itemsize
+
+    def test_working_set_is_three_grid_arrays_per_worker(self):
+        # a worker's unit screen, field and phase are 2 screen sizes (|u|^2
+        # is held in the phase's array, r^2 in the spent field); at 256^2
+        # its subharmonic buffers add 0.2 and its scratch rows 0.03: 2.38
+        # measured, and a fourth grid-sized array would add 0.5
+        grid = GridSpec(256, 16.0)
+        params = [TurbulenceParams(w_over_r0=w) for w in (0.0, 0.6)]
+        beam_broadening_sweep(params, 100, 30.0, 0.01, 1, grid, n_workers=1)  # warm
+        tracemalloc.start()
+        try:
+            beam_broadening_sweep(params, 100, 30.0, 0.01, 1, grid, n_workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.6 * grid.n**2 * np.dtype(complex).itemsize
 
     @pytest.mark.parametrize("n_workers", [1, 2, 3, 4])
     def test_lowest_failing_realization_at_any_worker_count(self, monkeypatch, n_workers):
