@@ -18,8 +18,8 @@ from .parallel import parallel_fill
 
 MAX_AZIMUTHAL_INDEX = 8
 
-# fraction of total power allowed in the outer 2-pixel frame before
-# FFT-based propagation is considered aliased
+# FFT-based propagation is considered aliased once at least this fraction
+# of the total power sits in the outer 2-pixel frame
 BOUNDARY_ENERGY_LIMIT = 1e-4
 
 
@@ -40,7 +40,8 @@ class GridSpec:
             raise RangeError(f"grid size must be an integer, got {self.n!r}")
         if self.n < 32 or self.n % 2:
             raise RangeError(f"grid size must be even and >= 32, got {self.n}")
-        if not (isinstance(self.extent, (int, float, np.floating)) and self.extent > 0):
+        if not (isinstance(self.extent, (int, float, np.floating)) and self.extent > 0
+                and not isinstance(self.extent, bool)):
             raise RangeError(f"grid extent must be positive, got {self.extent!r}")
         if self.extent == np.inf:
             raise RangeError("grid extent must be finite, got inf")
@@ -164,6 +165,33 @@ def expi(x, out: np.ndarray | None = None) -> np.ndarray:
     np.cos(x, out=u.real)
     np.sin(x, out=u.imag)
     return u
+
+
+_SCRATCH_ROWS = 16  # rows per block of _expi_half and of _fresnel's scratch
+
+
+def _halves(u: np.ndarray) -> np.ndarray:
+    """u's buffer as two contiguous real arrays of u's shape."""
+    return u.view(float).reshape(2, *u.shape)
+
+
+def _expi_half(u: np.ndarray) -> np.ndarray:
+    """expi(x, out=u) bitwise for x = _halves(u)[1], u's own second half,
+    in ascending blocks of rows: none writes rows of x that a later block
+    reads, and one that overlaps its own (the last one or two) copies them."""
+    x = _halves(u)[1]
+    for i in range(0, len(u), _SCRATCH_ROWS):
+        block, xs = u[i:i + _SCRATCH_ROWS], x[i:i + _SCRATCH_ROWS]
+        expi(xs.copy() if np.may_share_memory(block, xs) else xs, out=block)
+    return u
+
+
+def _mirrored(a: np.ndarray, half: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = a times the n-row table whose rows 0 ... n/2 are half: fftfreq's
+    squared frequencies mirror, so row n - k is row k bitwise."""
+    np.multiply(a[:len(half)], half, out=out[:len(half)])
+    np.multiply(a[len(half):], half[-2:0:-1], out=out[len(half):])
+    return out
 
 
 # band columns per chunk of rotate_modal's y shear, in place of a 2n x 2n array
@@ -302,10 +330,9 @@ def intensity_frame_fraction(inten: np.ndarray) -> float:
 @functools.lru_cache(maxsize=4)
 def _transfer(grid: GridSpec, distance: float, wavelength: float) -> np.ndarray | None:
     """propagate's checks, then None at distance 0, else the read-only Fresnel
-    transfer function exp(-i pi lambda z f^2) as its rows 0 ... n/2 (fftfreq's
-    squares mirror, so row n - k is row k bitwise), cached because an ensemble
-    propagates every screened field by one distance; a call that raises
-    caches nothing."""
+    transfer function exp(-i pi lambda z f^2) as its rows 0 ... n/2 (see
+    _mirrored), cached because an ensemble propagates every screened field
+    by one distance; a call that raises caches nothing."""
     for name, value in (("wavelength", wavelength), ("propagation distance", distance)):
         if not np.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
@@ -323,28 +350,17 @@ def _transfer(grid: GridSpec, distance: float, wavelength: float) -> np.ndarray 
     return tf
 
 
-_SCRATCH_ROWS = 16  # rows of _fresnel's scratch in propagate and the sweep
-
-
 def _fresnel(u: np.ndarray, tf: np.ndarray | None, inten: np.ndarray,
              scratch: np.ndarray) -> float:
-    """propagate() on the complex samples u, overwriting them, by the step
-    whose _transfer is tf: the same guards, messages and arithmetic,
-    bitwise, with nothing grid-sized allocated.  inten, a real work array of
-    u's shape, is left holding |u|^2 of the result, whose
-    intensity_frame_fraction is returned; scratch is real, of u's row length
-    and any number of rows.  Rows past n/2 take tf's rows reversed."""
-    fraction = _frame_fraction(u, inten, scratch)
-    if fraction >= BOUNDARY_ENERGY_LIMIT:
-        raise AliasingError("input field reaches the grid boundary")
-    if tf is None:
-        return fraction
-    np.fft.fft2(u, out=u)
-    u[:len(tf)] *= tf
-    u[len(tf):] *= tf[-2:0:-1]  # contiguous rows: numpy needs no ufunc buffer
-    # ifftn, not ifft2: numpy's ifft2 (2.4.6) silently ignores out= and
-    # returns a fresh array, so u would keep the spectrum
-    np.fft.ifftn(u, axes=(-2, -1), out=u)
+    """propagate()'s step by tf = _transfer(...) (None: no step) and its
+    output guard on the samples u, in place and bitwise, allocating nothing
+    grid-sized; the input guard is the caller's.  inten (real, u's shape,
+    may be _halves(u)[0]) is left holding |u|^2, whose frame fraction is
+    returned; scratch is real, 2 x any rows x n."""
+    if tf is not None:
+        np.fft.fft2(u, out=u)
+        _mirrored(u, tf, out=u)
+        np.fft.ifftn(u, axes=(-2, -1), out=u)  # ifft2 ignores out=, as in _unit_screen
     fraction = _frame_fraction(u, inten, scratch)
     if fraction >= BOUNDARY_ENERGY_LIMIT:
         raise AliasingError("propagated field reaches the grid boundary")
@@ -353,12 +369,13 @@ def _fresnel(u: np.ndarray, tf: np.ndarray | None, inten: np.ndarray,
 
 def _frame_fraction(u: np.ndarray, inten: np.ndarray, scratch: np.ndarray) -> float:
     """intensity_frame_fraction of |u|^2, built in inten (== u.real**2 +
-    u.imag**2 bitwise) with scratch as the second operand, len(scratch)
-    rows at a time: the operation is elementwise, so the bytes are the same."""
-    np.square(u.real, out=inten)
-    for i in range(0, len(u), len(scratch)):
-        block = inten[i:i + len(scratch)]
-        block += np.square(u.imag[i:i + len(scratch)], out=scratch[:len(block)])
+    u.imag**2 bitwise), scratch.shape[1] rows at a time.  Both squares are
+    taken before a block is written, so inten may be _halves(u)[0]."""
+    rows = scratch.shape[1]
+    for i in range(0, len(u), rows):
+        re, im = scratch[:, :min(rows, len(u) - i)]
+        np.square(u.real[i:i + rows], out=re)
+        np.add(re, np.square(u.imag[i:i + rows], out=im), out=inten[i:i + rows])
     return intensity_frame_fraction(inten)
 
 
@@ -367,12 +384,18 @@ def propagate(f: ScalarField, distance: float, wavelength: float) -> ScalarField
 
     distance and wavelength are in waist units, like the grid.  The
     transfer function exp(-i pi lambda z f^2) is unitary, so grid power is
-    conserved.  Raises AliasingError when more than BOUNDARY_ENERGY_LIMIT
+    conserved.  Raises AliasingError when at least BOUNDARY_ENERGY_LIMIT
     of the power sits in the outer 2-pixel frame before or after the step,
     since wrap-around then contaminates the result.  The transfer function
-    is cached as its rows 0 ... n/2, which mirror onto the rest.
+    is cached as its rows 0 ... n/2, which mirror onto the rest.  At
+    distance 0 only the checks and the input guard run.
     """
+    tf = _transfer(f.grid, distance, wavelength)
+    inten, scratch = np.empty(f.samples.shape), np.empty((2, _SCRATCH_ROWS, f.grid.n))
+    if _frame_fraction(f.samples, inten, scratch) >= BOUNDARY_ENERGY_LIMIT:
+        raise AliasingError("input field reaches the grid boundary")
+    if tf is None:
+        return f
     u = f.samples.copy()
-    _fresnel(u, _transfer(f.grid, distance, wavelength), np.empty(u.shape),
-             np.empty((_SCRATCH_ROWS, f.grid.n)))
-    return f if distance == 0.0 else ScalarField(f.grid, u)
+    _fresnel(u, tf, inten, scratch)
+    return ScalarField(f.grid, u)

@@ -34,7 +34,7 @@ import numpy as np
 from .analytic import DEFAULT_STRENGTHS
 from .elements import DECODE_MIX, MUB_LABELS, decode_factors, mub_states
 from .errors import DomainError, RangeError, StatisticsError
-from .fields import GridSpec, _quarter_turns, _rotate_all, expi, make_lg_mode
+from .fields import GridSpec, _expi_half, _quarter_turns, _rotate_all, expi, make_lg_mode
 from .turbulence import TurbulenceParams, _screen_loop
 
 # success_prob below this is a total-loss event, excluded from fidelity
@@ -194,13 +194,14 @@ def _cell_stats(suc: np.ndarray, fid: np.ndarray, raw: np.ndarray) -> dict:
 def _overlaps(weights: np.ndarray, params: list[TurbulenceParams], n_real: int, key,
               grid: GridSpec, n_workers: int) -> np.ndarray:
     """xy[si, i] = weights @ u for the phase factor u of screen key(si, i)
-    at params[si], built in place in the loop's complex array u.  At zero
+    at params[si], built in place in the loop's complex array u, whose
+    second half holds the phase (fields._expi_half).  At zero
     strength u is all ones, so such a cell is one field, not an ensemble:
     the loop steps its realization 0, copied here to the rest."""
     xy = np.empty((len(params), n_real, len(weights)), complex)
 
     def step(si: int, i: int, phase: np.ndarray, u: np.ndarray) -> None:
-        xy[si, i] = weights @ expi(phase, out=u).ravel()
+        xy[si, i] = weights @ _expi_half(u).ravel()
 
     _screen_loop(params, n_real, key, grid, n_workers, step)
     zero = [si for si, p in enumerate(params) if p.w_over_r0 == 0.0]

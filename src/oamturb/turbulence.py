@@ -33,10 +33,14 @@ from .fields import (
     GridSpec,
     ScalarField,
     VectorField,
+    _expi_half,
     _fresnel,
+    _halves,
+    _mirrored,
     _transfer,
     expi,
     make_lg_mode,
+    propagate,
 )
 from .parallel import parallel_fill
 
@@ -175,7 +179,9 @@ class _SynthesisTables:
         point[nz] = fsq[nz] ** (-11 / 6) * dfreq**2
         dc_block = (np.abs(np.rint(fx / dfreq)) <= 1) & (np.abs(np.rint(fy / dfreq)) <= 1)
         point[dc_block] = 0.0
-        self.amp_fft = np.sqrt(PSD_COEFF * point)
+        # rows 0 ... n/2, as row n - k is row k bitwise (fields._mirrored); a
+        # half-height build peaked 0.5 MB higher in repeated 256^2 rotation scans
+        self.amp_fft = np.sqrt(PSD_COEFF * point)[:grid.n // 2 + 1].copy()
 
         gl_x, gl_w = leggauss(16)
         cell_fx, cell_fy, cell_pow = [], [], []
@@ -257,17 +263,17 @@ def _unit_screen(
 ) -> np.ndarray:
     """The screen of key ss at w_over_r0 = 1, piston not yet removed,
     written to out for the caller to scale in place.  spec (complex) and
-    work (real) are work arrays of the grid's shape, so nothing grid-sized
-    is allocated; sub, when given, holds the subharmonic sum's complex
-    _CHEB_ORDER x _SUB_CELLS and _CHEB_ORDER x _CHEB_ORDER products."""
+    work (real, may be _halves(spec)[1]) are grid-shaped work arrays, so
+    nothing grid-sized is allocated; sub, when given, holds the subharmonic
+    sum's complex _CHEB_ORDER x _SUB_CELLS and _CHEB_ORDER^2 products."""
     n = grid.n
     tab = _tables(grid)
     rng = np.random.Generator(np.random.Philox(ss))
     # the spectrum (zr + 1j * zi) * amp_fft, written part by part into one
     # complex array; zi is drawn into zr's buffer, in the same draw order
     scr = rng.standard_normal((n, n), out=out)
-    np.multiply(scr, tab.amp_fft, out=spec.real)
-    np.multiply(rng.standard_normal(out=scr), tab.amp_fft, out=spec.imag)
+    _mirrored(scr, tab.amp_fft, out=spec.real)
+    _mirrored(rng.standard_normal(out=scr), tab.amp_fft, out=spec.imag)
     zsh = rng.standard_normal((2, tab.amp_sh.size))
     ztilt = rng.standard_normal(2)
     # ifftn, not ifft2: numpy's ifft2 (2.4.6) silently ignores out= and
@@ -338,23 +344,25 @@ def _screen_loop(params_list, n_real: int, key, grid: GridSpec, n_workers: int, 
     strength is one field, stepped at realization 0 only with no draw.
     Realizations run in strided shares (parallel_fill), each in order and
     strength by strength; one unit screen is drawn per run of equal keys.
-    phase, the complex u and work()'s arrays are the thread's own, and a
-    step may overwrite them all.  A step returning False drops its strength
-    for the rest of its share: a failing entry is stepped up to its first
-    failure in each share, so its lowest failing realization is stepped at
-    any worker count, and its step count, not its result, grows by at most
-    one per extra worker.  The synthesis tables are built here first."""
+    The complex u and work()'s arrays are the thread's own, phase is u's
+    second half, _halves(u)[1], and a step may overwrite them all.  A step
+    returning False drops its strength for the rest of its share: a failing
+    entry is stepped up to its first failure in each share, so its lowest
+    failing realization is stepped at any worker count, and its step count,
+    not its result, grows by at most one per extra worker.  The synthesis
+    tables are built here first."""
     shape = (grid.n, grid.n)
     if any(params.w_over_r0 != 0.0 for params in params_list):
         _tables(grid)
 
-    def thread_arrays():  # _unit_screen's sub, the unit screen, u, phase, work()'s
+    def thread_arrays():  # _unit_screen's sub, the unit screen, u, work()'s
         return ((np.empty((_CHEB_ORDER, _SUB_CELLS), complex),
                  np.empty((_CHEB_ORDER, _CHEB_ORDER), complex)),
-                (np.empty(shape), np.empty(shape, complex), np.empty(shape), *work()))
+                (np.empty(shape), np.empty(shape, complex), *work()))
 
     def share(realizations: range, made) -> None:
-        sub, (unit, u, phase, *extra) = made
+        sub, (unit, u, *extra) = made
+        phase = _halves(u)[1]  # also _unit_screen's work array
         drawn, dropped = None, set()
         for i in realizations:
             for j, params in enumerate(params_list):
@@ -413,9 +421,9 @@ def _screen_statistics(n_screens: int, grid: GridSpec, separations, coherence_se
             dy = ph[lag:, :] - ph[:-lag, :]
             d_vals[j, i] = 0.5 * (np.mean(np.square(dx, out=dx)) + np.mean(np.square(dy, out=dy)))
         if c_lags:
-            # cos(phi' - phi) = c'c + s's: one cos and one sin per screen
-            cs = u.view(float).reshape(2, *ph.shape)  # cos and sin: u's two halves
-            c, sn = np.cos(ph, out=cs[0]), np.sin(ph, out=cs[1])
+            # cos(phi' - phi) = c'c + s's: cos and sin in u's halves (sin in place
+            # when ph is the loop's phase, the second)
+            c, sn = np.cos(ph, out=_halves(u)[0]), np.sin(ph, out=_halves(u)[1])
             for j, lag in enumerate(c_lags.values()):
                 dx = c[:, lag:] * c[:, :-lag]
                 dx += sn[:, lag:] * sn[:, :-lag]
@@ -510,12 +518,14 @@ def beam_broadening_sweep(
     on n_workers threads (0: every usable core), each filling its own
     slots, an AliasingError included, so the result is the same for any
     worker count; the transfer function and synthesis tables are built on
-    the calling thread, so no worker's allocator arena holds them.  An
-    entry whose field reaches the grid boundary gets the AliasingError of
-    its lowest failing realization in place of its result; the others
-    continue.  Each worker's share propagates a failing entry up to its
-    first failure, so its propagation count, not its result, grows by at
-    most one per extra worker.
+    the calling thread, so no worker's allocator arena holds them.  A
+    screen leaves |u| as it is, so the input guard runs once, on the
+    Gaussian, after every other check, and fails every entry if it trips.
+    Past it, an entry whose propagated field reaches the boundary gets the
+    AliasingError of its lowest failing realization; the others continue.
+    Each worker's share propagates a failing entry up to its first
+    failure, so its propagation count, not its result, grows by at most
+    one per extra worker.
     """
     if n_realizations < 100:
         raise StatisticsError(f"need >= 100 realizations, got {n_realizations}")
@@ -524,32 +534,37 @@ def beam_broadening_sweep(
     if grid is None:
         grid = GridSpec(512, 16.0)
     gauss = make_lg_mode(0, grid).samples
+    if any(params.w_over_r0 != 0.0 for params in params_list):
+        _tables(grid)
+    # built here, before the guard's and the loop's arrays; built among the
+    # first worker's arrays, 512^2 sweeps peaked 1 MB higher
+    tf = _transfer(grid, propagation_distance, wavelength)
+    try:
+        propagate(make_lg_mode(0, grid), 0.0, wavelength)  # at distance 0: the input guard
+    except AliasingError as exc:
+        return [exc] * len(params_list)
     c2 = grid.coords**2
     moments = np.empty((len(params_list), n_realizations))
     frames = np.empty((len(params_list), n_realizations))
     errors = np.full((len(params_list), n_realizations), None)  # AliasingError slots
 
-    def step(j: int, i: int, phase, u, scratch, tf) -> bool:
-        # apply_screen and propagate, in place: gauss * exp(i phase), then
-        # |u|^2 in phase's array; past the guard, the spent field's contiguous
-        # first half holds r^2 = x^2 + y^2 (from the 1-D coords), then r^2 |u|^2
-        np.multiply(gauss, expi(phase, out=u), out=u)
+    def step(j: int, i: int, phase, u, scratch) -> bool:
+        # apply_screen and propagate's step, in place: gauss * exp(i phase),
+        # then |u|^2 and r^2 = x^2 + y^2 (from the 1-D coords) in the spent
+        # field's two halves, then r^2 |u|^2
+        np.multiply(gauss, _expi_half(u), out=u)
+        inten, r2 = _halves(u)
         try:
-            frames[j, i] = _fresnel(u, tf, phase, scratch)
+            frames[j, i] = _fresnel(u, tf, inten, scratch)
         except AliasingError as exc:
             errors[j, i] = exc
             return False
-        r2 = np.add(c2[:, None], c2[None, :], out=u.view(float).reshape(2, *phase.shape)[0])
-        moments[j, i] = float(np.sum(np.multiply(phase, r2, out=r2)) / np.sum(phase))
+        np.add(c2[:, None], c2[None, :], out=r2)
+        moments[j, i] = float(np.sum(np.multiply(inten, r2, out=r2)) / np.sum(inten))
         return True
 
-    # the transfer function comes with each thread's arrays (work() runs on
-    # the calling thread), so a first build lands above the first thread's
-    # arrays and keeps the heap from being trimmed after the sweep; built
-    # before them, repeated 512^2 sweeps peaked 0.2 MB higher
     _screen_loop(params_list, n_realizations, lambda j, i: (seed, i), grid, n_workers, step,
-                 lambda: (np.empty((_SCRATCH_ROWS, grid.n)),
-                          _transfer(grid, propagation_distance, wavelength)))
+                 lambda: (np.empty((2, _SCRATCH_ROWS, grid.n)),))
     results: list[Broadening | AliasingError] = []
     for j, params in enumerate(params_list):
         failure = next((exc for exc in errors[j] if exc is not None), None)

@@ -24,7 +24,10 @@ from oamturb import (
 from oamturb import fields, turbulence
 from oamturb.elements import decode_factors
 from oamturb.fields import (
+    _SCRATCH_ROWS,
+    _expi_half,
     _frame_fraction,
+    _halves,
     _rotate_all,
     _shear_phase,
     _transfer,
@@ -54,6 +57,14 @@ class TestGridSpec:
     def test_non_integer_size_rejected(self):
         with pytest.raises(RangeError):
             GridSpec(256.0, 8.0)
+
+    @pytest.mark.parametrize("extent", [True, False, np.True_])
+    def test_bool_extent_rejected(self, extent):
+        # a bool is no extent, as it is no size: True is not 1.0 waists
+        with pytest.raises(RangeError, match="grid extent must be positive"):
+            GridSpec(256, extent)
+        with pytest.raises(RangeError, match="grid size must be an integer"):
+            GridSpec(extent, 8.0)
 
     def test_coordinates_straddle_the_axis(self):
         g = GridSpec(64, 4.0)
@@ -245,6 +256,21 @@ class TestExpi:
         u = expi(x)
         assert u.dtype == np.complex128
         assert np.array_equal(u, np.exp(1j * x))
+
+    # at 34 and 46 the last two blocks overwrite their own rows of the
+    # phase; at 32 and 256 only the last one does
+    @pytest.mark.parametrize("n", [32, 34, 46, 256])
+    def test_from_own_second_half_is_expi_bitwise(self, n):
+        x = np.random.default_rng(n).uniform(-40.0, 40.0, (n, n))
+        u = np.empty((n, n), complex)
+        phase = _halves(u)[1]
+        phase[...] = x
+        assert np.shares_memory(u, phase) and phase.flags.c_contiguous
+        copied = [i for i in range(0, n, _SCRATCH_ROWS)
+                  if np.may_share_memory(u[i:i + _SCRATCH_ROWS], phase[i:i + _SCRATCH_ROWS])]
+        assert len(copied) == (2 if n in (34, 46) else 1)
+        assert _expi_half(u) is u
+        assert u.tobytes() == expi(x).tobytes()
 
 
 class TestRotateModal:
@@ -455,17 +481,22 @@ class TestPropagate:
 class TestBoundaryEnergyFraction:
     @pytest.mark.parametrize("n", [34, 64])
     def test_scratch_of_any_row_count_leaves_the_same_bytes(self, n):
-        # _frame_fraction squares u.imag len(scratch) rows at a time: the
+        # _frame_fraction squares u scratch.shape[1] rows at a time: the
         # operation is elementwise, so every row count gives the bytes of a
-        # full-size scratch, which are those of u.real**2 + u.imag**2
+        # full-size scratch, which are those of u.real**2 + u.imag**2; so
+        # does inten as u's own first half, which overwrites the field
         rng = np.random.default_rng(n)
         u = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         full = np.empty((n, n))
-        expected = _frame_fraction(u, full, np.empty((n, n)))
+        expected = _frame_fraction(u, full, np.empty((2, n, n)))
         assert full.tobytes() == (u.real**2 + u.imag**2).tobytes()
-        for rows in (1, 7, 32, n):
+        for rows in (1, 7, 16, 32, n):
             inten = np.empty((n, n))
-            assert _frame_fraction(u, inten, np.empty((rows, n))) == expected, rows
+            assert _frame_fraction(u, inten, np.empty((2, rows, n))) == expected, rows
+            assert inten.tobytes() == full.tobytes(), rows
+            spent = u.copy()
+            inten = _halves(spent)[0]
+            assert _frame_fraction(spent, inten, np.empty((2, rows, n))) == expected, rows
             assert inten.tobytes() == full.tobytes(), rows
 
     def test_uniform_field_frame_fraction(self):

@@ -151,9 +151,16 @@ class TestTheory:
         assert 0.0 < val <= 1.0
 
 
+def full_amp_fft(tab):
+    """The n-row amp_fft whose rows 0 ... n/2 the tables store: rows past
+    n/2 are the stored rows n/2 - 1 ... 1."""
+    return np.concatenate([tab.amp_fft, tab.amp_fft[-2:0:-1]])
+
+
 def literal_unit_screen(grid, ss):
-    """_unit_screen with two fresh normal arrays, a complex sum and an
-    allocating ifft2: the reference the in-place synthesis must match."""
+    """_unit_screen with two fresh normal arrays, a complex sum, the full
+    amp_fft and an allocating ifft2: the reference the in-place synthesis
+    must match."""
     n = grid.n
     tab = turbulence._tables(grid)
     rng = np.random.Generator(np.random.Philox(ss))
@@ -161,7 +168,7 @@ def literal_unit_screen(grid, ss):
     zi = rng.standard_normal((n, n))
     zsh = rng.standard_normal((2, tab.amp_sh.size))
     ztilt = rng.standard_normal(2)
-    scr = np.fft.ifft2((zr + 1j * zi) * tab.amp_fft).real * (n * n)
+    scr = np.fft.ifft2((zr + 1j * zi) * full_amp_fft(tab)).real * (n * n)
     ck = (zsh[0] + 1j * zsh[1]) * tab.amp_sh
     coarse = ((tab.ey_nodes * ck) @ tab.ex_nodes).real
     coarse += tab.tilt_sigma * (
@@ -171,16 +178,23 @@ def literal_unit_screen(grid, ss):
     return scr
 
 
-def literal_tables(grid):
-    """_SynthesisTables' arrays built over np.meshgrid coordinate meshes:
-    the reference for its broadcast build."""
+def literal_amp_fft(grid):
+    """The full n-row amp_fft, built over np.meshgrid coordinate meshes."""
     dfreq = 1.0 / grid.extent
     fx, fy = np.meshgrid(grid.freqs, grid.freqs)
     fsq = fx**2 + fy**2
     point = np.zeros_like(fsq)
     point[fsq > 0] = fsq[fsq > 0] ** (-11 / 6) * dfreq**2
     point[(np.abs(np.rint(fx / dfreq)) <= 1) & (np.abs(np.rint(fy / dfreq)) <= 1)] = 0.0
-    tab = {"amp_fft": np.sqrt(turbulence.PSD_COEFF * point)}
+    return np.sqrt(turbulence.PSD_COEFF * point)
+
+
+def literal_tables(grid):
+    """_SynthesisTables' arrays built over np.meshgrid coordinate meshes:
+    the reference for its broadcast build, of which amp_fft keeps rows
+    0 ... n/2 (full_amp_fft)."""
+    dfreq = 1.0 / grid.extent
+    tab = {"amp_fft": literal_amp_fft(grid)[:grid.n // 2 + 1]}
     gl_x, gl_w = leggauss(16)
     cells = []
     half = 3 * turbulence._CELL_SPLIT // 2
@@ -289,6 +303,18 @@ class TestGenerateScreen:
         assert sorted(got) == sorted(want)
         for name, table in got.items():
             assert np.asarray(table).tobytes() == np.asarray(want[name]).tobytes(), name
+
+    @pytest.mark.parametrize("n", [32, 34, 64, 256, 512])
+    def test_amp_fft_rows_past_half_mirror_the_stored_rows(self, n):
+        # the full meshgrid table's row n - k is its row k byte for byte,
+        # which is why the tables keep rows 0 ... n/2 only
+        grid = GridSpec(n, n / 32)
+        full = literal_amp_fft(grid)
+        for k in range(1, n // 2):
+            assert full[n - k].tobytes() == full[k].tobytes(), k
+        tab = turbulence._tables(grid)
+        assert tab.amp_fft.shape == (n // 2 + 1, n)
+        assert full_amp_fft(tab).tobytes() == full.tobytes()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("extent", [1e-300, 1e-150, 1e-100, 1e100, 1e150])
@@ -911,7 +937,8 @@ class TestBroadeningSweep:
         assert got.max_boundary_energy_fraction == 0.0
 
     def test_input_reaching_the_frame_fails_every_entry(self, sweep_calls):
-        # a unit waist on a 3-waist grid: the input guard trips before any step
+        # a unit waist on a 3-waist grid: the input guard, run once on the
+        # Gaussian, trips before any screen is drawn or field propagated
         grid = GridSpec(32, 3.0)
         with pytest.raises(AliasingError) as literal_error:
             literal_propagate(make_lg_mode(0, grid), 30.0, 0.01)
@@ -921,7 +948,7 @@ class TestBroadeningSweep:
             n_workers=1,  # the counts below are a serial run's
         )
         assert [str(r) for r in swept] == [str(literal_error.value)] * 2
-        assert sweep_calls == {"unit": 1, "propagate": 2}
+        assert sweep_calls == {"unit": 0, "propagate": 0}
 
     def test_aliasing_strength_recorded_others_unchanged(self, sweep_calls):
         grid = GridSpec(64, 8.0)
@@ -980,11 +1007,12 @@ class TestBroadeningSweep:
             tracemalloc.stop()
         assert peak < 10 * grid.n**2 * np.dtype(complex).itemsize
 
-    def test_working_set_is_three_grid_arrays_per_worker(self):
-        # a worker's unit screen, field and phase are 2 screen sizes (|u|^2
-        # is held in the phase's array, r^2 in the spent field); at 256^2
-        # its subharmonic buffers add 0.2 and its scratch rows 0.03: 2.38
-        # measured, and a fourth grid-sized array would add 0.5
+    def test_working_set_is_two_grid_arrays_per_worker(self):
+        # a worker's unit screen and field are 1.5 screen sizes (the phase
+        # is the field's second half; |u|^2 and r^2 go to the spent field's
+        # two halves); at 256^2 its subharmonic buffers add 0.2 and its
+        # scratch rows 0.06: 1.91 measured, and a third real grid-sized
+        # array would add 0.5
         grid = GridSpec(256, 16.0)
         params = [TurbulenceParams(w_over_r0=w) for w in (0.0, 0.6)]
         beam_broadening_sweep(params, 100, 30.0, 0.01, 1, grid, n_workers=1)  # warm
@@ -994,7 +1022,7 @@ class TestBroadeningSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.6 * grid.n**2 * np.dtype(complex).itemsize
+        assert peak < 2.1 * grid.n**2 * np.dtype(complex).itemsize
 
     @pytest.mark.parametrize("n_workers", [1, 2, 3, 4])
     def test_lowest_failing_realization_at_any_worker_count(self, monkeypatch, n_workers):
