@@ -217,13 +217,17 @@ def _shear_phase(n: int, pitch: float, coeff: float, rows: int) -> np.ndarray:
 
 
 def _quarter_turns(theta: float) -> tuple[int, float]:
-    """theta mod 2 pi as k quarter turns, 0 <= k < 4, and a residual r.
-    A non-finite theta raises DomainError."""
+    """theta mod 2 pi as k quarter turns, 0 <= k < 4, and a residual r in
+    [-pi/4, pi/4): k is theta / (pi/2) rounded half up, taken exactly from
+    divmod's exact remainder (floor(x + 1/2) in floats puts r one ulp below
+    -pi/4 just under theta = pi/4).  Every tie, theta = pi/4 mod pi/2, has
+    r = -pi/4 bitwise, so the ties share one shear group.  A non-finite
+    theta raises DomainError."""
     if not np.isfinite(theta):
         raise DomainError(f"rotation angle must be finite, got {theta}")
-    th = float(theta) % (2 * np.pi)
-    k = int(np.round(th / (np.pi / 2)))
-    return k % 4, th - k * (np.pi / 2)
+    q, f = divmod(float(theta) % (2 * np.pi), np.pi / 2)
+    up = f >= np.pi / 4
+    return (int(q) + up) % 4, f - up * (np.pi / 2)
 
 
 def _shear(part: np.ndarray, table: np.ndarray, first: int) -> None:
@@ -272,16 +276,18 @@ def _rotate_into(out: np.ndarray, g: np.ndarray, x_table: np.ndarray,
     np.copyto(out, band[:, mid])
 
 
-def _rotate_all(out: np.ndarray, arrays, pitch: float, theta: float,
+def _rotate_all(out: np.ndarray, arrays, pitch: float, split: tuple[int, float],
                 n_workers: int = 1) -> None:
-    """Set each n x n slot out[q] to rotate_modal's rotation of arrays[q]
-    by theta.  A pure quarter turn is an np.rot90 copy on the calling
-    thread, with no work arrays; a residual's x and y shear tables are
-    built once, there, and _rotate_into shears each quarter-turned slot on
-    parallel_fill, each thread in its own n x 2n band and _SHEAR_CHUNK x 2n
-    chunk."""
+    """Set each n x n slot out[q] to arrays[q] turned by k quarter turns,
+    then sheared by r, (k, r) = split: rotate_modal's rotation by theta at
+    split = _quarter_turns(theta), and a pure shear by any r, pi/4
+    included, at (0, r).  A pure quarter turn is an np.rot90 copy on the
+    calling thread, with no work arrays; a residual's x and y shear tables
+    are built once, there, and _rotate_into shears each quarter-turned slot
+    on parallel_fill, each thread in its own n x 2n band and _SHEAR_CHUNK x
+    2n chunk."""
     n = out.shape[-1]
-    k, r = _quarter_turns(theta)
+    k, r = split
     if r == 0.0:
         for q in range(len(out)):
             np.copyto(out[q], np.rot90(arrays[q], -k))
@@ -302,7 +308,7 @@ def rotate_modal(f: ScalarField, theta: float) -> ScalarField:
 
     A pure mode c_l(r) e^{i l theta_az} maps to e^{-i l theta} times itself.
     Quadrant parts of the angle are exact array rotations (a pure quarter
-    turn is one np.rot90 copy); the residual in [-pi/4, pi/4] is applied as
+    turn is one np.rot90 copy); the residual in [-pi/4, pi/4) is applied as
     three FFT shears (x, y, x) on a 2x zero-padded copy, exact for fields
     that are band-limited and negligible at the grid edge.  No 2n x 2n
     array is made: _rotate_all runs the shears in place in an n x 2n band
@@ -310,10 +316,11 @@ def rotate_modal(f: ScalarField, theta: float) -> ScalarField:
     theta = 0 (mod 2 pi) returns the input unchanged; a non-finite theta
     raises DomainError.
     """
-    if _quarter_turns(theta) == (0, 0.0):
+    split = _quarter_turns(theta)
+    if split == (0, 0.0):
         return f
     out = np.empty((f.grid.n, f.grid.n), complex)
-    _rotate_all(out[None], f.samples[None], f.grid.pitch, theta)
+    _rotate_all(out[None], f.samples[None], f.grid.pitch, split)
     return ScalarField(f.grid, out)
 
 

@@ -19,9 +19,10 @@ than hold all angles' rows at once it holds a block of screens and one
 angle's rows, dropped once that angle's products are taken.  The decode
 projections of each group of angles that share a residual shear are
 sheared by one fields._rotate_all call, each into its slot of one array,
-on the worker threads.  No engine keeps a grid-sized array once it
-returns, beyond the caches the README lists (LG modes and synthesis
-tables).
+on the worker threads.  The ties, pi/4 mod pi/2, share the residual -pi/4
+(fields._quarter_turns): 16 angles make 3 groups, 8 angles 1.  No engine
+keeps a grid-sized array once it returns, beyond the caches the README
+lists (LG modes and synthesis tables).
 """
 
 from __future__ import annotations
@@ -147,7 +148,10 @@ def _weights(ls: list[int], grid: GridSpec, theta: float = 0.0,
 
     rotate_modal is R_theta = S_r Q^k (fields._quarter_turns); its exact
     adjoint Q^{-k} S_{-r} acts on each projection, not on each screened field.
-    projections: per l, the decode_factors pair sheared by -r (default r = 0).
+    projections: per l, the decode_factors pair sheared by -r (default r = 0),
+    a pure shear even at a tie, where -r = pi/4: fields._rotate_all at the
+    split (0, -r), not the (1, -pi/4) of _quarter_turns(pi/4), which is
+    no exact adjoint (1e-8 to 2e-7 off on a 64^2 grid).
     """
     k = _quarter_turns(theta)[0]
     frame = np.exp(1j * theta)
@@ -243,7 +247,8 @@ def _rotation_samples(config: ExperimentConfig, n_workers: int = 0):
     block of _SCREEN_BLOCK realizations at a time while every angle's
     weights are built, one angle's at a time, so memory is bounded
     whatever the realizations and angles.  Each residual group's
-    projections are sheared by one fields._rotate_all into `sheared`."""
+    projections are sheared by one fields._rotate_all into `sheared`, which
+    a scan of pure quarter turns (1, 2 or 4 angles) never allocates."""
     if len(config.strengths) != 1:
         raise DomainError("rotation scan runs at a single turbulence strength")
     if not config.angles:
@@ -261,7 +266,7 @@ def _rotation_samples(config: ExperimentConfig, n_workers: int = 0):
     # once per run; a grid that cannot sample the modes fails before any screen
     factors = [decode_factors(l, grid) for l in ls]
     # one residual group's sheared projections, refilled for every group
-    sheared = np.empty((len(ls), 2, grid.n, grid.n), dtype=np.complex128)
+    sheared = np.empty((len(ls), 2, grid.n, grid.n), complex) if any(groups) else None
     # one block of phase factors, refilled for every block of realizations
     screens = np.empty((min(_SCREEN_BLOCK, n_real), grid.n * grid.n), dtype=np.complex128)
 
@@ -275,7 +280,8 @@ def _rotation_samples(config: ExperimentConfig, n_workers: int = 0):
         for resid, members in groups.items():
             if resid:
                 _rotate_all(sheared.reshape(-1, grid.n, grid.n),
-                            [p for pair in factors for p in pair], grid.pitch, -resid, n_workers)
+                            [p for pair in factors for p in pair], grid.pitch, (0, -resid),
+                            n_workers)
             for j in members:
                 weights = _weights(ls, grid, config.angles[j],
                                    list(sheared) if resid else factors)

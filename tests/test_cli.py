@@ -1192,7 +1192,10 @@ class TestImports:
 WORKER_CASES = {
     "ph-curve": TINY_PH[1:],
     "fidelity-scan": ["--strengths", "0.4,1.0", "--realizations", "3"],
-    "rotation-scan": RECORD_CASES["rotation-scan"][0],
+    # 8 angles: the ties, pi/4 mod pi/2, are a residual shear; --n-angles 2
+    # (0 and pi) would pin none
+    "rotation-scan": ["--strength", "0.4", "--n-angles", "8", "--realizations", "2",
+                      "--grid-n", "64", "--grid-extent", "6.0"],
     "calibrate": ["--strengths", "0.0,0.6,1.2", "--realizations", "100",
                   "--grid-n", "128", "--grid-extent", "16.0"],
     "screen-validate": ["--grid-n", "64", "--grid-extent", "8.0", "--realizations", "200",
@@ -1234,8 +1237,8 @@ OUTPUT_DIGESTS = {
             "summary.json": "d065b5f7aa7207f7d1a15b5f6627f660d8510c2e53c4911cd469f10c843b5e09",
         },
         "rotation-scan": {
-            "rotation_scan.csv": "4d52b864ee3b02f65e3029ce27660ac2b8a31e6640a4b48017581249d224b4ed",
-            "summary.json": "18e366ebe1bed4158e57166cd89641a927035c58421253e5f94d97bec99f597a",
+            "rotation_scan.csv": "e74a8863148ad3a716fd137fdd7054ff26bbf843321f7d5061c4b157a5d3586b",
+            "summary.json": "5d5d77d74d50b089b2b23f236e5dfc71aefb0d2db483722f164e918a0a5afbdb",
         },
         "calibrate": {
             "calibration.csv": "01f89969db0729853d2d7db5832edf0219090b20ef6aea3f1ba8487365719192",

@@ -276,7 +276,11 @@ class TestRotationScan:
         np.testing.assert_allclose(suc, ref_suc, rtol=0, atol=1e-10)
         np.testing.assert_allclose(fid, ref_fid, rtol=0, atol=1e-10)
 
-    @pytest.mark.parametrize("theta", [2.0, 5 * np.pi / 8, 3 * np.pi / 2])
+    # the ties pi/4 mod pi/2 too: their residual is -pi/4, and shearing the
+    # projections by rotate_modal(., pi/4), which splits as a quarter turn
+    # and -pi/4, not by the pure shear pi/4, is 1e-8 to 2e-7 off here
+    @pytest.mark.parametrize("theta", [2.0, 5 * np.pi / 8, 3 * np.pi / 2,
+                                       *(2 * np.pi * k / 16 for k in (2, 6, 10, 14))])
     def test_exact_adjoint_on_coarse_grid(self, theta):
         # rotate_modal(., -theta) alone puts the quarter turn on the wrong
         # side of the shears (literal_weights): 1.4e-8 here.
@@ -297,11 +301,15 @@ class TestRotationScan:
         for a, b in zip(_rotation_samples(cfg)[:2], per_angle_samples(cfg)[:2]):
             np.testing.assert_allclose(a, b, rtol=0, atol=5e-12)
 
-    @pytest.mark.parametrize("angles", [
-        tuple(2 * np.pi * k / 16 for k in range(16)),
-        tuple(2 * np.pi * k / 5 for k in range(5)),
+    # residual groups times 2 projections (l = 1): 16 angles make 3 groups,
+    # the four ties pi/4 mod pi/2 one of them (-pi/4), 8 angles only that
+    # one, and 5 angles 4
+    @pytest.mark.parametrize("angles,shears", [
+        (tuple(2 * np.pi * k / 16 for k in range(16)), 6),
+        (tuple(2 * np.pi * k / 5 for k in range(5)), 8),
+        (tuple(2 * np.pi * k / 8 for k in range(8)), 2),
     ])
-    def test_one_shear_per_residual_and_projection(self, monkeypatch, angles):
+    def test_one_shear_per_residual_and_projection(self, monkeypatch, angles, shears):
         calls = []
         rotate = fields._rotate_into
 
@@ -312,7 +320,7 @@ class TestRotationScan:
         monkeypatch.setattr(fields, "_rotate_into", counting)
         _rotation_samples(ExperimentConfig(
             strengths=(0.6,), n_realizations=2, grid=SMALL, angles=angles))
-        assert len(calls) == 8
+        assert len(calls) == shears
 
     def test_quarter_turn_grid_is_angle_independent(self):
         cfg = ExperimentConfig(
@@ -387,6 +395,26 @@ class TestRotationScan:
             finally:
                 tracemalloc.stop()
             assert peak < 16.5 * screen_bytes, workers
+
+    @pytest.mark.parametrize("n_angles", [1, 2, 4])
+    def test_quarter_turn_scan_allocates_no_sheared_projections(self, n_angles):
+        # no residual group, so no (l, 2, n, n) array for sheared
+        # projections: 12.0 screen sizes measured at l = 1, 2 and one or two
+        # workers, 16.0 with the four unused arrays allocated
+        cfg = ExperimentConfig(strengths=(0.6,), n_realizations=1, master_seed=2,
+                               grid=GridSpec(64, 8.0),
+                               states=tuple(mub_states(1) + mub_states(2)),
+                               angles=tuple(2 * np.pi * k / n_angles for k in range(n_angles)))
+        screen_bytes = cfg.grid.n**2 * np.dtype(complex).itemsize
+        for workers in (1, 2):
+            _rotation_samples(cfg, n_workers=workers)  # warm the mode and table caches
+            tracemalloc.start()
+            try:
+                _rotation_samples(cfg, n_workers=workers)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 13 * screen_bytes, workers
 
     def test_bitwise_at_any_worker_count(self):
         # each residual group's four shears (l = 1, 2) split over 1-3 threads
