@@ -473,6 +473,9 @@ def cmd_screen_validate(cfg: dict) -> _Record:
                 f"Fried length r0 = {r0:g} waists exceeds the grid span "
                 f"{(grid.n - 1) * pitch:g} waists; raise --grid-extent or --strength"
             )
+        if r0_lag < 1:
+            raise _UsageError(f"Fried length r0 = {r0:g} waists rounds to pixel lag 0 at "
+                              f"pitch {pitch:g} waists; raise --grid-n or lower --grid-extent")
         lags = sorted({
             max(1, int(round(x / pitch)))
             for x in np.geomspace(0.2 * r0, 2.0 * r0, 10)

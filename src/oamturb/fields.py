@@ -357,21 +357,25 @@ def _transfer(grid: GridSpec, distance: float, wavelength: float) -> np.ndarray 
     return tf
 
 
+def _guard(fraction: float, which: str) -> None:
+    """The wrap-around guard: AliasingError when at least
+    BOUNDARY_ENERGY_LIMIT of the power sits in the outer 2-pixel frame."""
+    if fraction >= BOUNDARY_ENERGY_LIMIT:
+        raise AliasingError(f"{which} field reaches the grid boundary")
+
+
 def _fresnel(u: np.ndarray, tf: np.ndarray | None, inten: np.ndarray,
              scratch: np.ndarray) -> float:
-    """propagate()'s step by tf = _transfer(...) (None: no step) and its
-    output guard on the samples u, in place and bitwise, allocating nothing
-    grid-sized; the input guard is the caller's.  inten (real, u's shape,
-    may be _halves(u)[0]) is left holding |u|^2, whose frame fraction is
-    returned; scratch is real, 2 x any rows x n."""
+    """propagate()'s step by tf = _transfer(...) (None: no step) on the
+    samples u, in place and bitwise, allocating nothing grid-sized; both
+    guards are the caller's.  inten (real, u's shape, may be _halves(u)[0])
+    is left holding |u|^2, whose frame fraction is returned; scratch is
+    real, 2 x any rows x n."""
     if tf is not None:
         np.fft.fft2(u, out=u)
         _mirrored(u, tf, out=u)
         np.fft.ifftn(u, axes=(-2, -1), out=u)  # ifft2 ignores out=, as in _unit_screen
-    fraction = _frame_fraction(u, inten, scratch)
-    if fraction >= BOUNDARY_ENERGY_LIMIT:
-        raise AliasingError("propagated field reaches the grid boundary")
-    return fraction
+    return _frame_fraction(u, inten, scratch)
 
 
 def _frame_fraction(u: np.ndarray, inten: np.ndarray, scratch: np.ndarray) -> float:
@@ -391,18 +395,17 @@ def propagate(f: ScalarField, distance: float, wavelength: float) -> ScalarField
 
     distance and wavelength are in waist units, like the grid.  The
     transfer function exp(-i pi lambda z f^2) is unitary, so grid power is
-    conserved.  Raises AliasingError when at least BOUNDARY_ENERGY_LIMIT
-    of the power sits in the outer 2-pixel frame before or after the step,
-    since wrap-around then contaminates the result.  The transfer function
-    is cached as its rows 0 ... n/2, which mirror onto the rest.  At
-    distance 0 only the checks and the input guard run.
+    conserved.  _guard raises AliasingError when BOUNDARY_ENERGY_LIMIT or
+    more of the power sits in the outer 2-pixel frame before or after the
+    step, since wrap-around then contaminates the result.  The transfer
+    function is cached as its rows 0 ... n/2, which mirror onto the rest.
+    At distance 0 only the checks and the input guard run.
     """
     tf = _transfer(f.grid, distance, wavelength)
     inten, scratch = np.empty(f.samples.shape), np.empty((2, _SCRATCH_ROWS, f.grid.n))
-    if _frame_fraction(f.samples, inten, scratch) >= BOUNDARY_ENERGY_LIMIT:
-        raise AliasingError("input field reaches the grid boundary")
+    _guard(_frame_fraction(f.samples, inten, scratch), "input")
     if tf is None:
         return f
     u = f.samples.copy()
-    _fresnel(u, tf, inten, scratch)
+    _guard(_fresnel(u, tf, inten, scratch), "propagated")
     return ScalarField(f.grid, u)

@@ -35,6 +35,7 @@ from .fields import (
     VectorField,
     _expi_half,
     _fresnel,
+    _guard,
     _halves,
     _mirrored,
     _transfer,
@@ -345,12 +346,8 @@ def _screen_loop(params_list, n_real: int, key, grid: GridSpec, n_workers: int, 
     Realizations run in strided shares (parallel_fill), each in order and
     strength by strength; one unit screen is drawn per run of equal keys.
     The complex u and work()'s arrays are the thread's own, phase is u's
-    second half, _halves(u)[1], and a step may overwrite them all.  A step
-    returning False drops its strength for the rest of its share: a failing
-    entry is stepped up to its first failure in each share, so its lowest
-    failing realization is stepped at any worker count, and its step count,
-    not its result, grows by at most one per extra worker.  The synthesis
-    tables are built here first."""
+    second half, _halves(u)[1], and a step may overwrite them all.  The
+    synthesis tables are built here first."""
     shape = (grid.n, grid.n)
     if any(params.w_over_r0 != 0.0 for params in params_list):
         _tables(grid)
@@ -363,19 +360,18 @@ def _screen_loop(params_list, n_real: int, key, grid: GridSpec, n_workers: int, 
     def share(realizations: range, made) -> None:
         sub, (unit, u, *extra) = made
         phase = _halves(u)[1]  # also _unit_screen's work array
-        drawn, dropped = None, set()
+        drawn = None
         for i in realizations:
             for j, params in enumerate(params_list):
                 w0 = params.w_over_r0
-                if j in dropped or (w0 == 0.0 and i > 0):
+                if w0 == 0.0 and i > 0:
                     continue
                 k = key(j, i)
                 if w0 != 0.0 and k != drawn:
                     _unit_screen(grid, screen_key(*k), unit, u, phase, sub)
                     drawn = k
                 _scale(unit, w0, out=phase)
-                if step(j, i, phase, u, *extra) is False:
-                    dropped.add(j)
+                step(j, i, phase, u, *extra)
 
     parallel_fill(n_real, share, n_workers, thread_arrays)
 
@@ -516,16 +512,13 @@ def beam_broadening_sweep(
     _screen_loop draws its screen once and scales it for each entry; a
     zero-strength entry is one field, propagated once.  Realizations run
     on n_workers threads (0: every usable core), each filling its own
-    slots, an AliasingError included, so the result is the same for any
-    worker count; the transfer function and synthesis tables are built on
-    the calling thread, so no worker's allocator arena holds them.  A
+    slots of moments and frame fractions, so the result is the same for
+    any worker count; the transfer function and synthesis tables are built
+    on the calling thread, so no worker's allocator arena holds them.  A
     screen leaves |u| as it is, so the input guard runs once, on the
     Gaussian, after every other check, and fails every entry if it trips.
-    Past it, an entry whose propagated field reaches the boundary gets the
-    AliasingError of its lowest failing realization; the others continue.
-    Each worker's share propagates a failing entry up to its first
-    failure, so its propagation count, not its result, grows by at most
-    one per extra worker.
+    Past it, every realization is propagated, and an entry whose largest
+    frame fraction trips the propagated guard gets its AliasingError.
     """
     if n_realizations < 100:
         raise StatisticsError(f"need >= 100 realizations, got {n_realizations}")
@@ -546,38 +539,33 @@ def beam_broadening_sweep(
     c2 = grid.coords**2
     moments = np.empty((len(params_list), n_realizations))
     frames = np.empty((len(params_list), n_realizations))
-    errors = np.full((len(params_list), n_realizations), None)  # AliasingError slots
 
-    def step(j: int, i: int, phase, u, scratch) -> bool:
+    def step(j: int, i: int, phase, u, scratch) -> None:
         # apply_screen and propagate's step, in place: gauss * exp(i phase),
         # then |u|^2 and r^2 = x^2 + y^2 (from the 1-D coords) in the spent
         # field's two halves, then r^2 |u|^2
         np.multiply(gauss, _expi_half(u), out=u)
         inten, r2 = _halves(u)
-        try:
-            frames[j, i] = _fresnel(u, tf, inten, scratch)
-        except AliasingError as exc:
-            errors[j, i] = exc
-            return False
+        frames[j, i] = _fresnel(u, tf, inten, scratch)
         np.add(c2[:, None], c2[None, :], out=r2)
         moments[j, i] = float(np.sum(np.multiply(inten, r2, out=r2)) / np.sum(inten))
-        return True
 
     _screen_loop(params_list, n_realizations, lambda j, i: (seed, i), grid, n_workers, step,
                  lambda: (np.empty((2, _SCRATCH_ROWS, grid.n)),))
     results: list[Broadening | AliasingError] = []
     for j, params in enumerate(params_list):
-        failure = next((exc for exc in errors[j] if exc is not None), None)
-        if failure is not None:
-            results.append(failure)
-            continue
         m, f = moments[j], frames[j]
         if params.w_over_r0 == 0.0:
             m[1:], f[1:] = m[0], f[0]  # one field in every realization, propagated once
+        margin = max(0.0, float(f.max()))  # from 0.0, as a running max would start
+        try:
+            _guard(margin, "propagated")
+        except AliasingError as exc:
+            results.append(exc)
+            continue
         w_t = math.sqrt(2 * m.mean())
         stderr = float(m.std(ddof=1) / np.sqrt(n_realizations)) / w_t
-        # max from 0.0, as a running max over the realizations would start
-        results.append(Broadening(w_t, stderr, max(0.0, float(f.max()))))
+        results.append(Broadening(w_t, stderr, margin))
     return results
 
 
@@ -624,9 +612,10 @@ def load_screen(path) -> PhaseScreen:
     """Read a screen written by save_screen.  A header value the package
     rejects raises DomainError "<path>: <its message>", as does an older
     header's outer_scale other than None (Kolmogorov); a file that does not
-    parse or fit its grid raises DomainError "<path>: malformed screen file:
-    ...".  An older header's wavelength_m, cn2, path_m and waist_m are
-    skipped, whatever their values: its w_over_r0 holds the strength."""
+    parse or fit its grid, or holds a negative seed or a nonfinite phase,
+    raises DomainError "<path>: malformed screen file: ...".  An older
+    header's wavelength_m, cn2, path_m and waist_m are skipped, whatever
+    their values: its w_over_r0 holds the strength."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("# "):
@@ -637,10 +626,14 @@ def load_screen(path) -> PhaseScreen:
                 raise DomainError(f"von Karman screen (outer_scale={meta['outer_scale']})")
             grid = GridSpec(int(meta["n"]), float(meta["extent"]))
             seed = int(meta["seed"])
+            if seed < 0:
+                raise ValueError(f"negative seed {seed}")
             params = TurbulenceParams(float(meta["w_over_r0"]))
             rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
-            # a ragged row fails in np.array, a missing one in PhaseScreen
-            return PhaseScreen(grid, np.array(rows), seed, params)
+            phase = np.array(rows)  # a ragged row fails here, a missing one in PhaseScreen
+            if not np.isfinite(phase).all():
+                raise ValueError("a phase value is not finite")
+            return PhaseScreen(grid, phase, seed, params)
         except (DomainError, RangeError) as exc:  # a header value, not a parse failure
             raise DomainError(f"{path}: {exc}") from exc
         except (KeyError, ValueError) as exc:

@@ -707,15 +707,18 @@ class TestScreenValidate:
         assert err == "oamturb screen-validate: need >= 100 screens, got 50\n"
         assert not out.exists()
 
-    def test_r0_below_half_pixel_fails_before_drawing(self, tmp_path, capsys, no_screens):
+    @pytest.mark.parametrize("strength, r0", [("2.0", "0.5"), ("1.0", "1")])
+    def test_r0_below_half_pixel_fails_before_drawing(self, tmp_path, capsys, no_screens,
+                                                      strength, r0):
         out = tmp_path / "lag0"
         rc = run(["screen-validate", "--grid-n", "32", "--grid-extent", "100",
-                  "--strength", "2.0", "--realizations", "100",
+                  "--strength", strength, "--realizations", "100",
                   "--out-dir", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err == ("oamturb screen-validate: separation 0.0 maps to pixel lag 0, "
-                       "outside [1, 31]\n")
+        assert err == (f"oamturb screen-validate: Fried length r0 = {r0} waists rounds to "
+                       "pixel lag 0 at pitch 3.125 waists; raise --grid-n or lower "
+                       "--grid-extent\n")
         assert not out.exists()
 
     def test_one_separation_fails_before_drawing(self, tmp_path, capsys, no_screens):

@@ -427,10 +427,9 @@ def literal_loop_phases(params, n_real, key, grid):
             for i in range(1 if p.w_over_r0 == 0.0 else n_real)}
 
 
-def looped_phases(params, n_real, key, grid, n_workers, fail=(), vandal=False):
-    """The phase each step of _screen_loop sees, by cell; the step returns
-    False at the cells in fail.  A vandal step fills phase, u and two work
-    arrays with NaN once it has copied phase."""
+def looped_phases(params, n_real, key, grid, n_workers, vandal=False):
+    """The phase each step of _screen_loop sees, by cell.  A vandal step
+    fills phase, u and two work arrays with NaN once it has copied phase."""
     got = {}
 
     def step(j, i, phase, u, *work):
@@ -438,7 +437,6 @@ def looped_phases(params, n_real, key, grid, n_workers, fail=(), vandal=False):
         if vandal:
             for array in (phase, u, *work):
                 array.fill(np.nan)
-        return (j, i) not in fail
 
     turbulence._screen_loop(params, n_real, key, grid, n_workers, step,
                             lambda: (np.empty((grid.n, grid.n)), np.empty(3, complex)))
@@ -483,41 +481,33 @@ class TestScreenLoop:
         for cell, phase in want.items():
             assert got[cell].tobytes() == phase.tobytes(), cell
 
-    @pytest.mark.parametrize("n_workers", [1, 2, 3])
-    def test_false_drops_a_strength_for_the_rest_of_its_share(self, n_workers):
-        # strength 2 fails at realizations 3, 4 and 6; each strided share
-        # steps it up to its own first failure, so 3 is always stepped
-        fail = {(2, 3), (2, 4), (2, 6)}
-        got = looped_phases(self.PARAMS, 8, lambda j, i: (5, j, i), self.GRID, n_workers,
-                            fail)
-        want = []
-        for t in range(n_workers):
-            for i in range(t, 8, n_workers):
-                want.append(i)
-                if (2, i) in fail:
-                    break
-        assert sorted(i for j, i in got if j == 2) == sorted(want)
-        assert min(i for j, i in got if (j, i) in fail) == 3
-        others = {(j, i) for j in (0, 3) for i in range(8)} | {(1, 0)}
-        assert {cell for cell in got if cell[0] != 2} == others
 
-
-def test_one_function_besides_generate_screen_draws_unit_screens():
-    # every engine draws its screens through the one screen loop
+def source_callers(name):
+    """Every "module.function" in the package whose body calls `name`; a call
+    outside any function or method is listed under "module.<top>"."""
     callers = set()
     for path in sorted(Path(turbulence.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for top in tree.body:
             defs = top.body if isinstance(top, ast.ClassDef) else [top]
             for fn in defs:
-                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
                 for node in ast.walk(fn):
-                    if isinstance(node, ast.Call) and "_unit_screen" in (
+                    if isinstance(node, ast.Call) and name in (
                             getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-                        callers.add(f"{path.stem}.{fn.name}")
+                        callers.add(f"{path.stem}.{getattr(fn, 'name', '<top>')}")
+    return callers
+
+
+def test_one_function_besides_generate_screen_draws_unit_screens():
+    # every engine draws its screens through the one screen loop
+    callers = source_callers("_unit_screen")
     callers.discard("turbulence.generate_screen")
     assert len(callers) == 1, callers
+
+
+def test_only_the_guard_constructs_aliasing_errors():
+    # every wrap-around failure is decided by one threshold and worded once
+    assert source_callers("AliasingError") == {"fields._guard"}
 
 
 class TestEnsembleStatistics:
@@ -816,6 +806,25 @@ class TestScreenIo:
             load_screen(path)
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_phase_rejected(self, tmp_path, value):
+        path = tmp_path / "screen.csv"
+        save_screen(generate_screen(P06, GridSpec(32, 6.0), 5), path)
+        header, *rows = path.read_text().splitlines(keepends=True)
+        rows[7] = value + "," + rows[7].split(",", 1)[1]
+        path.write_text(header + "".join(rows))
+        with pytest.raises(DomainError, match=f"^{re.escape(str(path))}: malformed screen "
+                                              "file: .*not finite"):
+            load_screen(path)
+
+    def test_negative_seed_rejected(self, tmp_path):
+        path = tmp_path / "screen.csv"
+        path.write_text("# n=32 extent=6.0 seed=-1 w_over_r0=0.6\n" + OLD_SCREEN_ROWS)
+        with pytest.raises(DomainError, match=f"^{re.escape(str(path))}: malformed screen "
+                                              "file: .*negative seed -1"):
+            load_screen(path)
+
+
 class TestBroadeningInverter:
     def test_exact_anchor(self):
         assert abs(fried_from_broadening(math.sqrt(10.0), 1.0) - 1.0) <= 1e-15
@@ -957,8 +966,8 @@ class TestBroadeningSweep:
             [TurbulenceParams(w_over_r0=w) for w in strengths], 100, 60.0, 0.01, 2, grid,
             n_workers=1,
         )
-        # w/r0 = 2.0 aliases in realization 0 and is not propagated again
-        assert sweep_calls["propagate"] == 1 + 2 * 100
+        # w/r0 = 2.0 aliases in realization 0 and is still propagated in all 100
+        assert sweep_calls["propagate"] == 3 * 100
         with pytest.raises(AliasingError) as literal_error:
             literal_broadening(TurbulenceParams(w_over_r0=2.0), 100, 60.0, 0.01, 2, grid)
         assert isinstance(swept[1], AliasingError)
@@ -969,18 +978,18 @@ class TestBroadeningSweep:
         with pytest.raises(AliasingError, match=str(literal_error.value)):
             beam_broadening_mc(TurbulenceParams(w_over_r0=2.0), 100, 60.0, 0.01, 2, grid)
 
-    @pytest.mark.parametrize("n_workers, calls", [(1, 201), (2, 202), (3, 203)])
-    def test_failing_entry_costs_at_most_one_propagation_per_extra_worker(
-        self, sweep_calls, n_workers, calls
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_failing_entry_propagated_in_every_realization_at_any_worker_count(
+        self, sweep_calls, n_workers
     ):
-        # w/r0 = 2.0 aliases at realization 0, and each worker's share steps
-        # it up to its own first failure: the count grows, the result not
+        # w/r0 = 2.0 aliases at realization 0; the guard reads its frame
+        # fractions after the loop, so neither count nor result moves
         grid = GridSpec(64, 8.0)
         params = [TurbulenceParams(w_over_r0=w) for w in (0.2, 2.0, 1.0)]
         swept = beam_broadening_sweep(params, 100, 60.0, 0.01, 2, grid, n_workers)
-        assert sweep_calls["propagate"] == calls
+        assert sweep_calls["propagate"] == 3 * 100
         serial = beam_broadening_sweep(params, 100, 60.0, 0.01, 2, grid, 1)
-        assert str(swept[1]) == str(serial[1])
+        assert str(swept[1]) == str(serial[1]) == "propagated field reaches the grid boundary"
         assert [swept[0], swept[2]] == [serial[0], serial[2]]
 
     def test_one_unit_screen_per_realization(self, sweep_calls):
@@ -1025,9 +1034,10 @@ class TestBroadeningSweep:
         assert peak < 2.1 * grid.n**2 * np.dtype(complex).itemsize
 
     @pytest.mark.parametrize("n_workers", [1, 2, 3, 4])
-    def test_lowest_failing_realization_at_any_worker_count(self, monkeypatch, n_workers):
-        # the last entry fails at realizations 5, 6 and 9, which different
-        # shares step at more than one worker
+    def test_failing_realizations_fail_their_entry_at_any_worker_count(self, monkeypatch,
+                                                                         n_workers):
+        # the last entry's frame fraction is the limit at realizations 5, 6
+        # and 9, which different shares step at more than one worker
         params = [TurbulenceParams(w_over_r0=w) for w in (0.2, 0.6, 1.0)]
         clean = beam_broadening_sweep(params, 100, 30.0, 0.01, 3, SMALL, n_workers)
         here = threading.local()  # this thread's realization and step in it
@@ -1038,15 +1048,14 @@ class TestBroadeningSweep:
 
         def fresnel(*args, _fn=turbulence._fresnel):
             here.step += 1
-            if here.step == 3 and here.i in (5, 6, 9):
-                raise AliasingError(f"realization {here.i}")
-            return _fn(*args)
+            fraction = _fn(*args)
+            return BOUNDARY_ENERGY_LIMIT if here.step == 3 and here.i in (5, 6, 9) else fraction
 
         monkeypatch.setattr(turbulence, "screen_key", keyed)
         monkeypatch.setattr(turbulence, "_fresnel", fresnel)
         swept = beam_broadening_sweep(params, 100, 30.0, 0.01, 3, SMALL, n_workers)
         assert isinstance(swept[2], AliasingError)
-        assert str(swept[2]) == "realization 5"
+        assert str(swept[2]) == "propagated field reaches the grid boundary"
         assert swept[:2] == clean[:2]
 
     def test_worker_count_independent(self):
