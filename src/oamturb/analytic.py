@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import legder, leggauss, legval
 
-from .errors import RangeError, ToleranceError
+from .errors import RangeError, ToleranceError, _integer, _real
 from .turbulence import _COHERENCE_SCALE, STRUCTURE_COEFF, TurbulenceParams
 
 # turbulence strengths scanned in the experiments this package reproduces:
@@ -65,10 +65,9 @@ class QuadratureConfig:
     tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.radial_nodes < 8 or self.angular_nodes < 8:
-            raise RangeError("node counts must be at least 8")
-        if not self.tolerance > 0:
-            raise RangeError(f"tolerance must be positive, got {self.tolerance}")
+        _integer("radial_nodes", self.radial_nodes, 8)
+        _integer("angular_nodes", self.angular_nodes, 8)
+        _real("tolerance", self.tolerance, positive=True, error=RangeError)
 
 
 DEFAULT_QUAD = QuadratureConfig()
@@ -184,9 +183,7 @@ def _validated(l, params, quad, validate, once) -> CouplingCoefficients:
     """(c0, c2l) from once(l, radial_nodes, angular_nodes); validate=True
     re-runs at doubled node counts, raises ToleranceError if the change
     exceeds the tolerance and reports it as the residual."""
-    if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 1:
-        raise RangeError(f"l must be a positive integer, got {l!r}")
-    l = int(l)
+    l = _integer("l", l, 1, 100)  # the largest l the quadratures are tested at
     c0, c2l = once(l, quad.radial_nodes, quad.angular_nodes)
     residual = 0.0
     if validate:

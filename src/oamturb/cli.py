@@ -38,6 +38,9 @@ from .errors import (
     OamTurbError,
     StatisticsError,
     ToleranceError,
+    _integer,
+    _is_number,
+    _real,
 )
 from .fields import BOUNDARY_ENERGY_LIMIT, GridSpec
 from .montecarlo import (
@@ -147,10 +150,6 @@ _HELP = {
 }
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _kind(default):
     """The flag parser, the config-value test and the phrase an error uses
     for a key with this default.  None takes a number or null; a bool is
@@ -213,13 +212,9 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
             if not ok(value):
                 raise _UsageError(f"config key {key!r} must be {kind}, got {value!r}")
         cfg.update(loaded)
-    for key in cfg:
-        value = getattr(args, key)
-        if value is not None:
-            cfg[key] = value
+    cfg.update({key: value for key in cfg if (value := getattr(args, key)) is not None})
     resolve_workers(cfg["workers"])  # a negative count fails before any work
-    if cfg["seed"] < 0:  # one message for every command, before any work
-        raise _UsageError(f"seed must be nonnegative, got {cfg['seed']}")
+    _integer("seed", cfg["seed"], 0)  # one message for every command, before any work
     return cfg
 
 
@@ -352,10 +347,7 @@ def cmd_ph_curve(cfg: dict) -> _Record:
     quad = QuadratureConfig(cfg["radial_nodes"], cfg["angular_nodes"], cfg["tolerance"])
     l = int(cfg["l"])
     mc_rows, realizations = _scan(cfg, cfg["strengths"], [HybridQubit(1, 0, l)], ("0",))
-    rows = []
-    residuals = []
-    ring = []
-    ring_residuals = []
+    rows, residuals, ring, ring_residuals = [], [], [], []
     for mc in mc_rows:
         params = TurbulenceParams(w_over_r0=mc.w_over_r0)
         # looked up on the module, so wrappers installed there see the call
@@ -411,9 +403,7 @@ def cmd_fidelity_scan(cfg: dict) -> _Record:
 
 
 def cmd_rotation_scan(cfg: dict) -> _Record:
-    n_angles = int(cfg["n_angles"])
-    if n_angles < 1:
-        raise _UsageError("--n-angles must be at least 1")
+    n_angles = _integer("--n-angles", cfg["n_angles"], 1)
     # numpy refuses a count past its size limit before it allocates
     angles = tuple((2 * np.pi * np.arange(n_angles) / n_angles).tolist())
     result, realizations = _scan(cfg, [cfg["strength"]], mub_states(int(cfg["l"])), MUB_LABELS,
@@ -447,13 +437,9 @@ _COHERENCE_HEADER = ["separation", "coherence_empirical", "coherence_stderr",
 def cmd_screen_validate(cfg: dict) -> _Record:
     grid = _grid(cfg)
     strength = float(cfg["strength"])
-    n_screens = int(cfg["realizations"])
-    n_export = min(int(cfg["export_screens"]), n_screens)
+    n_screens = _integer("--realizations", cfg["realizations"], 1)
+    n_export = min(_integer("--export-screens", cfg["export_screens"], 0), n_screens)
     seed = int(cfg["seed"])
-    if n_screens < 1:
-        raise _UsageError("--realizations must be at least 1")
-    if n_export < 0:
-        raise _UsageError("--export-screens must be nonnegative")
     params = TurbulenceParams(w_over_r0=strength)
     pitch = grid.pitch
     if strength == 0.0:
@@ -476,10 +462,8 @@ def cmd_screen_validate(cfg: dict) -> _Record:
         if r0_lag < 1:
             raise _UsageError(f"Fried length r0 = {r0:g} waists rounds to pixel lag 0 at "
                               f"pitch {pitch:g} waists; raise --grid-n or lower --grid-extent")
-        lags = sorted({
-            max(1, int(round(x / pitch)))
-            for x in np.geomspace(0.2 * r0, 2.0 * r0, 10)
-        } | {r0_lag})
+        lags = sorted({max(1, int(round(x / pitch)))
+                       for x in np.geomspace(0.2 * r0, 2.0 * r0, 10)} | {r0_lag})
         seps = [lag * pitch for lag in lags if lag <= grid.n - 1]
         if len(seps) < 2:
             raise _UsageError(f"separations 0.2-2 r0 all round to pixel lag {lags[0]}; the "
@@ -563,9 +547,7 @@ def cmd_calibrate(cfg: dict) -> _Record:
                 "physical units need all of --lambda-nm, --cn2, --path-m, --waist-mm"
             )
         for key, value in physical.items():
-            if not (np.isfinite(value) and value > 0):
-                flag = "--" + key.replace("_", "-")
-                raise _UsageError(f"{flag} must be finite and positive, got {value}")
+            _real("--" + key.replace("_", "-"), value, positive=True)
         r0_m = fried_parameter(physical["lambda_nm"] * 1e-9, physical["cn2"],
                                physical["path_m"])
         w_over_r0 = (physical["waist_mm"] * 1e-3) / r0_m

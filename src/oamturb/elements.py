@@ -14,12 +14,14 @@ convention is frozen by a unit test.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RangeError, ShapeMismatchError, TotalLossError
-from .fields import GridSpec, ScalarField, VectorField, expi, make_lg_mode, rotate_modal
+from .errors import DomainError, ShapeMismatchError, TotalLossError, _integer, _is_number, _real
+from .fields import (MAX_AZIMUTHAL_INDEX, GridSpec, ScalarField, VectorField, expi, make_lg_mode,
+                     rotate_modal)
 
 MUB_LABELS = ("0", "1", "+", "-", "R", "L")
 
@@ -33,24 +35,31 @@ class HybridQubit:
     l: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.l, (int, np.integer)) or isinstance(self.l, bool):
-            raise RangeError(f"l must be a positive integer, got {self.l!r}")
-        if self.l < 1:
-            raise RangeError(f"l must be >= 1, got {self.l}")
-        object.__setattr__(self, "l", int(self.l))
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
-        norm_sq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        object.__setattr__(self, "l", _integer("l", self.l, 1, MAX_AZIMUTHAL_INDEX))
+        object.__setattr__(self, "alpha", _amplitude("alpha", self.alpha))
+        object.__setattr__(self, "beta", _amplitude("beta", self.beta))
+        norm_sq = abs(self.alpha) * abs(self.alpha) + abs(self.beta) * abs(self.beta)
         if not abs(norm_sq - 1.0) <= 1e-12:
             raise DomainError(f"qubit must be normalized, |alpha|^2+|beta|^2={norm_sq}")
 
     @classmethod
     def from_amplitudes(cls, alpha, beta, l: int = 1) -> "HybridQubit":
         """Build a qubit from unnormalized amplitudes."""
-        norm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-        if norm == 0:
-            raise DomainError("amplitudes cannot both be zero")
+        _amplitude("alpha", alpha), _amplitude("beta", beta)
+        try:
+            norm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+        except OverflowError:  # a Python float's square past the float range
+            norm = np.inf
+        if not 0 < norm < np.inf:
+            raise DomainError(f"amplitudes must have a finite nonzero norm, got {norm}")
         return cls(complex(alpha) / norm, complex(beta) / norm, l)
+
+
+def _amplitude(name: str, value) -> complex:
+    """complex(value) for a number, never a bool or a str (else TypeError)."""
+    if not _is_number(value, numbers.Complex):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return complex(value)
 
 
 @dataclass(frozen=True)
@@ -90,6 +99,7 @@ def _jones(kind: str, angle: float) -> np.ndarray:
         raise DomainError(f"waveplate kind must be 'hwp' or 'qwp', got {kind!r}") from None
     c = np.cos(delta / 2)
     s = 1j * np.sin(delta / 2)
+    _real("twice the fast-axis angle", 2 * _real("fast-axis angle", angle))
     off = np.exp(-2j * angle)
     return np.array([[c, s * off], [s * np.conj(off), c]])
 
@@ -125,7 +135,7 @@ def qplate(q: float, f: VectorField) -> VectorField:
     The left component reappears on the right with an extra e^{+i 2q theta}
     and vice versa with e^{-i 2q theta}; radial profiles are untouched.
     """
-    two_q = 2 * q
+    two_q = _real("2q", 2 * _real("q", q))
     if abs(two_q - round(two_q)) > 1e-12:
         raise DomainError(f"q must be a half-integer, got {q}")
     plus, minus = _qplate_phases(f.grid, int(round(two_q)))
@@ -162,10 +172,9 @@ def decode(f: VectorField, l: int) -> DecodeResult:
     Applies qplate(q=l/2) then HWP(0), then projects each circular
     component onto reference_mode(l); post-selection is ideal.
     """
-    if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 1:
-        raise RangeError(f"l must be a positive integer, got {l!r}")
+    l = _integer("l", l, 1, MAX_AZIMUTHAL_INDEX)
     g = waveplate("hwp", 0.0, qplate(l / 2, f))
-    ref = reference_mode(int(l), f.grid)
+    ref = reference_mode(l, f.grid)
     pitch_sq = f.grid.pitch**2
     amp_r = complex(np.vdot(ref.samples, g.right.samples) * pitch_sq)
     amp_l = complex(np.vdot(ref.samples, g.left.samples) * pitch_sq)
@@ -185,10 +194,9 @@ def decode_factors(l: int, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     Nothing is cached: the pair is built in the q-plate phases' arrays;
     theta and the real modulus |LG_l| are the only other grid-sized arrays.
     """
-    if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 1:
-        raise RangeError(f"l must be a positive integer, got {l!r}")
-    plus, minus = _qplate_phases(grid, int(l))
-    ref = np.abs(make_lg_mode(int(l), grid).samples)
+    l = _integer("l", l, 1, MAX_AZIMUTHAL_INDEX)
+    plus, minus = _qplate_phases(grid, l)
+    ref = np.abs(make_lg_mode(l, grid).samples)
     return np.multiply(ref, plus, out=plus), np.multiply(ref, minus, out=minus)
 
 
@@ -201,7 +209,7 @@ def rotate_frame(f: VectorField, theta: float) -> VectorField:
     cancel exactly (zero total angular momentum) and the state is
     invariant.
     """
-    phase = np.exp(1j * theta)
+    phase = np.exp(1j * _real("rotation angle", theta))
     out_r = rotate_modal(f.right, theta).samples * phase
     out_l = rotate_modal(f.left, theta).samples * np.conj(phase)
     return VectorField(ScalarField(f.grid, out_r), ScalarField(f.grid, out_l))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, DomainError, RangeError, ShapeMismatchError
+from .errors import AliasingError, DomainError, RangeError, ShapeMismatchError, _integer, _real
 from .parallel import parallel_fill
 
 MAX_AZIMUTHAL_INDEX = 8
@@ -36,17 +36,11 @@ class GridSpec:
     extent: float = 8.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
-            raise RangeError(f"grid size must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", _integer("grid size", self.n))
         if self.n < 32 or self.n % 2:
             raise RangeError(f"grid size must be even and >= 32, got {self.n}")
-        if not (isinstance(self.extent, (int, float, np.floating)) and self.extent > 0
-                and not isinstance(self.extent, bool)):
-            raise RangeError(f"grid extent must be positive, got {self.extent!r}")
-        if self.extent == np.inf:
-            raise RangeError("grid extent must be finite, got inf")
-        object.__setattr__(self, "extent", float(self.extent))
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "extent",
+                           _real("grid extent", self.extent, positive=True, error=RangeError))
 
     @property
     def pitch(self) -> float:
@@ -126,11 +120,8 @@ def make_lg_mode(l: int, grid: GridSpec) -> ScalarField:
     most recently used modes are cached per (l, grid), immutable and shared.
     A grid that holds no finite positive power of the mode raises DomainError.
     """
-    if not isinstance(l, (int, np.integer)) or isinstance(l, bool):
-        raise RangeError(f"azimuthal index must be an integer, got {l!r}")
-    if abs(l) > MAX_AZIMUTHAL_INDEX:
-        raise RangeError(f"|l| <= {MAX_AZIMUTHAL_INDEX} is required, got l={l}")
-    return _lg_mode(int(l), grid)
+    return _lg_mode(_integer("azimuthal index", l, -MAX_AZIMUTHAL_INDEX, MAX_AZIMUTHAL_INDEX),
+                    grid)
 
 
 @functools.lru_cache(maxsize=16)
@@ -223,9 +214,7 @@ def _quarter_turns(theta: float) -> tuple[int, float]:
     -pi/4 just under theta = pi/4).  Every tie, theta = pi/4 mod pi/2, has
     r = -pi/4 bitwise, so the ties share one shear group.  A non-finite
     theta raises DomainError."""
-    if not np.isfinite(theta):
-        raise DomainError(f"rotation angle must be finite, got {theta}")
-    q, f = divmod(float(theta) % (2 * np.pi), np.pi / 2)
+    q, f = divmod(_real("rotation angle", theta) % (2 * np.pi), np.pi / 2)
     up = f >= np.pi / 4
     return (int(q) + up) % 4, f - up * (np.pi / 2)
 
@@ -334,25 +323,22 @@ def intensity_frame_fraction(inten: np.ndarray) -> float:
     return (total - inner) / total
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=4, typed=True)
 def _transfer(grid: GridSpec, distance: float, wavelength: float) -> np.ndarray | None:
     """propagate's checks, then None at distance 0, else the read-only Fresnel
     transfer function exp(-i pi lambda z f^2) as its rows 0 ... n/2 (see
     _mirrored), cached because an ensemble propagates every screened field
-    by one distance; a call that raises caches nothing."""
-    for name, value in (("wavelength", wavelength), ("propagation distance", distance)):
-        if not np.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
-    if not wavelength > 0:
-        raise DomainError(f"wavelength must be positive, got {wavelength}")
-    scale = np.pi * float(wavelength) * float(distance)  # the transfer function's phase
-    if not np.isfinite(scale):
-        raise DomainError(f"pi * wavelength * propagation distance must be finite, got {scale}")
-    if distance == 0.0:
+    by one distance; a call that raises caches nothing, and typed keys keep
+    a bool from the entry of an equal number."""
+    wavelength = _real("wavelength", wavelength, positive=True)
+    if _real("propagation distance", distance) == 0.0:
         return None
     fsq = grid.freqs**2
-    tf = np.exp(-1j * np.pi * wavelength * distance
-                * (fsq[None, :] + fsq[:grid.n // 2 + 1, None]))
+    with np.errstate(all="ignore"):  # an overflowing phase: checked below
+        tf = np.exp(-1j * np.pi * wavelength * distance
+                    * (fsq[None, :] + fsq[:grid.n // 2 + 1, None]))
+    if not np.isfinite(tf).all():
+        raise DomainError(f"Fresnel phase overflows at {wavelength=}, {distance=}")
     tf.flags.writeable = False
     return tf
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .analytic import DEFAULT_STRENGTHS
 from .elements import DECODE_MIX, MUB_LABELS, decode_factors, mub_states
-from .errors import DomainError, RangeError, StatisticsError
+from .errors import DomainError, StatisticsError, _integer, _real
 from .fields import GridSpec, _expi_half, _quarter_turns, _rotate_all, expi, make_lg_mode
 from .turbulence import TurbulenceParams, _screen_loop
 
@@ -89,20 +89,16 @@ class ExperimentConfig:
         object.__setattr__(self, "strengths", strengths)
         states = tuple(self.states) if self.states else tuple(mub_states(1))
         labels = tuple(str(x) for x in self.state_labels)
-        if not labels:
-            if len(states) == len(MUB_LABELS) and not self.states:
-                labels = MUB_LABELS
-            else:
-                labels = tuple(f"state{i}" for i in range(len(states)))
+        if not labels:  # the MUB labels name the default states only
+            labels = tuple(f"state{i}" for i in range(len(states))) if self.states else MUB_LABELS
         if len(labels) != len(states):
             raise DomainError("state_labels length must match states")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "state_labels", labels)
-        if self.n_realizations < 1:
-            raise DomainError("n_realizations must be >= 1")
-        if self.master_seed < 0:
-            raise RangeError("master_seed must be a nonnegative integer")
-        object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
+        _integer("n_realizations", self.n_realizations, 1, error=DomainError)
+        _integer("master_seed", self.master_seed, 0)
+        object.__setattr__(self, "angles", tuple(_real("rotation angle", a, finite=False)
+                                                 for a in self.angles))
 
 
 @dataclass(frozen=True)
@@ -325,10 +321,9 @@ def run_coefficient_estimate(
     separately, so mirror_dev compares two independent overlaps.  Screens
     are keyed by (master_seed, realization index).
     """
-    if n < 100:
+    if _integer("n", n) < 100:
         raise StatisticsError(f"need >= 100 realizations, got {n}")
-    if master_seed < 0:
-        raise RangeError("master_seed must be a nonnegative integer")
+    _integer("master_seed", master_seed, 0)
     if grid is None:
         grid = GridSpec()
     lg_p, lg_m = (make_lg_mode(m, grid).samples for m in (l, -l))

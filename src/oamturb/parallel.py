@@ -15,7 +15,7 @@ import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-from .errors import DomainError
+from .errors import DomainError, _integer
 
 # OpenBLAS's thread-count calls, as the scipy-openblas build numpy wheels
 # bundle exports them; another BLAS lacks them and is left alone
@@ -25,8 +25,7 @@ _THREAD_SYMBOLS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_
 def resolve_workers(n_workers: int) -> int:
     """The worker count n_workers asks for: itself, or for 0 every core
     this process may run on."""
-    if n_workers < 0:
-        raise DomainError(f"worker count must be >= 0 (0: every usable core), got {n_workers}")
+    n_workers = _integer("worker count (0: every usable core)", n_workers, 0, error=DomainError)
     if n_workers:
         return n_workers
     try:

@@ -27,6 +27,8 @@ from .errors import (
     RangeError,
     ShapeMismatchError,
     StatisticsError,
+    _integer,
+    _real,
 )
 from .fields import (
     _SCRATCH_ROWS,
@@ -70,8 +72,8 @@ _SUB_CELLS = SUBHARMONIC_LEVELS * 8 * _CELL_SPLIT**2
 
 def fried_parameter(wavelength_m: float, cn2: float, path_m: float) -> float:
     """Fried parameter r0 = 0.185 (lambda^2 / (cn2 z))^(3/5), in meters."""
-    if not all(math.isfinite(v) and v > 0 for v in (wavelength_m, cn2, path_m)):
-        raise DomainError("wavelength, cn2 and path length must all be finite and positive")
+    for name, value in (("wavelength", wavelength_m), ("cn2", cn2), ("path length", path_m)):
+        _real(name, value, positive=True)
     try:
         r0 = 0.185 * (wavelength_m**2 / (cn2 * path_m)) ** 0.6
     except (OverflowError, ZeroDivisionError):  # Python floats raise, not inf
@@ -91,9 +93,7 @@ class TurbulenceParams:
     w_over_r0: float
 
     def __post_init__(self) -> None:
-        value = float(self.w_over_r0)
-        if not (math.isfinite(value) and value >= 0):
-            raise DomainError(f"w_over_r0 must be finite and >= 0, got {value}")
+        value = _real("w_over_r0", self.w_over_r0, 0)
         if value > MAX_W_OVER_R0:
             raise RangeError(f"w_over_r0 = {value} outside the validated range "
                              f"[0, {MAX_W_OVER_R0}]")
@@ -107,24 +107,20 @@ def coherence(r, dtheta, params: TurbulenceParams):
     i.e. exp(-D(chord)/2) for the chord length 2 r sin(dtheta/2).  Accepts
     scalars or broadcastable arrays; values lie in (0, 1].
     """
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise DomainError("ring radius must be nonnegative")
-    exponent = (
-        _COHERENCE_SCALE
-        * (r * params.w_over_r0) ** (5 / 3)
-        * np.abs(np.sin(np.asarray(dtheta, dtype=float) / 2)) ** (5 / 3)
-    )
-    out = np.exp(-exponent)
+    r = np.asarray(_real("ring radius", r, 0))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        out = np.exp(-(_COHERENCE_SCALE * (r * params.w_over_r0) ** (5 / 3)
+                       * np.abs(np.sin(_real("angular separation", dtheta) / 2)) ** (5 / 3)))
+    _real("coherence", out)  # NaN where an overflowing r meets dtheta = 0
     return float(out) if out.ndim == 0 else out
 
 
 def structure_function(separation, params: TurbulenceParams):
     """Theoretical D(d) = 6.88 (d * w_over_r0)^(5/3) for separation d."""
-    d = np.asarray(separation, dtype=float)
-    if np.any(d < 0):
-        raise DomainError("separation must be nonnegative")
-    out = STRUCTURE_COEFF * (d * params.w_over_r0) ** (5 / 3)
+    d = np.asarray(_real("separation", separation, 0))
+    with np.errstate(over="ignore"):  # checked below
+        out = STRUCTURE_COEFF * (d * params.w_over_r0) ** (5 / 3)
+    _real("D(separation)", out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -145,6 +141,7 @@ class PhaseScreen:
             )
         arr.flags.writeable = False
         object.__setattr__(self, "phase", arr)
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
 
     @functools.cached_property
     def phase_factor(self) -> np.ndarray:
@@ -321,13 +318,9 @@ def generate_screen(
     removed).
     """
     if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-        seed_id = int(ss.generate_state(1, np.uint64)[0])
+        ss, seed_id = seed, int(seed.generate_state(1, np.uint64)[0])
     else:
-        if seed < 0:
-            raise RangeError(f"seed must be nonnegative, got {seed}")
-        ss = np.random.SeedSequence(int(seed))
-        seed_id = int(seed)
+        ss = np.random.SeedSequence(seed_id := _integer("seed", seed, 0))
     w0 = params.w_over_r0
     if w0 != 0.0:  # the arrays below reuse the memory this build frees
         _tables(grid)
@@ -391,11 +384,10 @@ def apply_screen(f, s: PhaseScreen):
 
 
 def _pixel_lag(separation: float, grid: GridSpec) -> int:
-    lag = int(round(separation / grid.pitch))
+    lag = int(round(min(_real("separation", separation, 0) / grid.pitch, grid.n)))  # inf: n
     if lag < 1 or lag > grid.n - 1:
-        raise DomainError(
-            f"separation {separation} maps to pixel lag {lag}, outside [1, {grid.n - 1}]"
-        )
+        raise DomainError(f"separation {separation} maps to pixel lag {lag}, "
+                          f"outside [1, {grid.n - 1}]")
     return lag
 
 
@@ -480,13 +472,13 @@ def fried_from_broadening(w_t: float, w: float) -> float:
     w is the unperturbed spot size at the observation plane and w_t the
     turbulent one at the same plane.
     """
-    if not (math.isfinite(w_t) and math.isfinite(w)):
-        raise DomainError(f"widths must be finite, got w_t={w_t}, w={w}")
-    if not w > 0:
-        raise DomainError(f"reference width must be positive, got {w}")
-    if w_t < w:
+    if _real("broadened width w_t", w_t) < _real("reference width w", w, positive=True):
         raise DomainError(f"broadened width {w_t} smaller than reference {w}")
-    return (1 / 3) * math.sqrt((w_t / w) ** 2 - 1)
+    try:
+        strength = (1 / 3) * math.sqrt((w_t / w) ** 2 - 1)
+    except OverflowError:  # a Python float's square past the float range
+        strength = math.inf
+    return _real("inferred w_over_r0", strength)
 
 
 class Broadening(NamedTuple):
@@ -520,10 +512,9 @@ def beam_broadening_sweep(
     Past it, every realization is propagated, and an entry whose largest
     frame fraction trips the propagated guard gets its AliasingError.
     """
-    if n_realizations < 100:
+    if _integer("n_realizations", n_realizations) < 100:
         raise StatisticsError(f"need >= 100 realizations, got {n_realizations}")
-    if seed < 0:
-        raise RangeError(f"seed must be nonnegative, got {seed}")
+    _integer("seed", seed, 0)
     if grid is None:
         grid = GridSpec(512, 16.0)
     gauss = make_lg_mode(0, grid).samples
@@ -610,24 +601,26 @@ def save_screen(screen: PhaseScreen, path) -> None:
 
 def load_screen(path) -> PhaseScreen:
     """Read a screen written by save_screen.  A header value the package
-    rejects raises DomainError "<path>: <its message>", as does an older
-    header's outer_scale other than None (Kolmogorov); a file that does not
-    parse or fit its grid, or holds a negative seed or a nonfinite phase,
-    raises DomainError "<path>: malformed screen file: ...".  An older
-    header's wavelength_m, cn2, path_m and waist_m are skipped, whatever
-    their values: its w_over_r0 holds the strength."""
+    rejects (a negative seed too), a key given twice and an older header's
+    outer_scale other than None (Kolmogorov) raise DomainError "<path>: <its
+    message>"; a file that does not parse or fit its grid, or holds a
+    nonfinite phase, raises DomainError "<path>: malformed screen file:
+    ...".  An older header's wavelength_m, cn2, path_m and waist_m are
+    skipped, whatever their values: its w_over_r0 holds the strength."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("# "):
             raise DomainError(f"{path}: missing screen header line")
         try:
-            meta = dict(item.split("=", 1) for item in header[2:].split())
+            meta: dict[str, str] = {}
+            for key, value in (item.split("=", 1) for item in header[2:].split()):
+                if key in meta:
+                    raise DomainError(f"header key {key!r} given twice")
+                meta[key] = value
             if meta.get("outer_scale", "None") != "None":
                 raise DomainError(f"von Karman screen (outer_scale={meta['outer_scale']})")
             grid = GridSpec(int(meta["n"]), float(meta["extent"]))
             seed = int(meta["seed"])
-            if seed < 0:
-                raise ValueError(f"negative seed {seed}")
             params = TurbulenceParams(float(meta["w_over_r0"]))
             rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
             phase = np.array(rows)  # a ragged row fails here, a missing one in PhaseScreen

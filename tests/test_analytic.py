@@ -194,7 +194,7 @@ class TestCouplingCoefficients:
     def test_index_guards(self):
         with pytest.raises(RangeError):
             coupling_coefficients(0, P06)
-        with pytest.raises(RangeError):
+        with pytest.raises(TypeError):
             coupling_coefficients(1.5, P06)
 
     def test_coarse_quadrature_fails_validation(self):

@@ -71,7 +71,7 @@ class TestParsing:
         args = ["--workers", "-1"] if where == "flag" else ["--config", str(cfg)]
         assert run(["screen-validate", *args, "--out-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (
-            "oamturb screen-validate: worker count must be >= 0 (0: every usable core), "
+            "oamturb screen-validate: worker count (0: every usable core) must be nonnegative, "
             "got -1\n")
         assert not (tmp_path / "out").exists()
 
@@ -757,11 +757,11 @@ class TestScreenValidate:
         assert not out.exists()
 
     @pytest.mark.parametrize("args, message", [
-        (["--strength", "0", "--realizations", "0"], "--realizations must be at least 1"),
-        (["--strength", "0", "--realizations", "-3"], "--realizations must be at least 1"),
-        (["--realizations", "0"], "--realizations must be at least 1"),
+        (["--strength", "0", "--realizations", "0"], "--realizations must be >= 1, got 0"),
+        (["--strength", "0", "--realizations", "-3"], "--realizations must be >= 1, got -3"),
+        (["--realizations", "0"], "--realizations must be >= 1, got 0"),
         (["--realizations", "100", "--export-screens", "-1"],
-         "--export-screens must be nonnegative"),
+         "--export-screens must be nonnegative, got -1"),
     ])
     def test_bad_counts_exit_one(self, tmp_path, capsys, no_screens, args, message):
         out = tmp_path / "bad"
@@ -914,7 +914,7 @@ class TestCalibrate:
 
     @pytest.mark.parametrize("args, message", [
         (["--distance", "nan"], "propagation distance must be finite, got nan"),
-        (["--wavelength", "inf"], "wavelength must be finite, got inf"),
+        (["--wavelength", "inf"], "wavelength must be finite and positive, got inf"),
     ])
     def test_non_finite_optics_named(self, tmp_path, capsys, args, message):
         out = tmp_path / "out"
@@ -929,8 +929,8 @@ class TestCalibrate:
         assert run(["calibrate", "--grid-n", "32", "--grid-extent", "16.0",
                     "--distance", "1e200", "--wavelength", "1e200", "--realizations", "100",
                     "--strengths", "0.2", "--out-dir", str(out)]) == 1
-        assert capsys.readouterr().err == ("oamturb calibrate: pi * wavelength * propagation "
-                                           "distance must be finite, got inf\n")
+        assert capsys.readouterr().err == ("oamturb calibrate: Fresnel phase overflows at "
+                                           "wavelength=1e+200, distance=1e+200\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [

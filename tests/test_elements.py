@@ -67,9 +67,10 @@ class TestHybridQubit:
         with pytest.raises(DomainError):
             HybridQubit(0.9, 0.0, 1)
 
-    @pytest.mark.parametrize("l", [0, -1, 1.5])
+    @pytest.mark.parametrize("l", [0, -1, 1.5, 9])
     def test_bad_index_rejected(self, l):
-        with pytest.raises(RangeError):
+        # a float is no integer; 0, -1 and 9 lie outside [1, 8]
+        with pytest.raises(TypeError if isinstance(l, float) else RangeError):
             HybridQubit(1, 0, l)
 
     def test_from_amplitudes_normalizes(self):

@@ -57,15 +57,15 @@ class TestGridSpec:
             GridSpec(256, extent)
 
     def test_non_integer_size_rejected(self):
-        with pytest.raises(RangeError):
+        with pytest.raises(TypeError, match="^grid size must be an integer, got 256.0$"):
             GridSpec(256.0, 8.0)
 
     @pytest.mark.parametrize("extent", [True, False, np.True_])
     def test_bool_extent_rejected(self, extent):
         # a bool is no extent, as it is no size: True is not 1.0 waists
-        with pytest.raises(RangeError, match="grid extent must be positive"):
+        with pytest.raises(TypeError, match="grid extent must be a real number"):
             GridSpec(256, extent)
-        with pytest.raises(RangeError, match="grid size must be an integer"):
+        with pytest.raises(TypeError, match="grid size must be an integer"):
             GridSpec(extent, 8.0)
 
     def test_coordinates_straddle_the_axis(self):
@@ -155,11 +155,11 @@ class TestLgModes:
         assert make_lg_mode(1, GRID) is make_lg_mode(1, GRID)
 
     def test_index_range_enforced(self):
-        with pytest.raises(RangeError, match=r"\|l\| <= 8 is required, got l=9"):
+        with pytest.raises(RangeError, match=r"azimuthal index must be in \[-8, 8\], got 9"):
             make_lg_mode(9, GRID)
-        with pytest.raises(RangeError, match="azimuthal index must be an integer"):
+        with pytest.raises(TypeError, match="azimuthal index must be an integer"):
             make_lg_mode(1.0, GRID)
-        with pytest.raises(RangeError, match="azimuthal index must be an integer"):
+        with pytest.raises(TypeError, match="azimuthal index must be an integer"):
             make_lg_mode(True, GRID)
         assert make_lg_mode(np.int64(-8), GRID) is make_lg_mode(-8, GRID)
 
@@ -556,8 +556,8 @@ class TestPropagate:
         (math.nan, 0.5, "propagation distance must be finite, got nan"),
         (math.inf, 0.5, "propagation distance must be finite, got inf"),
         (-math.inf, 0.5, "propagation distance must be finite, got -inf"),
-        (1.0, math.inf, "wavelength must be finite, got inf"),
-        (1.0, math.nan, "wavelength must be finite, got nan"),
+        (1.0, math.inf, "wavelength must be finite and positive, got inf"),
+        (1.0, math.nan, "wavelength must be finite and positive, got nan"),
     ])
     def test_non_finite_distance_or_wavelength_rejected(self, distance, wavelength,
                                                          message):
@@ -567,8 +567,8 @@ class TestPropagate:
     def test_overflowing_phase_scale_rejected_before_the_table(self):
         # a call that raises caches nothing, so the second raises too
         for _ in range(2):
-            with pytest.raises(DomainError, match=r"^pi \* wavelength \* propagation "
-                                                  r"distance must be finite, got inf$"):
+            with pytest.raises(DomainError, match=r"^Fresnel phase overflows at "
+                                                  r"wavelength=1e\+200, distance=1e\+200$"):
                 propagate(make_lg_mode(0, GRID), 1e200, 1e200)
 
     def test_negative_distance_propagates_back(self):

@@ -525,7 +525,7 @@ class TestCoefficientEstimate:
             raise AssertionError("a screen was drawn")
 
         monkeypatch.setattr(turbulence, "_unit_screen", refuse)
-        with pytest.raises(RangeError, match="^master_seed must be a nonnegative integer$"):
+        with pytest.raises(RangeError, match="^master_seed must be nonnegative, got -1$"):
             run_coefficient_estimate(1, P06, 100, -1, SMALL)
 
 
