@@ -197,16 +197,9 @@ def _overlaps(weights: np.ndarray, params: list[TurbulenceParams], n_real: int, 
     at params[si], built in place in the loop's complex array u, whose
     second half holds the phase (fields._expi_half).  At zero
     strength u is all ones, so such a cell is one field, not an ensemble:
-    the loop steps its realization 0, copied here to the rest."""
-    xy = np.empty((len(params), n_real, len(weights)), complex)
-
-    def step(si: int, i: int, phase: np.ndarray, u: np.ndarray) -> None:
-        xy[si, i] = weights @ _expi_half(u).ravel()
-
-    _screen_loop(params, n_real, key, grid, n_workers, step)
-    zero = [si for si, p in enumerate(params) if p.w_over_r0 == 0.0]
-    xy[zero, 1:] = xy[zero, :1]
-    return xy
+    the loop steps its realization 0 and copies it to the rest."""
+    return np.array(_screen_loop(params, n_real, key, grid, n_workers,
+                                 lambda si, i, phase, u: weights @ _expi_half(u).ravel()))
 
 
 def _fidelity_samples(config: ExperimentConfig, n_workers: int = 0):
@@ -244,7 +237,10 @@ def _rotation_samples(config: ExperimentConfig, n_workers: int = 0):
     weights are built, one angle's at a time, so memory is bounded
     whatever the realizations and angles.  Each residual group's
     projections are sheared by one fields._rotate_all into `sheared`, which
-    a scan of pure quarter turns (1, 2 or 4 angles) never allocates."""
+    a scan of pure quarter turns (1, 2 or 4 angles) never allocates.  The
+    products are taken from the held block after the loop, not in its
+    steps, so at zero strength, one field, the loop runs realization 0
+    only and its products are copied here to the rest."""
     if len(config.strengths) != 1:
         raise DomainError("rotation scan runs at a single turbulence strength")
     if not config.angles:
@@ -253,7 +249,6 @@ def _rotation_samples(config: ExperimentConfig, n_workers: int = 0):
     params = TurbulenceParams(w_over_r0=config.strengths[0])
     ls = sorted({s.l for s in config.states})
     xy = np.empty((len(config.angles), config.n_realizations, 2 * len(ls)), complex)
-    # at zero strength every realization is one field: 0 is taken and copied
     n_real = 1 if params.w_over_r0 == 0.0 else config.n_realizations
     groups: dict[float, list[int]] = {}  # first residual shear -> angles
     for j, resid in enumerate(_quarter_turns(t)[1] for t in config.angles):

@@ -330,28 +330,29 @@ def generate_screen(
     return PhaseScreen(grid, _scale(phase, w0, out=phase), seed_id, params)
 
 
-def _screen_loop(params_list, n_real: int, key, grid: GridSpec, n_workers: int, step,
-                 work=tuple) -> None:
-    """step(j, i, phase, u, *work()) for every strength j and realization
+def _screen_loop(params_list, n_real: int, key, grid: GridSpec, n_workers: int,
+                 step) -> list[list]:
+    """out[j][i] = step(j, i, phase, u) for every strength j and realization
     i < n_real, phase holding generate_screen(params_list[j], grid,
     screen_key(*key(j, i))).phase bitwise; key gives index tuples.  A zero
-    strength is one field, stepped at realization 0 only with no draw.
-    Realizations run in strided shares (parallel_fill), each in order and
-    strength by strength; one unit screen is drawn per run of equal keys.
-    The complex u and work()'s arrays are the thread's own, phase is u's
-    second half, _halves(u)[1], and a step may overwrite them all.  The
-    synthesis tables are built here first."""
+    strength is one field: stepped at realization 0 only, with no draw, and
+    that one result fills every slot of out[j].  Realizations run in
+    strided shares (parallel_fill), each in order and strength by strength;
+    one unit screen is drawn per run of equal keys.  The complex u is the
+    thread's own, phase is its second half, _halves(u)[1], and a step may
+    overwrite both.  The synthesis tables are built here first."""
     shape = (grid.n, grid.n)
     if any(params.w_over_r0 != 0.0 for params in params_list):
         _tables(grid)
+    out = [[None] * n_real for _ in params_list]
 
-    def thread_arrays():  # _unit_screen's sub, the unit screen, u, work()'s
+    def thread_arrays():  # _unit_screen's sub, the unit screen, u
         return ((np.empty((_CHEB_ORDER, _SUB_CELLS), complex),
                  np.empty((_CHEB_ORDER, _CHEB_ORDER), complex)),
-                (np.empty(shape), np.empty(shape, complex), *work()))
+                np.empty(shape), np.empty(shape, complex))
 
     def share(realizations: range, made) -> None:
-        sub, (unit, u, *extra) = made
+        sub, unit, u = made
         phase = _halves(u)[1]  # also _unit_screen's work array
         drawn = None
         for i in realizations:
@@ -364,9 +365,11 @@ def _screen_loop(params_list, n_real: int, key, grid: GridSpec, n_workers: int, 
                     _unit_screen(grid, screen_key(*k), unit, u, phase, sub)
                     drawn = k
                 _scale(unit, w0, out=phase)
-                step(j, i, phase, u, *extra)
+                out[j][i] = step(j, i, phase, u)
 
     parallel_fill(n_real, share, n_workers, thread_arrays)
+    return [row[:1] * n_real if params.w_over_r0 == 0.0 else row
+            for params, row in zip(params_list, out)]
 
 
 def apply_screen(f, s: PhaseScreen):
@@ -503,14 +506,14 @@ def beam_broadening_sweep(
     Realization i of every strength is keyed screen_key(seed, i), so
     _screen_loop draws its screen once and scales it for each entry; a
     zero-strength entry is one field, propagated once.  Realizations run
-    on n_workers threads (0: every usable core), each filling its own
-    slots of moments and frame fractions, so the result is the same for
-    any worker count; the transfer function and synthesis tables are built
-    on the calling thread, so no worker's allocator arena holds them.  A
-    screen leaves |u| as it is, so the input guard runs once, on the
-    Gaussian, after every other check, and fails every entry if it trips.
-    Past it, every realization is propagated, and an entry whose largest
-    frame fraction trips the propagated guard gets its AliasingError.
+    on n_workers threads (0: every usable core), and the result is the
+    same for any worker count; the transfer function and synthesis tables
+    are built on the calling thread, so no worker's allocator arena holds
+    them.  A screen leaves |u| as it is, so the input guard runs once, on
+    the Gaussian, after every other check, and fails every entry if it
+    trips.  Past it, every realization is propagated, and an entry whose
+    largest frame fraction trips the propagated guard gets its
+    AliasingError.
     """
     if _integer("n_realizations", n_realizations) < 100:
         raise StatisticsError(f"need >= 100 realizations, got {n_realizations}")
@@ -528,26 +531,21 @@ def beam_broadening_sweep(
     except AliasingError as exc:
         return [exc] * len(params_list)
     c2 = grid.coords**2
-    moments = np.empty((len(params_list), n_realizations))
-    frames = np.empty((len(params_list), n_realizations))
 
-    def step(j: int, i: int, phase, u, scratch) -> None:
+    def step(j: int, i: int, phase, u) -> tuple[float, float]:
         # apply_screen and propagate's step, in place: gauss * exp(i phase),
         # then |u|^2 and r^2 = x^2 + y^2 (from the 1-D coords) in the spent
-        # field's two halves, then r^2 |u|^2
+        # field's two halves, then r^2 |u|^2; (moment, frame fraction)
         np.multiply(gauss, _expi_half(u), out=u)
         inten, r2 = _halves(u)
-        frames[j, i] = _fresnel(u, tf, inten, scratch)
+        frame = _fresnel(u, tf, inten, np.empty((2, _SCRATCH_ROWS, grid.n)))
         np.add(c2[:, None], c2[None, :], out=r2)
-        moments[j, i] = float(np.sum(np.multiply(inten, r2, out=r2)) / np.sum(inten))
+        return float(np.sum(np.multiply(inten, r2, out=r2)) / np.sum(inten)), frame
 
-    _screen_loop(params_list, n_realizations, lambda j, i: (seed, i), grid, n_workers, step,
-                 lambda: (np.empty((2, _SCRATCH_ROWS, grid.n)),))
     results: list[Broadening | AliasingError] = []
-    for j, params in enumerate(params_list):
-        m, f = moments[j], frames[j]
-        if params.w_over_r0 == 0.0:
-            m[1:], f[1:] = m[0], f[0]  # one field in every realization, propagated once
+    for cells in _screen_loop(params_list, n_realizations, lambda j, i: (seed, i), grid,
+                              n_workers, step):
+        m, f = (np.array(column) for column in zip(*cells))
         margin = max(0.0, float(f.max()))  # from 0.0, as a running max would start
         try:
             _guard(margin, "propagated")

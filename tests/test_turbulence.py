@@ -429,17 +429,17 @@ def literal_loop_phases(params, n_real, key, grid):
 
 def looped_phases(params, n_real, key, grid, n_workers, vandal=False):
     """The phase each step of _screen_loop sees, by cell.  A vandal step
-    fills phase, u and two work arrays with NaN once it has copied phase."""
+    fills phase and u, the only arrays it is handed, with NaN once it has
+    copied phase."""
     got = {}
 
-    def step(j, i, phase, u, *work):
+    def step(j, i, phase, u):
         got[j, i] = phase.copy()
         if vandal:
-            for array in (phase, u, *work):
+            for array in (phase, u):
                 array.fill(np.nan)
 
-    turbulence._screen_loop(params, n_real, key, grid, n_workers, step,
-                            lambda: (np.empty((grid.n, grid.n)), np.empty(3, complex)))
+    turbulence._screen_loop(params, n_real, key, grid, n_workers, step)
     return got
 
 
@@ -480,6 +480,23 @@ class TestScreenLoop:
         assert sorted(got) == sorted(want)
         for cell, phase in want.items():
             assert got[cell].tobytes() == phase.tobytes(), cell
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["per-strength-keys", "shared-key"])
+    def test_returns_every_steps_result_and_fills_zero_strength(self, shared):
+        key = (lambda j, i: (5, i)) if shared else (lambda j, i: (5, j, i))
+        want = literal_loop_phases(self.PARAMS, 5, key, self.GRID)
+
+        def step(j, i, phase, u):
+            return j, i, phase.tobytes()
+
+        for n_workers in (1, 2, 3):
+            out = turbulence._screen_loop(self.PARAMS, 5, key, self.GRID, n_workers, step)
+            assert [len(row) for row in out] == [5] * len(self.PARAMS)
+            for j, (params, row) in enumerate(zip(self.PARAMS, out)):
+                for i, result in enumerate(row):
+                    # a zero strength's one field, stepped at realization 0, in every slot
+                    cell = (j, 0) if params.w_over_r0 == 0.0 else (j, i)
+                    assert result == (*cell, want[cell].tobytes()), (n_workers, j, i)
 
 
 def source_callers(name):
