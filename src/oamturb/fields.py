@@ -238,16 +238,17 @@ def _shear(part: np.ndarray, table: np.ndarray, first: int) -> None:
     np.fft.ifft(part, axis=1, out=part)
 
 
-def _rotate_into(out: np.ndarray, g: np.ndarray, x_table: np.ndarray,
-                 y_table: np.ndarray, band: np.ndarray, chunk: np.ndarray) -> None:
-    """Write to out the samples g sheared by the residual whose
-    _shear_phase tables are x_table and y_table.  Of the 2n x 2n padded
-    copy only the n central rows are read by the x shears and kept by the
-    crop, so they alone live in the n x 2n band.  The y shear takes band's
-    2n columns _SHEAR_CHUNK at a time, transposed into the rows of the
-    row-major _SHEAR_CHUNK x 2n chunk, zero-padded, and writes back only
-    band's rows: every 1-D transform sees the data of the full padded
-    array, so the result is bitwise the same."""
+def _rotate_into(band: np.ndarray, g: np.ndarray, x_table: np.ndarray,
+                 y_table: np.ndarray, chunk: np.ndarray) -> None:
+    """Shear the n x n samples g, in place in the n x 2n band, by the
+    residual whose _shear_phase tables are x_table and y_table; the result
+    is band's central n columns.  Of the 2n x 2n padded copy only the n
+    central rows are read by the x shears and kept by the crop, so they
+    alone live in the band.  The y shear takes band's 2n columns
+    _SHEAR_CHUNK at a time, transposed into the rows of the row-major
+    _SHEAR_CHUNK x 2n chunk, zero-padded, and writes back only band's
+    rows: every 1-D transform sees the data of the full padded array, so
+    the result is bitwise the same."""
     n = g.shape[0]
     s = n // 2  # padding on each side
     mid = slice(s, s + n)
@@ -262,34 +263,26 @@ def _rotate_into(out: np.ndarray, g: np.ndarray, x_table: np.ndarray,
         _shear(part, y_table, j)
         cols[...] = part[:, mid].T
     _shear(band, x_table, 0)
-    np.copyto(out, band[:, mid])
 
 
-def _rotate_all(out: np.ndarray, arrays, pitch: float, split: tuple[int, float],
-                n_workers: int = 1) -> None:
-    """Set each n x n slot out[q] to arrays[q] turned by k quarter turns,
-    then sheared by r, (k, r) = split: rotate_modal's rotation by theta at
-    split = _quarter_turns(theta), and a pure shear by any r, pi/4
-    included, at (0, r).  A pure quarter turn is an np.rot90 copy on the
-    calling thread, with no work arrays; a residual's x and y shear tables
-    are built once, there, and _rotate_into shears each quarter-turned slot
-    on parallel_fill, each thread in its own n x 2n band and _SHEAR_CHUNK x
-    2n chunk."""
-    n = out.shape[-1]
-    k, r = split
-    if r == 0.0:
-        for q in range(len(out)):
-            np.copyto(out[q], np.rot90(arrays[q], -k))
-        return
+def _rotate_all(bands: np.ndarray, arrays, pitch: float, r: float,
+                n_workers: int = 1) -> np.ndarray:
+    """Shear each n x n arrays[q] by the residual r, any r with pi/4
+    included, in place in its own n x 2n band, bands[q]; return the views
+    of the results, the bands' central n columns.  The x and y shear
+    tables are built once, on the calling thread, and _rotate_into shears
+    the slots on parallel_fill, each thread with its own _SHEAR_CHUNK x 2n
+    chunk."""
+    n = bands.shape[1]
     tables = (_shear_phase(n, pitch, -np.tan(r / 2), n // 2), _shear_phase(n, pitch, np.sin(r), n))
 
-    def rotate(items: range, work) -> None:
+    def rotate(items: range, chunk: np.ndarray) -> None:
         for q in items:
-            _rotate_into(out[q], np.rot90(arrays[q], -k), *tables, *work)
+            _rotate_into(bands[q], arrays[q], *tables, chunk)
 
-    parallel_fill(len(out), rotate, n_workers,
-                  lambda: (np.empty((n, 2 * n), complex),
-                           np.empty((_SHEAR_CHUNK, 2 * n), complex)))
+    parallel_fill(len(bands), rotate, n_workers,
+                  lambda: np.empty((_SHEAR_CHUNK, 2 * n), complex))
+    return bands[..., n // 2:n // 2 + n]
 
 
 def rotate_modal(f: ScalarField, theta: float) -> ScalarField:
@@ -300,17 +293,18 @@ def rotate_modal(f: ScalarField, theta: float) -> ScalarField:
     turn is one np.rot90 copy); the residual in [-pi/4, pi/4) is applied as
     three FFT shears (x, y, x) on a 2x zero-padded copy, exact for fields
     that are band-limited and negligible at the grid edge.  No 2n x 2n
-    array is made: _rotate_all runs the shears in place in an n x 2n band
-    of the padded copy's central rows, the y shear in column chunks.
-    theta = 0 (mod 2 pi) returns the input unchanged; a non-finite theta
-    raises DomainError.
+    array is made: _rotate_all shears the quarter-turned samples in place
+    in one n x 2n band of the padded copy's central rows, the y shear in
+    column chunks, and the band's centre is copied out.  theta = 0
+    (mod 2 pi) returns the input unchanged; a non-finite theta raises
+    DomainError.
     """
-    split = _quarter_turns(theta)
-    if split == (0, 0.0):
-        return f
-    out = np.empty((f.grid.n, f.grid.n), complex)
-    _rotate_all(out[None], f.samples[None], f.grid.pitch, split)
-    return ScalarField(f.grid, out)
+    k, r = _quarter_turns(theta)
+    if r == 0.0:
+        return f if k == 0 else ScalarField(f.grid, np.rot90(f.samples, -k).copy())
+    band = np.empty((1, f.grid.n, 2 * f.grid.n), complex)
+    out = _rotate_all(band, np.rot90(f.samples, -k)[None], f.grid.pitch, r)[0]
+    return ScalarField(f.grid, out.copy())
 
 
 def intensity_frame_fraction(inten: np.ndarray) -> float:

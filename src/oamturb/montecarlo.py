@@ -18,11 +18,11 @@ weights, not the screened fields, so every angle has its own rows; rather
 than hold all angles' rows at once it holds a block of screens and one
 angle's rows, dropped once that angle's products are taken.  The decode
 projections of each group of angles that share a residual shear are
-sheared by one fields._rotate_all call, each into its slot of one array,
-on the worker threads.  The ties, pi/4 mod pi/2, share the residual -pi/4
-(fields._quarter_turns): 16 angles make 3 groups, 8 angles 1.  No engine
-keeps a grid-sized array once it returns, beyond the caches the README
-lists (LG modes and synthesis tables).
+sheared by one fields._rotate_all call on the worker threads, each in
+its own padded band, made once per block of screens.  The ties, pi/4 mod
+pi/2, share the residual -pi/4 (fields._quarter_turns): 16 angles make 3
+groups, 8 angles 1.  No engine keeps a grid-sized array once it returns,
+beyond the caches the README lists (LG modes and synthesis tables).
 """
 
 from __future__ import annotations
@@ -145,9 +145,9 @@ def _weights(ls: list[int], grid: GridSpec, theta: float = 0.0,
     rotate_modal is R_theta = S_r Q^k (fields._quarter_turns); its exact
     adjoint Q^{-k} S_{-r} acts on each projection, not on each screened field.
     projections: per l, the decode_factors pair sheared by -r (default r = 0),
-    a pure shear even at a tie, where -r = pi/4: fields._rotate_all at the
-    split (0, -r), not the (1, -pi/4) of _quarter_turns(pi/4), which is
-    no exact adjoint (1e-8 to 2e-7 off on a 64^2 grid).
+    a pure shear even at a tie, where -r = pi/4: fields._rotate_all by -r
+    with no quarter turn, not the (1, -pi/4) of _quarter_turns(pi/4), which
+    is no exact adjoint (1e-8 to 2e-7 off on a 64^2 grid).
     """
     k = _quarter_turns(theta)[0]
     frame = np.exp(1j * theta)
@@ -236,11 +236,14 @@ def _rotation_samples(config: ExperimentConfig, n_workers: int = 0):
     block of _SCREEN_BLOCK realizations at a time while every angle's
     weights are built, one angle's at a time, so memory is bounded
     whatever the realizations and angles.  Each residual group's
-    projections are sheared by one fields._rotate_all into `sheared`, which
-    a scan of pure quarter turns (1, 2 or 4 angles) never allocates.  The
-    products are taken from the held block after the loop, not in its
-    steps, so at zero strength, one field, the loop runs realization 0
-    only and its products are copied here to the rest."""
+    projections are sheared by one fields._rotate_all, each in its own
+    n x 2n band, and _weights reads the bands' centres.  The 2 len(ls)
+    bands are made once per block, after its draws, so a scan of up to
+    _SCREEN_BLOCK realizations makes them once and no draw runs beside
+    them; a scan of pure quarter turns (1, 2 or 4 angles) never makes
+    them.  The products are taken from the held block after the loop, not
+    in its steps, so at zero strength, one field, the loop runs
+    realization 0 only and its products are copied here to the rest."""
     if len(config.strengths) != 1:
         raise DomainError("rotation scan runs at a single turbulence strength")
     if not config.angles:
@@ -256,8 +259,6 @@ def _rotation_samples(config: ExperimentConfig, n_workers: int = 0):
         groups.setdefault(key, []).append(j)
     # once per run; a grid that cannot sample the modes fails before any screen
     factors = [decode_factors(l, grid) for l in ls]
-    # one residual group's sheared projections, refilled for every group
-    sheared = np.empty((len(ls), 2, grid.n, grid.n), complex) if any(groups) else None
     # one block of phase factors, refilled for every block of realizations
     screens = np.empty((min(_SCREEN_BLOCK, n_real), grid.n * grid.n), dtype=np.complex128)
 
@@ -268,17 +269,21 @@ def _rotation_samples(config: ExperimentConfig, n_workers: int = 0):
         block = range(first, min(first + _SCREEN_BLOCK, n_real))
         _screen_loop([params], len(block), lambda _, b: (config.master_seed, 0, block[b]),
                      grid, n_workers, draw)
+        # every projection's own padded band, refilled for every residual
+        # group: made after the block's draws, dropped before the next's
+        bands = np.empty((2 * len(ls), grid.n, 2 * grid.n), complex) if any(groups) else None
         for resid, members in groups.items():
+            projections = factors
             if resid:
-                _rotate_all(sheared.reshape(-1, grid.n, grid.n),
-                            [p for pair in factors for p in pair], grid.pitch, (0, -resid),
-                            n_workers)
+                projections = list(_rotate_all(bands, [p for pair in factors for p in pair],
+                                               grid.pitch, -resid, n_workers)
+                                   .reshape(len(ls), 2, grid.n, grid.n))
             for j in members:
-                weights = _weights(ls, grid, config.angles[j],
-                                   list(sheared) if resid else factors)
+                weights = _weights(ls, grid, config.angles[j], projections)
                 for i, u in zip(block, screens):
                     xy[j, i] = weights @ u
-                del weights  # 2 MiB an l at 256^2: not held through the next group's shears
+                del weights  # 2 MiB an l at 256^2: not held with the next group's shear tables
+        bands = projections = None
     xy[:, n_real:] = xy[:, :1]
     return _score(xy, config)
 

@@ -359,27 +359,34 @@ class TestRotateModal:
                 assert np.array_equal(got, want), (kind, theta)
 
     @pytest.mark.parametrize("n", [34, 64])
-    @pytest.mark.parametrize("theta", [0.35, 3 * np.pi / 2])
+    @pytest.mark.parametrize("theta", [0.35, 2.0])
     def test_rotate_all_matches_rotate_modal_at_any_worker_count(self, n, theta):
-        # a residual angle and a pure quarter turn, over a stack of three
+        # a residual with and without a quarter turn, over a stack of three;
+        # at 34 the 68 band columns end in a partial y shear chunk
         g = GridSpec(n, 8.0)
         rng = np.random.default_rng(n)
         stack = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
         want = [rotate_modal(ScalarField(g, a), theta).samples.tobytes() for a in stack]
+        k, r = _quarter_turns(theta)
         for workers in (1, 2, 3):
-            out = np.empty_like(stack)
-            _rotate_all(out, stack, g.pitch, _quarter_turns(theta), workers)
-            assert [a.tobytes() for a in out] == want, workers
+            bands = np.empty((3, n, 2 * n), complex)
+            centres = _rotate_all(bands, [np.rot90(a, -k) for a in stack], g.pitch, r, workers)
+            assert [b[:, n // 2:n // 2 + n].tobytes() for b in bands] == want, workers
+            assert np.shares_memory(centres, bands)  # the returned views of those columns
+            assert [c.tobytes() for c in centres] == want, workers
 
     @pytest.mark.parametrize("r", [np.pi / 4, -np.pi / 4, 0.35])
     def test_split_with_no_turn_is_a_pure_shear(self, r):
-        # (0, pi/4) is no _quarter_turns split, yet the rotation scan shears
+        # pi/4 is no _quarter_turns residual, yet the rotation scan shears
         # its projections by it, the exact adjoint of the tie residual -pi/4
         g = GridSpec(64, 8.0)
-        f = ScalarField(g, decode_factors(1, g)[0])
-        out = np.empty((1, g.n, g.n), complex)
-        _rotate_all(out, f.samples[None], g.pitch, (0, r))
-        assert out[0].tobytes() == literal_turn_and_shear(f, 0, r).samples.tobytes()
+        stack = [*decode_factors(1, g), make_lg_mode(1, g).samples]
+        want = [literal_turn_and_shear(ScalarField(g, a), 0, r).samples.tobytes()
+                for a in stack]
+        for workers in (1, 2, 3):
+            bands = np.empty((3, g.n, 2 * g.n), complex)
+            _rotate_all(bands, stack, g.pitch, r, workers)
+            assert [b[:, g.n // 2:g.n // 2 + g.n].tobytes() for b in bands] == want, workers
 
     @pytest.mark.parametrize("n", [64, 256])
     def test_ties_stay_close_to_the_half_even_split(self, n):
@@ -414,12 +421,14 @@ class TestRotateModal:
             raise AssertionError("a pure quarter turn started the worker pool")
 
         monkeypatch.setattr(fields, "parallel_fill", refuse)
+        g = GridSpec(34, 8.0)
         rng = np.random.default_rng(5)
-        stack = rng.normal(size=(3, 34, 34)) + 1j * rng.normal(size=(3, 34, 34))
-        for k in range(4):
-            out = np.empty_like(stack)
-            _rotate_all(out, stack, 8.0 / 34, (k, 0.0), 2)
-            assert [a.tobytes() for a in out] == [np.rot90(a, -k).tobytes() for a in stack]
+        a = rng.normal(size=(34, 34)) + 1j * rng.normal(size=(34, 34))
+        f = ScalarField(g, a)
+        assert rotate_modal(f, 0.0) is f
+        for k in range(1, 4):
+            assert _quarter_turns(k * np.pi / 2) == (k, 0.0)
+            assert rotate_modal(f, k * np.pi / 2).samples.tobytes() == np.rot90(a, -k).tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_quarter_turn_holds_only_its_output(self, k):

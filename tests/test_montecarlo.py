@@ -1,5 +1,6 @@
 """Ensemble bookkeeping, scan engines, and seeding reproducibility."""
 
+import contextlib
 import dataclasses
 import functools
 import gc
@@ -29,7 +30,7 @@ from oamturb import (
     run_fidelity_scan,
     run_rotation_scan,
 )
-from oamturb import analytic, fields, montecarlo, turbulence
+from oamturb import analytic, fields, montecarlo, parallel, turbulence
 from oamturb.elements import decode, decode_factors, fidelity, mub_states, rotate_frame
 from oamturb.fields import (
     ScalarField, VectorField, _quarter_turns, make_lg_mode, rotate_modal,
@@ -364,7 +365,11 @@ class TestRotationScan:
         frame = np.exp(1j * theta)
         sheared = [[rotate_modal(ScalarField(grid, p), -resid).samples
                     for p in decode_factors(l, grid)] for l in ls]
-        for projections in (None, sheared):
+        # the rotation scan passes the centres of padded bands: strided views
+        bands = np.full((len(ls), 2, grid.n, 2 * grid.n), np.nan, complex)
+        bands[..., grid.n // 2:grid.n // 2 + grid.n] = sheared
+        centres = list(bands[..., grid.n // 2:grid.n // 2 + grid.n])
+        for projections in (None, sheared, centres):
             want = []
             for l, pair in zip(ls, projections or [decode_factors(l, grid) for l in ls]):
                 for p, mode, phase in zip(pair, (l, -l), (np.conj(frame), frame)):
@@ -376,12 +381,16 @@ class TestRotationScan:
             assert got.tobytes() == np.array(want).tobytes()
 
     def test_working_set_is_below_every_angles_weight_rows(self):
-        # one residual group's shears and one angle's rows are alive at a
-        # time, never both: 13.1 screen sizes measured at one worker and
-        # 15.4 at two (each shearing in its own band), so the bound is
-        # 16.5, a margin of 1.1; rows held through the next group's shears
-        # with a full 2n-row y table peaked at 19.1 and 19.3, and every
-        # angle's rows stacked into one matrix at 52.1
+        # one residual group's shears and one angle's rows are alive at a time,
+        # never both, and each projection is sheared in its own padded band,
+        # made after the block's draws: 12.1 screen sizes measured at one worker
+        # and 13.3 at two (14.3 in about one run in five: one more temporary
+        # copy of a reversed shear-table slice, which _shear makes on each
+        # thread).  Per-thread bands with a separate array of sheared
+        # projections peaked at 12.1 and 15.3 (16.3), so the bound, 15.1, lies
+        # between the two designs' worst and best runs.  Rows held through the
+        # next group's shears with a full 2n-row y table peaked at 19.1 and
+        # 19.3, and every angle's rows stacked into one matrix at 52.1
         angles = tuple(2 * np.pi * k / 16 for k in range(16))
         cfg = ExperimentConfig(strengths=(0.6,), n_realizations=1, master_seed=2,
                                grid=GridSpec(64, 8.0), angles=angles)
@@ -394,13 +403,37 @@ class TestRotationScan:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 16.5 * screen_bytes, workers
+            assert peak < 15.1 * screen_bytes, workers
+
+    def test_stacked_rows_product_equals_its_slices(self):
+        # Taking every angle's rows in one W @ u would give the same bytes
+        # as the scan's 2-row products, so the theta = 0 rows would still
+        # equal the fidelity scan.  That holds for this numpy / OpenBLAS
+        # build, with its default thread count and at one thread (as on
+        # the worker pool), not by construction: another BLAS may sum a
+        # row in another order.
+        grid = GridSpec(64, 8.0)
+        factors = decode_factors(1, grid)
+        bands = np.empty((2, grid.n, 2 * grid.n), complex)
+        rows = []
+        for theta in (2 * np.pi * k / 16 for k in range(16)):
+            r = _quarter_turns(theta)[1]
+            sheared = [fields._rotate_all(bands, factors, grid.pitch, -r)] if r else None
+            rows.append(_weights([1], grid, theta, sheared))
+        stacked = np.concatenate(rows)
+        assert stacked.shape == (32, grid.n**2)
+        u = fields.expi(np.random.default_rng(7).uniform(-np.pi, np.pi, grid.n**2))
+        want = np.concatenate([w @ u for w in rows]).tobytes()
+        for hold in (contextlib.nullcontext, parallel._one_blas_thread):
+            with hold():
+                assert (stacked @ u).tobytes() == want
+                assert np.concatenate([w @ u for w in rows]).tobytes() == want
 
     @pytest.mark.parametrize("n_angles", [1, 2, 4])
     def test_quarter_turn_scan_allocates_no_sheared_projections(self, n_angles):
-        # no residual group, so no (l, 2, n, n) array for sheared
-        # projections: 12.0 screen sizes measured at l = 1, 2 and one or two
-        # workers, 16.0 with the four unused arrays allocated
+        # no residual group, so no padded bands for sheared projections:
+        # 12.0 screen sizes measured at l = 1, 2 and one or two
+        # workers, 17.1 to 18.1 with the four unused bands allocated
         cfg = ExperimentConfig(strengths=(0.6,), n_realizations=1, master_seed=2,
                                grid=GridSpec(64, 8.0),
                                states=tuple(mub_states(1) + mub_states(2)),
