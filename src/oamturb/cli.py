@@ -474,7 +474,7 @@ def cmd_screen_validate(cfg: dict) -> _Record:
             n_screens, grid, seps, coh_seps,
             lambda values: _screen_loop(  # each screen's statistics on its worker
                 [params], n_screens, lambda _, i: (seed, i), grid, cfg["workers"],
-                lambda _, i, phase, u: values(i, phase, u)))
+                lambda _, i, phase, u: values(phase, u))[0])
         d_rows = [[sep, *d_emp[sep], structure_function(sep, params)] for sep in seps]
 
         sep_r0 = r0_lag * pitch

@@ -239,16 +239,15 @@ def _shear(part: np.ndarray, table: np.ndarray, first: int) -> None:
 
 
 def _rotate_into(band: np.ndarray, g: np.ndarray, x_table: np.ndarray,
-                 y_table: np.ndarray, chunk: np.ndarray) -> None:
+                 y_table: np.ndarray, chunk: np.ndarray) -> np.ndarray:
     """Shear the n x n samples g, in place in the n x 2n band, by the
-    residual whose _shear_phase tables are x_table and y_table; the result
-    is band's central n columns.  Of the 2n x 2n padded copy only the n
-    central rows are read by the x shears and kept by the crop, so they
-    alone live in the band.  The y shear takes band's 2n columns
-    _SHEAR_CHUNK at a time, transposed into the rows of the row-major
-    _SHEAR_CHUNK x 2n chunk, zero-padded, and writes back only band's
-    rows: every 1-D transform sees the data of the full padded array, so
-    the result is bitwise the same."""
+    residual whose _shear_phase tables are x_table and y_table; return the
+    view of the result, band's central n columns.  Of the 2n x 2n padded
+    copy only the n central rows are read by the x shears and kept by the
+    crop, so they alone live in the band.  The y shear takes band's 2n
+    columns _SHEAR_CHUNK at a time, transposed into a zero-padded chunk's
+    rows, and writes back only band's rows: every 1-D transform sees the
+    data of the full padded array, so the result is bitwise the same."""
     n = g.shape[0]
     s = n // 2  # padding on each side
     mid = slice(s, s + n)
@@ -263,26 +262,22 @@ def _rotate_into(band: np.ndarray, g: np.ndarray, x_table: np.ndarray,
         _shear(part, y_table, j)
         cols[...] = part[:, mid].T
     _shear(band, x_table, 0)
+    return band[:, mid]
 
 
 def _rotate_all(bands: np.ndarray, arrays, pitch: float, r: float,
-                n_workers: int = 1) -> np.ndarray:
+                n_workers: int = 1) -> list[np.ndarray]:
     """Shear each n x n arrays[q] by the residual r, any r with pi/4
     included, in place in its own n x 2n band, bands[q]; return the views
-    of the results, the bands' central n columns.  The x and y shear
-    tables are built once, on the calling thread, and _rotate_into shears
-    the slots on parallel_fill, each thread with its own _SHEAR_CHUNK x 2n
-    chunk."""
+    of the results, the bands' central n columns, in order.  The x and y
+    shear tables are built once, on the calling thread, and each array is
+    one parallel_fill item of _rotate_into, each thread with its own
+    _SHEAR_CHUNK x 2n chunk."""
     n = bands.shape[1]
     tables = (_shear_phase(n, pitch, -np.tan(r / 2), n // 2), _shear_phase(n, pitch, np.sin(r), n))
-
-    def rotate(items: range, chunk: np.ndarray) -> None:
-        for q in items:
-            _rotate_into(bands[q], arrays[q], *tables, chunk)
-
-    parallel_fill(len(bands), rotate, n_workers,
-                  lambda: np.empty((_SHEAR_CHUNK, 2 * n), complex))
-    return bands[..., n // 2:n // 2 + n]
+    return parallel_fill(
+        len(bands), lambda q, chunk: _rotate_into(bands[q], arrays[q], *tables, chunk),
+        n_workers, lambda: np.empty((_SHEAR_CHUNK, 2 * n), complex))
 
 
 def rotate_modal(f: ScalarField, theta: float) -> ScalarField:

@@ -275,15 +275,15 @@ def _rotation_samples(config: ExperimentConfig, n_workers: int = 0):
         for resid, members in groups.items():
             projections = factors
             if resid:
-                projections = list(_rotate_all(bands, [p for pair in factors for p in pair],
-                                               grid.pitch, -resid, n_workers)
-                                   .reshape(len(ls), 2, grid.n, grid.n))
+                views = _rotate_all(bands, [p for pair in factors for p in pair],
+                                    grid.pitch, -resid, n_workers)
+                projections = list(zip(views[::2], views[1::2]))
             for j in members:
                 weights = _weights(ls, grid, config.angles[j], projections)
                 for i, u in zip(block, screens):
                     xy[j, i] = weights @ u
                 del weights  # 2 MiB an l at 256^2: not held with the next group's shear tables
-        bands = projections = None
+        bands = projections = views = None
     xy[:, n_real:] = xy[:, :1]
     return _score(xy, config)
 

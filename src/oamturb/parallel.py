@@ -1,7 +1,8 @@
 """Worker threads for the Monte Carlo engines.
 
-Every engine writes each realization's result to its own preallocated
-slot, so its output is a pure function of its configuration whatever the
+parallel_fill returns each item's result in index order, and every item
+is a pure function of its index and its thread's work arrays, so an
+engine's output is a pure function of its configuration whatever the
 worker count.  While more than one worker runs, numpy's OpenBLAS is held
 at one thread: screen synthesis runs two small matrix products per
 screen, and multi-threaded BLAS calls from every worker at once made two
@@ -88,27 +89,29 @@ def _one_blas_thread():
         put(old)
 
 
-def parallel_fill(n_items: int, worker, n_workers: int, work) -> None:
-    """Run worker(items, arrays) once per thread over a fixed share of
-    range(n_items), on min(n_workers, n_items) threads (0: every usable
-    core).  Thread t's share is range(t, n_items, n_threads), strided so
-    that cheap and dear indices spread evenly; a single share runs on the
-    calling thread.
+def parallel_fill(n_items: int, item, n_workers: int, work) -> list:
+    """[item(i, arrays) for i in range(n_items)], on min(n_workers,
+    n_items) threads (0: every usable core).  Thread t runs the items of
+    range(t, n_items, n_threads) in ascending order, strided so that cheap
+    and dear indices spread evenly; a single thread is the calling thread.
 
     arrays is that thread's own result of work(), made on the calling
-    thread before any thread starts.  So a worker that allocates nothing
+    thread before any thread starts.  So an item that allocates nothing
     grid-sized leaves nothing in its thread's allocator arena, which would
-    hold on to freed memory.
-
-    Workers must write only to preallocated per-index slots; the result is
-    then identical for any worker count.
+    hold on to freed memory.  Each item's result goes to its own index, so
+    the list is identical for any worker count.
     """
     n_threads = min(resolve_workers(n_workers), n_items)
     shares = [(range(t, n_items, n_threads), work()) for t in range(n_threads)]
     if n_threads <= 1:
-        for share in shares:
-            worker(*share)
-        return
+        return [item(i, arrays) for items, arrays in shares for i in items]
+    out = [None] * n_items
+
+    def run(items: range, arrays) -> None:
+        for i in items:
+            out[i] = item(i, arrays)
+
     with _one_blas_thread(), ThreadPoolExecutor(max_workers=n_threads) as pool:
-        for future in [pool.submit(worker, *share) for share in shares]:
+        for future in [pool.submit(run, *share) for share in shares]:
             future.result()
+    return out

@@ -336,40 +336,40 @@ def _screen_loop(params_list, n_real: int, key, grid: GridSpec, n_workers: int,
     i < n_real, phase holding generate_screen(params_list[j], grid,
     screen_key(*key(j, i))).phase bitwise; key gives index tuples.  A zero
     strength is one field: stepped at realization 0 only, with no draw, and
-    that one result fills every slot of out[j].  Realizations run in
-    strided shares (parallel_fill), each in order and strength by strength;
-    one unit screen is drawn per run of equal keys.  The complex u is the
-    thread's own, phase is its second half, _halves(u)[1], and a step may
-    overwrite both.  The synthesis tables are built here first."""
+    that one result fills every slot of out[j].  Each realization is one
+    parallel_fill item, which steps the strengths in order and draws one
+    unit screen per run of equal keys.  The complex u is the thread's own,
+    phase is its second half, _halves(u)[1], and a step may overwrite both.
+    The synthesis tables are built here first."""
     shape = (grid.n, grid.n)
     if any(params.w_over_r0 != 0.0 for params in params_list):
         _tables(grid)
-    out = [[None] * n_real for _ in params_list]
 
     def thread_arrays():  # _unit_screen's sub, the unit screen, u
         return ((np.empty((_CHEB_ORDER, _SUB_CELLS), complex),
                  np.empty((_CHEB_ORDER, _CHEB_ORDER), complex)),
                 np.empty(shape), np.empty(shape, complex))
 
-    def share(realizations: range, made) -> None:
+    def realization(i: int, made) -> list:
         sub, unit, u = made
         phase = _halves(u)[1]  # also _unit_screen's work array
-        drawn = None
-        for i in realizations:
-            for j, params in enumerate(params_list):
-                w0 = params.w_over_r0
-                if w0 == 0.0 and i > 0:
-                    continue
-                k = key(j, i)
-                if w0 != 0.0 and k != drawn:
-                    _unit_screen(grid, screen_key(*k), unit, u, phase, sub)
-                    drawn = k
-                _scale(unit, w0, out=phase)
-                out[j][i] = step(j, i, phase, u)
+        drawn, row = None, []
+        for j, params in enumerate(params_list):
+            w0 = params.w_over_r0
+            if w0 == 0.0 and i > 0:
+                row.append(None)  # realization 0's result fills it
+                continue
+            k = key(j, i)
+            if w0 != 0.0 and k != drawn:
+                _unit_screen(grid, screen_key(*k), unit, u, phase, sub)
+                drawn = k
+            _scale(unit, w0, out=phase)
+            row.append(step(j, i, phase, u))
+        return row
 
-    parallel_fill(n_real, share, n_workers, thread_arrays)
-    return [row[:1] * n_real if params.w_over_r0 == 0.0 else row
-            for params, row in zip(params_list, out)]
+    rows = parallel_fill(n_real, realization, n_workers, thread_arrays)
+    return [[row[j] for row in (rows[:1] * n_real if params.w_over_r0 == 0.0 else rows)]
+            for j, params in enumerate(params_list)]
 
 
 def apply_screen(f, s: PhaseScreen):
@@ -397,53 +397,52 @@ def _pixel_lag(separation: float, grid: GridSpec) -> int:
 def _screen_statistics(n_screens: int, grid: GridSpec, separations, coherence_separations,
                        fill) -> tuple[dict[float, tuple[float, float]], ...]:
     """The estimators over fill(values), which passes each screen i once to
-    values(i, phase, u), in any order and from any thread (u: that thread's
-    complex grid-sized scratch).  Every check runs before fill: at least
-    100 screens, each separation a pixel lag in [1, n - 1]."""
+    values(phase, u), from any thread (u: that thread's complex grid-sized
+    scratch), and returns its D and then coherence values in index order.
+    Every check runs before fill: at least 100 screens, each separation a
+    pixel lag in [1, n - 1]."""
     if n_screens < 100:
         raise StatisticsError(f"need >= 100 screens, got {n_screens}")
     d_lags = {sep: _pixel_lag(sep, grid) for sep in separations}
     c_lags = {sep: _pixel_lag(sep, grid) for sep in coherence_separations}
-    d_vals, c_vals = [np.empty((len(lags), n_screens)) for lags in (d_lags, c_lags)]
 
-    def values(i: int, ph: np.ndarray, u: np.ndarray) -> None:
-        for j, lag in enumerate(d_lags.values()):
+    def values(ph: np.ndarray, u: np.ndarray) -> list:
+        out = []
+        for lag in d_lags.values():
             dx = ph[:, lag:] - ph[:, :-lag]  # squared in place: two temporaries a lag
             dy = ph[lag:, :] - ph[:-lag, :]
-            d_vals[j, i] = 0.5 * (np.mean(np.square(dx, out=dx)) + np.mean(np.square(dy, out=dy)))
+            out.append(0.5 * (np.mean(np.square(dx, out=dx)) + np.mean(np.square(dy, out=dy))))
         if c_lags:
             # cos(phi' - phi) = c'c + s's: cos and sin in u's halves (sin in place
             # when ph is the loop's phase, the second)
             c, sn = np.cos(ph, out=_halves(u)[0]), np.sin(ph, out=_halves(u)[1])
-            for j, lag in enumerate(c_lags.values()):
+            for lag in c_lags.values():
                 dx = c[:, lag:] * c[:, :-lag]
                 dx += sn[:, lag:] * sn[:, :-lag]
                 dy = c[lag:, :] * c[:-lag, :]
                 dy += sn[lag:, :] * sn[:-lag, :]
-                c_vals[j, i] = 0.5 * (np.mean(dx) + np.mean(dy))
+                out.append(0.5 * (np.mean(dx) + np.mean(dy)))
+        return out
 
-    fill(values)
+    # C-contiguous (lag, screen) rows: each mean and std sums its screens in order
+    vals = np.array(fill(values)).T.copy()
     return tuple(
         {sep: (float(v.mean()), float(v.std(ddof=1) / np.sqrt(n_screens)))
-         for sep, v in zip(lags, vals)}
-        for lags, vals in ((d_lags, d_vals), (c_lags, c_vals))
+         for sep, v in zip(lags, rows)}
+        for lags, rows in ((d_lags, vals[:len(d_lags)]), (c_lags, vals[len(d_lags):]))
     )
 
 
 def _list_statistics(screens, separations, coherence_separations):
-    """_screen_statistics over a list of screens, filled on parallel_fill's
-    threads; a list that mixes grids or params fails before any is read."""
+    """_screen_statistics over a list of screens, one parallel_fill item
+    each; a list that mixes grids or params fails before any is read."""
     grid = screens[0].grid if screens else None  # an empty list fails the count
 
-    def fill(values) -> None:
+    def fill(values) -> list:
         if any(s.grid != grid or s.params != screens[0].params for s in screens):
             raise ShapeMismatchError("screens mix different grids or parameters")
-
-        def share(indices: range, u: np.ndarray) -> None:
-            for i in indices:
-                values(i, screens[i].phase, u)
-
-        parallel_fill(len(screens), share, 0, lambda: np.empty((grid.n, grid.n), complex))
+        return parallel_fill(len(screens), lambda i, u: values(screens[i].phase, u), 0,
+                             lambda: np.empty((grid.n, grid.n), complex))
 
     return _screen_statistics(len(screens), grid, separations, coherence_separations, fill)
 

@@ -372,7 +372,9 @@ class TestRotateModal:
             bands = np.empty((3, n, 2 * n), complex)
             centres = _rotate_all(bands, [np.rot90(a, -k) for a in stack], g.pitch, r, workers)
             assert [b[:, n // 2:n // 2 + n].tobytes() for b in bands] == want, workers
-            assert np.shares_memory(centres, bands)  # the returned views of those columns
+            # the returned views of those columns, in order
+            assert [c.base is b.base and np.shares_memory(c, b)
+                    for c, b in zip(centres, bands)] == [True] * 3
             assert [c.tobytes() for c in centres] == want, workers
 
     @pytest.mark.parametrize("r", [np.pi / 4, -np.pi / 4, 0.35])

@@ -2,7 +2,6 @@
 
 import os
 import threading
-import time
 from concurrent.futures import Future
 
 import pytest
@@ -41,80 +40,98 @@ def executor(monkeypatch):
 
 
 def fill(n_items, n_workers):
-    """Each index's slot, and the threads that filled them."""
-    slots, threads = [None] * n_items, set()
+    """Every item's result, and the threads that ran the items."""
+    threads = set()
 
-    def worker(items, arrays):
+    def item(i, arrays):
         threads.add(threading.get_ident())
-        for i in items:
-            assert slots[i] is None
-            slots[i] = i
+        return i, f"item {i}"
 
-    parallel_fill(n_items, worker, n_workers, lambda: None)
-    return slots, threads
+    return parallel_fill(n_items, item, n_workers, lambda: None), threads
+
+
+def expected(n_items):
+    return [(i, f"item {i}") for i in range(n_items)]
 
 
 class TestParallelFill:
     @pytest.mark.parametrize("n_items,n_workers,threads", [
         (3, 500, 3), (100, 500, 100), (100, 2, 2), (7, 3, 3),
     ])
-    def test_never_more_threads_than_spans(self, executor, n_items, n_workers, threads):
-        slots, _ = fill(n_items, n_workers)
-        assert slots == list(range(n_items))
+    def test_never_more_threads_than_items(self, executor, n_items, n_workers, threads):
+        results, _ = fill(n_items, n_workers)
+        assert results == expected(n_items)
         assert executor == [threads]
 
     @pytest.mark.parametrize("n_items,n_workers", [(1, 8), (5, 1), (0, 4)])
-    def test_one_span_or_worker_runs_on_the_calling_thread(self, executor, n_items,
+    def test_one_item_or_worker_runs_on_the_calling_thread(self, executor, n_items,
                                                            n_workers):
-        slots, threads = fill(n_items, n_workers)
-        assert slots == list(range(n_items))
+        results, threads = fill(n_items, n_workers)
+        assert results == expected(n_items)
         assert executor == []
         assert threads <= {threading.get_ident()}
 
-    def test_real_pool_fills_every_slot(self):
-        slots, _ = fill(50, 3)
-        assert slots == list(range(50))
+    def test_results_come_back_in_index_order_at_any_worker_count(self):
+        for n_workers in (0, 1, 2, 3):
+            assert fill(50, n_workers)[0] == expected(50), n_workers
 
     @pytest.mark.parametrize("n_items,n_workers,sets", [(40, 3, 3), (40, 1, 1), (1, 4, 1)])
-    def test_each_running_span_has_its_own_work_arrays(self, n_items, n_workers, sets):
-        made, busy, seen = [], set(), set()
+    def test_every_item_on_a_thread_sees_its_threads_one_work_result(self, n_items, n_workers,
+                                                                     sets):
+        made, seen = [], {}
+        together = threading.Barrier(sets, timeout=30)  # every thread at once
 
         def work():
             made.append(threading.get_ident())
             return [len(made)]
 
-        def worker(items, arrays):
-            assert arrays[0] not in busy
-            busy.add(arrays[0])
-            seen.add(arrays[0])
-            time.sleep(0.001)  # let another share start meanwhile
-            busy.discard(arrays[0])
+        def item(i, arrays):
+            if i < sets:  # each thread's first item
+                together.wait()
+            seen.setdefault(threading.get_ident(), set()).add(id(arrays))
+            return arrays[0]
 
-        parallel_fill(n_items, worker, n_workers, work)
-        assert made == [threading.get_ident()] * sets
-        assert seen <= set(range(1, sets + 1))
+        results = parallel_fill(n_items, item, n_workers, work)
+        assert made == [threading.get_ident()] * sets  # all made on the calling thread
+        assert len(seen) == sets
+        assert all(len(ids) == 1 for ids in seen.values())  # one work() result a thread
+        assert len(set().union(*seen.values())) == sets  # and no two threads share one
+        assert results == [i % sets + 1 for i in range(n_items)]
 
     @pytest.mark.parametrize("n_items,n_workers", [(10, 3), (2, 2), (7, 4), (3, 500)])
-    def test_thread_t_runs_once_over_every_n_threads_th_index_from_t(
-            self, executor, n_items, n_workers):
+    def test_thread_t_runs_indices_t_t_plus_n_threads_in_order(self, executor, n_items,
+                                                               n_workers):
         calls, made = [], iter(range(n_items))
-        parallel_fill(n_items, lambda items, arrays: calls.append((items, arrays)),
-                      n_workers, lambda: next(made))
+        results = parallel_fill(n_items, lambda i, arrays: calls.append((arrays, i)) or -i,
+                                n_workers, lambda: next(made))
         n_threads = min(n_workers, n_items)
         assert executor == [n_threads]
-        assert calls == [(range(t, n_items, n_threads), t) for t in range(n_threads)]
+        assert calls == [(t, i) for t in range(n_threads) for i in range(t, n_items, n_threads)]
+        assert results == [-i for i in range(n_items)]
 
-    def test_shares_run_at_once_on_their_own_threads(self):
+    def test_real_threads_run_their_strided_shares_in_order(self):
+        order = {}
+        together = threading.Barrier(3, timeout=30)
+
+        def item(i, arrays):
+            if i < 3:
+                together.wait()
+            order.setdefault(threading.get_ident(), []).append(i)
+
+        parallel_fill(11, item, 3, lambda: None)
+        assert sorted(order.values()) == [list(range(t, 11, 3)) for t in range(3)]
+
+    def test_threads_run_at_once_on_their_own_threads(self):
         together = threading.Barrier(3, timeout=30)  # broken unless all 3 run at once
-        calls = []
 
-        def worker(items, arrays):
-            calls.append((items, threading.get_ident()))
-            together.wait()
+        def item(i, arrays):
+            if i < 3:  # each thread's first item
+                together.wait()
+            return threading.get_ident()
 
-        parallel_fill(9, worker, 3, lambda: None)
-        assert sorted(items.start for items, _ in calls) == [0, 1, 2]
-        assert len({ident for _, ident in calls}) == 3
+        idents = parallel_fill(9, item, 3, lambda: None)
+        assert len(set(idents)) == 3
+        assert idents == idents[:3] * 3
 
     def test_zero_means_every_usable_core(self, executor):
         cores = len(os.sched_getaffinity(0))
@@ -127,7 +144,7 @@ class TestParallelFill:
         with pytest.raises(DomainError, match="got -1"):
             resolve_workers(-1)
         with pytest.raises(DomainError):
-            parallel_fill(4, lambda items, arrays: None, -2, lambda: None)
+            parallel_fill(4, lambda i, arrays: None, -2, lambda: None)
 
 
 needs_blas_calls = pytest.mark.skipif(
@@ -148,28 +165,21 @@ def two_blas_threads():
 @needs_blas_calls
 class TestBlasPin:
     def test_pool_holds_one_thread_and_restores(self, two_blas_threads):
-        seen = []
-
-        def worker(items, arrays):
-            seen.append(blas_threads())
-
-        parallel_fill(8, worker, 2, lambda: None)
-        assert seen and set(seen) == {1}
+        seen = parallel_fill(8, lambda i, arrays: blas_threads(), 2, lambda: None)
+        assert seen == [1] * 8
         assert blas_threads() == two_blas_threads
 
     def test_serial_run_leaves_the_count(self, two_blas_threads):
-        seen = []
-        parallel_fill(8, lambda items, arrays: seen.append(blas_threads()), 1,
-                      lambda: None)
-        assert set(seen) == {two_blas_threads}
+        seen = parallel_fill(8, lambda i, arrays: blas_threads(), 1, lambda: None)
+        assert seen == [two_blas_threads] * 8
 
     def test_count_restored_after_an_exception(self, two_blas_threads):
-        def worker(items, arrays):
-            if items.start > 0:
-                raise ValueError("span failed")
+        def item(i, arrays):
+            if i > 0:
+                raise ValueError("item failed")
 
-        with pytest.raises(ValueError, match="span failed"):
-            parallel_fill(8, worker, 2, lambda: None)
+        with pytest.raises(ValueError, match="item failed"):
+            parallel_fill(8, item, 2, lambda: None)
         assert blas_threads() == two_blas_threads
 
 
@@ -179,8 +189,8 @@ def test_missing_symbol_is_harmless(monkeypatch):
     parallel._thread_calls.cache_clear()
     try:
         assert blas_threads() is None
-        slots, _ = fill(20, 2)
-        assert slots == list(range(20))
+        results, _ = fill(20, 2)
+        assert results == expected(20)
     finally:
         parallel._thread_calls.cache_clear()
     monkeypatch.undo()

@@ -571,9 +571,8 @@ class TestEnsembleStatistics:
         d_seps = [lag * GRID.pitch for lag in (2, 16, 64)]
         c_seps = [lag * GRID.pitch for lag in (4, 16)]
 
-        def fill(values):
-            for i, s in enumerate(screens_200):
-                values(i, s.phase, np.empty(s.phase.shape, complex))
+        def fill(values):  # each screen's row, in index order
+            return [values(s.phase, np.empty(s.phase.shape, complex)) for s in screens_200]
 
         d, c = turbulence._screen_statistics(200, GRID, d_seps, c_seps, fill)
         assert d == literal_structure_function(screens_200, d_seps)
