@@ -408,22 +408,24 @@ def cmd_rotation_scan(cfg: dict) -> _Record:
     angles = tuple((2 * np.pi * np.arange(n_angles) / n_angles).tolist())
     result, realizations = _scan(cfg, [cfg["strength"]], mub_states(int(cfg["l"])), MUB_LABELS,
                                  angles)
-    rows = [[r.theta, r.state_label, r.fidelity.mean, r.fidelity.stderr]
-            for r in result]
-    variation = {}
+    rows = [[r.theta, r.state_label, r.fidelity.mean, r.fidelity.stderr,
+             r.success_prob.mean, r.success_prob.stderr] for r in result]
+    variation, success_variation = {}, {}  # per state, max - min over the angles
     for label in MUB_LABELS:
-        means = [r.fidelity.mean for r in result if r.state_label == label]
-        variation[label] = float(max(means) - min(means))
+        for per_state, stat in ((variation, "fidelity"), (success_variation, "success_prob")):
+            means = [getattr(r, stat).mean for r in result if r.state_label == label]
+            per_state[label] = float(max(means) - min(means))
     all_means = [r.fidelity.mean for r in result]
     return _Record(
-        {"rotation_scan.csv": (["theta", "state_label", "fidelity_mean",
-                                "fidelity_stderr"], rows)},
+        {"rotation_scan.csv": (["theta", "state_label", "fidelity_mean", "fidelity_stderr",
+                                "success_prob_mean", "success_prob_stderr"], rows)},
         {
             "fidelity_mean_over_all_points": float(np.mean(all_means)),
             "fidelity_std_over_all_points": float(np.std(all_means)),
             "max_variation_per_state": variation,
             "max_variation": max(variation.values()),
             "max_fidelity_overshoot": max(r.fidelity_overshoot for r in result),
+            "max_success_prob_variation": max(success_variation.values()),
         },
         realizations,
     )

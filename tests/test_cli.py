@@ -633,11 +633,42 @@ class TestRotationScan:
                   "--grid-extent", "6.0", "--out-dir", str(out)])
         assert rc == 0
         lines = (out / "rotation_scan.csv").read_text().splitlines()
-        assert lines[0] == "theta,state_label,fidelity_mean,fidelity_stderr"
+        assert lines[0] == ("theta,state_label,fidelity_mean,fidelity_stderr,"
+                            "success_prob_mean,success_prob_stderr")
         assert len(lines) == 1 + 24
         summary = json.loads((out / "summary.json").read_text())
         assert summary["max_variation"] < 1e-9
         assert 0.0 <= summary["max_fidelity_overshoot"] < 1e-12
+
+    def test_success_columns_pin_the_engines_samples(self, tmp_path):
+        # 8 angles: three residual groups, the ties among them
+        out = tmp_path / "rot"
+        assert run(["rotation-scan", "--strength", "0.8", "--n-angles", "8",
+                    "--realizations", "6", "--seed", "3", "--grid-n", "64",
+                    "--grid-extent", "6.0", "--out-dir", str(out)]) == 0
+        angles = tuple((2 * np.pi * np.arange(8) / 8).tolist())
+        config = oamturb.montecarlo.ExperimentConfig(
+            strengths=(0.8,), states=tuple(oamturb.elements.mub_states(1)),
+            state_labels=oamturb.elements.MUB_LABELS, n_realizations=6, master_seed=3,
+            grid=oamturb.GridSpec(64, 6.0), angles=angles)
+        success = oamturb.montecarlo._rotation_samples(config)[0]  # (angle, realization, state)
+        lines = (out / "rotation_scan.csv").read_text().splitlines()[1:]
+        assert len(lines) == 8 * 6
+        means = {}
+        for line in lines:
+            theta, label, *_, mean, stderr = line.split(",")
+            j, k = angles.index(float(theta)), config.state_labels.index(label)
+            samples = [float(x) for x in success[j, :, k]]
+            assert float(mean) == pytest.approx(math.fsum(samples) / 6, rel=1e-14, abs=0)
+            sd = math.sqrt(math.fsum((x - float(mean))**2 for x in samples) / 5)
+            assert float(stderr) == pytest.approx(sd / math.sqrt(6), rel=1e-12, abs=0)
+            assert float(stderr) > 0
+            means.setdefault(label, []).append(float(mean))
+        assert [len(m) for m in means.values()] == [8] * 6
+        summary = json.loads((out / "summary.json").read_text())
+        want = max(max(m) - min(m) for m in means.values())
+        assert summary["max_success_prob_variation"] == want
+        assert want > 0  # success varies with the frame angle at a finite ensemble
 
     def test_zero_angles_rejected(self, capsys):
         assert run(["rotation-scan", "--n-angles", "0"]) == 1
@@ -1240,8 +1271,8 @@ OUTPUT_DIGESTS = {
             "summary.json": "d065b5f7aa7207f7d1a15b5f6627f660d8510c2e53c4911cd469f10c843b5e09",
         },
         "rotation-scan": {
-            "rotation_scan.csv": "e74a8863148ad3a716fd137fdd7054ff26bbf843321f7d5061c4b157a5d3586b",
-            "summary.json": "5d5d77d74d50b089b2b23f236e5dfc71aefb0d2db483722f164e918a0a5afbdb",
+            "rotation_scan.csv": "d2413eff0c7864557b8ab6e91d9546a964462022a6887a7c4dc7111f5c8268f8",
+            "summary.json": "173997a63d9319c188bef83f6c22a5556bf636d3063eca8414aeda22f9011db7",
         },
         "calibrate": {
             "calibration.csv": "01f89969db0729853d2d7db5832edf0219090b20ef6aea3f1ba8487365719192",
