@@ -235,9 +235,12 @@ def _rotation_samples(config: ExperimentConfig, n_workers: int = 0):
     """_score of every (angle, realization, state).  Screens are held a
     block of _SCREEN_BLOCK realizations at a time while every angle's
     weights are built, one angle's at a time, so memory is bounded
-    whatever the realizations and angles.  Each residual group's
+    whatever the realizations and angles.  The draw step writes each phase
+    factor into its row of the block, the one pool item that fills a held
+    array: returned, each would be allocated on a worker thread, whose
+    arena keeps freed memory, beside the block.  Each residual group's
     projections are sheared by one fields._rotate_all, each in its own
-    n x 2n band, and _weights reads the bands' centres.  The 2 len(ls)
+    n x 2n band, and _weights reads the views it returns.  The 2 len(ls)
     bands are made once per block, after its draws, so a scan of up to
     _SCREEN_BLOCK realizations makes them once and no draw runs beside
     them; a scan of pure quarter turns (1, 2 or 4 angles) never makes

@@ -326,7 +326,7 @@ def generate_screen(
         _tables(grid)
     phase = np.empty((grid.n, grid.n))
     if w0 != 0.0:
-        _unit_screen(grid, ss, phase, np.empty(phase.shape, complex), np.empty(phase.shape))
+        _unit_screen(grid, ss, phase, spec := np.empty(phase.shape, complex), _halves(spec)[1])
     return PhaseScreen(grid, _scale(phase, w0, out=phase), seed_id, params)
 
 
@@ -359,12 +359,10 @@ def _screen_loop(params_list, n_real: int, key, grid: GridSpec, n_workers: int,
             if w0 == 0.0 and i > 0:
                 row.append(None)  # realization 0's result fills it
                 continue
-            k = key(j, i)
-            if w0 != 0.0 and k != drawn:
+            if (k := key(j, i)) != drawn and w0 != 0.0:
                 _unit_screen(grid, screen_key(*k), unit, u, phase, sub)
                 drawn = k
-            _scale(unit, w0, out=phase)
-            row.append(step(j, i, phase, u))
+            row.append(step(j, i, _scale(unit, w0, out=phase), u))
         return row
 
     rows = parallel_fill(n_real, realization, n_workers, thread_arrays)

@@ -1,6 +1,7 @@
 """Worker pool: strided shares, thread cap, usable-core default, BLAS pin."""
 
 import os
+import sys
 import threading
 from concurrent.futures import Future
 
@@ -132,6 +133,16 @@ class TestParallelFill:
         idents = parallel_fill(9, item, 3, lambda: None)
         assert len(set(idents)) == 3
         assert idents == idents[:3] * 3
+
+    def test_no_result_is_lost_under_frequent_thread_switches(self):
+        # more threads than cores, each switching every microsecond
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n_workers in (5, 8):
+                assert fill(3000, n_workers)[0] == expected(3000), n_workers
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_zero_means_every_usable_core(self, executor):
         cores = len(os.sched_getaffinity(0))

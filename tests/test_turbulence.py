@@ -284,6 +284,20 @@ class TestGenerateScreen:
             expected -= expected.mean()
             assert np.array_equal(screen.phase, expected)
 
+    def test_warm_call_holds_the_phase_and_one_complex_work_array(self):
+        # _unit_screen's real work array is the spectrum's second half:
+        # 3.65 real grid arrays measured at 256^2, and 4.65 with a separate
+        # work array (the phase, the spectrum's two, the work array and
+        # numpy's small temporaries)
+        generate_screen(P10, GRID, 1)  # warm: the synthesis tables
+        tracemalloc.start()
+        try:
+            generate_screen(P10, GRID, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.15 * GRID.n**2 * np.dtype(float).itemsize
+
     @pytest.mark.parametrize("grid,keys", [
         (GridSpec(32, 6.0), 4), (GridSpec(64, 8.0), 4), (GRID, 4),
         (GridSpec(512, 16.0), 2),
@@ -636,7 +650,9 @@ class TestEnsembleStatistics:
         # arrays and numpy's fixed 64 KiB ufunc buffers (2 screen sizes at
         # 64^2): 6.9-7.1 measured at 1-3 workers, so 9 leaves a margin.  The
         # result columns, one float per screen and lag, are taken off, and
-        # the list is not copied, so the bound holds at any list length.
+        # the list is not copied.  Each screen's returned row of numpy floats
+        # costs about 160 B more, so the peak grows with the list: 7.25 at
+        # 100 screens, 8.2 at 300, 16.5 at 2,000 (one worker).
         monkeypatch.setattr(parallel, "resolve_workers", lambda n: n_workers)
         screens, grid = screens_64[:n_screens], screens_64[0].grid
         seps = [lag * grid.pitch for lag in (1, 4, 16, 63)]
