@@ -394,11 +394,11 @@ def _pixel_lag(separation: float, grid: GridSpec) -> int:
 
 def _screen_statistics(n_screens: int, grid: GridSpec, separations, coherence_separations,
                        fill) -> tuple[dict[float, tuple[float, float]], ...]:
-    """The estimators over fill(values), which passes each screen i once to
-    values(phase, u), from any thread (u: that thread's complex grid-sized
-    scratch), and returns its D and then coherence values in index order.
-    Every check runs before fill: at least 100 screens, each separation a
-    pixel lag in [1, n - 1]."""
+    """The estimators over fill(values), which calls values(phase, u) once
+    per screen, from any thread (u: that thread's complex grid-sized
+    scratch), and returns the results in screen order: each screen's D
+    values, then its coherence values.  Every check runs before fill: at
+    least 100 screens, each separation a pixel lag in [1, n - 1]."""
     if n_screens < 100:
         raise StatisticsError(f"need >= 100 screens, got {n_screens}")
     d_lags = {sep: _pixel_lag(sep, grid) for sep in separations}
