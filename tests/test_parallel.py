@@ -110,29 +110,19 @@ class TestParallelFill:
         assert calls == [(t, i) for t in range(n_threads) for i in range(t, n_items, n_threads)]
         assert results == [-i for i in range(n_items)]
 
-    def test_real_threads_run_their_strided_shares_in_order(self):
-        order = {}
-        together = threading.Barrier(3, timeout=30)
-
-        def item(i, arrays):
-            if i < 3:
-                together.wait()
-            order.setdefault(threading.get_ident(), []).append(i)
-
-        parallel_fill(11, item, 3, lambda: None)
-        assert sorted(order.values()) == [list(range(t, 11, 3)) for t in range(3)]
-
-    def test_threads_run_at_once_on_their_own_threads(self):
+    def test_threads_run_at_once_each_over_its_strided_share_in_order(self):
         together = threading.Barrier(3, timeout=30)  # broken unless all 3 run at once
+        order = {}
 
         def item(i, arrays):
             if i < 3:  # each thread's first item
                 together.wait()
+            order.setdefault(threading.get_ident(), []).append(i)
             return threading.get_ident()
 
-        idents = parallel_fill(9, item, 3, lambda: None)
+        idents = parallel_fill(11, item, 3, lambda: None)
         assert len(set(idents)) == 3
-        assert idents == idents[:3] * 3
+        assert sorted(order.values()) == [list(range(t, 11, 3)) for t in range(3)]
 
     def test_no_result_is_lost_under_frequent_thread_switches(self):
         # more threads than cores, each switching every microsecond
